@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all check build test race bench bench-lookup bench-figs bench-net bench-smoke bench-gate bench-gate-allocs bench-diff bench-scaling fuzz-smoke soak-migrate soak-scale soak-scale-short lint vet fmt figures examples clean
+.PHONY: all check build test race bench bench-lookup bench-figs bench-net bench-smoke bench-test bench-gate bench-gate-allocs bench-diff bench-scaling fuzz-smoke soak-migrate soak-scale soak-scale-short lint vet fmt figures examples clean
 
 all: check
 
@@ -12,8 +12,9 @@ all: check
 # detector over the concurrent code (including the crash-restart chaos
 # soak in internal/cluster and the RCU stress test in the root
 # package), a timeboxed run of every fuzz target, and a smoke run of
-# every benchmark so a broken benchmark can't land.
-check: build test lint race fuzz-smoke bench-smoke
+# every benchmark so a broken benchmark can't land, and the nested
+# bench module's own vet and tests.
+check: build test lint race fuzz-smoke bench-smoke bench-test
 
 build:
 	$(GO) build ./...
@@ -53,6 +54,12 @@ bench-net:
 # not performance changes.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=10x ./... > /dev/null
+
+# The repository benchmark (bench/, run by bench/run.sh) is a nested
+# module with its own go.mod, so the root `go test ./...` never reaches
+# it: vet and test it on its own.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # A fresh run of the gated micro-benchmarks, shared by the gate and
 # diff targets below. Real file targets (not .PHONY) so one make

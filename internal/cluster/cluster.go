@@ -17,11 +17,14 @@
 // new round, and a round watchdog re-elects when the delegate stays
 // silent — heartbeats without placement maps are not progress.
 //
-// The delegate tunes once a quorum of reports has arrived or a grace
-// period expires, whichever is first. Servers silent beyond FailAfter
-// are treated as failed per the paper — their region is released to
-// the survivors — while a server that merely missed one report window
-// but is demonstrably alive is left idle rather than evicted.
+// The delegate's tune wait wakes on report arrival. It tunes once every
+// live peer has reported, or once stragglers have had as long again as
+// the quorum took to arrive, or when a grace period expires, whichever
+// is first, and sends the new map to every other member. Servers silent
+// beyond FailAfter are treated as failed per the paper — their region
+// is released to the survivors — while a server that merely missed one
+// report window but is demonstrably alive is left idle rather than
+// evicted, and still installs the map.
 //
 // Wire invariant established here and in package delegate: installed
 // placements are fenced by the (epoch, round) pair. The view epoch
@@ -120,12 +123,17 @@ type Config struct {
 	// time, marked failed so its region goes to the survivors.
 	// Default: 4×HeartbeatInterval + RoundInterval.
 	FailAfter time.Duration
-	// ReportGrace is how long the delegate waits for reports after
-	// starting a round before tuning with what arrived.
+	// ReportGrace bounds how long the delegate waits for reports after
+	// opening a round before tuning with what arrived. The wait wakes on
+	// each report and usually ends far sooner: as soon as every live peer
+	// has reported, or at the straggler cutoff that Quorum sets.
 	// Default: RoundInterval/2.
 	ReportGrace time.Duration
 	// Quorum is the report count (including the delegate's own sample)
-	// that lets the delegate tune before ReportGrace expires.
+	// that starts the straggler cutoff: when the Quorum-th report is in
+	// at elapsed time t_q after the round opened, the delegate waits for
+	// the rest until 2·t_q (or ReportGrace, if that comes first), then
+	// tunes. Late peers are tuned as idle and still receive the map.
 	// Default: majority of Members.
 	Quorum int
 	// WatchdogRounds re-elects when no map has been installed for this

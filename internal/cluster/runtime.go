@@ -65,6 +65,12 @@ type Runtime struct {
 	epoch      uint64
 	round      uint64
 	roundStart time.Time
+	// reportWake is the wakeup of the round this node last opened as
+	// delegate: handle signals it, without blocking, on every report for
+	// the current round, and that round's tune goroutine waits on it.
+	// Each round gets a fresh channel, so a tune left over from an
+	// earlier round can never consume the next round's wakeup.
+	reportWake chan struct{}
 	// journalStage holds records (placements and migration phases, in
 	// order) staged for the journal under mu and appended (fsynced)
 	// outside it; Journal.Append's own monotone guard keeps racing
@@ -322,6 +328,12 @@ func (r *Runtime) handle(msg delegate.Message) {
 	case delegate.MsgReport:
 		r.counters.ReportsReceived++
 		r.enqueueLocked(msg)
+		if msg.Round == r.round {
+			select {
+			case r.reportWake <- struct{}{}:
+			default: // a wakeup is already pending; it covers this report
+			}
+		}
 	case delegate.MsgMap:
 		r.enqueueLocked(msg)
 		applied := r.collectLocked(now)
@@ -513,19 +525,25 @@ func (r *Runtime) tick() {
 	// tick runs on the wg-counted roundLoop goroutine, so the counter
 	// cannot reach zero before this Add.
 	r.wg.Add(1)
-	go r.tune(epoch, round)
+	r.reportWake = make(chan struct{}, 1)
+	go r.tune(epoch, round, now, r.reportWake)
 	r.mu.Unlock()
 }
 
-// tune waits for a quorum of reports (or the grace deadline), then
-// rescales and broadcasts as the round's delegate.
-func (r *Runtime) tune(epoch, round uint64) {
+// tune waits for the round's reports, then rescales and sends the new
+// map to every other member as the round's delegate. The wait wakes on
+// report arrival (wake, signalled by handle) and ends at the first of:
+//   - every peer in the live view has reported;
+//   - the straggler cutoff: once Quorum reports are in at elapsed time
+//     t_q after the round opened, the rest get as long again, 2·t_q;
+//   - ReportGrace after the round opened.
+func (r *Runtime) tune(epoch, round uint64, opened time.Time, wake <-chan struct{}) {
 	defer r.wg.Done()
-	deadline := time.Now().Add(r.cfg.ReportGrace)
-	poll := r.cfg.ReportGrace / 8
-	if poll < 500*time.Microsecond {
-		poll = 500 * time.Microsecond
-	}
+	cutoff := r.cfg.ReportGrace
+	timer := time.NewTimer(cutoff - time.Since(opened))
+	defer timer.Stop()
+	quorate := false
+wait:
 	for {
 		now := time.Now()
 		r.mu.Lock()
@@ -537,16 +555,29 @@ func (r *Runtime) tune(epoch, round uint64) {
 			r.publishPlacementLocked()
 		}
 		got := r.node.PendingReports() + 1 // + the delegate's own sample
+		all := got >= r.viewSizeLocked(now)
 		recs := r.takeJournalLocked()
 		r.mu.Unlock()
 		r.flushJournal(recs)
-		if got >= r.cfg.Quorum || !time.Now().Before(deadline) {
+		if all {
 			break
+		}
+		if !quorate && got >= r.cfg.Quorum {
+			quorate = true
+			if tq := now.Sub(opened); 2*tq < cutoff {
+				// The cutoff only ever moves earlier, so a tick the old
+				// deadline may already have fired is due under the new
+				// one too.
+				cutoff = 2 * tq
+				timer.Reset(cutoff - time.Since(opened))
+			}
 		}
 		select {
 		case <-r.stop:
 			return
-		case <-time.After(poll):
+		case <-wake:
+		case <-timer.C:
+			break wait
 		}
 	}
 	now := time.Now()
@@ -560,7 +591,8 @@ func (r *Runtime) tune(epoch, round uint64) {
 	}
 	members := r.tuneMembersLocked(now)
 	r.counters.ReportsPerTune.Add(float64(r.node.PendingReports() + 1))
-	if err := r.node.RunDelegate(epoch, round, members); err != nil {
+	snapshot, err := r.node.Rescale(epoch, round, members)
+	if err != nil {
 		r.cfg.logf("node %d: tune round %d: %v", r.cfg.ID, round, err)
 	} else {
 		r.counters.Tunes++
@@ -571,12 +603,18 @@ func (r *Runtime) tune(epoch, round uint64) {
 	rec := r.takeJournalLocked()
 	r.mu.Unlock()
 	r.sendAll(out)
+	if err == nil {
+		// Every other member gets the map, not just the tuned set: a
+		// live peer whose report missed the window was tuned as idle, and
+		// it must still install the round it is serving under.
+		r.broadcast(delegate.Message{Kind: delegate.MsgMap, From: r.cfg.ID, Epoch: epoch, Round: round, Payload: snapshot})
+	}
 	r.flushJournal(rec)
 }
 
 // tuneMembersLocked chooses the member set the delegate tunes over:
 // itself, every peer that reported this round, and every peer silent
-// beyond FailAfter (which RunDelegate then marks failed, releasing its
+// beyond FailAfter (which Rescale then marks failed, releasing its
 // region to the survivors). A peer that is demonstrably alive but
 // missed this report window is omitted — the controller treats it as
 // idle instead of evicting it on one lost packet.
@@ -604,21 +642,38 @@ func (r *Runtime) tuneMembersLocked(now time.Time) []delegate.NodeID {
 func (r *Runtime) viewLocked(now time.Time) []delegate.NodeID {
 	view := make([]delegate.NodeID, 0, len(r.cfg.Members))
 	for _, id := range r.cfg.Members {
-		if id == r.cfg.ID {
-			view = append(view, id)
-			continue
-		}
-		if until, ok := r.suspectUntil[id]; ok {
-			if now.Before(until) {
-				continue
-			}
-			delete(r.suspectUntil, id)
-		}
-		if seen, ok := r.lastSeen[id]; ok && now.Sub(seen) <= r.cfg.FailAfter {
+		if r.liveLocked(id, now) {
 			view = append(view, id)
 		}
 	}
 	return view
+}
+
+// viewSizeLocked is len(viewLocked(now)) without building the view.
+func (r *Runtime) viewSizeLocked(now time.Time) int {
+	n := 0
+	for _, id := range r.cfg.Members {
+		if r.liveLocked(id, now) {
+			n++
+		}
+	}
+	return n
+}
+
+// liveLocked reports whether member id is in the observed view at now,
+// expiring a lapsed watchdog suspicion on the way.
+func (r *Runtime) liveLocked(id delegate.NodeID, now time.Time) bool {
+	if id == r.cfg.ID {
+		return true
+	}
+	if until, ok := r.suspectUntil[id]; ok {
+		if now.Before(until) {
+			return false
+		}
+		delete(r.suspectUntil, id)
+	}
+	seen, ok := r.lastSeen[id]
+	return ok && now.Sub(seen) <= r.cfg.FailAfter
 }
 
 // takeOutboxLocked drains staged outbound messages for sending

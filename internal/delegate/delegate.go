@@ -470,8 +470,34 @@ func (n *Node) DualTagTarget() string { return n.dualTagTarget }
 // survivors), the controller rescales the map, and the new map is
 // broadcast to every member. The pending report set is cleared.
 func (n *Node) RunDelegate(epoch, round uint64, members []NodeID) error {
+	snapshot, err := n.Rescale(epoch, round, members)
+	if err != nil {
+		return err
+	}
+	for _, id := range members {
+		if id == n.id {
+			continue
+		}
+		n.tr.Send(Message{
+			Kind:    MsgMap,
+			From:    n.id,
+			To:      id,
+			Epoch:   epoch,
+			Round:   round,
+			Payload: snapshot,
+		})
+	}
+	return nil
+}
+
+// Rescale is RunDelegate without the broadcast: it tunes over members
+// exactly as RunDelegate does, stamps the fence, clears the pending
+// reports, and returns the encoded map for the caller to distribute. A
+// caller that tunes over a subset of its peers uses it to address the
+// map beyond that subset.
+func (n *Node) Rescale(epoch, round uint64, members []NodeID) ([]byte, error) {
 	if !n.up {
-		return fmt.Errorf("delegate: node %d is down", n.id)
+		return nil, fmt.Errorf("delegate: node %d is down", n.id)
 	}
 	reports := make([]placement.Report, 0, len(members))
 	for _, id := range members {
@@ -490,7 +516,7 @@ func (n *Node) RunDelegate(epoch, round uint64, members []NodeID) error {
 		})
 	}
 	if _, err := n.s.Tune(reports); err != nil {
-		return err
+		return nil, err
 	}
 	n.pending = make(map[NodeID]Report)
 	// The delegate's own map is now the round's authoritative placement;
@@ -500,22 +526,7 @@ func (n *Node) RunDelegate(epoch, round uint64, members []NodeID) error {
 		n.mapEpoch = epoch
 		n.mapRound = round
 	}
-
-	snapshot := n.s.Encode()
-	for _, id := range members {
-		if id == n.id {
-			continue
-		}
-		n.tr.Send(Message{
-			Kind:    MsgMap,
-			From:    n.id,
-			To:      id,
-			Epoch:   epoch,
-			Round:   round,
-			Payload: snapshot,
-		})
-	}
-	return nil
+	return n.s.Encode(), nil
 }
 
 // Elect returns the delegate for a membership view: the lowest-numbered

@@ -1,6 +1,7 @@
 package delegate
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -228,6 +229,34 @@ func TestLostReportDoesNotKillServerPermanently(t *testing.T) {
 	}
 	if !c.Converged() {
 		t.Fatal("cluster diverged after transient blackout")
+	}
+}
+
+// TestRescaleLeavesDistributionToCaller pins the split of RunDelegate:
+// Rescale tunes and stamps the fence as RunDelegate does but sends
+// nothing, returning the delegate's new placement for the caller to
+// distribute.
+func TestRescaleLeavesDistributionToCaller(t *testing.T) {
+	c := testCluster(t, 3)
+	observeHeterogeneous(c, paperSpeeds())
+	del := c.Node(0)
+	sentBefore, _ := c.Transport().Stats()
+	snapshot, err := del.Rescale(1, 1, c.Members())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent, _ := c.Transport().Stats(); sent != sentBefore {
+		t.Errorf("Rescale sent %d messages, want none", sent-sentBefore)
+	}
+	if !bytes.Equal(snapshot, del.Placement().Encode()) {
+		t.Error("Rescale returned bytes other than the delegate's new placement")
+	}
+	if del.MapEpoch() != 1 || del.MapRound() != 1 {
+		t.Errorf("fence (%d,%d) after Rescale, want (1,1)", del.MapEpoch(), del.MapRound())
+	}
+	del.Crash()
+	if _, err := del.Rescale(1, 2, c.Members()); err == nil {
+		t.Error("a crashed node rescaled")
 	}
 }
 
