@@ -4,6 +4,13 @@
 GO ?= go
 FUZZTIME ?= 30s
 
+# Benchmarks are recorded and gated at GOMAXPROCS=1. Go appends a -N
+# suffix to benchmark names when GOMAXPROCS is N > 1, and the gates
+# match benchmarks by name, so a baseline and a fresh run taken on
+# machines with different core counts would otherwise share no names
+# and compare nothing.
+BENCHCPU = -cpu=1
+
 .PHONY: all check build test race bench bench-lookup bench-figs bench-net bench-smoke bench-test bench-gate bench-gate-allocs bench-diff bench-scaling fuzz-smoke soak-migrate soak-scale soak-scale-short lint vet fmt figures examples clean
 
 all: check
@@ -32,12 +39,12 @@ race:
 bench: bench-lookup bench-figs bench-net
 
 bench-lookup:
-	$(GO) test -run='^$$' -bench='Balancer|Hash|Lookup|SetWeights' -benchmem . ./internal/... > BENCH_lookup.txt
+	$(GO) test $(BENCHCPU) -run='^$$' -bench='Balancer|Hash|Lookup|SetWeights|StrategyDecode|StrategyTune' -benchmem . ./internal/... > BENCH_lookup.txt
 	$(GO) run ./cmd/benchjson -o BENCH_lookup.json < BENCH_lookup.txt
 	rm -f BENCH_lookup.txt
 
 bench-figs:
-	$(GO) test -run='^$$' -bench='Fig' -benchtime=1x -benchmem . > BENCH_figs.txt
+	$(GO) test $(BENCHCPU) -run='^$$' -bench='Fig' -benchtime=1x -benchmem . > BENCH_figs.txt
 	$(GO) run ./cmd/benchjson -o BENCH_figs.json < BENCH_figs.txt
 	rm -f BENCH_figs.txt
 
@@ -45,7 +52,7 @@ bench-figs:
 # heartbeat, memnet broadcast fan-out) into BENCH_net.json. Every entry
 # is 0 allocs/op by design; the alloc gate below holds them there.
 bench-net:
-	$(GO) test -run='^$$' -bench='Frame|Heartbeat|Broadcast' -benchmem ./internal/cluster > BENCH_net.txt
+	$(GO) test $(BENCHCPU) -run='^$$' -bench='Frame|Heartbeat|Broadcast' -benchmem ./internal/cluster > BENCH_net.txt
 	$(GO) run ./cmd/benchjson -o BENCH_net.json < BENCH_net.txt
 	rm -f BENCH_net.txt
 
@@ -66,7 +73,7 @@ bench-test:
 # invocation — or consecutive CI steps in the same job — runs the
 # benchmarks once and reuses the recording.
 BENCH_current.txt:
-	$(GO) test -run='^$$' -bench='Balancer|Hash|Lookup|SetWeights' -benchmem . ./internal/... > $@
+	$(GO) test $(BENCHCPU) -run='^$$' -bench='Balancer|Hash|Lookup|SetWeights|StrategyDecode|StrategyTune' -benchmem . ./internal/... > $@
 
 BENCH_current.json: BENCH_current.txt
 	$(GO) run ./cmd/benchjson -o $@ < BENCH_current.txt
@@ -76,14 +83,14 @@ BENCH_current.json: BENCH_current.txt
 # its cells sequentially (see newQuickSuite), so its allocs/op are
 # exact.
 BENCH_figs_current.txt:
-	$(GO) test -run='^$$' -bench='Fig' -benchtime=1x -benchmem . > $@
+	$(GO) test $(BENCHCPU) -run='^$$' -bench='Fig' -benchtime=1x -benchmem . > $@
 
 BENCH_figs_current.json: BENCH_figs_current.txt
 	$(GO) run ./cmd/benchjson -o $@ < BENCH_figs_current.txt
 
 # A fresh run of the wire-path benchmarks for the alloc gate.
 BENCH_net_current.txt:
-	$(GO) test -run='^$$' -bench='Frame|Heartbeat|Broadcast' -benchmem ./internal/cluster > $@
+	$(GO) test $(BENCHCPU) -run='^$$' -bench='Frame|Heartbeat|Broadcast' -benchmem ./internal/cluster > $@
 
 BENCH_net_current.json: BENCH_net_current.txt
 	$(GO) run ./cmd/benchjson -o $@ < BENCH_net_current.txt
@@ -130,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzMigrationRecord$$' -fuzztime=$(FUZZTIME) ./internal/migrate
 	$(GO) test -run='^$$' -fuzz='^FuzzWeightedSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/placement
+	$(GO) test -run='^$$' -fuzz='^FuzzChordSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/placement
 
 # The live-migration chaos soak under the race detector: five nodes on
 # a lossy network with chaos journals, faults injected in every phase

@@ -486,3 +486,70 @@ func BenchmarkStrategyLookupBatch(b *testing.B) {
 		})
 	}
 }
+
+// roundStrategy builds a registered strategy over 100 servers in a
+// mid-run control-plane state: three members failed and one feedback
+// round applied with every third member carrying four times the load,
+// so the bounded ring holds a third of its members shedding. It returns
+// the strategy and the round's reports, which keep moving the state
+// when tuned again.
+func roundStrategy(b *testing.B, tag string) (placement.Strategy, []placement.Report) {
+	const n = 100
+	ids := make([]placement.ServerID, n)
+	reports := make([]placement.Report, n)
+	for i := range ids {
+		ids[i] = placement.ServerID(i)
+		reports[i] = placement.Report{Server: ids[i], Requests: 100, Latency: 0.5}
+		if i%3 == 0 {
+			reports[i].Requests, reports[i].Latency = 400, 2
+		}
+	}
+	s, err := placement.New(tag, ids, placement.Options{HashSeed: 0})
+	if err != nil {
+		b.Fatalf("strategy %s init failed: %v", tag, err)
+	}
+	for _, id := range []placement.ServerID{10, 50, 90} {
+		if err := s.Fail(id); err != nil {
+			b.Fatal(err)
+		}
+		reports[id] = placement.Report{Server: id, Failed: true}
+	}
+	if _, err := s.Tune(reports); err != nil {
+		b.Fatal(err)
+	}
+	return s, reports
+}
+
+// BenchmarkStrategyDecode measures what every follower pays per install:
+// decoding one round's snapshot of a 100-member strategy.
+func BenchmarkStrategyDecode(b *testing.B) {
+	for _, tag := range placement.Names() {
+		b.Run(tag, func(b *testing.B) {
+			s, _ := roundStrategy(b, tag)
+			snap := s.Encode()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := placement.Decode(snap, placement.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStrategyTune measures the delegate's side of a round on a
+// 100-member strategy: Clone the serving state, then Tune it with the
+// round's reports.
+func BenchmarkStrategyTune(b *testing.B) {
+	for _, tag := range placement.Names() {
+		b.Run(tag, func(b *testing.B) {
+			s, reports := roundStrategy(b, tag)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Clone().Tune(reports); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

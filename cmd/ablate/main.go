@@ -181,17 +181,17 @@ func sweepVPAddressing() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ring := cs.(*placement.Chord).Ring().Ring()
+		router := chordring.NewRouter(cs.(*placement.Chord).Ring().Ring())
 		src := rng.New(uint64(n))
 		total, lookups := 0, 2000
 		for i := 0; i < lookups; i++ {
-			_, hops, err := ring.Route(chordring.NodeID(ids[src.Intn(n)]), fmt.Sprintf("vp/%d", i%numVP))
+			_, hops, err := router.Route(chordring.NodeID(ids[src.Intn(n)]), fmt.Sprintf("vp/%d", i%numVP))
 			if err != nil {
 				log.Fatal(err)
 			}
 			total += hops
 		}
-		fmt.Printf("%-26s %-22d %-14.1f\n", "chord ring", ring.StateBytes(), float64(total)/float64(lookups))
+		fmt.Printf("%-26s %-22d %-14.1f\n", "chord ring", router.StateBytes(), float64(total)/float64(lookups))
 
 		as, err := placement.New(placement.StrategyANU, ids, opts)
 		if err != nil {

@@ -2,6 +2,7 @@ package chordring
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -38,7 +39,7 @@ type Bounded struct {
 
 	// Dense per-ring-index mirrors of the maps above, rebuilt wholesale
 	// by reindex on every mutation and never edited in place (so Clone
-	// may share them, like the ring's fingers). They keep the Owner hot
+	// may share them, like the ring's membership). They keep the Owner hot
 	// path free of map probes and float multiplies: a lookup is one
 	// binary search plus three array reads.
 	failedAt []bool
@@ -51,85 +52,145 @@ type Bounded struct {
 	nextLiveAt []int32
 }
 
-// NewBounded wraps a ring with empty failure and shed state. The ring is
-// owned by the Bounded afterwards.
-func NewBounded(ring *Ring) *Bounded {
+// NewBounded wraps a ring with the given failure and shed state; members
+// not listed start live and shedding nothing. The dense lookup state is
+// built once, however many members are listed. The ring is owned by the
+// Bounded afterwards.
+func NewBounded(ring *Ring, states []NodeState) (*Bounded, error) {
 	b := &Bounded{
 		ring:   ring,
-		failed: make(map[NodeID]bool),
-		shed:   make(map[NodeID]float64),
+		failed: make(map[NodeID]bool, len(states)),
+		shed:   make(map[NodeID]float64, len(states)),
 	}
+	if err := b.validate(states); err != nil {
+		return nil, err
+	}
+	b.set(states)
 	b.reindex()
-	return b
+	return b, nil
 }
 
 // reindex rebuilds the dense fast-path state from the maps and the ring
-// order. Mutators call it after every change; it allocates fresh slices
-// rather than editing, so clones sharing the old ones stay consistent.
+// order in one O(n) pass. Mutators call it once per change; it allocates
+// fresh slices rather than editing, so clones sharing the old ones stay
+// consistent.
 func (b *Bounded) reindex() {
 	n := len(b.ring.ids)
 	failedAt := make([]bool, n)
 	shedCutAt := make([]point, n)
 	nextLiveAt := make([]int32, n)
+	last := -1 // the highest live ring index
 	for i, id := range b.ring.ids {
-		failedAt[i] = b.failed[id]
-	}
-	for i, id := range b.ring.ids {
-		nextLiveAt[i] = -1
-		for step := 1; step <= n; step++ {
-			if j := (i + step) % n; !failedAt[j] {
-				nextLiveAt[i] = int32(j)
-				break
-			}
+		if b.failed[id] {
+			failedAt[i] = true
+			continue
 		}
-		if s := b.shed[id]; s != 0 && n > 1 && !failedAt[i] {
+		last = i
+		if s := b.shed[id]; s != 0 && n > 1 {
 			pred := (i - 1 + n) % n
 			if arc := b.ring.points[i] - b.ring.points[pred]; arc != 0 {
 				shedCutAt[i] = point(s * float64(arc))
 			}
 		}
 	}
+	if last < 0 {
+		for i := range nextLiveAt {
+			nextLiveAt[i] = -1
+		}
+	} else {
+		// Walk one lap backwards from the last live member, carrying the
+		// nearest live member ahead; the lap ends on last itself, whose
+		// next live member is the first one after it (itself when it is
+		// the only one).
+		next := int32(last)
+		for step := 1; step <= n; step++ {
+			i := (last - step + n) % n
+			nextLiveAt[i] = next
+			if !failedAt[i] {
+				next = int32(i)
+			}
+		}
+	}
 	b.failedAt, b.shedCutAt, b.nextLiveAt = failedAt, shedCutAt, nextLiveAt
 }
 
-// Ring exposes the underlying ring (routing experiments read fingers and
-// hop counts from it).
+// Ring exposes the underlying ring (routing experiments build a Router
+// from it).
 func (b *Bounded) Ring() *Ring { return b.ring }
 
 // Clone returns a deep copy; the copy may be mutated independently. The
-// dense fast-path slices are shared, not copied: mutators replace them
-// wholesale via reindex, never edit them in place.
+// ring's membership and the dense fast-path slices are shared, not
+// copied: mutators replace them wholesale, never edit them in place.
 func (b *Bounded) Clone() *Bounded {
-	nb := &Bounded{
+	return &Bounded{
 		ring:       b.ring.Clone(),
-		failed:     make(map[NodeID]bool, len(b.failed)),
-		shed:       make(map[NodeID]float64, len(b.shed)),
+		failed:     maps.Clone(b.failed),
+		shed:       maps.Clone(b.shed),
 		failedAt:   b.failedAt,
 		shedCutAt:  b.shedCutAt,
 		nextLiveAt: b.nextLiveAt,
 	}
-	for id, f := range b.failed {
-		nb.failed[id] = f
-	}
-	for id, s := range b.shed {
-		nb.shed[id] = s
-	}
-	return nb
 }
 
-// SetFailed marks or clears a node's failure. Unknown nodes are an
-// error so a typo cannot silently black-hole half the ring.
-func (b *Bounded) SetFailed(id NodeID, failed bool) error {
-	if _, ok := b.ring.byID[id]; !ok {
-		return fmt.Errorf("chordring: SetFailed: unknown node %d", id)
+// NodeState is one member's failure and shed state, the unit of Apply.
+type NodeState struct {
+	ID     NodeID
+	Failed bool
+	// Shed is the prefix fraction of the node's arc forwarded on, in
+	// [0, 1); it only takes effect while the node is live.
+	Shed float64
+}
+
+// Apply sets the state of every listed node, then rebuilds the dense
+// lookup state once, so a tuning round costs one reindex however many
+// members it changes. Every entry is validated before anything changes:
+// an error leaves b as it was. A node listed twice takes its last entry.
+func (b *Bounded) Apply(states []NodeState) error {
+	if err := b.validate(states); err != nil {
+		return err
 	}
-	if failed {
-		b.failed[id] = true
-	} else {
-		delete(b.failed, id)
+	if len(states) == 0 {
+		return nil
 	}
+	b.set(states)
 	b.reindex()
 	return nil
+}
+
+// validate checks states against the ring. Unknown nodes are an error
+// so a typo cannot silently black-hole half the ring.
+func (b *Bounded) validate(states []NodeState) error {
+	for _, s := range states {
+		if _, ok := b.ring.byID[s.ID]; !ok {
+			return fmt.Errorf("chordring: unknown node %d", s.ID)
+		}
+		// A node may shed load, not vanish: failure handles that.
+		if math.IsNaN(s.Shed) || s.Shed < 0 || s.Shed >= 1 {
+			return fmt.Errorf("chordring: node %d shed fraction %g outside [0, 1)", s.ID, s.Shed)
+		}
+	}
+	return nil
+}
+
+// set writes validated states into the maps; the caller reindexes.
+func (b *Bounded) set(states []NodeState) {
+	for _, s := range states {
+		if s.Failed {
+			b.failed[s.ID] = true
+		} else {
+			delete(b.failed, s.ID)
+		}
+		if s.Shed == 0 {
+			delete(b.shed, s.ID)
+		} else {
+			b.shed[s.ID] = s.Shed
+		}
+	}
+}
+
+// SetFailed marks or clears a node's failure, keeping its shed fraction.
+func (b *Bounded) SetFailed(id NodeID, failed bool) error {
+	return b.Apply([]NodeState{{ID: id, Failed: failed, Shed: b.shed[id]}})
 }
 
 // Failed reports whether a node is marked failed.
@@ -142,22 +203,9 @@ func (b *Bounded) Has(id NodeID) bool {
 }
 
 // SetShed sets the fraction of a node's arc forwarded to its live
-// successor. frac must be in [0, 1): a node may shed load, not vanish —
-// failure handles that.
+// successor, keeping its failure state.
 func (b *Bounded) SetShed(id NodeID, frac float64) error {
-	if _, ok := b.ring.byID[id]; !ok {
-		return fmt.Errorf("chordring: SetShed: unknown node %d", id)
-	}
-	if math.IsNaN(frac) || frac < 0 || frac >= 1 {
-		return fmt.Errorf("chordring: SetShed: fraction %g outside [0, 1)", frac)
-	}
-	if frac == 0 {
-		delete(b.shed, id)
-	} else {
-		b.shed[id] = frac
-	}
-	b.reindex()
-	return nil
+	return b.Apply([]NodeState{{ID: id, Failed: b.failed[id], Shed: frac}})
 }
 
 // Shed returns a node's current shed fraction.
@@ -185,20 +233,6 @@ func (b *Bounded) Leave(id NodeID) error {
 
 // LiveCount returns the number of non-failed members.
 func (b *Bounded) LiveCount() int { return b.ring.N() - len(b.failed) }
-
-// nextLive returns the ring index of the first non-failed member
-// strictly after idx (wrapping; idx itself is reached after a full lap).
-// ok is false when every member is failed.
-func (b *Bounded) nextLive(idx int) (int, bool) {
-	n := len(b.ring.ids)
-	for step := 1; step <= n; step++ {
-		j := (idx + step) % n
-		if !b.failed[b.ring.ids[j]] {
-			return j, true
-		}
-	}
-	return 0, false
-}
 
 // Owner returns the node responsible for key under the bounded-load
 // rule, along with the number of ring probes taken (1 for a direct hit,
@@ -254,20 +288,21 @@ func (b *Bounded) ownerAt(p point) (NodeID, int, bool) {
 
 // Shares returns each member's fraction of the key space under the
 // current failure and shed state (live fractions sum to 1; failed
-// members report 0). It is the closed form of the Owner walk: a failed
-// node's arc goes to its next live successor, and a shedding node's
-// prefix goes to the next live node after it.
+// members report 0). It is the closed form of the Owner walk over the
+// same dense state: a failed node's arc goes to its next live successor,
+// and a shedding node's prefix goes to the next live node after it.
 func (b *Bounded) Shares() map[NodeID]float64 {
-	n := len(b.ring.ids)
+	ids := b.ring.ids
+	n := len(ids)
 	out := make(map[NodeID]float64, n)
-	for _, id := range b.ring.ids {
+	for _, id := range ids {
 		out[id] = 0
 	}
 	if b.LiveCount() == 0 {
 		return out
 	}
 	const circle = float64(1<<63) * 2 // 2^64
-	for i, id := range b.ring.ids {
+	for i, id := range ids {
 		pred := (i - 1 + n) % n
 		var arcF float64
 		if n == 1 {
@@ -275,20 +310,20 @@ func (b *Bounded) Shares() map[NodeID]float64 {
 		} else {
 			arcF = float64(b.ring.points[i]-b.ring.points[pred]) / circle
 		}
-		if b.failed[id] {
-			if next, ok := b.nextLive(i); ok {
-				out[b.ring.ids[next]] += arcF
-			}
+		// Some member is live, so every nextLiveAt entry is a live index;
+		// a live member's entry is itself only when it is the only one.
+		next := int(b.nextLiveAt[i])
+		if b.failedAt[i] {
+			out[ids[next]] += arcF
 			continue
 		}
 		s := b.shed[id]
-		next, ok := b.nextLive(i)
-		if s == 0 || !ok || next == i {
+		if s == 0 || next == i {
 			out[id] += arcF
 			continue
 		}
 		out[id] += arcF * (1 - s)
-		out[b.ring.ids[next]] += arcF * s
+		out[ids[next]] += arcF * s
 	}
 	return out
 }
@@ -299,20 +334,4 @@ func (b *Bounded) Members() []NodeID {
 	ids := append([]NodeID(nil), b.ring.ids...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// Clone returns a deep copy of the ring; the copy may Join and Leave
-// independently of the original.
-func (r *Ring) Clone() *Ring {
-	nr := &Ring{
-		family:  r.family,
-		points:  append([]point(nil), r.points...),
-		ids:     append([]NodeID(nil), r.ids...),
-		byID:    make(map[NodeID]point, len(r.byID)),
-		fingers: r.fingers, // rebuilt wholesale on mutation, never edited in place
-	}
-	for id, p := range r.byID {
-		nr.byID[id] = p
-	}
-	return nr
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"anurand/internal/hashx"
+	"anurand/internal/rng"
 )
 
 func newBounded(t *testing.T, n int) *Bounded {
@@ -18,7 +19,11 @@ func newBounded(t *testing.T, n int) *Bounded {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewBounded(r)
+	b, err := NewBounded(r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestBoundedOwnerMatchesRingWhenIdle(t *testing.T) {
@@ -156,6 +161,90 @@ func TestBoundedValidation(t *testing.T) {
 	}
 	if err := b.SetFailed(99, true); err == nil {
 		t.Error("SetFailed on unknown node accepted")
+	}
+}
+
+// TestApplyMatchesSetters holds the bulk update to the one-at-a-time
+// setters: the same failure and shed changes, applied in one Apply or
+// one by one, give identical dense state, owners and shares. The dense
+// state is also checked against a direct scan of the ring.
+func TestApplyMatchesSetters(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		src := rng.New(seed)
+		n := 1 + src.Intn(24)
+		bulk, single := newBounded(t, n), newBounded(t, n)
+		var states []NodeState
+		for i := 0; i < n; i++ {
+			s := NodeState{ID: NodeID(src.Intn(n))}
+			switch src.Intn(3) {
+			case 0:
+				s.Failed = true
+			case 1:
+				s.Shed = src.Float64() * 0.9
+			}
+			states = append(states, s)
+			if err := single.SetFailed(s.ID, s.Failed); err != nil {
+				t.Fatal(err)
+			}
+			if err := single.SetShed(s.ID, s.Shed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bulk.Apply(states); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range bulk.ring.ids {
+			if bulk.failedAt[i] != single.failedAt[i] || bulk.shedCutAt[i] != single.shedCutAt[i] ||
+				bulk.nextLiveAt[i] != single.nextLiveAt[i] {
+				t.Fatalf("seed %d: dense state of member %d differs between Apply and setters", seed, id)
+			}
+			if bulk.failedAt[i] != bulk.Failed(id) {
+				t.Fatalf("seed %d: failedAt[%d] = %v, Failed(%d) = %v", seed, i, bulk.failedAt[i], id, bulk.Failed(id))
+			}
+			want := int32(-1)
+			for step := 1; step <= n; step++ {
+				if j := (i + step) % n; !bulk.Failed(bulk.ring.ids[j]) {
+					want = int32(j)
+					break
+				}
+			}
+			if bulk.nextLiveAt[i] != want {
+				t.Fatalf("seed %d: nextLiveAt[%d] = %d, want %d", seed, i, bulk.nextLiveAt[i], want)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			key := fmt.Sprintf("apply/%d", i)
+			a, pa, oka := bulk.Owner(key)
+			b, pb, okb := single.Owner(key)
+			if a != b || pa != pb || oka != okb {
+				t.Fatalf("seed %d: Owner(%q) = (%d, %d, %v) after Apply, (%d, %d, %v) after setters",
+					seed, key, a, pa, oka, b, pb, okb)
+			}
+		}
+		singleShares := single.Shares()
+		for id, s := range bulk.Shares() {
+			if s != singleShares[id] {
+				t.Fatalf("seed %d: share of %d is %g after Apply, %g after setters", seed, id, s, singleShares[id])
+			}
+		}
+	}
+}
+
+// TestApplyIsAtomic: one bad entry anywhere in the batch rejects the
+// whole batch before any entry takes effect.
+func TestApplyIsAtomic(t *testing.T) {
+	b := newBounded(t, 4)
+	if err := b.SetShed(2, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []NodeState{{ID: 99}, {ID: 3, Shed: 1}, {ID: 3, Shed: math.NaN()}} {
+		err := b.Apply([]NodeState{{ID: 0, Failed: true}, {ID: 2}, bad})
+		if err == nil {
+			t.Fatalf("Apply accepted %+v", bad)
+		}
+		if b.Failed(0) || b.Shed(2) != 0.3 {
+			t.Fatalf("rejected Apply (%v) changed the ring", err)
+		}
 	}
 }
 

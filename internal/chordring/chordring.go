@@ -17,12 +17,20 @@
 // their successor. Load balance on a bare ring therefore follows the
 // node points, which is exactly the weakness the paper's ANU map fixes
 // with tunable regions.
+//
+// A Ring holds only what owner lookups read: the sorted points and ids.
+// Finger tables serve routed lookups alone, so they live in a Router
+// built from a Ring on demand; the placement strategies, which decode a
+// ring on every install, never pay for them.
 package chordring
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/bits"
-	"sort"
+	"slices"
+	"strconv"
 
 	"anurand/internal/hashx"
 )
@@ -37,18 +45,18 @@ const ringBits = 64
 // point is a position on the 2^64 identifier circle.
 type point = uint64
 
-// Ring is a Chord-style consistent-hash ring with finger tables. It is
-// a static model: Join and Leave rebuild the affected routing state
-// directly rather than running the iterative stabilization protocol,
-// which the paper's comparison does not depend on.
+// Ring is a consistent-hash ring. It is a static model: Join and Leave
+// rebuild the membership directly rather than running the iterative
+// stabilization protocol, which the paper's comparison does not depend
+// on. The sorted slices and the id index are replaced wholesale on every
+// membership change and never edited in place, so clones and Routers
+// share them safely.
 type Ring struct {
 	family hashx.Family
 	// members, sorted by ring point.
 	points []point
 	ids    []NodeID
 	byID   map[NodeID]point
-	// fingers[i] holds node indices for member i's finger table.
-	fingers [][]int
 }
 
 // New builds a ring over the given nodes. Node points are derived by
@@ -58,59 +66,50 @@ func New(family hashx.Family, nodes []NodeID) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("chordring: no nodes")
 	}
-	r := &Ring{family: family, byID: make(map[NodeID]point, len(nodes))}
+	byID := make(map[NodeID]point, len(nodes))
 	for _, id := range nodes {
-		if _, dup := r.byID[id]; dup {
+		if _, dup := byID[id]; dup {
 			return nil, fmt.Errorf("chordring: duplicate node %d", id)
 		}
-		r.byID[id] = r.nodePoint(id)
+		byID[id] = nodePoint(family, id)
 	}
-	r.rebuild()
+	r := &Ring{family: family}
+	r.rebuild(byID)
 	return r, nil
 }
 
-// nodePoint hashes a node id onto the circle.
-func (r *Ring) nodePoint(id NodeID) point {
-	return r.family.Hash(fmt.Sprintf("node/%d", id), 0)
+// nodePoint hashes a node id onto the circle: h_0 of the name
+// "node/<id>", formatted into a stack buffer so building a ring does not
+// allocate a string per member.
+func nodePoint(family hashx.Family, id NodeID) point {
+	var buf [16]byte // "node/" plus at most 11 bytes of int32
+	name := strconv.AppendInt(append(buf[:0], "node/"...), int64(id), 10)
+	return family.HashDigest(hashx.PrehashBytes(name), 0)
 }
 
-// rebuild re-sorts the membership and recomputes every finger table.
-func (r *Ring) rebuild() {
+// rebuild installs byID as the membership and derives fresh sorted
+// point and id slices from it.
+func (r *Ring) rebuild(byID map[NodeID]point) {
 	type member struct {
 		p  point
 		id NodeID
 	}
-	ms := make([]member, 0, len(r.byID))
-	for id, p := range r.byID {
+	ms := make([]member, 0, len(byID))
+	for id, p := range byID {
 		ms = append(ms, member{p, id})
 	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].p != ms[j].p {
-			return ms[i].p < ms[j].p
+	slices.SortFunc(ms, func(a, b member) int {
+		if c := cmp.Compare(a.p, b.p); c != 0 {
+			return c
 		}
-		return ms[i].id < ms[j].id
+		return cmp.Compare(a.id, b.id)
 	})
-	r.points = r.points[:0]
-	r.ids = r.ids[:0]
-	for _, m := range ms {
-		r.points = append(r.points, m.p)
-		r.ids = append(r.ids, m.id)
+	points := make([]point, len(ms))
+	ids := make([]NodeID, len(ms))
+	for i, m := range ms {
+		points[i], ids[i] = m.p, m.id
 	}
-	// Finger i of node n points at successor(n.point + 2^i).
-	r.fingers = make([][]int, len(r.ids))
-	for i := range r.ids {
-		table := make([]int, 0, ringBits)
-		prev := -1
-		for b := 0; b < ringBits; b++ {
-			target := r.points[i] + 1<<uint(b) // wraps mod 2^64
-			idx := r.successorIndex(target)
-			if idx != prev {
-				table = append(table, idx)
-				prev = idx
-			}
-		}
-		r.fingers[i] = table
-	}
+	r.points, r.ids, r.byID = points, ids, byID
 }
 
 // successorIndex returns the index of the first member at or after p on
@@ -141,15 +140,15 @@ func (r *Ring) Nodes() []NodeID {
 	return append([]NodeID(nil), r.ids...)
 }
 
-// Join adds a node. Routing state is rebuilt; keys between the new
-// node's predecessor and its point move to it (standard consistent
-// hashing: ~1/n of the keys).
+// Join adds a node. Keys between the new node's predecessor and its
+// point move to it (standard consistent hashing: ~1/n of the keys).
 func (r *Ring) Join(id NodeID) error {
 	if _, dup := r.byID[id]; dup {
 		return fmt.Errorf("chordring: node %d already present", id)
 	}
-	r.byID[id] = r.nodePoint(id)
-	r.rebuild()
+	byID := maps.Clone(r.byID)
+	byID[id] = nodePoint(r.family, id)
+	r.rebuild(byID)
 	return nil
 }
 
@@ -161,14 +160,23 @@ func (r *Ring) Leave(id NodeID) error {
 	if len(r.byID) == 1 {
 		return fmt.Errorf("chordring: cannot remove the last node")
 	}
-	delete(r.byID, id)
-	r.rebuild()
+	byID := maps.Clone(r.byID)
+	delete(byID, id)
+	r.rebuild(byID)
 	return nil
 }
 
+// Clone returns a copy of the ring that may Join and Leave independently
+// of the original. It shares the membership state, which Join and Leave
+// replace rather than edit.
+func (r *Ring) Clone() *Ring {
+	nr := *r
+	return &nr
+}
+
 // Owner returns the node responsible for key: the successor of the
-// key's ring point. This is the O(1) oracle answer; Route walks the
-// finger tables the way a distributed lookup would.
+// key's ring point. This is the O(1) oracle answer; Router.Route walks
+// the finger tables the way a distributed lookup would.
 func (r *Ring) Owner(key string) NodeID {
 	return r.ids[r.successorIndex(r.keyPoint(key))]
 }
@@ -191,11 +199,51 @@ func (r *Ring) keyPointDigest(d hashx.Digest) point {
 	return r.family.HashDigest(d, 1)
 }
 
+// TheoreticalHops returns ceil(log2 n), the expected hop bound.
+func (r *Ring) TheoreticalHops() int {
+	if len(r.ids) <= 1 {
+		return 0
+	}
+	return bits.Len(uint(len(r.ids) - 1))
+}
+
+// Router is the Chord routing state of a ring: one finger table per
+// member. It describes the ring as it was when NewRouter ran; after a
+// Join or Leave, build a new one.
+type Router struct {
+	ring *Ring
+	// fingers[i] holds node indices for member i's finger table.
+	fingers [][]int
+}
+
+// NewRouter builds every member's finger table: finger b of node n
+// points at successor(n.point + 2^b), with consecutive duplicates
+// dropped, so a table holds O(log n) distinct entries.
+func NewRouter(ring *Ring) *Router {
+	r := ring.Clone()
+	fingers := make([][]int, len(r.ids))
+	for i := range r.ids {
+		table := make([]int, 0, ringBits)
+		prev := -1
+		for b := 0; b < ringBits; b++ {
+			target := r.points[i] + 1<<uint(b) // wraps mod 2^64
+			idx := r.successorIndex(target)
+			if idx != prev {
+				table = append(table, idx)
+				prev = idx
+			}
+		}
+		fingers[i] = table
+	}
+	return &Router{ring: r, fingers: fingers}
+}
+
 // Route resolves key starting from the given node, following fingers as
 // a distributed Chord lookup would, and returns the owner along with
 // the number of hops taken (0 when the start node already owns the
 // key). Hops are the paper's "log(n) probes to the data structure".
-func (r *Ring) Route(from NodeID, key string) (NodeID, int, error) {
+func (rt *Router) Route(from NodeID, key string) (NodeID, int, error) {
+	r := rt.ring
 	p, ok := r.byID[from]
 	if !ok {
 		return 0, 0, fmt.Errorf("chordring: unknown start node %d", from)
@@ -216,7 +264,7 @@ func (r *Ring) Route(from NodeID, key string) (NodeID, int, error) {
 			return r.ids[cur], hops, nil
 		}
 		// Jump along the farthest finger that does not pass the target.
-		next := r.closestPreceding(cur, target)
+		next := rt.closestPreceding(cur, target)
 		if next == cur {
 			next = r.successorIndex(r.points[cur] + 1) // fall back to successor
 		}
@@ -228,15 +276,16 @@ func (r *Ring) Route(from NodeID, key string) (NodeID, int, error) {
 
 // closestPreceding returns the finger of cur that most closely precedes
 // target without reaching it.
-func (r *Ring) closestPreceding(cur int, target point) int {
+func (rt *Router) closestPreceding(cur int, target point) int {
+	points := rt.ring.points
 	best := cur
-	bestDist := distance(r.points[cur], target)
-	for _, f := range r.fingers[cur] {
+	bestDist := distance(points[cur], target)
+	for _, f := range rt.fingers[cur] {
 		if f == cur {
 			continue
 		}
 		// A usable finger lies strictly between cur and target.
-		d := distance(r.points[f], target)
+		d := distance(points[f], target)
 		if d < bestDist && d > 0 {
 			best = f
 			bestDist = d
@@ -264,33 +313,25 @@ func inRangeIncl(lo, hi, x point, single bool) bool {
 // StateBytes estimates the per-node routing state in bytes: successor +
 // fingers, each one (point, id) pair of 12 bytes. Averaged over nodes,
 // since finger tables dedupe to distinct entries.
-func (r *Ring) StateBytes() int {
+func (rt *Router) StateBytes() int {
 	total := 0
-	for _, f := range r.fingers {
+	for _, f := range rt.fingers {
 		total += (len(f) + 1) * 12
 	}
-	if len(r.fingers) == 0 {
+	if len(rt.fingers) == 0 {
 		return 0
 	}
-	return total / len(r.fingers)
+	return total / len(rt.fingers)
 }
 
 // MaxFingerEntries returns the largest finger table on the ring; it is
 // O(log n) with high probability.
-func (r *Ring) MaxFingerEntries() int {
+func (rt *Router) MaxFingerEntries() int {
 	max := 0
-	for _, f := range r.fingers {
+	for _, f := range rt.fingers {
 		if len(f) > max {
 			max = len(f)
 		}
 	}
 	return max
-}
-
-// TheoreticalHops returns ceil(log2 n), the expected hop bound.
-func (r *Ring) TheoreticalHops() int {
-	if len(r.ids) <= 1 {
-		return 0
-	}
-	return bits.Len(uint(len(r.ids) - 1))
 }

@@ -32,6 +32,24 @@ func TestNewErrors(t *testing.T) {
 	}
 }
 
+// TestNodePointGolden pins the node-point formula to its original
+// definition, h_0 of the string "node/<id>": ring points decide every
+// owner, so a drift here would move keys in every snapshot.
+func TestNodePointGolden(t *testing.T) {
+	ids := []NodeID{-1, math.MaxInt32, math.MinInt32}
+	for id := NodeID(0); id <= 1000; id++ {
+		ids = append(ids, id)
+	}
+	for _, seed := range []uint64{0, 7, 42} {
+		family := hashx.NewFamily(seed)
+		for _, id := range ids {
+			if got, want := nodePoint(family, id), family.Hash(fmt.Sprintf("node/%d", id), 0); got != want {
+				t.Fatalf("seed %d: nodePoint(%d) = %#x, want %#x", seed, id, got, want)
+			}
+		}
+	}
+}
+
 func TestOwnerDeterministicAndCovering(t *testing.T) {
 	r := testRing(t, 16)
 	counts := map[NodeID]int{}
@@ -55,11 +73,12 @@ func TestOwnerDeterministicAndCovering(t *testing.T) {
 
 func TestRouteAgreesWithOwner(t *testing.T) {
 	r := testRing(t, 32)
+	rt := NewRouter(r)
 	src := rng.New(5)
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("key/%d", i)
 		from := NodeID(src.Intn(32))
-		got, hops, err := r.Route(from, key)
+		got, hops, err := rt.Route(from, key)
 		if err != nil {
 			t.Fatalf("Route(%d, %q): %v", from, key, err)
 		}
@@ -75,11 +94,12 @@ func TestRouteAgreesWithOwner(t *testing.T) {
 func TestRouteHopsLogarithmic(t *testing.T) {
 	for _, n := range []int{8, 64, 256} {
 		r := testRing(t, n)
+		rt := NewRouter(r)
 		src := rng.New(uint64(n))
 		total := 0
 		const lookups = 2000
 		for i := 0; i < lookups; i++ {
-			_, hops, err := r.Route(NodeID(src.Intn(n)), fmt.Sprintf("k/%d", i))
+			_, hops, err := rt.Route(NodeID(src.Intn(n)), fmt.Sprintf("k/%d", i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,10 +118,11 @@ func TestRouteHopsLogarithmic(t *testing.T) {
 
 func TestRouteFromOwnerIsZeroHops(t *testing.T) {
 	r := testRing(t, 16)
+	rt := NewRouter(r)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("self/%d", i)
 		owner := r.Owner(key)
-		got, hops, err := r.Route(owner, key)
+		got, hops, err := rt.Route(owner, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,8 +133,8 @@ func TestRouteFromOwnerIsZeroHops(t *testing.T) {
 }
 
 func TestRouteUnknownStart(t *testing.T) {
-	r := testRing(t, 4)
-	if _, _, err := r.Route(99, "x"); err == nil {
+	rt := NewRouter(testRing(t, 4))
+	if _, _, err := rt.Route(99, "x"); err == nil {
 		t.Fatal("unknown start accepted")
 	}
 }
@@ -185,8 +206,9 @@ func TestLeaveErrors(t *testing.T) {
 }
 
 func TestStateBytesLogarithmic(t *testing.T) {
-	s8 := testRing(t, 8).StateBytes()
-	s256 := testRing(t, 256).StateBytes()
+	s8 := NewRouter(testRing(t, 8)).StateBytes()
+	r256 := NewRouter(testRing(t, 256))
+	s256 := r256.StateBytes()
 	if s256 <= s8 {
 		t.Fatalf("state should grow with n: %d vs %d", s8, s256)
 	}
@@ -195,8 +217,8 @@ func TestStateBytesLogarithmic(t *testing.T) {
 	if float64(s256) > 8*float64(s8) {
 		t.Fatalf("state grew %0.1fx for 32x nodes — not logarithmic", float64(s256)/float64(s8))
 	}
-	if testRing(t, 256).MaxFingerEntries() > 2*int(math.Log2(256))+4 {
-		t.Fatalf("finger table too large: %d entries", testRing(t, 256).MaxFingerEntries())
+	if r256.MaxFingerEntries() > 2*int(math.Log2(256))+4 {
+		t.Fatalf("finger table too large: %d entries", r256.MaxFingerEntries())
 	}
 }
 
@@ -211,11 +233,12 @@ func TestRingPropertyRouteTotal(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		rt := NewRouter(r)
 		src := rng.New(seed)
 		for i := 0; i < 50; i++ {
 			key := fmt.Sprintf("p/%d/%d", seed, i)
 			from := nodes[src.Intn(n)]
-			got, hops, err := r.Route(from, key)
+			got, hops, err := rt.Route(from, key)
 			if err != nil || got != r.Owner(key) || hops > n {
 				return false
 			}
@@ -236,13 +259,14 @@ func BenchmarkRoute256(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	rt := NewRouter(r)
 	keys := make([]string, 1024)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key/%d", i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := r.Route(NodeID(i&255), keys[i&1023]); err != nil {
+		if _, _, err := rt.Route(NodeID(i&255), keys[i&1023]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"anurand/internal/chordring"
 	"anurand/internal/hashx"
@@ -74,11 +73,15 @@ func newChord(servers []ServerID, opts Options, bounded bool) (Strategy, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Chord{b: chordring.NewBounded(ring), seed: opts.HashSeed, bound: bound, bounded: bounded}, nil
+	b, err := chordring.NewBounded(ring, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Chord{b: b, seed: opts.HashSeed, bound: bound, bounded: bounded}, nil
 }
 
-// Ring exposes the underlying bounded ring (ablations read hop counts
-// and finger state through it).
+// Ring exposes the underlying bounded ring (ablations build a
+// chordring.Router over its ring to count routed hops).
 func (c *Chord) Ring() *chordring.Bounded { return c.b }
 
 // Bound returns the configured load-bound factor.
@@ -143,71 +146,90 @@ func (c *Chord) LookupBatch(keys []string, owners []ServerID) int {
 // (damped), and nodes back under the bound decay toward zero shed.
 // Latencies are ignored: the ring balances load counts, not response
 // times, which is exactly the gap the ANU comparison measures.
+//
+// Every report is validated before the ring changes, and all of a
+// round's changes land in one Apply, so a rejected round leaves the ring
+// untouched and an accepted one rebuilds its lookup state once.
 func (c *Chord) Tune(reports []Report) (bool, error) {
-	changed := false
 	for _, r := range reports {
 		if !c.b.Has(chordring.NodeID(r.Server)) {
-			return changed, fmt.Errorf("chord: Tune: report for unknown server %d", r.Server)
+			return false, fmt.Errorf("chord: Tune: report for unknown server %d", r.Server)
 		}
+	}
+	// states holds each reported member's next state, in first-report
+	// order; requests holds the request count of its last report.
+	states := make([]chordring.NodeState, 0, len(reports))
+	requests := make([]uint64, 0, len(reports))
+	at := make(map[chordring.NodeID]int, len(reports))
+	changed := false
+	for _, r := range reports {
 		id := chordring.NodeID(r.Server)
-		if r.Failed != c.b.Failed(id) {
-			if err := c.b.SetFailed(id, r.Failed); err != nil {
-				return changed, err
-			}
+		i, seen := at[id]
+		if !seen {
+			i = len(states)
+			at[id] = i
+			states = append(states, chordring.NodeState{ID: id, Failed: c.b.Failed(id), Shed: c.b.Shed(id)})
+			requests = append(requests, 0)
+		}
+		requests[i] = r.Requests
+		if s := &states[i]; r.Failed != s.Failed {
+			s.Failed = r.Failed
 			if r.Failed {
 				// A downed node sheds nothing; failure handling owns its arc.
-				if err := c.b.SetShed(id, 0); err != nil {
-					return changed, err
-				}
+				s.Shed = 0
 			}
 			changed = true
 		}
 	}
-	if !c.bounded {
-		return changed, nil
+	if c.bounded {
+		changed = c.tuneShed(reports, states, requests) || changed
 	}
+	if !changed {
+		return false, nil
+	}
+	return true, c.b.Apply(states)
+}
 
-	// Request-share feedback: mean over live reporting members.
+// tuneShed is the bounded variant's request-share feedback: it moves
+// each live reported member's shed in states toward its target and
+// reports whether any moved. The fair share is the mean over live
+// reports.
+func (c *Chord) tuneShed(reports []Report, states []chordring.NodeState, requests []uint64) bool {
 	var total float64
 	live := 0
-	byID := make(map[chordring.NodeID]Report, len(reports))
 	for _, r := range reports {
-		id := chordring.NodeID(r.Server)
-		byID[id] = r
 		if !r.Failed {
 			total += float64(r.Requests)
 			live++
 		}
 	}
 	if live == 0 || total == 0 {
-		return changed, nil
+		return false
 	}
 	fair := total / float64(live)
-	for id, r := range byID {
-		if r.Failed {
+	changed := false
+	for i := range states {
+		s := &states[i]
+		if s.Failed {
 			continue
 		}
-		old := c.b.Shed(id)
 		target := 0.0
-		if reqs := float64(r.Requests); reqs > c.bound*fair {
+		if reqs := float64(requests[i]); reqs > c.bound*fair {
 			target = 1 - c.bound*fair/reqs
 		}
-		next := (1-shedDamping)*old + shedDamping*target
+		next := (1-shedDamping)*s.Shed + shedDamping*target
 		if next > maxShed {
 			next = maxShed
 		}
 		if next < shedEpsilon {
 			next = 0
 		}
-		if next == old {
-			continue
+		if next != s.Shed {
+			s.Shed = next
+			changed = true
 		}
-		if err := c.b.SetShed(id, next); err != nil {
-			return changed, err
-		}
-		changed = true
 	}
-	return changed, nil
+	return changed
 }
 
 func (c *Chord) AddServer(id ServerID) error { return c.b.Join(chordring.NodeID(id)) }
@@ -314,46 +336,46 @@ func decodeChord(data []byte, bounded bool) (Strategy, error) {
 	if len(rest) != k*13 {
 		return nil, fmt.Errorf("chord: %d bytes of member records for k=%d (want %d)", len(rest), k, k*13)
 	}
-	type member struct {
-		id     chordring.NodeID
-		failed bool
-		shed   float64
-	}
-	members := make([]member, k)
+	// The records are validated as strictly as the weighted member codec
+	// validates its own, so an accepted snapshot re-encodes to exactly
+	// the same bytes; only members that are failed or shedding become
+	// states, applied with the ring's one reindex.
 	nodes := make([]chordring.NodeID, k)
-	for i := 0; i < k; i++ {
+	var states []chordring.NodeState
+	for i := range nodes {
 		rec := rest[i*13:]
 		id := chordring.NodeID(binary.LittleEndian.Uint32(rec))
+		if i > 0 && nodes[i-1] >= id {
+			return nil, fmt.Errorf("chord: member records not in strictly ascending id order")
+		}
+		nodes[i] = id
+		var failed bool
+		switch rec[4] {
+		case 0:
+		case 1:
+			failed = true
+		default:
+			return nil, fmt.Errorf("chord: node %d has invalid failed flag %d", id, rec[4])
+		}
 		shed := math.Float64frombits(binary.LittleEndian.Uint64(rec[5:]))
-		if math.IsNaN(shed) || shed < 0 || shed >= 1 {
+		// Signbit rejects -0 too, which would re-encode as +0.
+		if math.IsNaN(shed) || math.Signbit(shed) || shed >= 1 {
 			return nil, fmt.Errorf("chord: node %d shed fraction %g outside [0, 1)", id, shed)
 		}
-		failed := rec[4] != 0
 		if failed && shed != 0 {
 			return nil, fmt.Errorf("chord: failed node %d holds shed fraction %g", id, shed)
 		}
-		members[i] = member{id: id, failed: failed, shed: shed}
-		nodes[i] = id
-	}
-	if !sort.SliceIsSorted(members, func(i, j int) bool { return members[i].id < members[j].id }) {
-		return nil, fmt.Errorf("chord: member records not in ascending id order")
+		if failed || shed != 0 {
+			states = append(states, chordring.NodeState{ID: id, Failed: failed, Shed: shed})
+		}
 	}
 	ring, err := chordring.New(hashx.NewFamily(seed), nodes)
 	if err != nil {
 		return nil, err
 	}
-	b := chordring.NewBounded(ring)
-	for _, m := range members {
-		if m.failed {
-			if err := b.SetFailed(m.id, true); err != nil {
-				return nil, err
-			}
-		}
-		if m.shed != 0 {
-			if err := b.SetShed(m.id, m.shed); err != nil {
-				return nil, err
-			}
-		}
+	b, err := chordring.NewBounded(ring, states)
+	if err != nil {
+		return nil, err
 	}
 	return &Chord{b: b, seed: seed, bound: bound, bounded: bounded}, nil
 }

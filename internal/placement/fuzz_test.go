@@ -2,6 +2,7 @@ package placement
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -38,7 +39,7 @@ func FuzzWeightedSnapshot(f *testing.F) {
 		switch dec.(type) {
 		case *Rendezvous, *WeightedStatic, *PowerOfD:
 		default:
-			return // ANU/chord snapshots have their own fuzzers
+			return // FuzzChordSnapshot and anu's FuzzDecode cover the rest
 		}
 		if err := dec.(Invariants).CheckInvariants(); err != nil {
 			t.Fatalf("accepted snapshot violates invariants: %v", err)
@@ -52,6 +53,56 @@ func FuzzWeightedSnapshot(f *testing.F) {
 		id, ok := dec.Lookup("fuzz-probe")
 		if ok && shares[id] == 0 {
 			t.Fatalf("lookup placed on share-less server %d", id)
+		}
+	})
+}
+
+// FuzzChordSnapshot is FuzzWeightedSnapshot for the ring strategies
+// (chord and chord-bounded): Decode never panics, and an accepted
+// snapshot satisfies the invariants, re-encodes byte-identically, and
+// never places a key on a member with zero share.
+func FuzzChordSnapshot(f *testing.F) {
+	for _, name := range []string{StrategyChord, StrategyChordBounded} {
+		s, err := New(name, []ServerID{0, 1, 2, 3, 5, 8}, Options{HashSeed: 9})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(s.Encode())
+		if err := s.Fail(2); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := s.Tune([]Report{
+			{Server: 0, Requests: 9000, Latency: 1},
+			{Server: 1, Requests: 100, Latency: 1},
+			{Server: 3, Requests: 100, Latency: 1},
+		}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(s.Encode())
+	}
+	f.Add([]byte{})
+	f.Add(EncodeTagged(StrategyChordBounded, nil))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, err := Decode(data, Options{})
+		if err != nil {
+			return
+		}
+		if _, ok := dec.(*Chord); !ok {
+			return
+		}
+		if err := dec.(Invariants).CheckInvariants(); err != nil {
+			t.Fatalf("accepted snapshot violates invariants: %v", err)
+		}
+		if !bytes.Equal(dec.Encode(), data) {
+			t.Fatal("accepted snapshot does not re-encode canonically")
+		}
+		shares := dec.Shares()
+		for i := 0; i < 16; i++ {
+			key := fmt.Sprintf("fuzz-probe/%d", i)
+			if id, ok := dec.Lookup(key); ok && shares[id] == 0 {
+				t.Fatalf("lookup of %q placed on share-less server %d", key, id)
+			}
 		}
 	})
 }

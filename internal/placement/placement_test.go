@@ -209,6 +209,64 @@ func TestDecodeRejectsCorruptChord(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonCanonicalChord: the chord member codec accepts
+// exactly the bytes Encode writes — a failed flag other than 0 or 1, or
+// a -0 shed, would decode to a state that re-encodes differently.
+func TestDecodeRejectsNonCanonicalChord(t *testing.T) {
+	for _, name := range []string{StrategyChord, StrategyChordBounded} {
+		good := mustNew(t, name, 4).Encode()
+		// Member 0's record starts after magic(4)+nameLen(1)+name and the
+		// 20-byte payload header: id(4), then the flag, then the shed.
+		rec := 5 + len(name) + 20
+		flag := append([]byte(nil), good...)
+		flag[rec+4] = 2
+		if _, err := Decode(flag, Options{}); err == nil {
+			t.Errorf("%s: failed flag 2 decoded", name)
+		}
+		negZero := append([]byte(nil), good...)
+		negZero[rec+5+7] = 0x80 // sign bit of the little-endian shed
+		if _, err := Decode(negZero, Options{}); err == nil {
+			t.Errorf("%s: -0 shed decoded", name)
+		}
+	}
+}
+
+// TestChordTuneRejectsAtomically: a round holding a report for an
+// unknown server is refused before any other report in it takes
+// effect, so the delegate keeps serving its previous ring unchanged.
+func TestChordTuneRejectsAtomically(t *testing.T) {
+	s := mustNew(t, StrategyChordBounded, 5)
+	if err := s.Fail(4); err != nil {
+		t.Fatal(err)
+	}
+	hot := []Report{
+		{Server: 0, Requests: 9000, Latency: 1},
+		{Server: 1, Requests: 100, Latency: 1},
+		{Server: 2, Requests: 100, Latency: 1},
+		{Server: 3, Requests: 100, Latency: 1},
+	}
+	if _, err := s.Tune(hot); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Encode()
+	bad := []Report{
+		{Server: 0, Requests: 100, Latency: 1}, // would decay 0's shed
+		{Server: 1, Failed: true},              // would down 1
+		{Server: 4, Requests: 100, Latency: 1}, // would revive 4
+		{Server: 99, Requests: 1, Latency: 1},
+	}
+	changed, err := s.Tune(bad)
+	if err == nil {
+		t.Fatal("report for unknown server accepted")
+	}
+	if changed {
+		t.Error("rejected Tune reported a change")
+	}
+	if !bytes.Equal(s.Encode(), before) {
+		t.Fatal("rejected Tune changed the ring")
+	}
+}
+
 func TestChordTuneShedsOverloadedNode(t *testing.T) {
 	s := mustNew(t, StrategyChordBounded, 5)
 	c := s.(*Chord)
