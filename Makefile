@@ -19,9 +19,9 @@ all: check
 # detector over the concurrent code (including the crash-restart chaos
 # soak in internal/cluster and the RCU stress test in the root
 # package), a timeboxed run of every fuzz target, and a smoke run of
-# every benchmark so a broken benchmark can't land, and the nested
-# bench module's own vet and tests.
-check: build test lint race fuzz-smoke bench-smoke bench-test
+# every benchmark so a broken benchmark can't land, the nested bench
+# module's own vet and tests, and a run of every example program.
+check: build test lint race fuzz-smoke bench-smoke bench-test examples
 
 build:
 	$(GO) build ./...

@@ -50,12 +50,12 @@ func main() {
 	snapshot := m.Encode()
 	speeds := map[delegate.NodeID]float64{0: 1, 1: 2, 2: 4, 3: 6, 4: 8}
 
-	cn, err := cluster.NewChaosNetwork(cluster.ChaosConfig{
+	cn, err := cluster.NewMemNetwork(cluster.ChaosConfig{
 		Drop:      0.05,
 		Duplicate: 0.05,
 		MaxDelay:  5 * time.Millisecond,
 		Seed:      7,
-	})
+	}, 0)
 	check(err)
 	defer cn.Close()
 

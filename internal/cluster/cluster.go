@@ -5,8 +5,8 @@
 // Each server runs one Runtime around its delegate.Node. Runtimes
 // exchange messages over a Transport — real TCP (ListenTCP) with
 // per-peer connection pooling, timeouts and retry with backoff, or the
-// in-memory chaos network (NewChaosNetwork) that drops, duplicates,
-// delays and reorders messages under a seeded RNG for soak tests.
+// in-memory fabric (NewMemNetwork) that drops, duplicates, delays and
+// reorders messages under a seeded RNG for tests, soaks and benchmarks.
 //
 // Liveness is observed, not assumed: every runtime heartbeats its
 // peers, and the membership view a round works with is "self plus

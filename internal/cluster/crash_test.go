@@ -124,12 +124,12 @@ func TestCrashRestartChaosSoakChordBounded(t *testing.T) {
 }
 
 func runCrashRestartSoak(t *testing.T, strategy string) {
-	cn, err := NewChaosNetwork(ChaosConfig{
+	cn, err := NewMemNetwork(ChaosConfig{
 		Drop:      0.30,
 		Duplicate: 0.10,
 		MaxDelay:  20 * time.Millisecond,
 		Seed:      23,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func runCrashRestartSoak(t *testing.T, strategy string) {
 // Config.Snapshot — while a journal-less restart still bootstraps from
 // the snapshot.
 func TestJournalRestartResumesFromRecoveredPlacement(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{Seed: 3})
+	cn, err := NewMemNetwork(ChaosConfig{Seed: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestJournalRestartResumesFromRecoveredPlacement(t *testing.T) {
 
 	// Restart on an isolated network so nothing can overwrite the
 	// recovered state before we inspect it.
-	lonely, err := NewChaosNetwork(ChaosConfig{Seed: 4})
+	lonely, err := NewMemNetwork(ChaosConfig{Seed: 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestJournalRestartResumesFromRecoveredPlacement(t *testing.T) {
 // different strategy. Both boundaries — the bootstrap snapshot and a
 // journal-recovered record — must fail Start loudly on a tag mismatch.
 func TestStartRejectsStrategyTagMismatch(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{Seed: 11})
+	cn, err := NewMemNetwork(ChaosConfig{Seed: 11}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func TestStartRejectsStrategyTagMismatch(t *testing.T) {
 // deadlock — on either the delegate's self-sample path or a follower's
 // round-gossip report path.
 func TestObserverMayCallRuntime(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{Seed: 9})
+	cn, err := NewMemNetwork(ChaosConfig{Seed: 9}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestObserverMayCallRuntime(t *testing.T) {
 // compacted record, and a crash that tears the lone surviving frame
 // degrades to a clean snapshot bootstrap.
 func TestCompactionAcrossStrategyChangeRefusesMismatchedTail(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{Seed: 21})
+	cn, err := NewMemNetwork(ChaosConfig{Seed: 21}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

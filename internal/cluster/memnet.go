@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"time"
 
 	"sync"
@@ -9,19 +10,45 @@ import (
 	"anurand/internal/rng"
 )
 
-// MemNetwork is the scale sibling of ChaosNetwork: the same seeded
-// drop/duplicate/delay model behind the same Transport face, but built
-// to carry hundreds of nodes' gossip in one process. ChaosNetwork
-// spawns a time.AfterFunc (a timer plus a goroutine wakeup) for every
-// delayed copy, and allocates a delay slice per send — harmless at 7
-// nodes, ruinous at 200 where a single heartbeat interval moves tens of
-// thousands of messages. MemNetwork instead runs ONE scheduler
-// goroutine over a value min-heap of pending envelopes: a send pushes a
-// by-value envelope (no allocation once the heap's backing array has
-// grown), zero-delay copies are delivered inline without touching the
-// scheduler at all, and one reused timer sleeps until the earliest due
-// envelope. The cost per message is one mutex acquisition, which is
-// exactly the budget the 50–200 node soak harness needs.
+// ChaosConfig shapes the in-memory lossy network. Each message is
+// independently dropped with probability Drop, duplicated with
+// probability Duplicate, and every delivered copy is delayed by a
+// uniform draw from [MinDelay, MaxDelay] — random per-copy delays are
+// what reorder traffic, exactly like queueing jitter on a real path.
+type ChaosConfig struct {
+	Drop      float64
+	Duplicate float64
+	MinDelay  time.Duration
+	MaxDelay  time.Duration
+	Seed      uint64
+}
+
+// validate rejects nonsensical chaos parameters.
+func (c ChaosConfig) validate() error {
+	if c.Drop < 0 || c.Drop >= 1 || c.Duplicate < 0 || c.Duplicate >= 1 {
+		return fmt.Errorf("cluster: chaos probabilities (%g, %g) outside [0, 1)", c.Drop, c.Duplicate)
+	}
+	if c.MinDelay < 0 || c.MaxDelay < c.MinDelay {
+		return fmt.Errorf("cluster: chaos delays (%v, %v) invalid", c.MinDelay, c.MaxDelay)
+	}
+	return nil
+}
+
+// ChaosStats counts what the network did to traffic.
+type ChaosStats struct {
+	Sent, Dropped, Duplicated, Delivered, Overflowed uint64
+}
+
+// MemNetwork connects MemEndpoints through a seeded lossy, reordering
+// fabric shaped by a ChaosConfig. It carries every in-process runtime
+// test, soak and benchmark, from 2 nodes to hundreds: one scheduler
+// goroutine runs over a value min-heap of pending envelopes, a send
+// pushes a by-value envelope (no allocation once the heap's backing
+// array has grown), zero-delay copies are delivered inline without
+// touching the scheduler at all, and one reused timer sleeps until the
+// earliest due envelope. The cost per message is one mutex
+// acquisition. The randomness stream is deterministic for a seed,
+// though the interleaving still depends on goroutine scheduling.
 type MemNetwork struct {
 	mu      sync.Mutex
 	cfg     ChaosConfig
@@ -80,10 +107,14 @@ func (mn *MemNetwork) SetConfig(cfg ChaosConfig) error {
 	return nil
 }
 
-// Endpoint creates (or returns) the transport endpoint for a node. As
-// with ChaosNetwork, a closed endpoint is replaced by a fresh one — a
-// restarted process binds a new socket — and envelopes scheduled for
-// the dead predecessor vanish on delivery.
+// Endpoint creates (or returns) the transport endpoint for a node. A
+// closed endpoint is replaced by a fresh one, as a restarted process
+// binds a new socket. Envelopes are addressed to the node id, not the
+// endpoint: one that comes due while the id's endpoint is closed is
+// swallowed, and one that comes due after a successor has bound the id
+// is delivered to the successor, like packets still on the wire when a
+// server restarts on the same address. The (epoch, round) fence
+// absorbs whatever of that traffic is stale.
 func (mn *MemNetwork) Endpoint(id delegate.NodeID) *MemEndpoint {
 	mn.mu.Lock()
 	defer mn.mu.Unlock()

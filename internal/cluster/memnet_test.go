@@ -40,6 +40,113 @@ func TestMemNetDeliversInline(t *testing.T) {
 	}
 }
 
+// TestMemNetConfigValidation checks that both the constructor and
+// SetConfig reject nonsensical chaos profiles.
+func TestMemNetConfigValidation(t *testing.T) {
+	bad := []ChaosConfig{
+		{Drop: -0.1},
+		{Drop: 1},
+		{Duplicate: 1.5},
+		{MinDelay: -time.Millisecond},
+		{MinDelay: 2 * time.Millisecond, MaxDelay: time.Millisecond},
+	}
+	for _, cfg := range bad {
+		if mn, err := NewMemNetwork(cfg, 0); err == nil {
+			mn.Close()
+			t.Errorf("config %+v accepted", cfg)
+		}
+	}
+	mn, err := NewMemNetwork(ChaosConfig{Drop: 0.5, Duplicate: 0.5, MaxDelay: time.Millisecond}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mn.Close()
+	if err := mn.SetConfig(ChaosConfig{Drop: 2}); err == nil {
+		t.Error("SetConfig accepted an invalid profile")
+	}
+}
+
+// TestMemNetDropsAboutHalf checks the drop rate tracks its probability
+// and every sent message is either delivered or counted as dropped.
+func TestMemNetDropsAboutHalf(t *testing.T) {
+	mn, err := NewMemNetwork(ChaosConfig{Drop: 0.5, Seed: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mn.Close()
+	src := mn.Endpoint(1)
+	mn.Endpoint(2)
+	const n = 1000
+	done := make(chan int)
+	go func() {
+		got := 0
+		for {
+			select {
+			case <-mn.Endpoint(2).Recv():
+				got++
+			case <-time.After(300 * time.Millisecond):
+				done <- got
+				return
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		src.Send(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2, Round: uint64(i)})
+	}
+	got := <-done
+	if got < 350 || got > 650 {
+		t.Fatalf("delivered %d of %d at 50%% drop", got, n)
+	}
+	stats := mn.Stats()
+	if stats.Sent != n || stats.Dropped == 0 || stats.Dropped+uint64(got) != n {
+		t.Fatalf("stats implausible: %+v (got %d)", stats, got)
+	}
+}
+
+// TestMemNetDuplicatesAndDelays checks duplication adds copies and no
+// copy arrives before MinDelay.
+func TestMemNetDuplicatesAndDelays(t *testing.T) {
+	mn, err := NewMemNetwork(ChaosConfig{
+		Duplicate: 0.9,
+		MinDelay:  5 * time.Millisecond,
+		MaxDelay:  10 * time.Millisecond,
+		Seed:      2,
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mn.Close()
+	src := mn.Endpoint(1)
+	dst := mn.Endpoint(2)
+	start := time.Now()
+	const n = 100
+	for i := 0; i < n; i++ {
+		src.Send(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2})
+	}
+	got := 0
+	var firstArrival time.Duration
+	for {
+		select {
+		case <-dst.Recv():
+			if got == 0 {
+				firstArrival = time.Since(start)
+			}
+			got++
+		case <-time.After(300 * time.Millisecond):
+			if got <= n {
+				t.Fatalf("received %d messages, want > %d with 90%% duplication", got, n)
+			}
+			if firstArrival < 4*time.Millisecond {
+				t.Fatalf("first arrival after %v, want >= ~5ms delay", firstArrival)
+			}
+			if s := mn.Stats(); s.Duplicated == 0 {
+				t.Fatalf("no duplicates recorded: %+v", s)
+			}
+			return
+		}
+	}
+}
+
 // TestMemNetDelayedDelivery checks the scheduler path: a fixed nonzero
 // delay parks the envelope on the heap and delivers it afterwards.
 func TestMemNetDelayedDelivery(t *testing.T) {
@@ -152,9 +259,13 @@ func TestMemNetChaosAccounting(t *testing.T) {
 	}
 }
 
-// TestMemNetClosedEndpointReplaced mirrors the ChaosNetwork restart
-// semantics: Endpoint after Close hands back a fresh endpoint, and
-// traffic scheduled for the dead one vanishes without panicking.
+// TestMemNetClosedEndpointReplaced checks restart semantics: Endpoint
+// after Close hands back a fresh endpoint, and envelopes still in
+// flight to the dead one are delivered to its successor — they are
+// addressed to the node id, like packets on the wire when a server
+// restarts on the same address. The runtime's (epoch, round) fence,
+// not the fabric, is what keeps such stale traffic from being
+// installed (the crash-restart soaks exercise that).
 func TestMemNetClosedEndpointReplaced(t *testing.T) {
 	mn, err := NewMemNetwork(ChaosConfig{MaxDelay: 10 * time.Millisecond, Seed: 7}, 0)
 	if err != nil {
@@ -163,7 +274,8 @@ func TestMemNetClosedEndpointReplaced(t *testing.T) {
 	defer mn.Close()
 	a, b := mn.Endpoint(1), mn.Endpoint(2)
 
-	for i := 0; i < 50; i++ {
+	const n = 50
+	for i := 0; i < n; i++ {
 		_ = a.Send(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2, Round: uint64(i)})
 	}
 	if err := b.Close(); err != nil {
@@ -173,12 +285,69 @@ func TestMemNetClosedEndpointReplaced(t *testing.T) {
 	if b2 == b {
 		t.Fatal("Endpoint returned the closed endpoint instead of a fresh one")
 	}
-	// Let any envelopes scheduled for the dead endpoint come due; they
-	// must be swallowed, not delivered to its successor's channel via
-	// the old reference.
+	// Everything still scheduled once b2 is bound can only land on b2.
+	inFlight := mn.Pending()
+	if inFlight == 0 {
+		t.Fatal("nothing in flight when the endpoint was replaced")
+	}
 	waitFor(t, 2*time.Second, "scheduled envelopes drain", func() bool { return mn.Pending() == 0 })
+	drain := func(ep *MemEndpoint) (rounds []uint64) {
+		for {
+			select {
+			case m := <-ep.Recv():
+				rounds = append(rounds, m.Round)
+			default:
+				return rounds
+			}
+		}
+	}
+	toOld, toNew := drain(b), drain(b2)
+	if len(toNew) < inFlight {
+		t.Fatalf("successor received %d envelopes, want the %d in flight at restart", len(toNew), inFlight)
+	}
+	for _, r := range toNew {
+		if r >= n {
+			t.Fatalf("successor received round %d, never sent", r)
+		}
+	}
+	if st := mn.Stats(); uint64(len(toOld)+len(toNew)) != st.Delivered {
+		t.Fatalf("endpoints saw %d+%d, fabric counted %d delivered", len(toOld), len(toNew), st.Delivered)
+	}
 	if !b2.SendAsync(delegate.Message{Kind: MsgHeartbeat, From: 2, To: 2}) {
 		t.Fatal("fresh endpoint refused SendAsync")
+	}
+}
+
+// TestMemNetClosedEndpointBlackholes checks a closed endpoint that has
+// not been replaced: traffic to it is swallowed, and its own sends are
+// silent loss that the fabric does not count.
+func TestMemNetClosedEndpointBlackholes(t *testing.T) {
+	mn, err := NewMemNetwork(ChaosConfig{Seed: 3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mn.Close()
+	src := mn.Endpoint(1)
+	dst := mn.Endpoint(2)
+	dst.Close()
+	if err := src.Send(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-dst.Recv():
+		t.Fatal("closed endpoint received a message")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if s := mn.Stats(); s.Delivered != 0 {
+		t.Fatalf("delivered=%d to a closed endpoint", s.Delivered)
+	}
+	// The sender's own close blackholes its sends too.
+	src.Close()
+	if err := src.Send(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if s := mn.Stats(); s.Sent != 1 {
+		t.Fatalf("closed endpoint's send was counted: %+v", s)
 	}
 }
 

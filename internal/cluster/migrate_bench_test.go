@@ -14,7 +14,7 @@ import (
 // through the same lock-free pointer.
 func dualTagRuntime(tb testing.TB) *Runtime {
 	tb.Helper()
-	cn, err := NewChaosNetwork(ChaosConfig{})
+	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -37,7 +37,7 @@ import (
 func TestMigrationChaosSoak(t *testing.T) {
 	const n = 5
 	calm := ChaosConfig{Drop: 0.10, Duplicate: 0.05, MaxDelay: 5 * time.Millisecond, Seed: 1009}
-	cn, err := NewChaosNetwork(calm)
+	cn, err := NewMemNetwork(calm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

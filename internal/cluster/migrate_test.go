@@ -116,7 +116,7 @@ func waitDelegate(t *testing.T, rts []*Runtime) *Runtime {
 // spinning tickers or hung phases.
 func TestConfigValidation(t *testing.T) {
 	ids, snapshot := bootstrap(t, 3)
-	cn, err := NewChaosNetwork(ChaosConfig{})
+	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestConfigValidation(t *testing.T) {
 // one-member quorum the whole state machine — propose, warm, dual-tag,
 // epoch-fenced commit — runs synchronously inside Migrate.
 func TestMigrateSingleNode(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{})
+	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestMigrateSingleNode(t *testing.T) {
 // TestMigrateValidation covers Migrate's refusals: unknown target,
 // no-op target, follower callers, and double starts.
 func TestMigrateValidation(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{})
+	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestMigrateValidation(t *testing.T) {
 // continue on the new strategy, and every journal must end with the
 // Committed record and a target-tagged placement.
 func TestMigrateHappyPath(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{Seed: 7, MaxDelay: 2 * time.Millisecond})
+	cn, err := NewMemNetwork(ChaosConfig{Seed: 7, MaxDelay: 2 * time.Millisecond}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestMigrateHappyPath(t *testing.T) {
 // and journal was learned from the leader's warm snapshot. A follower
 // restart from its journal must come back weighted too.
 func TestMigrateWeightsSurviveCutover(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{Seed: 11, MaxDelay: 2 * time.Millisecond})
+	cn, err := NewMemNetwork(ChaosConfig{Seed: 11, MaxDelay: 2 * time.Millisecond}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestMigrateWeightsSurviveCutover(t *testing.T) {
 // and rolls back — the leader stays on the old strategy, broadcasts
 // the abort, and the followers close out too.
 func TestMigrateAbortOnTimeout(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{})
+	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +597,7 @@ func TestMigrateAbortOnTimeout(t *testing.T) {
 // followers observe the re-election away from the proposer and roll
 // back on their own — no phase is allowed to outlive its leader.
 func TestMigrateAbortOnReelection(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{})
+	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,7 +697,7 @@ func TestMigrateJournalResume(t *testing.T) {
 		return j, path
 	}
 	start := func(t *testing.T, j *journal.Journal, strategy string, snapshot []byte) *Runtime {
-		cn, err := NewChaosNetwork(ChaosConfig{})
+		cn, err := NewMemNetwork(ChaosConfig{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -843,7 +843,7 @@ func TestMigrateJournalResume(t *testing.T) {
 // restart, and the leader's post-commit retry (or the next broadcast
 // map through the resumed window) must finish the job.
 func TestMigrateDualTagResumeCompletes(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{Seed: 13})
+	cn, err := NewMemNetwork(ChaosConfig{Seed: 13}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 func TestStartValidation(t *testing.T) {
 	ids, snapshot := bootstrap(t, 3)
-	cn, err := NewChaosNetwork(ChaosConfig{})
+	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +155,13 @@ func TestRuntimeConvergesOverTCP(t *testing.T) {
 // fingerprints, the installed map round must never move backwards on
 // any node, and an injected stale-round map must be rejected.
 func TestChaosSoakConvergence(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{
+	cn, err := NewMemNetwork(ChaosConfig{
 		Drop:      0.15,
 		Duplicate: 0.15,
 		MinDelay:  0,
 		MaxDelay:  25 * time.Millisecond,
 		Seed:      7,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func (f filterTransport) Send(msg delegate.Message) error {
 // never arrive. The round watchdog must suspect it and move election
 // to the next id, which then actually tunes.
 func TestWatchdogReelection(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{Seed: 5})
+	cn, err := NewMemNetwork(ChaosConfig{Seed: 5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestWatchdogReelection(t *testing.T) {
 // routing via Lookup/LookupBatch must stay valid and uninterrupted
 // while the protocol installs new placements underneath it.
 func TestRuntimeLookupDataPlane(t *testing.T) {
-	cn, err := NewChaosNetwork(ChaosConfig{Seed: 11})
+	cn, err := NewMemNetwork(ChaosConfig{Seed: 11}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
