@@ -49,10 +49,11 @@ bench-figs:
 	rm -f BENCH_figs.txt
 
 # Record the wire-path baselines (frame encode/decode, end-to-end TCP
-# heartbeat, memnet broadcast fan-out) into BENCH_net.json. Every entry
-# is 0 allocs/op by design; the alloc gate below holds them there.
+# heartbeat, memnet broadcast fan-out inline and through the delayed
+# queue, the MapState poll) into BENCH_net.json. Every entry is
+# 0 allocs/op by design; the alloc gate below holds them there.
 bench-net:
-	$(GO) test $(BENCHCPU) -run='^$$' -bench='Frame|Heartbeat|Broadcast' -benchmem ./internal/cluster > BENCH_net.txt
+	$(GO) test $(BENCHCPU) -run='^$$' -bench='Frame|Heartbeat|Broadcast|MapState' -benchmem ./internal/cluster > BENCH_net.txt
 	$(GO) run ./cmd/benchjson -o BENCH_net.json < BENCH_net.txt
 	rm -f BENCH_net.txt
 
@@ -90,7 +91,7 @@ BENCH_figs_current.json: BENCH_figs_current.txt
 
 # A fresh run of the wire-path benchmarks for the alloc gate.
 BENCH_net_current.txt:
-	$(GO) test $(BENCHCPU) -run='^$$' -bench='Frame|Heartbeat|Broadcast' -benchmem ./internal/cluster > $@
+	$(GO) test $(BENCHCPU) -run='^$$' -bench='Frame|Heartbeat|Broadcast|MapState' -benchmem ./internal/cluster > $@
 
 BENCH_net_current.json: BENCH_net_current.txt
 	$(GO) run ./cmd/benchjson -o $@ < BENCH_net_current.txt

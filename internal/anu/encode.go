@@ -105,6 +105,11 @@ func Decode(data []byte) (*Map, error) {
 		}
 		partial := int32(d.u32())
 		plen := Ticks(d.u64())
+		if partial < 0 && (partial != -1 || plen != 0) {
+			// Encode writes "no partial" only as (-1, 0); accepting any
+			// other spelling would let two byte strings decode to one map.
+			return nil, fmt.Errorf("anu: Decode: server %d has no partial but encodes (%d, %d)", id, partial, plen)
+		}
 		if partial >= 0 {
 			if int(partial) >= len(m.parts) {
 				return nil, fmt.Errorf("anu: Decode: partial index %d out of range", partial)

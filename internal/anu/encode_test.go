@@ -1,6 +1,7 @@
 package anu
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"anurand/internal/hashx"
@@ -112,5 +113,42 @@ func TestDecodeRejectsDoubleOwnership(t *testing.T) {
 	copy(data[s1+8:s1+12], idx0)
 	if _, err := Decode(data); err == nil {
 		t.Fatal("Decode accepted doubly-owned partition")
+	}
+}
+
+// TestDecodeRejectsNonCanonicalNoPartial pins the decoder to the one
+// spelling Encode uses for "no partial partition", (-1, 0): every
+// accepted payload must re-encode to the same bytes.
+func TestDecodeRejectsNonCanonicalNoPartial(t *testing.T) {
+	m, err := New(hashx.NewFamily(0), []ServerID{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := m.Encode()
+	// Server 0's record starts after magic(4) seed(8) bits(1) k(4):
+	// id(4) nfull(4) full... partial(4) plen(8).
+	off := 4 + 8 + 1 + 4
+	nfull := int(binary.LittleEndian.Uint32(data[off+4:]))
+	at := off + 8 + 4*nfull
+	if int32(binary.LittleEndian.Uint32(data[at:])) != -1 {
+		t.Skip("server 0 has a partial partition; nothing to respell")
+	}
+	for _, c := range []struct {
+		name    string
+		partial int32
+		plen    uint64
+	}{
+		{"minus-two", -2, 0},
+		{"stray-length", -1, 5},
+	} {
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(bad[at:], uint32(c.partial))
+		binary.LittleEndian.PutUint64(bad[at+4:], c.plen)
+		if _, err := Decode(bad); err == nil {
+			t.Errorf("%s: Decode accepted a non-canonical no-partial record", c.name)
+		}
+	}
+	if _, err := Decode(data); err != nil {
+		t.Fatalf("canonical payload rejected: %v", err)
 	}
 }

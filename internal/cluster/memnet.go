@@ -41,20 +41,24 @@ type ChaosStats struct {
 
 // MemNetwork connects MemEndpoints through a seeded lossy, reordering
 // fabric shaped by a ChaosConfig. It carries every in-process runtime
-// test, soak and benchmark, from 2 nodes to hundreds: one scheduler
-// goroutine runs over a value min-heap of pending envelopes, a send
-// pushes a by-value envelope (no allocation once the heap's backing
-// array has grown), zero-delay copies are delivered inline without
-// touching the scheduler at all, and one reused timer sleeps until the
-// earliest due envelope. The cost per message is one mutex
-// acquisition. The randomness stream is deterministic for a seed,
-// though the interleaving still depends on goroutine scheduling.
+// test, soak and benchmark, from 2 nodes to hundreds. Zero-delay copies
+// are delivered inline without touching the scheduler at all. Delayed
+// copies go on a memQueue: the message is stored once in a slab slot and
+// only a small (due, seq, slot) ref moves through the heap, so neither a
+// push nor a pop copies envelopes around, and nothing allocates once the
+// slab and heap have grown. One scheduler goroutine delivers what is due
+// and sleeps on one reused timer until the earliest due ref. The cost
+// per message is one mutex acquisition. The randomness stream is
+// deterministic for a seed and copies due at the same instant are
+// delivered in send order, though the interleaving of senders still
+// depends on goroutine scheduling.
 type MemNetwork struct {
 	mu      sync.Mutex
 	cfg     ChaosConfig
 	src     *rng.Source
 	eps     map[delegate.NodeID]*MemEndpoint
-	heap    []memEnv // min-heap on due, scheduler-owned ordering
+	queue   memQueue
+	clock0  time.Time // origin of the queue's monotonic due times
 	stats   ChaosStats
 	recvBuf int
 	closed  bool
@@ -63,12 +67,89 @@ type MemNetwork struct {
 	done chan struct{}
 }
 
-// memEnv is one scheduled delivery. It travels by value through the
-// heap so steady-state traffic never allocates.
-type memEnv struct {
-	due time.Time
-	to  delegate.NodeID
-	msg delegate.Message
+// memQueue holds the fabric's delayed deliveries. Messages live in a
+// slab whose freed slots are reused through a free list; a 4-ary
+// min-heap orders refs to them by due time, then by seq, so copies due
+// at the same instant come out in push order.
+type memQueue struct {
+	slab []delegate.Message
+	free []int32
+	heap []memRef
+	seq  uint64
+}
+
+// memRef is one heap entry: a slab slot and its delivery order.
+type memRef struct {
+	due  int64 // ns since the fabric's clock0
+	seq  uint64
+	slot int32
+}
+
+// before orders refs by due time, then by push order.
+func (a memRef) before(b memRef) bool {
+	return a.due < b.due || (a.due == b.due && a.seq < b.seq)
+}
+
+// len returns how many messages are queued.
+func (q *memQueue) len() int { return len(q.heap) }
+
+// next returns the earliest due time; the queue must be non-empty.
+func (q *memQueue) next() int64 { return q.heap[0].due }
+
+// push stores msg in a free slab slot and sifts its ref up the heap.
+func (q *memQueue) push(due int64, msg delegate.Message) {
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = msg
+	} else {
+		slot = int32(len(q.slab))
+		q.slab = append(q.slab, msg)
+	}
+	q.seq++
+	ref := memRef{due: due, seq: q.seq, slot: slot}
+	q.heap = append(q.heap, ref)
+	i := len(q.heap) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ref.before(q.heap[parent]) {
+			break
+		}
+		q.heap[i] = q.heap[parent]
+		i = parent
+	}
+	q.heap[i] = ref
+}
+
+// pop removes the earliest ref, frees its slot and returns its message;
+// the queue must be non-empty.
+func (q *memQueue) pop() delegate.Message {
+	slot := q.heap[0].slot
+	msg := q.slab[slot]
+	q.slab[slot] = delegate.Message{} // drop the payload reference
+	q.free = append(q.free, slot)
+	n := len(q.heap) - 1
+	last := q.heap[n]
+	q.heap = q.heap[:n]
+	if n > 0 {
+		i := 0
+		for {
+			least := -1
+			for c := 4*i + 1; c <= 4*i+4 && c < n; c++ {
+				if least < 0 || q.heap[c].before(q.heap[least]) {
+					least = c
+				}
+			}
+			if least < 0 || !q.heap[least].before(last) {
+				break
+			}
+			q.heap[i] = q.heap[least]
+			i = least
+		}
+		q.heap[i] = last
+	}
+	return msg
 }
 
 // NewMemNetwork creates the fabric and starts its scheduler. Endpoints
@@ -85,6 +166,7 @@ func NewMemNetwork(cfg ChaosConfig, recvBuf int) (*MemNetwork, error) {
 		cfg:     cfg,
 		src:     rng.New(cfg.Seed),
 		eps:     make(map[delegate.NodeID]*MemEndpoint),
+		clock0:  time.Now(),
 		recvBuf: recvBuf,
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
@@ -142,7 +224,7 @@ func (mn *MemNetwork) Stats() ChaosStats {
 func (mn *MemNetwork) Pending() int {
 	mn.mu.Lock()
 	defer mn.mu.Unlock()
-	return len(mn.heap)
+	return mn.queue.len()
 }
 
 // Close stops the scheduler and all delivery. Idempotent.
@@ -153,7 +235,7 @@ func (mn *MemNetwork) Close() {
 		return
 	}
 	mn.closed = true
-	mn.heap = nil
+	mn.queue = memQueue{}
 	mn.mu.Unlock()
 	close(mn.done)
 }
@@ -173,16 +255,15 @@ func (mn *MemNetwork) run() {
 			mn.mu.Unlock()
 			return
 		}
-		if len(mn.heap) > 0 {
-			now := time.Now()
-			for len(mn.heap) > 0 {
-				e := mn.heap[0]
-				if e.due.After(now) {
-					wait = e.due.Sub(now)
+		if mn.queue.len() > 0 {
+			now := int64(time.Since(mn.clock0))
+			for mn.queue.len() > 0 {
+				if due := mn.queue.next(); due > now {
+					wait = time.Duration(due - now)
 					break
 				}
-				mn.popLocked()
-				mn.deliverLocked(e.to, e.msg)
+				msg := mn.queue.pop()
+				mn.deliverLocked(msg.To, msg)
 			}
 		}
 		mn.mu.Unlock()
@@ -227,45 +308,6 @@ func (mn *MemNetwork) deliverLocked(to delegate.NodeID, msg delegate.Message) {
 	}
 }
 
-// pushLocked adds an envelope to the min-heap (sift-up on due time).
-func (mn *MemNetwork) pushLocked(e memEnv) {
-	mn.heap = append(mn.heap, e)
-	i := len(mn.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !mn.heap[i].due.Before(mn.heap[parent].due) {
-			break
-		}
-		mn.heap[i], mn.heap[parent] = mn.heap[parent], mn.heap[i]
-		i = parent
-	}
-}
-
-// popLocked removes the minimum envelope (sift-down), keeping the
-// backing array for reuse.
-func (mn *MemNetwork) popLocked() {
-	n := len(mn.heap) - 1
-	mn.heap[0] = mn.heap[n]
-	mn.heap[n] = memEnv{} // drop payload reference
-	mn.heap = mn.heap[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && mn.heap[l].due.Before(mn.heap[min].due) {
-			min = l
-		}
-		if r < n && mn.heap[r].due.Before(mn.heap[min].due) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		mn.heap[i], mn.heap[min] = mn.heap[min], mn.heap[i]
-		i = min
-	}
-}
-
 // MemEndpoint is one node's attachment to the fabric.
 type MemEndpoint struct {
 	mn     *MemNetwork
@@ -297,7 +339,7 @@ func (e *MemEndpoint) send(msg delegate.Message) bool {
 	}
 	span := float64(mn.cfg.MaxDelay - mn.cfg.MinDelay)
 	scheduled := false
-	var now time.Time
+	now := int64(-1)
 	for i := 0; i < copies; i++ {
 		d := mn.cfg.MinDelay
 		if span > 0 {
@@ -307,10 +349,10 @@ func (e *MemEndpoint) send(msg delegate.Message) bool {
 			mn.deliverLocked(msg.To, msg)
 			continue
 		}
-		if now.IsZero() {
-			now = time.Now()
+		if now < 0 {
+			now = int64(time.Since(mn.clock0))
 		}
-		mn.pushLocked(memEnv{due: now.Add(d), to: msg.To, msg: msg})
+		mn.queue.push(now+int64(d), msg)
 		scheduled = true
 	}
 	mn.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"anurand/internal/delegate"
+	"anurand/internal/rng"
 )
 
 // TestMemNetDeliversInline checks the fast path: with no configured
@@ -370,5 +371,58 @@ func TestMemNetCloseStopsFabric(t *testing.T) {
 	}
 	if st := mn.Stats(); st.Sent != 0 {
 		t.Fatalf("closed fabric counted traffic: %+v", st)
+	}
+}
+
+// TestMemQueueOrdersTiesFIFO drives the delayed-delivery queue with
+// interleaved pushes and pops over a narrow range of due times, so many
+// dues tie: every pop must return the earliest due still queued, ties
+// in push order, while freed slab slots are reused and released.
+func TestMemQueueOrdersTiesFIFO(t *testing.T) {
+	var q memQueue
+	src := rng.New(7)
+	type ref struct {
+		due int64
+		seq uint64
+	}
+	var want []ref // queued refs, sorted by (due, seq)
+	pushed, peak := uint64(0), 0
+	for step := 0; step < 20000; step++ {
+		if len(want) == 0 || src.Float64() < 0.55 {
+			pushed++
+			due := int64(src.Float64() * 40)
+			q.push(due, delegate.Message{Round: pushed, Payload: []byte{1}})
+			at := len(want)
+			for at > 0 && want[at-1].due > due {
+				at--
+			}
+			want = append(want, ref{})
+			copy(want[at+1:], want[at:])
+			want[at] = ref{due, pushed}
+			peak = max(peak, len(want))
+			continue
+		}
+		if got := q.next(); got != want[0].due {
+			t.Fatalf("step %d: next due %d, want %d", step, got, want[0].due)
+		}
+		msg := q.pop()
+		if msg.Round != want[0].seq {
+			t.Fatalf("step %d: popped push #%d (due %d), want push #%d", step, msg.Round, want[0].due, want[0].seq)
+		}
+		want = want[1:]
+		if q.len() != len(want) {
+			t.Fatalf("step %d: len %d, want %d", step, q.len(), len(want))
+		}
+	}
+	if len(q.slab) > peak {
+		t.Fatalf("slab grew to %d slots for at most %d queued messages", len(q.slab), peak)
+	}
+	for q.len() > 0 {
+		q.pop()
+	}
+	for i, m := range q.slab {
+		if m.Payload != nil {
+			t.Fatalf("freed slot %d still references its payload", i)
+		}
 	}
 }

@@ -129,6 +129,68 @@ func BenchmarkBroadcastEnqueue(b *testing.B) {
 	}
 }
 
+// BenchmarkBroadcastDelayed is BenchmarkBroadcastEnqueue with a random
+// delay of up to 1 µs on every copy, so the whole fan-out goes through
+// the scheduler's queue: 49 pushes in random due order, then one drain
+// of every inbox. The delays are short enough that the copies are due
+// by the time the sender blocks, so the cost is the queue and the
+// hand-off rather than timer resolution. Gated at 0 allocs/op.
+func BenchmarkBroadcastDelayed(b *testing.B) {
+	const n = 50
+	mn, err := NewMemNetwork(ChaosConfig{MinDelay: time.Nanosecond, MaxDelay: time.Microsecond, Seed: 5}, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mn.Close()
+	eps := make([]*MemEndpoint, n)
+	for i := range eps {
+		eps[i] = mn.Endpoint(delegate.NodeID(i))
+	}
+	msg := delegate.Message{Kind: MsgHeartbeat, From: 0, Epoch: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		msg.Round = uint64(i)
+		for p := 1; p < n; p++ {
+			msg.To = delegate.NodeID(p)
+			if !eps[0].SendAsync(msg) {
+				b.Fatal("SendAsync refused")
+			}
+		}
+		for p := 1; p < n; p++ {
+			if got := <-eps[p].Recv(); got.Round != msg.Round {
+				b.Fatalf("peer %d got round %d, want %d", p, got.Round, msg.Round)
+			}
+		}
+	}
+}
+
+// BenchmarkMapState is the coherence monitors' poll of a node's
+// installed (epoch, round, fingerprint) on a 100-node ANU map. The
+// fingerprint is cached per install, so the read is a lock and three
+// loads. Gated at 0 allocs/op.
+func BenchmarkMapState(b *testing.B) {
+	ids, snapshot := bootstrap(b, 100)
+	mn, err := NewMemNetwork(ChaosConfig{Seed: 5}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mn.Close()
+	rt, err := Start(Config{ID: 0, Members: ids, Snapshot: snapshot, RoundInterval: time.Hour}, mn.Endpoint(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Stop()
+	_, _, want := rt.MapState()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, fp := rt.MapState(); fp != want {
+			b.Fatal("fingerprint changed")
+		}
+	}
+}
+
 // TestTCPConcurrentSendersFrameIntegrity hammers one transport pair
 // from many goroutines with payloads spanning the small-frame copy
 // path and the writev path, and verifies every delivered frame intact.

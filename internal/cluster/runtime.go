@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,11 +54,19 @@ type Runtime struct {
 	// never stalls the serving path.
 	placement atomic.Pointer[placement.Strategy]
 
-	mu           sync.Mutex
-	node         *delegate.Node
-	outbox       []delegate.Message // staged under mu, sent outside it
-	mbox         []delegate.Message // inbound protocol messages for the node
-	lastSeen     map[delegate.NodeID]time.Time
+	mu     sync.Mutex
+	node   *delegate.Node
+	outbox []delegate.Message // staged under mu, sent outside it
+	mbox   []delegate.Message // inbound protocol messages for the node
+	// peers is the sorted, deduplicated membership, fixed at Start; a
+	// member's index in it is its liveness slot, and slots[k] is the slot
+	// of cfg.Members[k]. lastSeen[slot] is when the member was last heard
+	// from, in monotonic ns since clock0, or -1 if never. Messages from
+	// non-members have no slot and leave liveness untouched.
+	peers        []delegate.NodeID
+	slots        []int
+	lastSeen     []int64
+	clock0       time.Time
 	suspectUntil map[delegate.NodeID]time.Time
 	// epoch is the view epoch: bumped when this node takes over as
 	// delegate, adopted from any higher epoch observed on the wire, and
@@ -136,11 +146,23 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
+	peers := slices.Compact(slices.Sorted(slices.Values(cfg.Members)))
+	slots := make([]int, len(cfg.Members))
+	for k, id := range cfg.Members {
+		slots[k], _ = slices.BinarySearch(peers, id)
+	}
+	lastSeen := make([]int64, len(peers))
+	for i := range lastSeen {
+		lastSeen[i] = -1
+	}
 	r := &Runtime{
 		cfg:          cfg,
 		tr:           tr,
 		stop:         make(chan struct{}),
-		lastSeen:     make(map[delegate.NodeID]time.Time),
+		peers:        peers,
+		slots:        slots,
+		lastSeen:     lastSeen,
+		clock0:       time.Now(),
 		suspectUntil: make(map[delegate.NodeID]time.Time),
 		curDelegate:  -1,
 	}
@@ -310,7 +332,9 @@ func (r *Runtime) recvLoop() {
 func (r *Runtime) handle(msg delegate.Message) {
 	now := time.Now()
 	r.mu.Lock()
-	r.lastSeen[msg.From] = now
+	if i, ok := slices.BinarySearch(r.peers, msg.From); ok {
+		r.lastSeen[i] = int64(now.Sub(r.clock0))
+	}
 	// Epoch gossip: the view epoch is a cluster-wide maximum carried on
 	// every message, so a node that slept through a re-election learns
 	// the new epoch from the first heartbeat it receives.
@@ -624,13 +648,13 @@ func (r *Runtime) tuneMembersLocked(now time.Time) []delegate.NodeID {
 		reported[id] = true
 	}
 	members := make([]delegate.NodeID, 0, len(r.cfg.Members))
-	for _, id := range r.cfg.Members {
+	for k, id := range r.cfg.Members {
 		switch {
 		case id == r.cfg.ID:
 			members = append(members, id)
 		case reported[id]:
 			members = append(members, id)
-		case now.Sub(r.lastSeen[id]) > r.cfg.FailAfter:
+		case !r.heardLocked(r.slots[k], now):
 			members = append(members, id)
 		}
 	}
@@ -641,8 +665,8 @@ func (r *Runtime) tuneMembersLocked(now time.Time) []delegate.NodeID {
 // from within FailAfter and not currently suspected by the watchdog.
 func (r *Runtime) viewLocked(now time.Time) []delegate.NodeID {
 	view := make([]delegate.NodeID, 0, len(r.cfg.Members))
-	for _, id := range r.cfg.Members {
-		if r.liveLocked(id, now) {
+	for k, id := range r.cfg.Members {
+		if r.liveLocked(k, now) {
 			view = append(view, id)
 		}
 	}
@@ -652,17 +676,18 @@ func (r *Runtime) viewLocked(now time.Time) []delegate.NodeID {
 // viewSizeLocked is len(viewLocked(now)) without building the view.
 func (r *Runtime) viewSizeLocked(now time.Time) int {
 	n := 0
-	for _, id := range r.cfg.Members {
-		if r.liveLocked(id, now) {
+	for k := range r.cfg.Members {
+		if r.liveLocked(k, now) {
 			n++
 		}
 	}
 	return n
 }
 
-// liveLocked reports whether member id is in the observed view at now,
-// expiring a lapsed watchdog suspicion on the way.
-func (r *Runtime) liveLocked(id delegate.NodeID, now time.Time) bool {
+// liveLocked reports whether cfg.Members[k] is in the observed view at
+// now, expiring a lapsed watchdog suspicion on the way.
+func (r *Runtime) liveLocked(k int, now time.Time) bool {
+	id := r.cfg.Members[k]
 	if id == r.cfg.ID {
 		return true
 	}
@@ -672,8 +697,14 @@ func (r *Runtime) liveLocked(id delegate.NodeID, now time.Time) bool {
 		}
 		delete(r.suspectUntil, id)
 	}
-	seen, ok := r.lastSeen[id]
-	return ok && now.Sub(seen) <= r.cfg.FailAfter
+	return r.heardLocked(r.slots[k], now)
+}
+
+// heardLocked reports whether the member in liveness slot i was heard
+// from within FailAfter of now.
+func (r *Runtime) heardLocked(i int, now time.Time) bool {
+	seen := r.lastSeen[i]
+	return seen >= 0 && int64(now.Sub(r.clock0))-seen <= int64(r.cfg.FailAfter)
 }
 
 // takeOutboxLocked drains staged outbound messages for sending
@@ -770,7 +801,8 @@ func (r *Runtime) Delegate() delegate.NodeID {
 }
 
 // Fingerprint digests the node's replicated state for convergence
-// checks.
+// checks: delegate.SnapshotFingerprint of Snapshot(), cached per
+// install.
 func (r *Runtime) Fingerprint() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -788,7 +820,9 @@ func (r *Runtime) MapRound() uint64 {
 // and fingerprint — as one atomic observation. Coherence monitors need
 // the triple under a single lock acquisition: reading the three
 // accessors separately can straddle an install and pair one map's
-// round with its successor's fingerprint.
+// round with its successor's fingerprint. The fingerprint is cached per
+// install, so MapState neither encodes nor allocates and is cheap enough
+// to poll on every node.
 func (r *Runtime) MapState() (epoch, round, fingerprint uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -808,7 +842,7 @@ func (r *Runtime) publishPlacementLocked() {
 		r.journalStage = append(r.journalStage, journal.Record{
 			Epoch: r.node.MapEpoch(),
 			Round: r.node.MapRound(),
-			Map:   r.node.Placement().Encode(),
+			Map:   r.node.Encoded(), // Append copies; the stage only reads it
 		})
 	}
 }
@@ -894,12 +928,13 @@ func (r *Runtime) Map() *anu.Map {
 	return nil
 }
 
-// Snapshot returns the encoded placement — what a restarting peer
-// bootstraps from. The bytes carry the strategy tag.
+// Snapshot returns a fresh copy of the encoded placement — what a
+// restarting peer bootstraps from. The bytes carry the strategy tag; the
+// caller owns them.
 func (r *Runtime) Snapshot() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.node.Placement().Encode()
+	return bytes.Clone(r.node.Encoded())
 }
 
 // View returns the node's observed live membership.

@@ -22,7 +22,11 @@ const MsgHeartbeat delegate.MsgKind = 0x10
 // and reports a definite local failure (an unreachable peer looks like
 // a lost message, not an error, on lossy transports). Recv is the
 // inbound stream for the local node; it may be closed by Close, and
-// consumers must also watch their own stop signal.
+// consumers must also watch their own stop signal. A received Payload
+// is the receiver's to keep: a transport never reuses or rewrites it
+// (TCP allocates one per frame; MemNetwork passes the sender's slice,
+// which senders never modify after sending). The runtime relies on this
+// to keep an installed map's payload as its encoding.
 type Transport interface {
 	Send(msg delegate.Message) error
 	Recv() <-chan delegate.Message

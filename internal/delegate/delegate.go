@@ -30,6 +30,7 @@
 package delegate
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -110,7 +111,11 @@ func decodeReport(b []byte) (Report, error) {
 
 // Transport delivers messages between nodes. Implementations may delay,
 // reorder or drop; the protocol only assumes that a delivered payload is
-// intact (corrupt maps are rejected by decode-time validation).
+// intact (corrupt maps are rejected by decode-time validation). A
+// delivered Payload belongs to the receiver, which may keep it: a
+// transport never reuses or rewrites a payload after delivering it.
+// (Copies of one message, such as a broadcast's, may share a payload;
+// every holder treats it as read-only.)
 type Transport interface {
 	// Send queues a message for delivery. It never blocks.
 	Send(msg Message)
@@ -129,6 +134,13 @@ type Node struct {
 	// configuration when installs and restarts decode fresh snapshots.
 	s    placement.Strategy
 	opts placement.Options
+	// enc is s's canonical encoding and fp its SnapshotFingerprint. Both
+	// are set wherever s changes (construction, install, rescale,
+	// restart), so reading the installed map's bytes or fingerprint never
+	// re-encodes. enc is shared read-only: it may also be a delivered
+	// payload, a broadcast's payload, or a journal record's source.
+	enc  []byte
+	fp   uint64
 	tr   Transport
 	last Report // most recent local measurement
 	// pending accumulates reports received while acting as delegate.
@@ -190,14 +202,37 @@ func NewNodeWithOptions(id NodeID, snapshot []byte, opts placement.Options, tr T
 	if !s.Has(id) {
 		return nil, fmt.Errorf("delegate: node %d not a member of the placement", id)
 	}
-	return &Node{
+	n := &Node{
 		id:      id,
 		up:      true,
-		s:       s,
 		opts:    opts,
 		tr:      tr,
 		pending: make(map[NodeID]Report),
-	}, nil
+	}
+	n.setPlacement(s, bytes.Clone(snapshot))
+	return n, nil
+}
+
+// setPlacement installs s with enc as its canonical encoding. Accepted
+// snapshots re-encode byte-identically (the placement conformance suite
+// and the decoder fuzzers assert it), so a decoded snapshot is its own
+// encoding.
+func (n *Node) setPlacement(s placement.Strategy, enc []byte) {
+	n.s = s
+	n.enc = enc
+	n.fp = SnapshotFingerprint(enc)
+}
+
+// SnapshotFingerprint is the 64-bit FNV-1a-style digest (FNV prime,
+// this package's fixed offset) of an encoded placement: what
+// Node.Fingerprint returns for a node holding it.
+func SnapshotFingerprint(enc []byte) uint64 {
+	var h uint64 = 1469598103934665603
+	for _, b := range enc {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // ID returns the node's identity.
@@ -222,16 +257,15 @@ func (n *Node) Map() *anu.Map {
 	return nil
 }
 
-// Fingerprint returns a cheap digest of the node's replicated state,
-// used to assert cluster-wide convergence.
-func (n *Node) Fingerprint() uint64 {
-	var h uint64 = 1469598103934665603
-	for _, b := range n.s.Encode() {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
+// Fingerprint returns the SnapshotFingerprint of the node's encoded
+// placement, used to assert cluster-wide convergence. It is computed once per
+// placement change, so reading it costs nothing.
+func (n *Node) Fingerprint() uint64 { return n.fp }
+
+// Encoded returns the canonical encoding of the node's placement, equal
+// to Placement().Encode() but without re-encoding. The slice is shared:
+// callers must not modify it, and copy it if they hand it out.
+func (n *Node) Encoded() []byte { return n.enc }
 
 // Crash takes the node down: it stops reporting, applying maps, and
 // acting as delegate. Its in-memory state is discarded, as a real crash
@@ -262,7 +296,7 @@ func (n *Node) Restart(snapshot []byte) error {
 	if s.Name() != n.s.Name() {
 		return fmt.Errorf("delegate: restart node %d: snapshot carries strategy %q, node runs %q", n.id, s.Name(), n.s.Name())
 	}
-	n.s = s
+	n.setPlacement(s, bytes.Clone(snapshot))
 	n.up = true
 	n.last = Report{}
 	n.pending = make(map[NodeID]Report)
@@ -381,7 +415,7 @@ func (n *Node) CollectReports(round uint64) (mapApplied bool, err error) {
 				// for the life of the process.
 				ad.AdoptState(n.s)
 			}
-			n.s = s
+			n.setPlacement(s, msg.Payload)
 			n.mapEpoch = msg.Epoch
 			n.mapRound = msg.Round
 			mapApplied = true
@@ -494,7 +528,8 @@ func (n *Node) RunDelegate(epoch, round uint64, members []NodeID) error {
 // exactly as RunDelegate does, stamps the fence, clears the pending
 // reports, and returns the encoded map for the caller to distribute. A
 // caller that tunes over a subset of its peers uses it to address the
-// map beyond that subset.
+// map beyond that subset. The returned bytes are the node's own
+// Encoded() slice: send them, never modify them.
 func (n *Node) Rescale(epoch, round uint64, members []NodeID) ([]byte, error) {
 	if !n.up {
 		return nil, fmt.Errorf("delegate: node %d is down", n.id)
@@ -516,6 +551,9 @@ func (n *Node) Rescale(epoch, round uint64, members []NodeID) ([]byte, error) {
 		})
 	}
 	if _, err := n.s.Tune(reports); err != nil {
+		// A failed Tune may still have touched the placement; re-encode so
+		// the cached bytes keep describing it.
+		n.setPlacement(n.s, n.s.Encode())
 		return nil, err
 	}
 	n.pending = make(map[NodeID]Report)
@@ -526,7 +564,8 @@ func (n *Node) Rescale(epoch, round uint64, members []NodeID) ([]byte, error) {
 		n.mapEpoch = epoch
 		n.mapRound = round
 	}
-	return n.s.Encode(), nil
+	n.setPlacement(n.s, n.s.Encode())
+	return n.enc, nil
 }
 
 // Elect returns the delegate for a membership view: the lowest-numbered

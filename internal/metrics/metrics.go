@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Summary is a streaming moment accumulator using Welford's algorithm,
@@ -168,11 +169,11 @@ func (s *Series) Counts(n int) []uint64 {
 // Histogram is a logarithmic-bucket latency histogram covering
 // [Lo, Hi) with Buckets geometric buckets plus underflow and overflow.
 type Histogram struct {
-	lo, ratio float64
-	counts    []uint64
-	under     uint64
-	over      uint64
-	total     uint64
+	bucketTable // lo, ratio and the bucket edges, shared per geometry
+	counts      []uint64
+	under       uint64
+	over        uint64
+	total       uint64
 	// maxSeen is the largest finite observation, so tail quantiles that
 	// land in the overflow bin can report a real value instead of the
 	// top bucket edge.
@@ -185,18 +186,125 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 	if !(lo > 0) || hi <= lo || n <= 0 {
 		panic(fmt.Sprintf("metrics: NewHistogram(%g, %g, %d) invalid", lo, hi, n))
 	}
-	return &Histogram{
-		lo:     lo,
-		ratio:  math.Pow(hi/lo, 1/float64(n)),
-		counts: make([]uint64, n),
-	}
+	h := &Histogram{}
+	h.bucketTable, h.counts = tableFor(lo, math.Pow(hi/lo, 1/float64(n)), n)
+	return h
 }
 
+// bucketTable maps an observation to its bucket without a logarithm.
+// The bucket of x >= lo is defined by int(log(x/lo) / log(ratio)); the
+// table holds that formula's exact edges, found by bisection over
+// float64 bit patterns, so Add is a compare walk that agrees with the
+// formula on every float64. Edges are kept as bit patterns: for positive
+// floats, bit order is numeric order.
+type bucketTable struct {
+	lo, ratio float64
+	// edges[i] is the bits of the smallest float64 in bucket i, for i in
+	// [0, n): edges[0] is lo. edges[n] is the smallest value that
+	// overflows.
+	edges []uint64
+	// start[e-expLo] is the bucket of the smallest in-range value whose
+	// biased binary exponent is e: the walk for any x with exponent e
+	// starts there and moves up at most a binade's worth of buckets.
+	start []uint64
+	expLo int
+}
+
+// tables caches the bucketTable of the first few geometries built:
+// histograms are made per simulation run, and a table costs ~64 log
+// evaluations per bucket. The array is fixed so that a lookup, and
+// NewHistogram as a whole, allocates no more than the counts.
+var tables struct {
+	sync.Mutex
+	n   int
+	all [8]bucketTable
+}
+
+// tableFor returns the table for a geometry and a zeroed counts slice.
+// A table built here shares one allocation with the counts of the
+// histogram that built it; later histograms share its edges read-only.
+func tableFor(lo, ratio float64, n int) (bucketTable, []uint64) {
+	tables.Lock()
+	defer tables.Unlock()
+	for _, t := range tables.all[:tables.n] {
+		if t.lo == lo && t.ratio == ratio && len(t.edges) == n+1 {
+			return t, make([]uint64, n)
+		}
+	}
+	t, counts := newBucketTable(lo, ratio, n)
+	if tables.n < len(tables.all) {
+		tables.all[tables.n] = t
+		tables.n++
+	}
+	return t, counts
+}
+
+func newBucketTable(lo, ratio float64, n int) (bucketTable, []uint64) {
+	logRatio := math.Log(ratio)
+	bucket := func(bits uint64) int {
+		q := math.Float64frombits(bits) / lo
+		if math.IsInf(q, 1) {
+			// int(+Inf) is platform-defined; anything this far above lo
+			// overflows.
+			return n
+		}
+		return int(math.Log(q) / logRatio)
+	}
+	top := math.Float64bits(lo)
+	for bucket(top) < n {
+		top = math.Float64bits(2 * math.Float64frombits(top))
+	}
+	expLo := exponent(lo)
+	buf := make([]uint64, n+(n+1)+(exponent(math.Float64frombits(top))-expLo+1))
+	t := bucketTable{lo: lo, ratio: ratio, edges: buf[n : 2*n+1], start: buf[2*n+1:], expLo: expLo}
+	t.edges[0] = math.Float64bits(lo)
+	for i := 1; i <= n; i++ {
+		// Smallest x with bucket(x) >= i; bucket(edges[i-1]) >= i means
+		// bucket i-1 is empty and shares its edge with bucket i.
+		a, b := t.edges[i-1], top
+		if bucket(a) >= i {
+			b = a
+		}
+		for b-a > 1 {
+			m := a + (b-a)/2
+			if bucket(m) >= i {
+				b = m
+			} else {
+				a = m
+			}
+		}
+		t.edges[i] = b
+	}
+	for k := range t.start {
+		first := max(t.edges[0], uint64(expLo+k)<<52)
+		// The last bucket whose edge is <= first, capped below overflow.
+		t.start[k] = uint64(sort.Search(n, func(i int) bool { return t.edges[i+1] > first }))
+	}
+	return t, buf[:n:n]
+}
+
+// index returns the bucket of x >= lo, or n when x overflows (+Inf
+// included).
+func (t *bucketTable) index(x float64) int {
+	n := len(t.edges) - 1
+	xb := math.Float64bits(x)
+	if xb >= t.edges[n] {
+		return n
+	}
+	i := int(t.start[exponent(x)-t.expLo])
+	for xb >= t.edges[i+1] {
+		i++
+	}
+	return i
+}
+
+// exponent returns the biased binary exponent of a non-negative x.
+func exponent(x float64) int { return int(math.Float64bits(x) >> 52) }
+
 // Add records one observation. NaN observations count into the
-// underflow bin — they carry no magnitude, and `x < h.lo` alone would
-// let them through to a log/int conversion whose huge negative result
-// panics on the bucket index. Finite observations track the running
-// maximum so Quantile can clamp overflow-bin mass to a real value.
+// underflow bin — they carry no magnitude. Finite observations track
+// the running maximum so Quantile can clamp overflow-bin mass to a real
+// value. The bucket is found in the edge table, with no logarithm.
 func (h *Histogram) Add(x float64) {
 	h.total++
 	if math.IsNaN(x) || x < h.lo {
@@ -206,19 +314,11 @@ func (h *Histogram) Add(x float64) {
 	if x > h.maxSeen && !math.IsInf(x, 1) {
 		h.maxSeen = x
 	}
-	idx := int(math.Log(x/h.lo) / math.Log(h.ratio))
-	if idx >= len(h.counts) || math.IsInf(x, 1) {
+	if i := h.index(x); i < len(h.counts) {
+		h.counts[i]++
+	} else {
 		h.over++
-		return
 	}
-	if idx < 0 {
-		// x >= lo, so a negative index can only be float rounding at
-		// the lower edge; fold it into the first bucket's neighborhood
-		// via the underflow counter rather than indexing out of range.
-		h.under++
-		return
-	}
-	h.counts[idx]++
 }
 
 // Total returns the number of observations.

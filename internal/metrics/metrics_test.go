@@ -356,3 +356,99 @@ func TestPercentile(t *testing.T) {
 		t.Error("Percentile sorted its input in place")
 	}
 }
+
+// logIndex is the bucket formula Add used before the edge table: -1 for
+// underflow, n for overflow. The one deliberate difference: when x/lo
+// overflows to +Inf the formula converts +Inf to int, which Go leaves
+// platform-defined (amd64 yields a negative index, counted as
+// underflow); the table counts such values as overflow.
+func logIndex(lo, ratio float64, n int, x float64) int {
+	if math.IsNaN(x) || x < lo {
+		return -1
+	}
+	if math.IsInf(x/lo, 1) {
+		return n
+	}
+	idx := int(math.Log(x/lo) / math.Log(ratio))
+	if idx >= n || math.IsInf(x, 1) {
+		return n
+	}
+	if idx < 0 {
+		return -1
+	}
+	return idx
+}
+
+// TestHistogramTableMatchesLogFormula checks the log-free bucket lookup
+// against the logarithm formula it replaces: 2M log-uniform values per
+// geometry spanning under- and overflow, plus every float64 within 50
+// ulps of every bucket edge.
+func TestHistogramTableMatchesLogFormula(t *testing.T) {
+	samples := 2_000_000
+	if testing.Short() {
+		samples = 200_000
+	}
+	for _, g := range []struct {
+		lo, hi float64
+		n      int
+	}{
+		{1e-3, 1e6, 90}, // clustersim latency histograms
+		{1e-6, 1e3, 90}, // runtime latency histograms
+		{0.001, 1000, 120},
+		{1, 10, 4},
+		{1, 2, 1},
+		{3e-300, 1e300, 37},
+	} {
+		h := NewHistogram(g.lo, g.hi, g.n)
+		check := func(x float64) {
+			want := logIndex(h.lo, h.ratio, g.n, x)
+			got := -1
+			if x >= h.lo {
+				got = h.index(x)
+			}
+			if got != want {
+				t.Fatalf("(%g, %g, %d): x=%v (bits %#x) in bucket %d, formula says %d",
+					g.lo, g.hi, g.n, x, math.Float64bits(x), got, want)
+			}
+		}
+		src := rng.New(uint64(g.n))
+		span := math.Log(g.hi*4) - math.Log(g.lo/4)
+		for i := 0; i < samples; i++ {
+			check(g.lo / 4 * math.Exp(src.Float64()*span))
+		}
+		for _, bits := range h.edges {
+			if math.IsInf(math.Float64frombits(bits), 1) {
+				continue
+			}
+			for d := uint64(0); d <= 50; d++ {
+				check(math.Float64frombits(bits + d))
+				check(math.Float64frombits(bits - d))
+			}
+		}
+		check(math.Inf(1))
+		check(math.MaxFloat64)
+
+		// A second histogram of the geometry shares the edges, not the
+		// counts.
+		h2 := NewHistogram(g.lo, g.hi, g.n)
+		before := h.counts[0]
+		h2.Add(g.lo)
+		if h2.counts[0] != 1 || h.counts[0] != before {
+			t.Fatalf("(%g, %g, %d): histograms of one geometry share counts", g.lo, g.hi, g.n)
+		}
+	}
+}
+
+func BenchmarkHistogramAdd(b *testing.B) {
+	h := NewHistogram(1e-6, 1e3, 90)
+	xs := make([]float64, 1024)
+	src := rng.New(1)
+	for i := range xs {
+		xs[i] = 1e-7 * math.Exp(src.Float64()*math.Log(1e11))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Add(xs[i&1023])
+	}
+}
