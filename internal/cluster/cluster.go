@@ -8,10 +8,18 @@
 // in-memory fabric (NewMemNetwork) that drops, duplicates, delays and
 // reorders messages under a seeded RNG for tests, soaks and benchmarks.
 //
-// Liveness is observed, not assumed: every runtime heartbeats its
-// peers, and the membership view a round works with is "self plus
-// every peer heard from within FailAfter". The delegate for a view is
-// the lowest live id (the paper's stateless succession rule). The
+// Liveness is observed, not assumed: the membership view a round works
+// with is "self plus every peer heard from within FailAfter". The
+// delegate for a view is the lowest live id (the paper's stateless
+// succession rule). Heartbeats flow toward the delegate line, the three
+// lowest ids a node has heard: a node with three heard ids below its
+// own heartbeats only those, and every other node, the delegate among
+// them, heartbeats every member. So the delegate hears every follower
+// and every follower hears the delegate and its successors, with about
+// 6n heartbeats per interval instead of n(n-1). A node that falls back
+// from the line to heartbeating everyone may not take over as delegate
+// until it has done so for FailAfter, so a line that dies all at once
+// does not leave every survivor electing itself. The
 // elected delegate paces rounds on its own clock and announces each
 // round through its heartbeats; followers report when they observe a
 // new round, and a round watchdog re-elects when the delegate stays

@@ -191,6 +191,28 @@ func BenchmarkMapState(b *testing.B) {
 	}
 }
 
+// BenchmarkHeartbeatTargets is one heartbeat's target pick on member 99
+// of a 100-node cluster whose lowest id has failed: a walk of the
+// sorted liveness slots to the first lineSize heard members, under the
+// runtime lock. Gated at 0 allocs/op.
+func BenchmarkHeartbeatTargets(b *testing.B) {
+	rt := heardRuntime(b, 100, 99)
+	var line [lineSize]int
+	now := time.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.mu.Lock()
+		if !rt.heartbeatLineLocked(now, &line) {
+			b.Fatal("member 99 heartbeats everyone")
+		}
+		rt.mu.Unlock()
+	}
+	if rt.peers[line[0]] != 1 {
+		b.Fatalf("line starts at %d, want 1", rt.peers[line[0]])
+	}
+}
+
 // TestTCPConcurrentSendersFrameIntegrity hammers one transport pair
 // from many goroutines with payloads spanning the small-frame copy
 // path and the writev path, and verifies every delivered frame intact.

@@ -20,6 +20,12 @@ import (
 // spraying reports cannot grow memory without bound.
 const maxMailbox = 4096
 
+// lineSize is k, the length of the delegate line: the k lowest members
+// a node has heard within FailAfter. A node that has heard k members
+// below its own id heartbeats only those k; every other node, the
+// delegate included, heartbeats every member. See sendHeartbeats.
+const lineSize = 3
+
 // Runtime runs one node of the delegate protocol on the wall clock.
 //
 // Round pacing: the elected delegate advances the round on its own
@@ -91,6 +97,13 @@ type Runtime struct {
 	curDelegate  delegate.NodeID
 	stopped      bool
 	counters     counters
+
+	// hbLineOnly is whether the last heartbeat went only to the delegate
+	// line. hbAllSince is when heartbeats last switched from the line
+	// back to every member, zero if they never have since Start. Both
+	// gate a takeover in tick: see takeoverHeldLocked.
+	hbLineOnly bool
+	hbAllSince time.Time
 
 	// mig is the live strategy migration in flight on this node, nil
 	// when idle; migLinger is the leader's post-commit catch-up window.
@@ -364,9 +377,14 @@ func (r *Runtime) handle(msg delegate.Message) {
 		if applied {
 			r.counters.MapsInstalled++
 			r.lastMapTime = now
-			install := now.Sub(r.roundStart).Seconds()
-			r.counters.InstallLatency.Add(install)
-			r.counters.InstallLatencyHist.Add(install)
+			// A map that is the first news of its round has no round start
+			// to time it from: this node missed the round's announcement,
+			// and roundStart still belongs to the round before.
+			if msg.Round <= r.round {
+				install := now.Sub(r.roundStart).Seconds()
+				r.counters.InstallLatency.Add(install)
+				r.counters.InstallLatencyHist.Add(install)
+			}
 			r.publishPlacementLocked()
 		}
 	case MsgMigratePropose, MsgMigrateWarm, MsgMigrateCommit, MsgMigrateAbort, MsgMigrateAck:
@@ -384,7 +402,7 @@ func (r *Runtime) handle(msg delegate.Message) {
 	if msg.Round > r.round {
 		r.round = msg.Round
 		r.roundStart = now
-		if del, ok := lowestID(r.viewLocked(now)); ok && del != r.cfg.ID {
+		if del := r.lowestLiveLocked(now); del != r.cfg.ID {
 			reportTo, reportEpoch, reportRound = del, r.epoch, r.round
 		}
 	}
@@ -436,7 +454,8 @@ func (r *Runtime) enqueueLocked(msg delegate.Message) {
 	}
 }
 
-// heartbeatLoop beacons liveness (and the current round) to all peers.
+// heartbeatLoop beacons liveness (and the current round) to the peers
+// sendHeartbeats picks.
 func (r *Runtime) heartbeatLoop() {
 	defer r.wg.Done()
 	r.sendHeartbeats()
@@ -452,15 +471,71 @@ func (r *Runtime) heartbeatLoop() {
 	}
 }
 
-// sendHeartbeats beacons one heartbeat to every peer through the
-// broadcast fan-out.
+// sendHeartbeats beacons one heartbeat toward the delegate line. Only
+// the delegate consumes follower liveness (it fails silent members at
+// tune), and a follower only needs the liveness of the ids elected
+// before it. So a node that has heard lineSize members below its own id
+// heartbeats just those, and every other node heartbeats everyone. The
+// lowest live id has nobody live below it, so it always heartbeats
+// everyone and every node sees it; it sits in every node's line, so it
+// hears every follower. Traffic per interval falls from n(n-1) to about
+// 2·lineSize·n.
 func (r *Runtime) sendHeartbeats() {
+	var line [lineSize]int
+	now := time.Now()
 	r.mu.Lock()
-	epoch, round := r.epoch, r.round
-	flags := r.migFlagsLocked()
-	r.counters.HeartbeatsSent += uint64(len(r.cfg.Members) - 1)
+	lineOnly := r.heartbeatLineLocked(now, &line)
+	if r.hbLineOnly && !lineOnly {
+		r.hbAllSince = now
+	}
+	r.hbLineOnly = lineOnly
+	msg := delegate.Message{Kind: MsgHeartbeat, Flags: r.migFlagsLocked(), From: r.cfg.ID, Epoch: r.epoch, Round: r.round}
+	if lineOnly {
+		r.counters.HeartbeatsSent += lineSize
+	} else {
+		r.counters.HeartbeatsSent += uint64(len(r.cfg.Members) - 1)
+	}
 	r.mu.Unlock()
-	r.broadcast(delegate.Message{Kind: MsgHeartbeat, Flags: flags, From: r.cfg.ID, Epoch: epoch, Round: round})
+	if !lineOnly {
+		r.broadcast(msg)
+		return
+	}
+	for _, i := range line {
+		msg.To = r.peers[i]
+		r.sendOne(msg)
+	}
+}
+
+// heartbeatLineLocked fills line with the liveness slots of the
+// lineSize lowest members heard within FailAfter and reports whether
+// all of them sit below this node. Watchdog suspicion is ignored, so a
+// follower keeps beaconing a delegate it suspects. It walks the sorted
+// slots and stops at the lineSize-th heard member or at its own slot.
+func (r *Runtime) heartbeatLineLocked(now time.Time, line *[lineSize]int) bool {
+	n := 0
+	for i, id := range r.peers {
+		if id >= r.cfg.ID {
+			return false
+		}
+		if r.heardLocked(i, now) {
+			line[n] = i
+			if n++; n == lineSize {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// takeoverHeldLocked reports whether this node must not take over as
+// delegate yet. A node that heartbeats only the line is heard by the
+// line alone, so when the whole line dies together every other node
+// sees itself as the lowest live id for a moment. A node may take over
+// only once it has heartbeated everyone for FailAfter, by which time
+// every live node hears it. A node that has heartbeated everyone since
+// Start is never held, so start-up and rejoin are as fast as ever.
+func (r *Runtime) takeoverHeldLocked(now time.Time) bool {
+	return r.hbLineOnly || now.Sub(r.hbAllSince) < r.cfg.FailAfter // Sub saturates: a zero hbAllSince never holds
 }
 
 // roundLoop drives the wall-clock tuning cadence.
@@ -484,8 +559,7 @@ func (r *Runtime) roundLoop() {
 func (r *Runtime) tick() {
 	now := time.Now()
 	r.mu.Lock()
-	view := r.viewLocked(now)
-	del, _ := lowestID(view) // view always contains self
+	del := r.lowestLiveLocked(now)
 	// Watchdog: heartbeats without placement maps are not progress.
 	// If the delegate has produced nothing for WatchdogRounds
 	// intervals, suspect it so election moves to the next id.
@@ -495,14 +569,19 @@ func (r *Runtime) tick() {
 		r.counters.WatchdogTrips++
 		r.lastMapTime = now // restart the clock; suspect one rank at a time
 		r.cfg.logf("node %d: watchdog: no map for %v, suspecting delegate %d", r.cfg.ID, watchdog, del)
-		view = r.viewLocked(now)
-		del, _ = lowestID(view)
+		del = r.lowestLiveLocked(now)
+	}
+	if del == r.cfg.ID && r.curDelegate != r.cfg.ID && r.takeoverHeldLocked(now) {
+		del = r.curDelegate // not yet heard by everyone: keep the old view
 	}
 	if del != r.curDelegate {
 		if r.curDelegate >= 0 {
 			r.counters.Reelections++
 			r.cfg.logf("node %d: delegate %d -> %d", r.cfg.ID, r.curDelegate, del)
 		}
+		// The watchdog times each delegate from its election: a successor
+		// held back by takeoverHeldLocked gets a full window to produce.
+		r.lastMapTime = now
 		if del == r.cfg.ID {
 			// This node is taking over as delegate: open a new view
 			// epoch so every map the previous delegate may still have
@@ -663,10 +742,12 @@ func (r *Runtime) tuneMembersLocked(now time.Time) []delegate.NodeID {
 
 // viewLocked is the observed membership: self plus every peer heard
 // from within FailAfter and not currently suspected by the watchdog.
+// The delegate and the rest of the line hear every member; a follower
+// outside the line hears only the nodes that heartbeat everyone.
 func (r *Runtime) viewLocked(now time.Time) []delegate.NodeID {
 	view := make([]delegate.NodeID, 0, len(r.cfg.Members))
 	for k, id := range r.cfg.Members {
-		if r.liveLocked(k, now) {
+		if r.liveLocked(r.slots[k], now) {
 			view = append(view, id)
 		}
 	}
@@ -676,18 +757,30 @@ func (r *Runtime) viewLocked(now time.Time) []delegate.NodeID {
 // viewSizeLocked is len(viewLocked(now)) without building the view.
 func (r *Runtime) viewSizeLocked(now time.Time) int {
 	n := 0
-	for k := range r.cfg.Members {
-		if r.liveLocked(k, now) {
+	for _, i := range r.slots {
+		if r.liveLocked(i, now) {
 			n++
 		}
 	}
 	return n
 }
 
-// liveLocked reports whether cfg.Members[k] is in the observed view at
-// now, expiring a lapsed watchdog suspicion on the way.
-func (r *Runtime) liveLocked(k int, now time.Time) bool {
-	id := r.cfg.Members[k]
+// lowestLiveLocked is the paper's election rule over the observed view:
+// the lowest live id, which is self when no member below it is live. It
+// walks the sorted slots and builds no view.
+func (r *Runtime) lowestLiveLocked(now time.Time) delegate.NodeID {
+	for i, id := range r.peers {
+		if r.liveLocked(i, now) {
+			return id
+		}
+	}
+	return r.cfg.ID // unreachable: self is a member and always live
+}
+
+// liveLocked reports whether the member in liveness slot i is in the
+// observed view at now, expiring a lapsed watchdog suspicion on the way.
+func (r *Runtime) liveLocked(i int, now time.Time) bool {
+	id := r.peers[i]
 	if id == r.cfg.ID {
 		return true
 	}
@@ -697,7 +790,7 @@ func (r *Runtime) liveLocked(k int, now time.Time) bool {
 		}
 		delete(r.suspectUntil, id)
 	}
-	return r.heardLocked(r.slots[k], now)
+	return r.heardLocked(i, now)
 }
 
 // heardLocked reports whether the member in liveness slot i was heard
@@ -752,20 +845,6 @@ func (r *Runtime) sendAll(msgs []delegate.Message) {
 	for _, msg := range msgs {
 		r.sendOne(msg)
 	}
-}
-
-// lowestID returns the smallest id in view — the paper's election rule.
-func lowestID(view []delegate.NodeID) (delegate.NodeID, bool) {
-	if len(view) == 0 {
-		return -1, false
-	}
-	best := view[0]
-	for _, id := range view[1:] {
-		if id < best {
-			best = id
-		}
-	}
-	return best, true
 }
 
 // ID returns the node's identity.
@@ -937,7 +1016,10 @@ func (r *Runtime) Snapshot() []byte {
 	return bytes.Clone(r.node.Encoded())
 }
 
-// View returns the node's observed live membership.
+// View returns the node's observed live membership: self and every
+// member heard within FailAfter and not suspected by the watchdog. On
+// the delegate and the rest of the line that is every live member; on
+// any other node it is the line, itself and the peers it heard recently.
 func (r *Runtime) View() []delegate.NodeID {
 	r.mu.Lock()
 	defer r.mu.Unlock()

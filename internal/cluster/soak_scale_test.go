@@ -148,12 +148,14 @@ func scaleConverged(rts []*Runtime) bool {
 
 // TestSoakScale bakes each placement strategy on 50/100/200-node
 // clusters over the pooled memnet fabric with light chaos. Cadence is
-// deliberately coarser than the micro tests — at 200 nodes every
-// heartbeat interval moves n*(n-1) messages, and the soak's subject is
-// coherence at scale, not raw cadence. For each cell it records
-// convergence time, fabric message counts, and the merged install
-// latency tail; the coherence monitor holds one-placement-per-round
-// throughout.
+// deliberately coarser than the micro tests — at 200 nodes the cold
+// start heartbeats all-to-all until every node has heard the delegate
+// line, and the soak's subject is coherence at scale, not raw cadence.
+// For each cell it records convergence time, fabric message counts,
+// messages per round and the merged install latency tail; the
+// coherence monitor holds one-placement-per-round throughout, and
+// heartbeats per node per interval must stay under a bound that does
+// not grow with n.
 func TestSoakScale(t *testing.T) {
 	strategies := []string{placement.StrategyANU, placement.StrategyChordBounded, placement.StrategyRendezvous}
 	for _, tag := range strategies {
@@ -163,6 +165,15 @@ func TestSoakScale(t *testing.T) {
 			})
 		}
 	}
+}
+
+// heartbeatsSent sums HeartbeatsSent over every runtime.
+func heartbeatsSent(rts []*Runtime) uint64 {
+	var sum uint64
+	for _, rt := range rts {
+		sum += rt.Stats().HeartbeatsSent
+	}
+	return sum
 }
 
 func runScaleSoak(t *testing.T, tag string, n int) {
@@ -185,6 +196,7 @@ func runScaleSoak(t *testing.T, tag string, n int) {
 		speeds[id] = 1 + float64(i%8)
 	}
 
+	const heartbeat = 250 * time.Millisecond
 	start := time.Now()
 	rts := make([]*Runtime, n)
 	for i, id := range ids {
@@ -195,7 +207,7 @@ func runScaleSoak(t *testing.T, tag string, n int) {
 			Strategy:          tag,
 			Controller:        anu.DefaultControllerConfig(),
 			RoundInterval:     500 * time.Millisecond,
-			HeartbeatInterval: 250 * time.Millisecond,
+			HeartbeatInterval: heartbeat,
 			FailAfter:         1500 * time.Millisecond,
 			Observe:           closedLoopObserve(speeds),
 		}, mn.Endpoint(id))
@@ -224,7 +236,22 @@ func runScaleSoak(t *testing.T, tag string, n int) {
 	if testing.Short() {
 		bake = 3 * time.Second
 	}
+	hbBefore, roundBefore, sentBefore := heartbeatsSent(rts), rts[0].Round(), mn.Stats().Sent
+	bakeStart := time.Now()
 	time.Sleep(bake)
+	baked := time.Since(bakeStart)
+	hbBaked, roundsBaked, sentBaked := heartbeatsSent(rts)-hbBefore, rts[0].Round()-roundBefore, mn.Stats().Sent-sentBefore
+	// Only the delegate line heartbeats everyone; every other node
+	// heartbeats the line. Per node and interval that averages about
+	// 2·lineSize whatever n is, where all-to-all would send n-1.
+	perNode := float64(hbBaked) / float64(n) / (float64(baked) / float64(heartbeat))
+	if perNode > 3*lineSize {
+		t.Errorf("bake sent %.1f heartbeats per node per interval, want at most %d", perNode, 3*lineSize)
+	}
+	if roundsBaked > 0 {
+		t.Logf("bake: %d rounds, %d msgs per round, %.1f heartbeats per node per interval",
+			roundsBaked, sentBaked/roundsBaked, perNode)
+	}
 
 	// Phase 3: calm the fabric (the migrate soak's end-of-run idiom)
 	// and demand strict byte-identical convergence: with loss off,

@@ -59,6 +59,11 @@ type Stats struct {
 	Epoch    uint64
 	Round    uint64
 	Delegate delegate.NodeID
+	// Live is the node's observed view: itself and every member heard
+	// within FailAfter and not suspected by the watchdog. On the
+	// delegate and the rest of the line that is the whole live
+	// membership; on any other node it is the line, itself and the peers
+	// it heard recently (see Runtime.View).
 	Live     []delegate.NodeID
 	MapEpoch uint64
 	MapRound uint64
@@ -147,7 +152,8 @@ type Stats struct {
 	// delegate's own sample) each tune acted on.
 	ReportsPerTune metrics.Summary
 	// InstallLatency summarizes seconds from learning a round to
-	// installing its map.
+	// installing its map. A map that arrives before any news of its
+	// round is not timed.
 	InstallLatency metrics.Summary
 	// InstallLatencyHist is the distribution behind InstallLatency:
 	// per-node install latency with p50/p95/p99 tails. The snapshot is
