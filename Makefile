@@ -11,6 +11,14 @@ FUZZTIME ?= 30s
 # and compare nothing.
 BENCHCPU = -cpu=1
 
+# Each benchmark selection is named once and shared by its record
+# target (bench-lookup/bench-figs/bench-net) and its gate recording
+# (BENCH_*current.txt), so a benchmark is always recorded and gated
+# together.
+LOOKUP_BENCH = -bench='Balancer|Hash|Lookup|SetWeights|StrategyDecode|StrategyTune' -benchmem . ./internal/...
+FIGS_BENCH = -bench='Fig' -benchtime=1x -benchmem .
+NET_BENCH = -bench='Frame|Heartbeat|Broadcast|MapState' -benchmem ./internal/cluster
+
 .PHONY: all check build test race bench bench-lookup bench-figs bench-net bench-smoke bench-test bench-gate bench-gate-allocs bench-diff bench-scaling fuzz-smoke soak-migrate soak-scale soak-scale-short lint vet fmt figures examples clean
 
 all: check
@@ -39,12 +47,12 @@ race:
 bench: bench-lookup bench-figs bench-net
 
 bench-lookup:
-	$(GO) test $(BENCHCPU) -run='^$$' -bench='Balancer|Hash|Lookup|SetWeights|StrategyDecode|StrategyTune' -benchmem . ./internal/... > BENCH_lookup.txt
+	$(GO) test $(BENCHCPU) -run='^$$' $(LOOKUP_BENCH) > BENCH_lookup.txt
 	$(GO) run ./cmd/benchjson -o BENCH_lookup.json < BENCH_lookup.txt
 	rm -f BENCH_lookup.txt
 
 bench-figs:
-	$(GO) test $(BENCHCPU) -run='^$$' -bench='Fig' -benchtime=1x -benchmem . > BENCH_figs.txt
+	$(GO) test $(BENCHCPU) -run='^$$' $(FIGS_BENCH) > BENCH_figs.txt
 	$(GO) run ./cmd/benchjson -o BENCH_figs.json < BENCH_figs.txt
 	rm -f BENCH_figs.txt
 
@@ -53,7 +61,7 @@ bench-figs:
 # queue, the MapState poll) into BENCH_net.json. Every entry is
 # 0 allocs/op by design; the alloc gate below holds them there.
 bench-net:
-	$(GO) test $(BENCHCPU) -run='^$$' -bench='Frame|Heartbeat|Broadcast|MapState' -benchmem ./internal/cluster > BENCH_net.txt
+	$(GO) test $(BENCHCPU) -run='^$$' $(NET_BENCH) > BENCH_net.txt
 	$(GO) run ./cmd/benchjson -o BENCH_net.json < BENCH_net.txt
 	rm -f BENCH_net.txt
 
@@ -74,7 +82,7 @@ bench-test:
 # invocation — or consecutive CI steps in the same job — runs the
 # benchmarks once and reuses the recording.
 BENCH_current.txt:
-	$(GO) test $(BENCHCPU) -run='^$$' -bench='Balancer|Hash|Lookup|SetWeights|StrategyDecode|StrategyTune' -benchmem . ./internal/... > $@
+	$(GO) test $(BENCHCPU) -run='^$$' $(LOOKUP_BENCH) > $@
 
 BENCH_current.json: BENCH_current.txt
 	$(GO) run ./cmd/benchjson -o $@ < BENCH_current.txt
@@ -84,14 +92,14 @@ BENCH_current.json: BENCH_current.txt
 # its cells sequentially (see newQuickSuite), so its allocs/op are
 # exact.
 BENCH_figs_current.txt:
-	$(GO) test $(BENCHCPU) -run='^$$' -bench='Fig' -benchtime=1x -benchmem . > $@
+	$(GO) test $(BENCHCPU) -run='^$$' $(FIGS_BENCH) > $@
 
 BENCH_figs_current.json: BENCH_figs_current.txt
 	$(GO) run ./cmd/benchjson -o $@ < BENCH_figs_current.txt
 
 # A fresh run of the wire-path benchmarks for the alloc gate.
 BENCH_net_current.txt:
-	$(GO) test $(BENCHCPU) -run='^$$' -bench='Frame|Heartbeat|Broadcast|MapState' -benchmem ./internal/cluster > $@
+	$(GO) test $(BENCHCPU) -run='^$$' $(NET_BENCH) > $@
 
 BENCH_net_current.json: BENCH_net_current.txt
 	$(GO) run ./cmd/benchjson -o $@ < BENCH_net_current.txt
@@ -189,7 +197,7 @@ examples:
 
 clean:
 	$(GO) clean -testcache
-	rm -f BENCH_lookup.txt BENCH_figs.txt BENCH_net.txt BENCH_gate.txt
+	rm -f BENCH_lookup.txt BENCH_figs.txt BENCH_net.txt
 	rm -f BENCH_current.txt BENCH_current.json benchdiff-report.md
 	rm -f BENCH_figs_current.txt BENCH_figs_current.json benchdiff-figs-report.md
 	rm -f BENCH_net_current.txt BENCH_net_current.json

@@ -293,7 +293,7 @@ func (b *Balancer) mutate(f func(s placement.Strategy) error) error {
 // only when every server has failed. Lookup is lock-free: it reads the
 // current placement snapshot and resolves the key against it.
 func (b *Balancer) Lookup(key string) (ServerID, bool) {
-	id, ok := b.strategy().Lookup(key)
+	id, ok := placement.Lookup(b.strategy(), key)
 	if !ok {
 		return 0, false
 	}
@@ -304,7 +304,7 @@ func (b *Balancer) Lookup(key string) (ServerID, bool) {
 // data-structure probes used (hash probes for ANU — expected two under
 // half occupancy — or ring probes for the chord strategies).
 func (b *Balancer) LookupProbes(key string) (ServerID, int, bool) {
-	id, probes, ok := b.strategy().LookupProbes(key)
+	id, probes, ok := placement.LookupProbes(b.strategy(), key)
 	if !ok {
 		return 0, probes, false
 	}
@@ -327,7 +327,7 @@ func (b *Balancer) LookupBatch(keys []string, owners []ServerID) int {
 	s := b.strategy()
 	resolved := 0
 	for i, key := range keys {
-		id, ok := s.Lookup(key)
+		id, ok := placement.Lookup(s, key)
 		if !ok {
 			owners[i] = NoOwner
 			continue

@@ -387,7 +387,7 @@ func BenchmarkChordLookup(b *testing.B) {
 	keys := benchKeys()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.Lookup(keys[i&1023]); !ok {
+		if _, ok := placement.Lookup(s, keys[i&1023]); !ok {
 			b.Fatal("lookup failed")
 		}
 	}
@@ -402,7 +402,7 @@ func BenchmarkChordBoundedLookup(b *testing.B) {
 	keys := benchKeys()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.Lookup(keys[i&1023]); !ok {
+		if _, ok := placement.Lookup(s, keys[i&1023]); !ok {
 			b.Fatal("lookup failed")
 		}
 	}
@@ -432,7 +432,7 @@ func BenchmarkRendezvousLookup(b *testing.B) {
 	keys := benchKeys()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.Lookup(keys[i&1023]); !ok {
+		if _, ok := placement.Lookup(s, keys[i&1023]); !ok {
 			b.Fatal("lookup failed")
 		}
 	}
@@ -446,7 +446,7 @@ func BenchmarkWeightedStaticLookup(b *testing.B) {
 	keys := benchKeys()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.Lookup(keys[i&1023]); !ok {
+		if _, ok := placement.Lookup(s, keys[i&1023]); !ok {
 			b.Fatal("lookup failed")
 		}
 	}
@@ -460,7 +460,7 @@ func BenchmarkPowerOfDLookup(b *testing.B) {
 	keys := benchKeys()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.Lookup(keys[i&1023]); !ok {
+		if _, ok := placement.Lookup(s, keys[i&1023]); !ok {
 			b.Fatal("lookup failed")
 		}
 	}

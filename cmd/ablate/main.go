@@ -199,7 +199,7 @@ func sweepVPAddressing() {
 		}
 		probes, keyLookups := 0, 2000
 		for i := 0; i < keyLookups; i++ {
-			_, p, _ := as.LookupProbes(fmt.Sprintf("fs/%d", i))
+			_, p, _ := placement.LookupProbes(as, fmt.Sprintf("fs/%d", i))
 			probes += p
 		}
 		fmt.Printf("%-26s %-22d %-14.1f\n", "anu region table", as.SharedStateSize(), float64(probes)/float64(keyLookups))

@@ -96,7 +96,7 @@ type Runtime struct {
 	lastMapTime  time.Time
 	curDelegate  delegate.NodeID
 	stopped      bool
-	counters     counters
+	counters     Counters
 
 	// hbLineOnly is whether the last heartbeat went only to the delegate
 	// line. hbAllSince is when heartbeats last switched from the line
@@ -956,18 +956,14 @@ func (r *Runtime) flushJournal(recs []journal.Record) {
 // heartbeats, report collection, or tuning. The boolean is false only
 // when every server in the placement has failed.
 func (r *Runtime) Lookup(key string) (anu.ServerID, bool) {
-	return (*r.placement.Load()).Lookup(key)
+	return placement.Lookup(*r.placement.Load(), key)
 }
 
-// LookupDigest is Lookup for a key pre-hashed with hashx.Prehash. Only
-// digest-capable strategies (ANU) resolve it; others return false —
-// digest callers are ANU fast-path callers by construction.
+// LookupDigest is Lookup for a key pre-hashed with hashx.Prehash, on
+// any strategy. The boolean is false only when every server in the
+// placement has failed.
 func (r *Runtime) LookupDigest(d hashx.Digest) (anu.ServerID, bool) {
-	dl, ok := (*r.placement.Load()).(placement.DigestLookuper)
-	if !ok {
-		return anu.NoServer, false
-	}
-	id, _ := dl.LookupDigest(d)
+	id, _ := (*r.placement.Load()).LookupDigest(d)
 	return id, id != anu.NoServer
 }
 

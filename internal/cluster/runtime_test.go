@@ -378,108 +378,114 @@ func TestWatchdogReelection(t *testing.T) {
 	})
 }
 
-// TestRuntimeLookupDataPlane exercises the lock-free read path: request
-// routing via Lookup/LookupBatch must stay valid and uninterrupted
-// while the protocol installs new placements underneath it.
+// TestRuntimeLookupDataPlane exercises the lock-free read path on the
+// ANU and chord-bounded strategies: request routing via Lookup,
+// LookupDigest and LookupBatch must stay valid and uninterrupted while
+// the protocol installs new placements underneath it.
 func TestRuntimeLookupDataPlane(t *testing.T) {
-	cn, err := NewMemNetwork(ChaosConfig{Seed: 11}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cn.Close()
-	ids, snapshot := bootstrap(t, 3)
-	speeds := map[delegate.NodeID]float64{0: 1, 1: 3, 2: 5}
-	rts := make([]*Runtime, 0, len(ids))
-	for _, id := range ids {
-		rt, err := Start(Config{
-			ID:            id,
-			Members:       ids,
-			Snapshot:      snapshot,
-			Controller:    anu.DefaultControllerConfig(),
-			RoundInterval: 30 * time.Millisecond,
-			Observe:       closedLoopObserve(speeds),
-		}, cn.Endpoint(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rts = append(rts, rt)
-	}
-	defer func() {
-		for _, rt := range rts {
-			rt.Stop()
-		}
-	}()
+	for _, strategy := range []string{placement.StrategyANU, placement.StrategyChordBounded} {
+		t.Run(strategy, func(t *testing.T) {
+			cn, err := NewMemNetwork(ChaosConfig{Seed: 11}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cn.Close()
+			ids, snapshot := bootstrapStrategy(t, 3, strategy)
+			speeds := map[delegate.NodeID]float64{0: 1, 1: 3, 2: 5}
+			rts := make([]*Runtime, 0, len(ids))
+			for _, id := range ids {
+				rt, err := Start(Config{
+					ID:            id,
+					Members:       ids,
+					Snapshot:      snapshot,
+					Strategy:      strategy,
+					Controller:    anu.DefaultControllerConfig(),
+					RoundInterval: 30 * time.Millisecond,
+					Observe:       closedLoopObserve(speeds),
+				}, cn.Endpoint(id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rts = append(rts, rt)
+			}
+			defer func() {
+				for _, rt := range rts {
+					rt.Stop()
+				}
+			}()
 
-	// Reader goroutine per node: route continuously during tuning.
-	stop := make(chan struct{})
-	errs := make(chan error, len(rts))
-	var wg sync.WaitGroup
-	for i, rt := range rts {
-		wg.Add(1)
-		go func(i int, rt *Runtime) {
-			defer wg.Done()
-			keys := []string{"/home/alice", "/home/bob", "/var/mail", "/srv/data"}
-			owners := make([]anu.ServerID, len(keys))
-			for n := 0; ; n++ {
+			// Reader goroutine per node: route continuously during tuning.
+			stop := make(chan struct{})
+			errs := make(chan error, len(rts))
+			var wg sync.WaitGroup
+			for i, rt := range rts {
+				wg.Add(1)
+				go func(i int, rt *Runtime) {
+					defer wg.Done()
+					keys := []string{"/home/alice", "/home/bob", "/var/mail", "/srv/data"}
+					owners := make([]anu.ServerID, len(keys))
+					for n := 0; ; n++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						key := keys[n%len(keys)]
+						owner, ok := rt.Lookup(key)
+						if !ok || owner < 0 || int(owner) >= len(rts) {
+							errs <- fmt.Errorf("node %d: Lookup(%q) = (%d, %v)", i, key, owner, ok)
+							return
+						}
+						// A placement may install between the two loads, so only
+						// validity is asserted here; digest/string agreement on a
+						// single snapshot is checked after convergence below.
+						if d, ok := rt.LookupDigest(hashx.Prehash(key)); !ok || d < 0 || int(d) >= len(rts) {
+							errs <- fmt.Errorf("node %d: LookupDigest(%q) = (%d, %v)", i, key, d, ok)
+							return
+						}
+						if got := rt.LookupBatch(keys, owners); got != len(keys) {
+							errs <- fmt.Errorf("node %d: batch resolved %d/%d", i, got, len(keys))
+							return
+						}
+					}
+				}(i, rt)
+			}
+
+			// Let several placements install while the readers run.
+			waitFor(t, 15*time.Second, "tuned placements under live lookups", func() bool {
 				select {
-				case <-stop:
-					return
+				case err := <-errs:
+					t.Fatal(err)
 				default:
 				}
-				key := keys[n%len(keys)]
-				owner, ok := rt.Lookup(key)
-				if !ok || owner < 0 || int(owner) >= len(rts) {
-					errs <- fmt.Errorf("node %d: Lookup(%q) = (%d, %v)", i, key, owner, ok)
-					return
-				}
-				// A placement may install between the two loads, so only
-				// validity is asserted here; digest/string agreement on a
-				// single snapshot is checked after convergence below.
-				if d, ok := rt.LookupDigest(hashx.Prehash(key)); !ok || d < 0 || int(d) >= len(rts) {
-					errs <- fmt.Errorf("node %d: LookupDigest(%q) = (%d, %v)", i, key, d, ok)
-					return
-				}
-				if got := rt.LookupBatch(keys, owners); got != len(keys) {
-					errs <- fmt.Errorf("node %d: batch resolved %d/%d", i, got, len(keys))
-					return
-				}
+				return converged(rts) && rts[0].Stats().Tunes >= 3
+			})
+			close(stop)
+			wg.Wait()
+			select {
+			case err := <-errs:
+				t.Fatal(err)
+			default:
 			}
-		}(i, rt)
-	}
 
-	// Let several placements install while the readers run.
-	waitFor(t, 15*time.Second, "tuned placements under live lookups", func() bool {
-		select {
-		case err := <-errs:
-			t.Fatal(err)
-		default:
-		}
-		return converged(rts) && rts[0].Stats().Tunes >= 3
-	})
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-
-	// Freeze the protocol, then check the data plane serves exactly the
-	// installed map: every node routes each key to the owner the full
-	// Map() copy names, via both the string and digest paths.
-	for _, rt := range rts {
-		rt.Stop()
-	}
-	for i, rt := range rts {
-		m := rt.Map()
-		for _, key := range []string{"/home/alice", "/srv/data"} {
-			want, _ := m.Lookup(key)
-			if got, ok := rt.Lookup(key); !ok || got != want {
-				t.Errorf("node %d: data plane routes %q to %d, installed map says %d", i, key, got, want)
+			// Freeze the protocol, then check the data plane serves exactly the
+			// installed placement: every node routes each key to the owner the
+			// full Placement() copy names, via both the string and digest paths.
+			for _, rt := range rts {
+				rt.Stop()
 			}
-			if got, ok := rt.LookupDigest(hashx.Prehash(key)); !ok || got != want {
-				t.Errorf("node %d: digest path routes %q to %d, installed map says %d", i, key, got, want)
+			for i, rt := range rts {
+				s := rt.Placement()
+				for _, key := range []string{"/home/alice", "/srv/data"} {
+					want, _ := placement.Lookup(s, key)
+					if got, ok := rt.Lookup(key); !ok || got != want {
+						t.Errorf("node %d: data plane routes %q to %d, installed placement says %d", i, key, got, want)
+					}
+					if got, ok := rt.LookupDigest(hashx.Prehash(key)); !ok || got != want {
+						t.Errorf("node %d: digest path routes %q to %d, installed placement says %d", i, key, got, want)
+					}
+				}
 			}
-		}
+		})
 	}
 }

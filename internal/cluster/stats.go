@@ -18,36 +18,56 @@ func latencyHistogram() *metrics.Histogram {
 	return metrics.NewHistogram(1e-6, 1e3, 90)
 }
 
-// counters is the runtime's internal instrumentation, guarded by
-// Runtime.mu.
-type counters struct {
-	Tunes               uint64
-	MapsInstalled       uint64
-	Reelections         uint64
-	WatchdogTrips       uint64
-	ReportsSent         uint64
-	ReportsReceived     uint64
-	HeartbeatsSent      uint64
-	HeartbeatsReceived  uint64
+// Counters is the runtime's own instrumentation: the protocol events
+// this node counted and the latency distributions behind them. The
+// runtime keeps one guarded by Runtime.mu; Stats embeds a copy whose
+// histograms are independent clones.
+type Counters struct {
+	// Tunes counts rounds this node rescaled as delegate.
+	Tunes uint64
+	// MapsInstalled counts placement maps accepted from a delegate.
+	MapsInstalled uint64
+	// Reelections counts observed delegate changes.
+	Reelections uint64
+	// WatchdogTrips counts delegates suspected for producing no maps.
+	WatchdogTrips uint64
+
+	ReportsSent        uint64
+	ReportsReceived    uint64
+	HeartbeatsSent     uint64
+	HeartbeatsReceived uint64
+	// JournalAppendErrors counts installed placements that could not be
+	// made durable (the append or its fsync failed). The node keeps
+	// serving from memory and retries on the next install.
 	JournalAppendErrors uint64
-	// Migration counters: attempts started on this node as leader,
-	// cutovers completed locally, rollbacks, and migration messages
-	// dropped as undecodable.
+
+	// MigrationsStarted counts migrations this node led;
+	// MigrationsCommitted/Aborted count local cutovers and rollbacks;
+	// MigrationMsgsRejected counts undecodable or tag-mismatched
+	// migration payloads.
 	MigrationsStarted     uint64
 	MigrationsCommitted   uint64
 	MigrationsAborted     uint64
 	MigrationMsgsRejected uint64
-	ReportsPerTune        metrics.Summary
-	InstallLatency        metrics.Summary
-	// InstallLatencyHist and SampleLatencyHist carry the distributions
-	// behind the two Summary means above: the paper's claim is
-	// performance *consistency*, and a mean cannot show the tail where
-	// inconsistency lives.
+
+	// ReportsPerTune summarizes how many reports (including the
+	// delegate's own sample) each tune acted on.
+	ReportsPerTune metrics.Summary
+	// InstallLatency summarizes seconds from learning a round to
+	// installing its map. A map that arrives before any news of its
+	// round is not timed.
+	InstallLatency metrics.Summary
+	// InstallLatencyHist is the distribution behind InstallLatency:
+	// per-node install latency with p50/p95/p99 tails. The paper's
+	// claim is performance *consistency*, and a mean cannot show the
+	// tail where inconsistency lives.
 	InstallLatencyHist *metrics.Histogram
-	SampleLatencyHist  *metrics.Histogram
-	// MigratePhaseLatencyHist distributes seconds spent per migration
-	// phase edge; MigrateLatencyHist distributes whole-migration
-	// (propose-to-flip) latency.
+	// SampleLatencyHist is the distribution of latencies this node's
+	// observer reported into the protocol (seconds, observer-defined).
+	SampleLatencyHist *metrics.Histogram
+	// MigratePhaseLatencyHist is the per-phase migration latency
+	// distribution (seconds per phase edge, including rollbacks);
+	// MigrateLatencyHist is whole-migration propose-to-flip latency.
 	MigratePhaseLatencyHist *metrics.Histogram
 	MigrateLatencyHist      *metrics.Histogram
 }
@@ -71,10 +91,8 @@ type Stats struct {
 	// runs ("anu", "chord-bounded", ...).
 	Strategy string
 
-	// Tunes counts rounds this node rescaled as delegate.
-	Tunes uint64
-	// MapsInstalled counts placement maps accepted from a delegate.
-	MapsInstalled uint64
+	Counters
+
 	// StaleMapsRejected counts old-round maps refused by the fence —
 	// each one is a reordering the protocol survived.
 	StaleMapsRejected uint64
@@ -94,15 +112,6 @@ type Stats struct {
 	// UndecodableMapsRejected counts placement payloads that failed to
 	// decode at all (truncated or corrupt snapshots).
 	UndecodableMapsRejected uint64
-	// Reelections counts observed delegate changes.
-	Reelections uint64
-	// WatchdogTrips counts delegates suspected for producing no maps.
-	WatchdogTrips uint64
-
-	ReportsSent        uint64
-	ReportsReceived    uint64
-	HeartbeatsSent     uint64
-	HeartbeatsReceived uint64
 	// SendDrops counts outbound messages the transport's async fan-out
 	// lane dropped (per-peer queue full or transport closed). Drops are
 	// bounded loss under backpressure, not errors: the gossip cadence
@@ -118,14 +127,6 @@ type Stats struct {
 	MigrationFrom   string
 	MigrationTo     string
 	DualTagInstalls uint64
-	// MigrationsStarted counts migrations this node led;
-	// MigrationsCommitted/Aborted count local cutovers and rollbacks;
-	// MigrationMsgsRejected counts undecodable or tag-mismatched
-	// migration payloads.
-	MigrationsStarted     uint64
-	MigrationsCommitted   uint64
-	MigrationsAborted     uint64
-	MigrationMsgsRejected uint64
 	// RecoveredMigration names the migration phase Start resumed (or
 	// recognised as committed) from the journal, "" when none.
 	RecoveredMigration string
@@ -139,34 +140,10 @@ type Stats struct {
 	Recovered      bool
 	RecoveredEpoch uint64
 	RecoveredRound uint64
-	// JournalAppendErrors counts installed placements that could not be
-	// made durable (the append or its fsync failed). The node keeps
-	// serving from memory and retries on the next install.
-	JournalAppendErrors uint64
 	// Journal carries the journal's own durability counters (records
 	// recovered, torn tails truncated, fsync errors, compactions) when
 	// the configured Journal exposes them; zero otherwise.
 	Journal journal.Stats
-
-	// ReportsPerTune summarizes how many reports (including the
-	// delegate's own sample) each tune acted on.
-	ReportsPerTune metrics.Summary
-	// InstallLatency summarizes seconds from learning a round to
-	// installing its map. A map that arrives before any news of its
-	// round is not timed.
-	InstallLatency metrics.Summary
-	// InstallLatencyHist is the distribution behind InstallLatency:
-	// per-node install latency with p50/p95/p99 tails. The snapshot is
-	// an independent clone.
-	InstallLatencyHist *metrics.Histogram
-	// SampleLatencyHist is the distribution of latencies this node's
-	// observer reported into the protocol (seconds, observer-defined).
-	SampleLatencyHist *metrics.Histogram
-	// MigratePhaseLatencyHist is the per-phase migration latency
-	// distribution (seconds per phase edge, including rollbacks);
-	// MigrateLatencyHist is whole-migration propose-to-flip latency.
-	MigratePhaseLatencyHist *metrics.Histogram
-	MigrateLatencyHist      *metrics.Histogram
 }
 
 // Stats returns the runtime's operator snapshot.
@@ -182,36 +159,22 @@ func (r *Runtime) Stats() Stats {
 		MapEpoch:                 r.node.MapEpoch(),
 		MapRound:                 r.node.MapRound(),
 		Strategy:                 r.node.Strategy(),
-		Tunes:                    r.counters.Tunes,
-		MapsInstalled:            r.counters.MapsInstalled,
+		Counters:                 r.counters,
 		StaleMapsRejected:        r.node.StaleMapsRejected(),
 		StaleEpochsRejected:      r.node.StaleEpochsRejected(),
 		TagMismatchesRejected:    r.node.TagMismatchesRejected(),
 		CrossTagInstallsRejected: r.node.CrossTagRejected(),
 		UndecodableMapsRejected:  r.node.UndecodableMapsRejected(),
-		Reelections:              r.counters.Reelections,
-		WatchdogTrips:            r.counters.WatchdogTrips,
-		ReportsSent:              r.counters.ReportsSent,
-		ReportsReceived:          r.counters.ReportsReceived,
-		HeartbeatsSent:           r.counters.HeartbeatsSent,
-		HeartbeatsReceived:       r.counters.HeartbeatsReceived,
 		SendDrops:                r.sendDrops.Load(),
-		JournalAppendErrors:      r.counters.JournalAppendErrors,
 		MigrationPhase:           migrate.Idle.String(),
 		DualTagInstalls:          r.node.DualTagInstalls(),
-		MigrationsStarted:        r.counters.MigrationsStarted,
-		MigrationsCommitted:      r.counters.MigrationsCommitted,
-		MigrationsAborted:        r.counters.MigrationsAborted,
-		MigrationMsgsRejected:    r.counters.MigrationMsgsRejected,
 		RecoveredMigration:       r.recoveredMig,
 		DelegateMigrating:        r.delegateMigrating,
-		ReportsPerTune:           r.counters.ReportsPerTune,
-		InstallLatency:           r.counters.InstallLatency,
-		InstallLatencyHist:       r.counters.InstallLatencyHist.Clone(),
-		SampleLatencyHist:        r.counters.SampleLatencyHist.Clone(),
-		MigratePhaseLatencyHist:  r.counters.MigratePhaseLatencyHist.Clone(),
-		MigrateLatencyHist:       r.counters.MigrateLatencyHist.Clone(),
 	}
+	s.InstallLatencyHist = s.InstallLatencyHist.Clone()
+	s.SampleLatencyHist = s.SampleLatencyHist.Clone()
+	s.MigratePhaseLatencyHist = s.MigratePhaseLatencyHist.Clone()
+	s.MigrateLatencyHist = s.MigrateLatencyHist.Clone()
 	if r.mig != nil {
 		s.MigrationPhase = r.mig.phase.String()
 		s.MigrationID = r.mig.rec.ID

@@ -31,23 +31,19 @@ func TestLookupPathsZeroAllocs(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(100, func() {
 				for _, key := range keys {
-					s.Lookup(key)
+					Lookup(s, key)
 				}
 			}); n != 0 {
-				t.Errorf("%s.Lookup allocated %g times per %d lookups, want 0", tag, n, len(keys))
+				t.Errorf("Lookup(%s) allocated %g times per %d lookups, want 0", tag, n, len(keys))
 			}
 			if n := testing.AllocsPerRun(100, func() {
 				s.LookupBatch(keys, owners)
 			}); n != 0 {
 				t.Errorf("%s.LookupBatch allocated %g times per batch, want 0", tag, n)
 			}
-			dl, ok := s.(DigestLookuper)
-			if !ok {
-				t.Skipf("strategy %q does not implement DigestLookuper", tag)
-			}
 			if n := testing.AllocsPerRun(100, func() {
 				for _, d := range digests {
-					dl.LookupDigest(d)
+					s.LookupDigest(d)
 				}
 			}); n != 0 {
 				t.Errorf("%s.LookupDigest allocated %g times per %d lookups, want 0", tag, n, len(digests))
@@ -57,8 +53,9 @@ func TestLookupPathsZeroAllocs(t *testing.T) {
 }
 
 // TestChordLookupDigestMatchesLookup pins digest/string equivalence for
-// both ring strategies: LookupDigest(Prehash(k)) must agree with
-// Lookup(k), which is what lets callers cache digests safely.
+// both ring strategies: LookupDigest(Prehash(k)) must agree with the
+// ring's own string path, Owner(k), which is what lets callers cache
+// digests safely.
 func TestChordLookupDigestMatchesLookup(t *testing.T) {
 	for _, tag := range []string{StrategyChord, StrategyChordBounded} {
 		s, err := New(tag, []ServerID{0, 1, 2, 3, 4}, Options{HashSeed: 42})
@@ -68,16 +65,16 @@ func TestChordLookupDigestMatchesLookup(t *testing.T) {
 		if err := s.Fail(2); err != nil {
 			t.Fatal(err)
 		}
-		dl := s.(DigestLookuper)
+		ring := s.(*Chord).Ring()
 		for i := 0; i < 1000; i++ {
 			key := fmt.Sprintf("fs/%d", i)
-			id, ok := s.Lookup(key)
-			did, _ := dl.LookupDigest(hashx.Prehash(key))
+			id, probes, ok := ring.Owner(key)
+			did, dprobes := s.LookupDigest(hashx.Prehash(key))
 			if !ok {
-				t.Fatalf("%s: Lookup(%q) not ok with live members", tag, key)
+				t.Fatalf("%s: Owner(%q) not ok with live members", tag, key)
 			}
-			if did != id {
-				t.Fatalf("%s: LookupDigest(%q) = %d, Lookup = %d", tag, key, did, id)
+			if did != ServerID(id) || dprobes != probes {
+				t.Fatalf("%s: LookupDigest(%q) = (%d, %d), Owner = (%d, %d)", tag, key, did, dprobes, id, probes)
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package placement
 
 import (
-	"fmt"
-
 	"anurand/internal/anu"
 	"anurand/internal/hashx"
 )
@@ -71,34 +69,12 @@ func (a *ANU) Controller() *anu.Controller { return a.ctl }
 
 func (a *ANU) Name() string { return StrategyANU }
 
-func (a *ANU) Lookup(key string) (ServerID, bool) {
-	id, _ := a.m.Lookup(key)
-	return id, id != NoServer
-}
-
-func (a *ANU) LookupProbes(key string) (ServerID, int, bool) {
-	id, probes := a.m.Lookup(key)
-	return id, probes, id != NoServer
-}
-
-// LookupDigest implements DigestLookuper.
 func (a *ANU) LookupDigest(d hashx.Digest) (ServerID, int) {
 	return a.m.LookupDigest(d)
 }
 
 func (a *ANU) LookupBatch(keys []string, owners []ServerID) int {
-	if len(owners) < len(keys) {
-		panic(fmt.Sprintf("placement: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
-	}
-	resolved := 0
-	for i, key := range keys {
-		id, _ := a.m.Lookup(key)
-		owners[i] = id
-		if id != NoServer {
-			resolved++
-		}
-	}
-	return resolved
+	return lookupBatch(a, keys, owners)
 }
 
 func (a *ANU) Tune(reports []Report) (bool, error) {

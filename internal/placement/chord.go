@@ -94,15 +94,7 @@ func (c *Chord) Name() string {
 	return StrategyChord
 }
 
-func (c *Chord) Lookup(key string) (ServerID, bool) {
-	id, _, ok := c.b.Owner(key)
-	if !ok {
-		return NoServer, false
-	}
-	return ServerID(id), true
-}
-
-// LookupDigest implements DigestLookuper: the ring point comes from the
+// LookupDigest resolves a key on the ring: the ring point comes from the
 // precomputed digest's round-1 mix, so a lookup is one multiply-shift
 // plus the binary search — no per-byte hashing and no allocation.
 func (c *Chord) LookupDigest(d hashx.Digest) (ServerID, int) {
@@ -113,29 +105,8 @@ func (c *Chord) LookupDigest(d hashx.Digest) (ServerID, int) {
 	return ServerID(id), probes
 }
 
-func (c *Chord) LookupProbes(key string) (ServerID, int, bool) {
-	id, probes, ok := c.b.Owner(key)
-	if !ok {
-		return NoServer, probes, false
-	}
-	return ServerID(id), probes, true
-}
-
 func (c *Chord) LookupBatch(keys []string, owners []ServerID) int {
-	if len(owners) < len(keys) {
-		panic(fmt.Sprintf("placement: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
-	}
-	resolved := 0
-	for i, key := range keys {
-		id, _, ok := c.b.Owner(key)
-		if !ok {
-			owners[i] = NoServer
-			continue
-		}
-		owners[i] = ServerID(id)
-		resolved++
-	}
-	return resolved
+	return lookupBatch(c, keys, owners)
 }
 
 // Tune applies one feedback round. Failure handling matches the ANU

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"anurand/internal/hashx"
 )
 
 // The conformance suite runs every registered strategy through the
@@ -77,19 +79,22 @@ func TestConformanceLookupAgreement(t *testing.T) {
 				t.Fatalf("LookupBatch resolved %d of %d keys with live members", resolved, len(keys))
 			}
 			for i, key := range keys {
-				id, ok := s.Lookup(key)
+				id, ok := Lookup(s, key)
 				if !ok {
 					t.Fatalf("Lookup(%q) not ok with live members", key)
 				}
 				if id != owners[i] {
 					t.Fatalf("Lookup(%q) = %d, LookupBatch said %d", key, id, owners[i])
 				}
-				pid, probes, ok := s.LookupProbes(key)
+				pid, probes, ok := LookupProbes(s, key)
 				if !ok || pid != id {
 					t.Fatalf("LookupProbes(%q) = (%d, %v), Lookup said %d", key, pid, ok, id)
 				}
 				if probes < 1 {
 					t.Fatalf("LookupProbes(%q) reported %d probes", key, probes)
+				}
+				if did, dprobes := s.LookupDigest(hashx.Prehash(key)); did != id || dprobes != probes {
+					t.Fatalf("LookupDigest(Prehash(%q)) = (%d, %d), LookupProbes said (%d, %d)", key, did, dprobes, id, probes)
 				}
 				if s.Shares()[id] == 0 {
 					t.Fatalf("Lookup(%q) placed on %d, which holds no share", key, id)
@@ -214,7 +219,7 @@ func TestConformanceLifecycle(t *testing.T) {
 				t.Fatalf("Fail: %v", err)
 			}
 			for _, key := range keys {
-				if id, ok := s.Lookup(key); !ok || id == 1 {
+				if id, ok := Lookup(s, key); !ok || id == 1 {
 					t.Fatalf("Lookup(%q) = (%d, %v) with server 1 failed", key, id, ok)
 				}
 			}
@@ -302,7 +307,7 @@ func TestConformanceAllFailed(t *testing.T) {
 					t.Fatalf("Fail(%d): %v", id, err)
 				}
 			}
-			if id, ok := s.Lookup("/srv/fileset-000"); ok {
+			if id, ok := Lookup(s, "/srv/fileset-000"); ok {
 				t.Fatalf("Lookup placed on %d with every server failed", id)
 			}
 			keys := []string{"a", "b", "c"}

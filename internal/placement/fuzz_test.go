@@ -50,7 +50,7 @@ func FuzzWeightedSnapshot(f *testing.F) {
 		// The accepted state must be servable: lookups succeed whenever
 		// any member is live, and never land on a failed member.
 		shares := dec.Shares()
-		id, ok := dec.Lookup("fuzz-probe")
+		id, ok := Lookup(dec, "fuzz-probe")
 		if ok && shares[id] == 0 {
 			t.Fatalf("lookup placed on share-less server %d", id)
 		}
@@ -100,7 +100,7 @@ func FuzzChordSnapshot(f *testing.F) {
 		shares := dec.Shares()
 		for i := 0; i < 16; i++ {
 			key := fmt.Sprintf("fuzz-probe/%d", i)
-			if id, ok := dec.Lookup(key); ok && shares[id] == 0 {
+			if id, ok := Lookup(dec, key); ok && shares[id] == 0 {
 				t.Fatalf("lookup of %q placed on share-less server %d", key, id)
 			}
 		}

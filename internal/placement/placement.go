@@ -51,7 +51,7 @@ type Report = anu.Report
 // Strategy is one placement scheme, in the embeddable form the cluster
 // runtime publishes through its RCU snapshot pointer.
 //
-// Concurrency contract: read methods (Lookup, LookupBatch, LookupProbes,
+// Concurrency contract: read methods (LookupDigest, LookupBatch,
 // Shares, Servers, Has, Encode, SharedStateSize) must be safe to call
 // concurrently with each other on an immutable instance. Mutators (Tune,
 // AddServer, RemoveServer, Fail, Recover) are serialized by the caller,
@@ -63,16 +63,18 @@ type Strategy interface {
 	// at every decode boundary.
 	Name() string
 
-	// Lookup returns the server responsible for key. ok is false only
-	// when every server has failed.
-	Lookup(key string) (id ServerID, ok bool)
-	// LookupProbes is Lookup plus the number of data-structure probes
-	// spent (hash probes for ANU, ring hops for chord).
-	LookupProbes(key string) (id ServerID, probes int, ok bool)
+	// LookupDigest is the strategy's one lookup: it returns the server
+	// responsible for a key pre-hashed with hashx.Prehash, and the
+	// number of data-structure probes spent (hash probes for ANU, ring
+	// probes for chord). The digest is the per-key half of every family
+	// hash, so callers that cache digests (the simulator's KeySet)
+	// skip the per-byte pass. id is NoServer only when every server
+	// has failed. It must not allocate.
+	LookupDigest(d hashx.Digest) (id ServerID, probes int)
 	// LookupBatch resolves keys[i] into owners[i] against this one
 	// placement state, returning how many keys resolved; unresolved
 	// entries are set to NoServer. owners must be at least as long as
-	// keys.
+	// keys. Every strategy implements it with lookupBatch.
 	LookupBatch(keys []string, owners []ServerID) int
 
 	// Tune applies one feedback round from the delegate's reports and
@@ -118,14 +120,34 @@ type Invariants interface {
 	CheckInvariants() error
 }
 
-// DigestLookuper is the optional allocation-free fast path for
-// strategies that can resolve a key pre-hashed with hashx.Prehash. The
-// ANU and chord strategies all implement it: the digest is the per-key
-// half of every family hash, so callers that cache digests (the
-// simulator's KeySet, the runtime's batch path) skip the per-byte pass.
-// The NoServer result marks an unplaceable key, as with Lookup.
-type DigestLookuper interface {
-	LookupDigest(d hashx.Digest) (id ServerID, probes int)
+// Lookup returns the server responsible for key under s. ok is false
+// only when every server has failed.
+func Lookup(s Strategy, key string) (id ServerID, ok bool) {
+	id, _ = s.LookupDigest(hashx.Prehash(key))
+	return id, id != NoServer
+}
+
+// LookupProbes is Lookup plus the number of data-structure probes spent.
+func LookupProbes(s Strategy, key string) (id ServerID, probes int, ok bool) {
+	id, probes = s.LookupDigest(hashx.Prehash(key))
+	return id, probes, id != NoServer
+}
+
+// lookupBatch is the LookupBatch every strategy shares: keys[i] resolves
+// into owners[i] through s.LookupDigest.
+func lookupBatch(s Strategy, keys []string, owners []ServerID) int {
+	if len(owners) < len(keys) {
+		panic(fmt.Sprintf("placement: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
+	}
+	resolved := 0
+	for i, key := range keys {
+		id, _ := s.LookupDigest(hashx.Prehash(key))
+		owners[i] = id
+		if id != NoServer {
+			resolved++
+		}
+	}
+	return resolved
 }
 
 // StateAdopter is the optional warm-state handoff capability: when a

@@ -134,8 +134,8 @@ func TestRoundTripAllStrategies(t *testing.T) {
 			// Decoded strategy places keys identically.
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("fs/%d", i)
-				a, aok := s.Lookup(key)
-				b, bok := dec.Lookup(key)
+				a, aok := Lookup(s, key)
+				b, bok := Lookup(dec, key)
 				if a != b || aok != bok {
 					t.Fatalf("lookup %q: original (%d,%v) decoded (%d,%v)", key, a, aok, b, bok)
 				}
@@ -388,7 +388,7 @@ func TestStrategyLifecycle(t *testing.T) {
 				t.Fatalf("LookupBatch resolved %d of 4", got)
 			}
 			for i, key := range keys {
-				if id, ok := s.Lookup(key); !ok || id != owners[i] {
+				if id, ok := Lookup(s, key); !ok || id != owners[i] {
 					t.Fatalf("batch owner %d, single owner %d", owners[i], id)
 				}
 			}

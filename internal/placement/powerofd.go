@@ -58,10 +58,9 @@ func newPowerOfD(servers []ServerID, opts Options) (Strategy, error) {
 
 func (p *PowerOfD) Name() string { return StrategyPowerOfD }
 
-// LookupDigest implements DigestLookuper: d weighted draws over the
-// live members, keep the one with the least load per unit weight (ties
-// break toward the lower server id so every node agrees). Probes is the
-// number of draws.
+// LookupDigest makes d weighted draws over the live members and keeps
+// the one with the least load per unit weight (ties break toward the
+// lower server id so every node agrees). Probes is the number of draws.
 func (p *PowerOfD) LookupDigest(d hashx.Digest) (ServerID, int) {
 	best := -1
 	var bestRel float64
@@ -78,29 +77,8 @@ func (p *PowerOfD) LookupDigest(d hashx.Digest) (ServerID, int) {
 	return p.t.ids[best], p.d
 }
 
-func (p *PowerOfD) Lookup(key string) (ServerID, bool) {
-	id, _ := p.LookupDigest(hashx.Prehash(key))
-	return id, id != NoServer
-}
-
-func (p *PowerOfD) LookupProbes(key string) (ServerID, int, bool) {
-	id, probes := p.LookupDigest(hashx.Prehash(key))
-	return id, probes, id != NoServer
-}
-
 func (p *PowerOfD) LookupBatch(keys []string, owners []ServerID) int {
-	if len(owners) < len(keys) {
-		panic(fmt.Sprintf("placement: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
-	}
-	resolved := 0
-	for i, key := range keys {
-		id, _ := p.LookupDigest(hashx.Prehash(key))
-		owners[i] = id
-		if id != NoServer {
-			resolved++
-		}
-	}
-	return resolved
+	return lookupBatch(p, keys, owners)
 }
 
 // Tune folds each report into the load EWMA (sample = the interval's

@@ -60,9 +60,8 @@ func (r *Rendezvous) resalt() {
 
 func (r *Rendezvous) Name() string { return StrategyRendezvous }
 
-// LookupDigest implements DigestLookuper: one mix and one log per live
-// member, no per-byte hashing, no allocation. Probes counts the live
-// members scored.
+// LookupDigest costs one mix and one log per live member, no per-byte
+// hashing, no allocation. Probes counts the live members scored.
 func (r *Rendezvous) LookupDigest(d hashx.Digest) (ServerID, int) {
 	best := -1
 	var bestScore float64
@@ -80,29 +79,8 @@ func (r *Rendezvous) LookupDigest(d hashx.Digest) (ServerID, int) {
 	return r.t.ids[best], len(r.t.liveIdx)
 }
 
-func (r *Rendezvous) Lookup(key string) (ServerID, bool) {
-	id, _ := r.LookupDigest(hashx.Prehash(key))
-	return id, id != NoServer
-}
-
-func (r *Rendezvous) LookupProbes(key string) (ServerID, int, bool) {
-	id, probes := r.LookupDigest(hashx.Prehash(key))
-	return id, probes, id != NoServer
-}
-
 func (r *Rendezvous) LookupBatch(keys []string, owners []ServerID) int {
-	if len(owners) < len(keys) {
-		panic(fmt.Sprintf("placement: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
-	}
-	resolved := 0
-	for i, key := range keys {
-		id, _ := r.LookupDigest(hashx.Prehash(key))
-		owners[i] = id
-		if id != NoServer {
-			resolved++
-		}
-	}
-	return resolved
+	return lookupBatch(r, keys, owners)
 }
 
 // Tune applies failure handling only: a Failed report downs the member,

@@ -45,9 +45,9 @@ func newWeightedStatic(servers []ServerID, opts Options) (Strategy, error) {
 
 func (s *WeightedStatic) Name() string { return StrategyWeightedStatic }
 
-// LookupDigest implements DigestLookuper: one mix plus a binary search
-// per probe, no per-byte hashing, no allocation. Probes counts re-hash
-// rounds, exactly like the ANU map's probe metric.
+// LookupDigest costs one mix plus a binary search per probe, no
+// per-byte hashing, no allocation. Probes counts re-hash rounds, exactly
+// like the ANU map's probe metric.
 func (s *WeightedStatic) LookupDigest(d hashx.Digest) (ServerID, int) {
 	for r := 0; r < staticMaxProbes; r++ {
 		idx := s.t.ownerAll(s.fam.HashDigest(d, r))
@@ -63,29 +63,8 @@ func (s *WeightedStatic) LookupDigest(d hashx.Digest) (ServerID, int) {
 	return s.t.ids[idx], staticMaxProbes + 1
 }
 
-func (s *WeightedStatic) Lookup(key string) (ServerID, bool) {
-	id, _ := s.LookupDigest(hashx.Prehash(key))
-	return id, id != NoServer
-}
-
-func (s *WeightedStatic) LookupProbes(key string) (ServerID, int, bool) {
-	id, probes := s.LookupDigest(hashx.Prehash(key))
-	return id, probes, id != NoServer
-}
-
 func (s *WeightedStatic) LookupBatch(keys []string, owners []ServerID) int {
-	if len(owners) < len(keys) {
-		panic(fmt.Sprintf("placement: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
-	}
-	resolved := 0
-	for i, key := range keys {
-		id, _ := s.LookupDigest(hashx.Prehash(key))
-		owners[i] = id
-		if id != NoServer {
-			resolved++
-		}
-	}
-	return resolved
+	return lookupBatch(s, keys, owners)
 }
 
 // Tune applies failure handling only: the scheme is static by design —

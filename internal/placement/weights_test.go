@@ -131,7 +131,7 @@ func TestWeightedLookupTracksWeights(t *testing.T) {
 			}
 			counts := make(map[ServerID]int)
 			for i := 0; i < keys; i++ {
-				id, ok := s.Lookup(fmt.Sprintf("/vol%d/user%d/file%d", i%7, i%31, i))
+				id, ok := Lookup(s, fmt.Sprintf("/vol%d/user%d/file%d", i%7, i%31, i))
 				if !ok {
 					t.Fatal("lookup failed with all servers live")
 				}
@@ -214,7 +214,7 @@ func TestPowerOfDSteersByLoad(t *testing.T) {
 	count := func() map[ServerID]int {
 		c := make(map[ServerID]int)
 		for i := 0; i < 4000; i++ {
-			id, ok := s.Lookup(fmt.Sprintf("key-%d", i))
+			id, ok := Lookup(s, fmt.Sprintf("key-%d", i))
 			if !ok {
 				t.Fatal("lookup failed")
 			}
@@ -250,7 +250,7 @@ func TestPowerOfDChoicesValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// d=1 is pure weighted random: still a valid sampler.
-	if _, ok := s.Lookup("k"); !ok {
+	if _, ok := Lookup(s, "k"); !ok {
 		t.Fatal("d=1 lookup failed")
 	}
 }

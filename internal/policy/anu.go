@@ -15,17 +15,13 @@ import (
 // knowledge of server capabilities and converges by observation alone.
 //
 // The placement logic itself lives in placement.ANU — the same
-// implementation the networked runtime serves from — so the simulator
-// measures exactly the code that runs in production. This type only
-// adds the simulator's file-set indexing and digest cache.
+// implementation the networked runtime serves from — and placing,
+// retuning and sizing are StrategyPlacer's, so the simulator measures
+// exactly the code that runs in production. This type only adds access
+// to the ANU map and controller.
 type ANU struct {
-	names []string
-	// digests caches hashx.Prehash of every file-set name: the
-	// simulator calls Place once per request, and the digest is the
-	// per-key half of the hash — only the per-round tweak varies along
-	// the probe chain.
-	digests []hashx.Digest
-	s       *placement.ANU
+	StrategyPlacer
+	s *placement.ANU
 }
 
 // NewANU builds the policy with an equal-region initial map (the cold
@@ -48,39 +44,9 @@ func NewANUKeys(family hashx.Family, keys *workload.KeySet, servers []ServerID, 
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("policy: NewANU: %w", err)
 	}
-	return &ANU{
-		names:   keys.Names,
-		digests: keys.Digests,
-		s:       placement.NewANU(m, anu.NewController(cfg)),
-	}, nil
+	s := placement.NewANU(m, anu.NewController(cfg))
+	return &ANU{StrategyPlacer: StrategyPlacer{digests: keys.Digests, s: s}, s: s}, nil
 }
-
-// Name implements Placer.
-func (a *ANU) Name() string { return "anu" }
-
-// Place implements Placer by hashing the file set's name into the unit
-// interval with re-probing. The name's digest is precomputed, so a
-// placement costs only the probe chain's mixes.
-func (a *ANU) Place(fs int) ServerID {
-	if fs < 0 || fs >= len(a.digests) {
-		return NoServer
-	}
-	id, _ := a.s.LookupDigest(a.digests[fs])
-	return id
-}
-
-// Retune implements Placer: one delegate feedback round. Servers marked
-// down in the snapshot are failed in the map; recovered servers are
-// re-admitted with an equal share.
-func (a *ANU) Retune(env *Env) error {
-	if err := validateEnv(env, len(a.names), false); err != nil {
-		return err
-	}
-	return retuneStrategy(a.s, env)
-}
-
-// SharedStateSize implements Placer: the replicated unit-interval map.
-func (a *ANU) SharedStateSize() int { return a.s.SharedStateSize() }
 
 // Map exposes the underlying interval map for inspection (examples and
 // the experiment harness read region lengths from it).

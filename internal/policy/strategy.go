@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"anurand/internal/anu"
+	"anurand/internal/hashx"
 	"anurand/internal/placement"
 	"anurand/internal/workload"
 )
@@ -14,11 +15,11 @@ import (
 // also measurable under the simulator's closed loop, from one shared
 // implementation per scheme.
 type StrategyPlacer struct {
-	keys *workload.KeySet
-	s    placement.Strategy
-	// dl is non-nil when s supports digest lookups; Place then skips the
-	// per-request name hash and reuses the key set's precomputed digest.
-	dl placement.DigestLookuper
+	// digests are the file sets' hashx.Prehash digests, borrowed from
+	// the KeySet: the simulator calls Place once per request, and the
+	// digest is the per-key half of every family hash.
+	digests []hashx.Digest
+	s       placement.Strategy
 }
 
 // NewStrategyPlacer builds a Placer for a registered strategy over the
@@ -39,9 +40,7 @@ func NewStrategyPlacerKeys(strategy string, keys *workload.KeySet, servers []Ser
 	if err != nil {
 		return nil, fmt.Errorf("policy: NewStrategyPlacer: %w", err)
 	}
-	p := &StrategyPlacer{keys: keys, s: s}
-	p.dl, _ = s.(placement.DigestLookuper)
-	return p, nil
+	return &StrategyPlacer{digests: keys.Digests, s: s}, nil
 }
 
 // Strategy exposes the wrapped strategy for inspection.
@@ -50,25 +49,19 @@ func (p *StrategyPlacer) Strategy() placement.Strategy { return p.s }
 // Name implements Placer: the strategy's registered tag.
 func (p *StrategyPlacer) Name() string { return p.s.Name() }
 
-// Place implements Placer.
+// Place implements Placer. The file set's digest is precomputed, so a
+// placement costs only the strategy's probe chain.
 func (p *StrategyPlacer) Place(fs int) ServerID {
-	if fs < 0 || fs >= p.keys.Len() {
+	if fs < 0 || fs >= len(p.digests) {
 		return NoServer
 	}
-	if p.dl != nil {
-		id, _ := p.dl.LookupDigest(p.keys.Digests[fs])
-		return id
-	}
-	id, ok := p.s.Lookup(p.keys.Names[fs])
-	if !ok {
-		return NoServer
-	}
+	id, _ := p.s.LookupDigest(p.digests[fs])
 	return id
 }
 
 // Retune implements Placer: one feedback round against the snapshot.
 func (p *StrategyPlacer) Retune(env *Env) error {
-	if err := validateEnv(env, p.keys.Len(), false); err != nil {
+	if err := validateEnv(env, len(p.digests), false); err != nil {
 		return err
 	}
 	return retuneStrategy(p.s, env)
