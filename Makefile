@@ -19,7 +19,7 @@ LOOKUP_BENCH = -bench='Balancer|Hash|Lookup|SetWeights|StrategyDecode|StrategyTu
 FIGS_BENCH = -bench='Fig' -benchtime=1x -benchmem .
 NET_BENCH = -bench='Frame|Heartbeat|Broadcast|MapState' -benchmem ./internal/cluster
 
-.PHONY: all check build test race bench bench-lookup bench-figs bench-net bench-smoke bench-test bench-gate bench-gate-allocs bench-diff bench-scaling fuzz-smoke soak-migrate soak-scale soak-scale-short lint vet fmt figures examples clean
+.PHONY: all check build test race bench bench-lookup bench-figs bench-net bench-smoke bench-test bench-gate bench-gate-allocs bench-scaling fuzz-smoke soak-migrate soak-scale soak-scale-short lint vet fmt figures examples clean
 
 all: check
 
@@ -77,60 +77,54 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# A fresh run of the gated micro-benchmarks, shared by the gate and
-# diff targets below. Real file targets (not .PHONY) so one make
-# invocation — or consecutive CI steps in the same job — runs the
-# benchmarks once and reuses the recording.
+# Fresh recordings of the gated benchmarks, one per baseline file.
+# Real file targets (not .PHONY) so one make invocation — or
+# consecutive CI steps in the same job — runs each suite once and
+# reuses the recording.
 BENCH_current.txt:
 	$(GO) test $(BENCHCPU) -run='^$$' $(LOOKUP_BENCH) > $@
 
 BENCH_current.json: BENCH_current.txt
 	$(GO) run ./cmd/benchjson -o $@ < BENCH_current.txt
 
-# A fresh single-iteration recording of the paper-figure benchmarks,
-# shared by the alloc gate and the figure diff. The figure suite runs
-# its cells sequentially (see newQuickSuite), so its allocs/op are
-# exact.
+# The figure suite runs its cells sequentially (see newQuickSuite), so
+# its allocs/op are exact.
 BENCH_figs_current.txt:
 	$(GO) test $(BENCHCPU) -run='^$$' $(FIGS_BENCH) > $@
 
 BENCH_figs_current.json: BENCH_figs_current.txt
 	$(GO) run ./cmd/benchjson -o $@ < BENCH_figs_current.txt
 
-# A fresh run of the wire-path benchmarks for the alloc gate.
 BENCH_net_current.txt:
 	$(GO) test $(BENCHCPU) -run='^$$' $(NET_BENCH) > $@
 
 BENCH_net_current.json: BENCH_net_current.txt
 	$(GO) run ./cmd/benchjson -o $@ < BENCH_net_current.txt
 
-# Compare a fresh micro-benchmark run against the committed baseline
-# and fail on >30% ns/op regressions. Meaningful on hardware comparable
-# to the machine that recorded BENCH_lookup.json.
-bench-gate: BENCH_current.txt
-	$(GO) run ./cmd/benchjson -gate BENCH_lookup.json < BENCH_current.txt > /dev/null
+# Both gates run cmd/benchdiff, which diffs every shared metric into a
+# markdown report and fails on a regression of the one -metric it
+# gates, or when no benchmark in both files carries that metric.
+#
+# bench-gate fails on >30% ns/op regressions against the committed
+# micro-benchmark baseline. Meaningful on hardware comparable to the
+# machine that recorded BENCH_lookup.json. Its report is
+# benchdiff-report.md.
+bench-gate: BENCH_current.json
+	$(GO) run ./cmd/benchdiff -metric ns/op -o benchdiff-report.md BENCH_lookup.json BENCH_current.json
 
-# Fail on ANY allocs/op increase, in both the micro-benchmarks and the
-# whole-figure suite. Allocation counts are exact and
+# Fail on ANY allocs/op increase, in the micro-benchmarks, the
+# whole-figure suite and the wire path. Allocation counts are exact and
 # machine-independent — the runtime counts them, the clock does not
 # jitter them — so unlike bench-gate this is a hard guarantee on any
 # hardware, including a regression from a 0-alloc baseline. Gating the
 # figure suite pins the end-to-end simulator: an accidental
 # closure/boxing reintroduction anywhere on the hot path shows up as
-# hundreds of thousands of allocs in these totals.
-bench-gate-allocs: BENCH_current.txt BENCH_figs_current.txt BENCH_net_current.txt
-	$(GO) run ./cmd/benchjson -gate BENCH_lookup.json -metric allocs/op -tolerance 0 < BENCH_current.txt > /dev/null
-	$(GO) run ./cmd/benchjson -gate BENCH_figs.json -metric allocs/op -tolerance 0 < BENCH_figs_current.txt > /dev/null
-	$(GO) run ./cmd/benchjson -gate BENCH_net.json -metric allocs/op -tolerance 0 < BENCH_net_current.txt > /dev/null
-
-# Full noise-aware diff of the fresh runs against the committed
-# baselines: every shared metric, per-metric tolerances and floors,
-# zero-baseline and added/removed handling, rendered as
-# benchdiff-report.md / benchdiff-figs-report.md (CI attaches both to
-# the job summary).
-bench-diff: BENCH_current.json BENCH_figs_current.json
-	$(GO) run ./cmd/benchdiff -o benchdiff-report.md BENCH_lookup.json BENCH_current.json
-	$(GO) run ./cmd/benchdiff -o benchdiff-figs-report.md BENCH_figs.json BENCH_figs_current.json
+# hundreds of thousands of allocs in these totals. The figure run's
+# report is benchdiff-figs-report.md.
+bench-gate-allocs: BENCH_current.json BENCH_figs_current.json BENCH_net_current.json
+	$(GO) run ./cmd/benchdiff -metric allocs/op -o /dev/null BENCH_lookup.json BENCH_current.json
+	$(GO) run ./cmd/benchdiff -metric allocs/op -o benchdiff-figs-report.md BENCH_figs.json BENCH_figs_current.json
+	$(GO) run ./cmd/benchdiff -metric allocs/op -o /dev/null BENCH_net.json BENCH_net_current.json
 
 # Record the parallel figure runner's scaling curve (workers 1,2,4,...
 # up to GOMAXPROCS) into BENCH_scaling.json.

@@ -18,10 +18,8 @@ import (
 	"strconv"
 	"strings"
 
-	"anurand/internal/anu"
 	"anurand/internal/clustersim"
-	"anurand/internal/hashx"
-	"anurand/internal/placement"
+	"anurand/internal/experiment"
 	"anurand/internal/policy"
 	"anurand/internal/workload"
 )
@@ -210,46 +208,19 @@ func parseSpeeds(s string) ([]float64, error) {
 	return speeds, nil
 }
 
-// buildPolicy resolves the four canonical systems by name; any other
-// name falls through to the placement-strategy registry, so every
-// registered scheme ("chord", "chord-bounded", ...) is runnable without
-// a new case here. The trace's memoized KeySet feeds each constructor —
-// file-set names are hashed once regardless of the policy chosen.
+// buildPolicy builds the named policy over servers 0..len(speeds)-1.
+// The -speeds flag is the a-priori capacity knowledge handed to
+// weight-aware strategies; others ignore the weights.
 func buildPolicy(name string, trace *workload.Trace, speeds []float64, numVP int) (policy.Placer, error) {
-	family := hashx.NewFamily(42)
 	servers := make([]policy.ServerID, len(speeds))
-	for i := range servers {
+	weights := make(map[policy.ServerID]float64, len(speeds))
+	for i, sp := range speeds {
 		servers[i] = policy.ServerID(i)
-	}
-	keys := trace.Keys()
-	switch name {
-	case "simple":
-		return policy.NewSimpleKeys(family, keys, servers)
-	case "anu":
-		return policy.NewANUKeys(family, keys, servers, anu.DefaultControllerConfig())
-	case "prescient":
-		return policy.NewPrescient(trace.FileSets)
-	case "vp":
-		return policy.NewVirtualProcessorKeys(family, keys, numVP)
-	}
-	for _, tag := range placement.Names() {
-		if tag == name {
-			// The -speeds flag is the a-priori capacity knowledge handed to
-			// weight-aware strategies; others ignore the weights.
-			weights := make(map[policy.ServerID]float64, len(speeds))
-			for i, sp := range speeds {
-				if sp > 0 {
-					weights[servers[i]] = sp
-				}
-			}
-			return policy.NewStrategyPlacerKeys(tag, keys, servers, placement.Options{
-				HashSeed: 42,
-				Weights:  weights,
-			})
+		if sp > 0 {
+			weights[servers[i]] = sp
 		}
 	}
-	return nil, fmt.Errorf("unknown policy %q (want simple, anu, prescient, vp, or a registered strategy: %v)",
-		name, placement.Names())
+	return experiment.BuildPolicy(experiment.PolicyName(name), trace, servers, weights, 42, numVP)
 }
 
 func printResult(res *clustersim.Result, series, moves bool) {

@@ -1,23 +1,34 @@
-// Command benchdiff compares two BENCH_*.json files (recorded by
-// cmd/benchjson) across every metric they share and renders a markdown
-// regression report: per-metric noise-aware thresholds, absolute
-// floors for sub-nanosecond jitter, hard zero-baseline protection for
-// count metrics (a 0 allocs/op guarantee cannot silently erode), and
-// explicit listings of added and removed benchmarks.
+// Command benchdiff is the repository's one benchmark comparator. It
+// diffs two BENCH_*.json files (recorded by cmd/benchjson) across
+// every metric they share, renders a markdown report, and gates on one
+// metric: it exits 1 when that metric regressed on any benchmark
+// present in both files.
 //
 // Usage:
 //
-//	benchdiff old.json new.json                    # report to stdout
-//	benchdiff -o report.md old.json new.json       # report to a file
-//	benchdiff -fail old.json new.json              # exit 1 on regression
-//	benchdiff -tolerances 'ns/op=0.1' -floors 'ns/op=1' old.json new.json
+//	benchdiff old.json new.json                              # gate ns/op, report to stdout
+//	benchdiff -metric allocs/op -o report.md old.json new.json
 //
-// CI runs it against the committed baselines on every PR and uploads
-// the report as a job summary, so the perf trajectory is reviewable
-// without checking out the branch. Timing metrics move with hardware;
-// the count metrics (allocs/op, B/op) are machine-independent, which
-// is why -fail pairs naturally with count-only gating (see the
-// bench-gate make target for the hard-fail path).
+// The thresholds are benchfmt.DefaultThresholds with the gated
+// metric's noise floor removed, so the gate is exact on that metric:
+//
+//   - ns/op fails above +30%, and a 0 ns/op baseline is skipped (it is
+//     below the clock's resolution, not a guarantee);
+//   - allocs/op fails on any rise, including any rise from a
+//     0 allocs/op baseline;
+//   - a benchmark found in only one file is listed in the report and
+//     never gates.
+//
+// The other metrics are classified with their floors and tolerances and
+// reported, but never change the exit status. A gate that compared
+// nothing is an error, not a pass: benchdiff exits 2 when no benchmark
+// in both files carries the gated metric, which is what happens when
+// the two files were recorded at different -cpu settings (Go appends
+// -N to benchmark names when GOMAXPROCS is N > 1).
+//
+// Timing metrics move with hardware; count metrics (allocs/op, B/op)
+// are machine-independent. See the bench-gate and bench-gate-allocs
+// make targets.
 package main
 
 import (
@@ -34,18 +45,17 @@ func main() {
 }
 
 // run is main without the process exit, so tests can drive the CLI.
+// It returns 0 when the gate passes, 1 on a regression of the gated
+// metric, and 2 on bad usage, an unreadable file or an empty overlap.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		out        = fs.String("o", "", "write the markdown report to this file (default stdout)")
-		failFlag   = fs.Bool("fail", false, "exit non-zero when any metric regresses")
-		tolerances = fs.String("tolerances", "", "per-metric relative tolerances, e.g. 'ns/op=0.30,allocs/op=0'")
-		floors     = fs.String("floors", "", "per-metric absolute noise floors, e.g. 'ns/op=0.5'")
-		defaultTol = fs.Float64("tolerance", 0.30, "relative tolerance for metrics without a -tolerances entry")
+		out    = fs.String("o", "", "write the markdown report to this file (default stdout)")
+		metric = fs.String("metric", "ns/op", "metric to gate on")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: benchdiff [flags] old.json new.json\n")
+		fmt.Fprintf(stderr, "usage: benchdiff [-o report.md] [-metric ns/op] old.json new.json\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -56,29 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	basePath, curPath := fs.Arg(0), fs.Arg(1)
-
-	th := benchfmt.DefaultThresholds()
-	th.Default = *defaultTol
-	if *tolerances != "" {
-		m, err := benchfmt.ParseThresholdList(*tolerances)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchdiff: -tolerances: %v\n", err)
-			return 2
-		}
-		for k, v := range m {
-			th.PerMetric[k] = v
-		}
-	}
-	if *floors != "" {
-		m, err := benchfmt.ParseThresholdList(*floors)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchdiff: -floors: %v\n", err)
-			return 2
-		}
-		for k, v := range m {
-			th.Floors[k] = v
-		}
-	}
 
 	base, err := benchfmt.ReadFile(basePath)
 	if err != nil {
@@ -91,6 +78,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	th := benchfmt.DefaultThresholds()
+	delete(th.Floors, *metric)
 	report := benchfmt.Diff(base, cur, th)
 	report.BaseLabel = basePath
 	report.CurLabel = curPath
@@ -110,16 +99,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	regs := report.Regressions()
-	if len(regs) > 0 {
-		for _, d := range regs {
-			fmt.Fprintf(stderr, "benchdiff: REGRESSION %s %s %.4g -> %.4g\n", d.Key, d.Metric, d.Old, d.New)
+	compared, failed := 0, 0
+	for _, d := range report.Deltas {
+		if d.Metric != *metric {
+			continue
 		}
-		if *failFlag {
-			return 1
+		compared++
+		if d.Class == benchfmt.Regression || d.Class == benchfmt.ZeroRegression {
+			failed++
+			fmt.Fprintf(stderr, "benchdiff: %s %s %.4g -> %.4g: %s\n", d.Key, d.Metric, d.Old, d.New, d.Class)
 		}
 	}
-	fmt.Fprintf(stderr, "benchdiff: %d pairs compared, %d regressions, %d improvements\n",
-		len(report.Deltas), len(regs), len(report.Improvements()))
+	fmt.Fprintf(stderr, "benchdiff: compared %d benchmarks on %s (%s vs %s): %d regressions\n",
+		compared, *metric, basePath, curPath, failed)
+	switch {
+	case compared == 0:
+		fmt.Fprintf(stderr, "benchdiff: no benchmark in both files has %s; were they recorded at the same -cpu?\n", *metric)
+		return 2
+	case failed > 0:
+		return 1
+	}
 	return 0
 }

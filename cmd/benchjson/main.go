@@ -1,28 +1,18 @@
 // Command benchjson turns `go test -bench` output into a stable JSON
-// record and gates benchmark regressions against a recorded baseline.
+// record.
 //
 // The repository's perf trajectory is kept in BENCH_*.json files
 // committed at the repo root (see `make bench`): each file is the
 // parsed output of one benchmark suite, so any later change can be
 // diffed (or benchstat'ed — the `raw` field preserves the original
 // benchmark lines) against the configuration that produced it. The
-// parsing and gating logic lives in internal/benchfmt, shared with
-// cmd/benchdiff (the all-metric regression report).
+// parsing lives in internal/benchfmt; cmd/benchdiff compares and gates
+// two recordings.
 //
 // Usage:
 //
 //	go test -run='^$' -bench=. -benchmem ./... > out.txt
-//	benchjson -o BENCH_lookup.json < out.txt        # record
-//	benchjson -gate BENCH_lookup.json < out.txt     # fail on regression
-//
-// Gating compares a metric (default ns/op) for benchmarks present in
-// both runs and exits non-zero when any regresses beyond -tolerance
-// (default 0.30, i.e. 30% slower). For count metrics (allocs/op, B/op)
-// a zero baseline is an absolute guarantee: any increase from 0 fails
-// regardless of tolerance. Timing numbers move with hardware, so the
-// ns/op gate is meant for same-machine comparisons (CI runners, a
-// developer checking a refactor), not cross-machine ones; the count
-// gates are machine-independent.
+//	benchjson -o BENCH_lookup.json < out.txt
 package main
 
 import (
@@ -42,12 +32,7 @@ func main() {
 func run(args []string, stdin io.Reader, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		out       = fs.String("o", "", "write parsed JSON to this file (default stdout)")
-		gate      = fs.String("gate", "", "baseline JSON file to gate against")
-		metric    = fs.String("metric", "ns/op", "metric to gate on")
-		tolerance = fs.Float64("tolerance", 0.30, "allowed relative regression before failing the gate")
-	)
+	out := fs.String("o", "", "write parsed JSON to this file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -61,24 +46,6 @@ func run(args []string, stdin io.Reader, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchjson: no benchmark lines found on stdin")
 		return 2
 	}
-
-	if *gate != "" {
-		base, err := benchfmt.ReadFile(*gate)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchjson: %v\n", err)
-			return 2
-		}
-		regressions, compared := benchfmt.Gate(base, cur, *metric, *tolerance)
-		fmt.Fprintf(stderr, "benchjson: compared %d benchmarks against %s (%s, tolerance %.0f%%)\n",
-			compared, *gate, *metric, *tolerance*100)
-		if len(regressions) > 0 {
-			for _, r := range regressions {
-				fmt.Fprintf(stderr, "benchjson: REGRESSION %s\n", r)
-			}
-			return 1
-		}
-	}
-
 	if err := benchfmt.WriteFile(cur, *out); err != nil {
 		fmt.Fprintf(stderr, "benchjson: %v\n", err)
 		return 2

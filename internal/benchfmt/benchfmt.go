@@ -1,12 +1,11 @@
 // Package benchfmt parses `go test -bench` output into a stable JSON
-// record, gates single metrics against a recorded baseline, and diffs
-// whole benchmark files across every shared metric with noise-aware
-// thresholds.
+// record and diffs whole benchmark files across every shared metric
+// with noise-aware thresholds.
 //
-// It is the engine behind cmd/benchjson (record + gate) and
-// cmd/benchdiff (full regression report): the repository's perf
-// trajectory is kept in BENCH_*.json files committed at the repo root,
-// and both commands read and write this package's File format.
+// It is the engine behind cmd/benchjson (record) and cmd/benchdiff
+// (report and gate): the repository's perf trajectory is kept in
+// BENCH_*.json files committed at the repo root, and both commands
+// read and write this package's File format.
 package benchfmt
 
 import (
@@ -173,45 +172,4 @@ func CountLike(metric string) bool {
 		return true
 	}
 	return false
-}
-
-// Gate compares cur against base on one metric. It returns a
-// description of every benchmark whose metric regressed beyond tol,
-// and the number of benchmarks compared. Benchmarks present in only
-// one file are skipped: suites evolve, and gating is about the shared
-// surface.
-//
-// A zero baseline is not a free pass: for count-like metrics
-// (allocs/op, B/op) any value above 0 regresses regardless of tol —
-// relative tolerance is meaningless against 0, and "0 allocs/op" is
-// exactly the kind of guarantee a gate exists to keep. Zero baselines
-// on other metrics are skipped (a 0 ns/op baseline is a measurement
-// artifact, not a guarantee).
-func Gate(base, cur *File, metric string, tol float64) (regressions []string, compared int) {
-	baseline := make(map[string]float64, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		if v, ok := b.Metrics[metric]; ok {
-			baseline[b.Key()] = v
-		}
-	}
-	for _, b := range cur.Benchmarks {
-		v, ok := b.Metrics[metric]
-		if !ok {
-			continue
-		}
-		old, ok := baseline[b.Key()]
-		if !ok {
-			continue
-		}
-		compared++
-		switch {
-		case old == 0 && v > 0 && CountLike(metric):
-			regressions = append(regressions, fmt.Sprintf("%s: %s 0 -> %.4g (zero baseline is a hard guarantee for count metrics)",
-				b.Key(), metric, v))
-		case old > 0 && v > old*(1+tol):
-			regressions = append(regressions, fmt.Sprintf("%s: %s %.4g -> %.4g (+%.1f%%, tolerance %.0f%%)",
-				b.Key(), metric, old, v, (v/old-1)*100, tol*100))
-		}
-	}
-	return regressions, compared
 }

@@ -126,112 +126,12 @@ func mkFile(metric string, vals map[string]float64) *File {
 	return f
 }
 
-func TestGate(t *testing.T) {
-	base := mkFile("ns/op", map[string]float64{"A": 100, "B": 50, "OnlyBase": 10})
-	cur := mkFile("ns/op", map[string]float64{"A": 120, "B": 80, "OnlyCur": 5})
-
-	// A is +20% (within 30%), B is +60% (regression). OnlyBase/OnlyCur
-	// appear in one file each and are skipped.
-	regs, compared := Gate(base, cur, "ns/op", 0.30)
-	if compared != 2 {
-		t.Errorf("compared = %d, want 2", compared)
-	}
-	if len(regs) != 1 || !strings.Contains(regs[0], "p.B") {
-		t.Errorf("regressions = %v, want one for p.B", regs)
-	}
-
-	// With a tight tolerance both regress.
-	regs, _ = Gate(base, cur, "ns/op", 0.10)
-	if len(regs) != 2 {
-		t.Errorf("regressions at 10%% tolerance = %v, want 2", regs)
-	}
-
-	// Improvements never fail the gate.
-	regs, _ = Gate(cur, base, "ns/op", 0.0)
-	if len(regs) != 0 {
-		t.Errorf("improvements flagged as regressions: %v", regs)
-	}
-}
-
-// TestGateZeroBaselineCountRegression is the regression test for the
-// gate's original blind spot: a benchmark whose baseline was
-// 0 allocs/op could regress to any allocation count and still pass,
-// because relative comparison requires old > 0.
-func TestGateZeroBaselineCountRegression(t *testing.T) {
-	base := mkFile("allocs/op", map[string]float64{"Lookup": 0})
-	cur := mkFile("allocs/op", map[string]float64{"Lookup": 3})
-
-	regs, compared := Gate(base, cur, "allocs/op", 0.30)
-	if compared != 1 {
-		t.Fatalf("compared = %d, want 1", compared)
-	}
-	if len(regs) != 1 {
-		t.Fatalf("0 -> 3 allocs/op passed the gate; regressions = %v", regs)
-	}
-	if !strings.Contains(regs[0], "zero baseline") {
-		t.Errorf("regression message does not explain the zero baseline: %q", regs[0])
-	}
-
-	// Staying at zero is fine.
-	regs, _ = Gate(base, base, "allocs/op", 0)
-	if len(regs) != 0 {
-		t.Errorf("0 -> 0 flagged: %v", regs)
-	}
-
-	// B/op gets the same protection.
-	base = mkFile("B/op", map[string]float64{"Lookup": 0})
-	cur = mkFile("B/op", map[string]float64{"Lookup": 64})
-	if regs, _ := Gate(base, cur, "B/op", 0.30); len(regs) != 1 {
-		t.Errorf("0 -> 64 B/op passed the gate; regressions = %v", regs)
-	}
-}
-
-// TestGateZeroBaselineTimingSkipped pins the asymmetry: a 0 ns/op
-// baseline is a clock artifact, not a guarantee, so it never gates.
-func TestGateZeroBaselineTimingSkipped(t *testing.T) {
-	base := mkFile("ns/op", map[string]float64{"X": 0})
-	cur := mkFile("ns/op", map[string]float64{"X": 25})
-	if regs, _ := Gate(base, cur, "ns/op", 0.30); len(regs) != 0 {
-		t.Errorf("zero ns/op baseline gated: %v", regs)
-	}
-}
-
-func TestGateAddedRemovedBenchmarksSkipped(t *testing.T) {
-	base := mkFile("ns/op", map[string]float64{"Gone": 10, "Kept": 10})
-	cur := mkFile("ns/op", map[string]float64{"Kept": 10, "New": 99999})
-	regs, compared := Gate(base, cur, "ns/op", 0.30)
-	if compared != 1 {
-		t.Errorf("compared = %d, want 1 (only the shared benchmark)", compared)
-	}
-	if len(regs) != 0 {
-		t.Errorf("added/removed benchmarks gated: %v", regs)
-	}
-}
-
 func TestCountLike(t *testing.T) {
 	for metric, want := range map[string]bool{
 		"allocs/op": true, "B/op": true, "ns/op": false, "ns/key": false, "speedup": false,
 	} {
 		if CountLike(metric) != want {
 			t.Errorf("CountLike(%q) = %v, want %v", metric, !want, want)
-		}
-	}
-}
-
-func TestParseThresholdList(t *testing.T) {
-	m, err := ParseThresholdList("ns/op=0.30, allocs/op=0,B/op=0.05")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["ns/op"] != 0.30 || m["allocs/op"] != 0 || m["B/op"] != 0.05 {
-		t.Fatalf("parsed %v", m)
-	}
-	if m, err := ParseThresholdList(""); err != nil || len(m) != 0 {
-		t.Fatalf("empty list: %v, %v", m, err)
-	}
-	for _, bad := range []string{"ns/op", "=1", "ns/op=abc"} {
-		if _, err := ParseThresholdList(bad); err == nil {
-			t.Errorf("ParseThresholdList(%q) did not fail", bad)
 		}
 	}
 }

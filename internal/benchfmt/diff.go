@@ -5,8 +5,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Thresholds tunes when a metric delta counts as a real change rather
@@ -291,25 +289,4 @@ func (e *errWriter) printf(format string, args ...any) {
 		return
 	}
 	_, e.err = fmt.Fprintf(e.w, format, args...)
-}
-
-// ParseThresholdList parses "ns/op=0.30,allocs/op=0" into a map — the
-// CLI form of Thresholds.PerMetric and Thresholds.Floors.
-func ParseThresholdList(s string) (map[string]float64, error) {
-	out := make(map[string]float64)
-	if strings.TrimSpace(s) == "" {
-		return out, nil
-	}
-	for _, pair := range strings.Split(s, ",") {
-		metric, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || metric == "" {
-			return nil, fmt.Errorf("bad threshold %q (want metric=value)", pair)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad threshold %q: %w", pair, err)
-		}
-		out[metric] = v
-	}
-	return out, nil
 }

@@ -371,7 +371,7 @@ func (e *MemEndpoint) Send(msg delegate.Message) error {
 	return nil
 }
 
-// SendAsync implements AsyncTransport. The fabric never blocks a
+// SendAsync implements Transport. The fabric never blocks a
 // sender (a full inbox is overflow loss), so the async path is the
 // chaos model itself; false only when the fabric or endpoint closed.
 func (e *MemEndpoint) SendAsync(msg delegate.Message) bool {

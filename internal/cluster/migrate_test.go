@@ -830,6 +830,65 @@ func TestMigrateJournalResume(t *testing.T) {
 	})
 }
 
+// TestStartResumeRule pins the (epoch, round) a journaled node resumes
+// at: the placement's, advanced to a newer migration record only when
+// Start resumes that record's phase or boots its cutover.
+func TestStartResumeRule(t *testing.T) {
+	ids, anuSnap := bootstrap(t, 2)
+	_, chordSnap := bootstrapStrategy(t, 2, placement.StrategyChordBounded)
+	mig := func(phase migrate.Phase) []byte {
+		rec := migrate.Record{Phase: phase, ID: 5, From: placement.StrategyANU, To: placement.StrategyChordBounded}
+		if phase == migrate.DualTag {
+			rec.Snapshot = chordSnap
+		}
+		return rec.Encode()
+	}
+	for _, tc := range []struct {
+		name    string
+		records []journal.Record
+		want    [2]uint64
+	}{
+		{"placement only", []journal.Record{{Epoch: 1, Round: 4, Map: anuSnap}}, [2]uint64{1, 4}},
+		{"resumed phase advances", []journal.Record{{Epoch: 1, Round: 4, Map: anuSnap}, {Epoch: 1, Round: 6, Map: mig(migrate.DualTag)}}, [2]uint64{1, 6}},
+		{"booted cutover advances", []journal.Record{{Epoch: 1, Round: 4, Map: chordSnap}, {Epoch: 2, Round: 1, Map: mig(migrate.Committed)}}, [2]uint64{2, 1}},
+		{"newer abort does not advance", []journal.Record{{Epoch: 1, Round: 4, Map: anuSnap}, {Epoch: 1, Round: 6, Map: mig(migrate.Aborted)}}, [2]uint64{1, 4}},
+		{"older phase does not move back", []journal.Record{{Epoch: 1, Round: 4, Map: mig(migrate.DualTag)}, {Epoch: 1, Round: 6, Map: anuSnap}}, [2]uint64{1, 6}},
+		{"phase without placement", []journal.Record{{Epoch: 2, Round: 3, Map: mig(migrate.Proposed)}}, [2]uint64{2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, err := journal.Open(filepath.Join(t.TempDir(), "node.wal"), journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			for _, rec := range tc.records {
+				if err := j.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cn, err := NewMemNetwork(ChaosConfig{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cn.Close()
+			// Node 1 never hears node 0 and every timer is an hour long, so
+			// nothing moves (epoch, round) after Start.
+			rt, err := Start(Config{
+				ID: 1, Members: ids, Snapshot: anuSnap,
+				RoundInterval: time.Hour, FailAfter: time.Hour, MigrateTimeout: time.Hour,
+				Journal: j, Logf: t.Logf,
+			}, cn.Endpoint(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Stop()
+			if got := [2]uint64{rt.Epoch(), rt.Round()}; got != tc.want {
+				t.Errorf("resumed at (epoch, round) %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestMigrateDualTagResumeCompletes: a follower crashes inside the
 // dual-tag window and restarts from its journal while the rest of the
 // cluster commits. The resumed window plus the leader's post-commit

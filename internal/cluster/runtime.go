@@ -38,13 +38,10 @@ const lineSize = 3
 // highest round it observed.
 type Runtime struct {
 	cfg Config
-	tr  Transport
-	// atr is tr's non-blocking fan-out path when it has one, nil
-	// otherwise; resolved once at Start. All runtime gossip prefers it:
-	// a broadcast becomes N bounded enqueues instead of N synchronous
-	// writes, so one slow or dead peer can never stall the rest of a
-	// round's fan-out.
-	atr  AsyncTransport
+	// tr carries all runtime gossip through SendAsync: a broadcast is N
+	// bounded enqueues, so one slow or dead peer can never stall the
+	// rest of a round's fan-out.
+	tr   Transport
 	stop chan struct{}
 	wg   sync.WaitGroup
 
@@ -179,7 +176,6 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 		suspectUntil: make(map[delegate.NodeID]time.Time),
 		curDelegate:  -1,
 	}
-	r.atr, _ = tr.(AsyncTransport)
 	r.counters.InstallLatencyHist = latencyHistogram()
 	r.counters.SampleLatencyHist = latencyHistogram()
 	r.counters.MigratePhaseLatencyHist = latencyHistogram()
@@ -205,18 +201,16 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 			}
 			migRec = mr
 		}
-		switch {
-		case havePlc:
+		// cutover is set when the journal's tail is a migration this node
+		// durably cut over to before crashing.
+		cutover := false
+		if havePlc {
 			tag, terr := placement.Tag(plcRec.Map)
 			if terr != nil {
 				return nil, fmt.Errorf("cluster: node %d: journaled placement unusable: %w", cfg.ID, terr)
 			}
-			migNewer := haveMig && migRaw.Supersedes(plcRec)
 			switch {
 			case tag == cfg.Strategy:
-				snapshot = plcRec.Map
-				r.recovered = &plcRec
-				r.epoch, r.round = plcRec.Epoch, plcRec.Round
 				if haveMig && migRec.From == cfg.Strategy && migRec.Phase != migrate.Aborted {
 					// The crash interrupted a migration after its last
 					// durable phase record: resume that phase (a journaled
@@ -230,23 +224,12 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 					// migration record is non-terminal (commit and rollback
 					// both journal a terminal record).
 					resumeMig = &migRec
-					if migNewer {
-						r.epoch, r.round = migRaw.Epoch, migRaw.Round
-					}
 				}
 			case haveMig && migRec.To == tag && (migRec.Phase == migrate.DualTag || migRec.Phase == migrate.Committed):
-				// The journal's tail is a cutover this node durably passed
-				// through before crashing: the placement carries the target
-				// strategy, so boot it — cfg.Strategy still names the old
-				// one and that is expected, not an operator mistake.
-				cfg.Strategy = tag
-				r.cfg.Strategy = tag
-				snapshot = plcRec.Map
-				r.recovered = &plcRec
-				r.epoch, r.round = plcRec.Epoch, plcRec.Round
-				if migNewer {
-					r.epoch, r.round = migRaw.Epoch, migRaw.Round
-				}
+				// The placement carries the target strategy, so boot it —
+				// cfg.Strategy still names the old one and that is
+				// expected, not an operator mistake.
+				cutover = true
 				r.recoveredMig = migrate.Committed.String()
 				cfg.logf("node %d: journal records a committed migration %s -> %s; booting %q", cfg.ID, migRec.From, migRec.To, tag)
 			case haveMig && migRec.From == tag && migRec.Phase.InFlight():
@@ -255,14 +238,6 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 				// not the config, tracks strategy across restarts) and the
 				// crash landed mid-way through the next migration. Boot
 				// what the journal serves and resume the phase.
-				cfg.Strategy = tag
-				r.cfg.Strategy = tag
-				snapshot = plcRec.Map
-				r.recovered = &plcRec
-				r.epoch, r.round = plcRec.Epoch, plcRec.Round
-				if migNewer {
-					r.epoch, r.round = migRaw.Epoch, migRaw.Round
-				}
 				resumeMig = &migRec
 				cfg.logf("node %d: journal serves %q with an open migration %s -> %s; resuming", cfg.ID, tag, migRec.From, migRec.To)
 			default:
@@ -272,15 +247,23 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 				// changed Config.Strategy without wiping durable state.
 				return nil, fmt.Errorf("cluster: node %d: journaled placement carries strategy %q, configured %q", cfg.ID, tag, cfg.Strategy)
 			}
-		case haveMig:
+			cfg.Strategy, r.cfg.Strategy = tag, tag
+			snapshot = plcRec.Map
+			r.recovered = &plcRec
+			r.epoch, r.round = plcRec.Epoch, plcRec.Round
+		} else if haveMig && migRec.Phase.InFlight() && migRec.From == cfg.Strategy {
 			// Migration records but no placement yet (the journal was
 			// compacted down to an in-flight migration, or the node
 			// crashed before its first install): bootstrap from
 			// cfg.Snapshot and resume the phase.
-			if migRec.Phase.InFlight() && migRec.From == cfg.Strategy {
-				resumeMig = &migRec
-				r.epoch, r.round = migRaw.Epoch, migRaw.Round
-			}
+			resumeMig = &migRec
+		}
+		// The one resume rule: a migration record moves (epoch, round)
+		// past the placement only when its phase is resumed or its
+		// cutover booted. A newer record that does neither, such as an
+		// Aborted rollback, is history.
+		if (resumeMig != nil || cutover) && (r.recovered == nil || migRaw.Supersedes(plcRec)) {
+			r.epoch, r.round = migRaw.Epoch, migRaw.Round
 		}
 	}
 	node, err := delegate.NewNodeWithOptions(cfg.ID, snapshot, cfg.placementOptions(), nodeTransport{r})
@@ -809,9 +792,8 @@ func (r *Runtime) takeOutboxLocked() []delegate.Message {
 }
 
 // broadcast fans one message template out to every other member,
-// stamping To per peer. On an AsyncTransport this is N bounded
-// enqueues — the whole fan-out completes without blocking on any
-// peer's socket.
+// stamping To per peer: N bounded enqueues, so the whole fan-out
+// completes without blocking on any peer's socket.
 func (r *Runtime) broadcast(msg delegate.Message) {
 	for _, id := range r.cfg.Members {
 		if id == r.cfg.ID {
@@ -822,21 +804,13 @@ func (r *Runtime) broadcast(msg delegate.Message) {
 	}
 }
 
-// sendOne pushes one message to the transport: a non-blocking enqueue
-// when the transport has an async lane, a synchronous Send otherwise.
-// Failures are counted or logged, never fatal — an unreachable peer is
-// indistinguishable from a lossy link, and a queue-full drop is healed
-// by the protocol's own cadence (re-announced rounds, re-broadcast
-// maps, migration retries) exactly like wire loss.
+// sendOne enqueues one message on the transport. A drop is counted,
+// never fatal: a queue-full drop is healed by the protocol's own
+// cadence (re-announced rounds, re-broadcast maps, migration retries)
+// exactly like wire loss.
 func (r *Runtime) sendOne(msg delegate.Message) {
-	if r.atr != nil {
-		if !r.atr.SendAsync(msg) {
-			r.sendDrops.Add(1)
-		}
-		return
-	}
-	if err := r.tr.Send(msg); err != nil {
-		r.cfg.logf("node %d: send to %d: %v", r.cfg.ID, msg.To, err)
+	if !r.tr.SendAsync(msg) {
+		r.sendDrops.Add(1)
 	}
 }
 

@@ -325,11 +325,11 @@ type filterTransport struct {
 	drop func(delegate.Message) bool
 }
 
-func (f filterTransport) Send(msg delegate.Message) error {
+func (f filterTransport) SendAsync(msg delegate.Message) bool {
 	if f.drop(msg) {
-		return nil
+		return true
 	}
-	return f.Transport.Send(msg)
+	return f.Transport.SendAsync(msg)
 }
 
 // TestWatchdogReelection covers the failure mode heartbeats cannot

@@ -281,7 +281,7 @@ func (t *TCPTransport) Send(msg delegate.Message) error {
 	}
 }
 
-// SendAsync implements AsyncTransport: non-blocking enqueue onto the
+// SendAsync implements Transport: non-blocking enqueue onto the
 // peer's lane. False means the message was dropped — queue full or
 // transport closed — which is counted, never an error: the runtime's
 // gossip cadence re-sends, exactly as it would after wire loss. The

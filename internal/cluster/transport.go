@@ -20,32 +20,32 @@ const MsgHeartbeat delegate.MsgKind = 0x10
 // Transport moves protocol messages between runtimes. Send may be
 // called from multiple goroutines; it delivers at-most-once per call
 // and reports a definite local failure (an unreachable peer looks like
-// a lost message, not an error, on lossy transports). Recv is the
-// inbound stream for the local node; it may be closed by Close, and
-// consumers must also watch their own stop signal. A received Payload
-// is the receiver's to keep: a transport never reuses or rewrites it
-// (TCP allocates one per frame; MemNetwork passes the sender's slice,
-// which senders never modify after sending). The runtime relies on this
-// to keep an installed map's payload as its encoding.
+// a lost message, not an error, on lossy transports). SendAsync is the
+// non-blocking path the runtime sends all its gossip through: it
+// enqueues the message and returns immediately, true when the
+// transport accepted it (delivery remains best-effort, as with Send on
+// a lossy fabric), false when it was dropped on the floor — per-peer
+// queue full or transport closed. One slow or dead peer therefore never
+// stalls a round's broadcast to the others; drops are surfaced in Stats
+// and the protocol's retry cadence (re-announced rounds, re-broadcast
+// maps, migration retries) heals them exactly like wire loss. Recv is
+// the inbound stream for the local node; it may be closed by Close,
+// and consumers must also watch their own stop signal. A received
+// Payload is the receiver's to keep: a transport never reuses or
+// rewrites it (TCP allocates one per frame; MemNetwork passes the
+// sender's slice, which senders never modify after sending). The
+// runtime relies on this to keep an installed map's payload as its
+// encoding.
 type Transport interface {
 	Send(msg delegate.Message) error
+	SendAsync(msg delegate.Message) bool
 	Recv() <-chan delegate.Message
 	Close() error
 }
 
-// AsyncTransport is a Transport with a non-blocking fan-out path.
-// SendAsync enqueues the message for delivery and returns immediately:
-// true means the transport accepted it (delivery remains best-effort,
-// as with Send on a lossy fabric), false means it was dropped on the
-// floor — per-peer queue full or transport closed. The runtime prefers
-// this path for its gossip fan-out so one slow or dead peer can never
-// stall a round's broadcast to the others; drops are surfaced in Stats
-// and the protocol's retry cadence (re-announced rounds, re-broadcast
-// maps, migration retries) heals them exactly like wire loss.
-type AsyncTransport interface {
-	Transport
-	SendAsync(msg delegate.Message) bool
-}
+// AsyncTransport is an alias of Transport for callers that still name
+// it.
+type AsyncTransport = Transport
 
 // AddressBook maps node ids to dialable addresses; it is safe for
 // concurrent use so listeners can register while dialers look up.

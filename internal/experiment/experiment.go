@@ -188,20 +188,35 @@ func SpeedWeights() map[policy.ServerID]float64 {
 	return weights
 }
 
+// paperServers and speedWeights are Servers and SpeedWeights built
+// once and shared read-only by every cell: each policy constructor
+// copies what it keeps, and building them per cell would add
+// allocations to every figure cell (bench-gate-allocs pins those
+// counts).
+var paperServers, speedWeights = Servers(), SpeedWeights()
+
+// BuildPolicy constructs the suite's policy for name over a trace: the
+// paper's five servers and speed weights under the suite's hash seed.
+func (s *Suite) BuildPolicy(name PolicyName, trace *workload.Trace, numVP int) (policy.Placer, error) {
+	return BuildPolicy(name, trace, paperServers, speedWeights, s.cfg.HashSeed, numVP)
+}
+
 // BuildPolicy constructs one of the compared systems over a trace. The
 // four canonical names build the paper's policies; any other name is
 // resolved through the placement-strategy registry, so a registered
 // strategy ("chord", "chord-bounded", ...) is measurable without
-// touching this switch. Every path reuses the trace's memoized KeySet:
+// touching this switch. weights is the a-priori capacity knowledge
+// handed to weight-aware strategies; the others ignore it. numVP sizes
+// the vp policy. Every path reuses the trace's memoized KeySet:
 // file-set names are hashed once per trace, not once per cell.
-func (s *Suite) BuildPolicy(name PolicyName, trace *workload.Trace, numVP int) (policy.Placer, error) {
-	family := hashx.NewFamily(s.cfg.HashSeed)
+func BuildPolicy(name PolicyName, trace *workload.Trace, servers []policy.ServerID, weights map[policy.ServerID]float64, hashSeed uint64, numVP int) (policy.Placer, error) {
+	family := hashx.NewFamily(hashSeed)
 	keys := trace.Keys()
 	switch name {
 	case Simple:
-		return policy.NewSimpleKeys(family, keys, Servers())
+		return policy.NewSimpleKeys(family, keys, servers)
 	case ANU:
-		return policy.NewANUKeys(family, keys, Servers(), anu.DefaultControllerConfig())
+		return policy.NewANUKeys(family, keys, servers, anu.DefaultControllerConfig())
 	case Prescient:
 		return policy.NewPrescient(trace.FileSets)
 	case VP:
@@ -209,13 +224,14 @@ func (s *Suite) BuildPolicy(name PolicyName, trace *workload.Trace, numVP int) (
 	}
 	for _, tag := range placement.Names() {
 		if tag == string(name) {
-			return policy.NewStrategyPlacerKeys(tag, keys, Servers(), placement.Options{
-				HashSeed: s.cfg.HashSeed,
-				Weights:  SpeedWeights(),
+			return policy.NewStrategyPlacerKeys(tag, keys, servers, placement.Options{
+				HashSeed: hashSeed,
+				Weights:  weights,
 			})
 		}
 	}
-	return nil, fmt.Errorf("experiment: unknown policy %q", name)
+	return nil, fmt.Errorf("experiment: unknown policy %q (want simple, anu, prescient, vp, or a registered strategy: %v)",
+		name, placement.Names())
 }
 
 // runPolicies simulates the trace under each policy, fanning cells
