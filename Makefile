@@ -138,6 +138,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalRecover$$' -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run='^$$' -fuzz='^FuzzNodeReceive$$' -fuzztime=$(FUZZTIME) ./internal/delegate
 	$(GO) test -run='^$$' -fuzz='^FuzzMigrationRecord$$' -fuzztime=$(FUZZTIME) ./internal/migrate
 	$(GO) test -run='^$$' -fuzz='^FuzzWeightedSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/placement
 	$(GO) test -run='^$$' -fuzz='^FuzzChordSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/placement

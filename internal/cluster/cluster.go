@@ -2,11 +2,14 @@
 // of package delegate: it turns the round-synchronous protocol model
 // into a wall-clock system that survives what real networks do.
 //
-// Each server runs one Runtime around its delegate.Node. Runtimes
-// exchange messages over a Transport — real TCP (ListenTCP) with
-// per-peer connection pooling, timeouts and retry with backoff, or the
-// in-memory fabric (NewMemNetwork) that drops, duplicates, delays and
-// reorders messages under a seeded RNG for tests, soaks and benchmarks.
+// Each server runs one Runtime around its delegate.Node, the protocol's
+// transport-free state machine: the runtime hands every inbound report
+// and map to the node's Receive under its lock, and sends what the node
+// builds (Report, Rescale) itself. Runtimes exchange messages over a
+// Transport — real TCP (ListenTCP) with per-peer connection pooling,
+// timeouts and retry with backoff, or the in-memory fabric
+// (NewMemNetwork) that drops, duplicates, delays and reorders messages
+// under a seeded RNG for tests, soaks and benchmarks.
 //
 // Liveness is observed, not assumed: the membership view a round works
 // with is "self plus every peer heard from within FailAfter". The
@@ -109,9 +112,6 @@ type Config struct {
 	// exactly this tag; a mismatch is a configuration error, never a
 	// silent adoption.
 	Strategy string
-	// LoadBound configures the bounded-load strategies; zero means the
-	// default. Ignored by ANU.
-	LoadBound float64
 	// Weights carries per-server capacity weights for weight-aware
 	// strategies (rendezvous, weighted-static, power-of-d). They apply
 	// when this node constructs a fresh placement — bootstrap and the
@@ -243,7 +243,7 @@ func (cfg Config) withDefaults() (Config, error) {
 // placementOptions builds the strategy construction options used when
 // this node decodes snapshots.
 func (cfg Config) placementOptions() placement.Options {
-	return placement.Options{Controller: cfg.Controller, LoadBound: cfg.LoadBound, Weights: cfg.Weights}
+	return placement.Options{Controller: cfg.Controller, Weights: cfg.Weights}
 }
 
 // logf emits a diagnostic when a logger is configured.

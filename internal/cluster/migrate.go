@@ -232,23 +232,24 @@ func (r *Runtime) ackMigrationLocked(to delegate.NodeID, rec migrate.Record, pha
 	})
 }
 
-// collectLocked drains the node's mailbox through CollectReports and
-// watches for the dual-tag cutover: an install that switched the
-// node's strategy is the atomic flip, so the migration is finalized
+// receiveLocked hands one protocol message to the node at the current
+// round and watches for the dual-tag cutover: an install that switched
+// the node's strategy is the atomic flip, so the migration is finalized
 // (journaled Committed, counted) in the same critical section. Every
-// CollectReports call in the runtime goes through here — the flip must
-// be observed no matter which path (map handling, tuning, commit)
-// drained the message.
-func (r *Runtime) collectLocked(now time.Time) (applied bool) {
+// message the runtime gives the node goes through here — the flip must
+// be observed whichever path (map handling or the migration's own warm
+// install) delivered it. A rejected message is logged and affects
+// nothing else.
+func (r *Runtime) receiveLocked(msg delegate.Message, now time.Time) (installed bool) {
 	before := r.node.Strategy()
-	applied, err := r.node.CollectReports(r.round)
+	installed, err := r.node.Receive(msg, r.round)
 	if err != nil {
-		r.cfg.logf("node %d: collect: %v", r.cfg.ID, err)
+		r.cfg.logf("node %d: %v", r.cfg.ID, err)
 	}
-	if applied && r.node.Strategy() != before {
+	if installed && r.node.Strategy() != before {
 		r.finalizeMigrationLocked(now, before)
 	}
-	return applied
+	return installed
 }
 
 // finalizeMigrationLocked records a completed cutover: the node's
@@ -509,20 +510,17 @@ func (r *Runtime) commitMigrationLocked(now time.Time) {
 	r.epoch++
 	rec := m.rec
 	rec.Phase = migrate.Committed
-	r.enqueueLocked(delegate.Message{
-		Kind: delegate.MsgMap, From: r.cfg.ID, To: r.cfg.ID,
-		Epoch: r.epoch, Round: r.round, Payload: m.warm,
-	})
 	r.counters.MigratePhaseLatencyHist.Add(now.Sub(m.phaseStart).Seconds())
 	m.phaseStart = now
-	if applied := r.collectLocked(now); !applied || r.node.Strategy() != rec.To {
-		// The synthetic install cannot lose the fence race (the epoch
-		// was just bumped) and the warm snapshot was validated at
-		// DualTag entry, so this is a bug guard, not a code path.
+	warm := delegate.Message{Kind: delegate.MsgMap, From: r.cfg.ID, Epoch: r.epoch, Round: r.round, Payload: m.warm}
+	if !r.receiveLocked(warm, now) || r.node.Strategy() != rec.To {
+		// The warm install cannot lose the fence race (the epoch was
+		// just bumped) and the warm snapshot was validated at DualTag
+		// entry, so this is a bug guard, not a code path.
 		r.abortMigrationLocked(now, "commit install rejected", true)
 		return
 	}
-	// collectLocked observed the flip and finalized (journaled the
+	// receiveLocked observed the flip and finalized (journaled the
 	// Committed record, cleared r.mig); publish the flip to the data
 	// plane and order the members over.
 	r.lastMapTime = now
@@ -672,11 +670,8 @@ func (r *Runtime) handleCommitLocked(msg delegate.Message, rec migrate.Record, n
 	}
 	m := r.mig
 	if m != nil && m.rec.ID == rec.ID && len(m.warm) > 0 {
-		r.enqueueLocked(delegate.Message{
-			Kind: delegate.MsgMap, From: msg.From, To: r.cfg.ID,
-			Epoch: msg.Epoch, Round: msg.Round, Payload: m.warm,
-		})
-		if applied := r.collectLocked(now); applied {
+		warm := delegate.Message{Kind: delegate.MsgMap, From: msg.From, Epoch: msg.Epoch, Round: msg.Round, Payload: m.warm}
+		if r.receiveLocked(warm, now) {
 			r.counters.MapsInstalled++
 			r.lastMapTime = now
 			r.publishPlacementLocked()

@@ -1010,3 +1010,39 @@ func TestMigrateDualTagResumeCompletes(t *testing.T) {
 		return converged(rts)
 	})
 }
+
+// TestMigrateCommitsPastMalformedReport: a leader holding a malformed
+// report when it commits still commits. Its warm install is one
+// message of its own, not a drain of whatever else arrived.
+func TestMigrateCommitsPastMalformedReport(t *testing.T) {
+	ids, snapshot := bootstrap(t, 3)
+	mn, err := NewMemNetwork(ChaosConfig{Seed: 6}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mn.Close()
+	// A one-member quorum runs the whole migration inside Migrate; the
+	// hour-long round keeps tick, and with it any tune, from running.
+	rt, err := Start(Config{
+		ID: 0, Members: ids, Snapshot: snapshot, Quorum: 1,
+		RoundInterval: time.Hour, Logf: t.Logf,
+	}, mn.Endpoint(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	rt.mu.Lock()
+	rt.curDelegate = 0
+	rt.mu.Unlock()
+	rt.handle(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 0, Round: 3})
+	rt.handle(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 0, Round: 3, Payload: []byte{1, 2, 3}})
+	if _, err := rt.Migrate(placement.StrategyChordBounded); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Strategy(); got != placement.StrategyChordBounded {
+		t.Fatalf("strategy %q after Migrate, want %q", got, placement.StrategyChordBounded)
+	}
+	if s := rt.Stats(); s.MigrationsCommitted != 1 || s.MigrationsAborted != 0 {
+		t.Fatalf("committed=%d aborted=%d, want 1/0", s.MigrationsCommitted, s.MigrationsAborted)
+	}
+}

@@ -16,10 +16,6 @@ import (
 	"anurand/internal/placement"
 )
 
-// maxMailbox bounds buffered protocol messages so a confused peer
-// spraying reports cannot grow memory without bound.
-const maxMailbox = 4096
-
 // lineSize is k, the length of the delegate line: the k lowest members
 // a node has heard within FailAfter. A node that has heard k members
 // below its own id heartbeats only those k; every other node, the
@@ -60,7 +56,6 @@ type Runtime struct {
 	mu     sync.Mutex
 	node   *delegate.Node
 	outbox []delegate.Message // staged under mu, sent outside it
-	mbox   []delegate.Message // inbound protocol messages for the node
 	// peers is the sorted, deduplicated membership, fixed at Start; a
 	// member's index in it is its liveness slot, and slots[k] is the slot
 	// of cfg.Members[k]. lastSeen[slot] is when the member was last heard
@@ -114,21 +109,6 @@ type Runtime struct {
 	// delegateMigrating mirrors the FlagMigrating bit last gossiped by
 	// the current delegate — informational only.
 	delegateMigrating bool
-}
-
-// nodeTransport adapts the runtime's mailbox to delegate.Transport.
-// Every delegate.Node method runs with r.mu held, so the unguarded
-// slice accesses here are serialized by that lock.
-type nodeTransport struct{ r *Runtime }
-
-func (nt nodeTransport) Send(msg delegate.Message) {
-	nt.r.outbox = append(nt.r.outbox, msg)
-}
-
-func (nt nodeTransport) Deliver(to delegate.NodeID) []delegate.Message {
-	msgs := nt.r.mbox
-	nt.r.mbox = nil
-	return msgs
 }
 
 // Start brings up a runtime on the given transport and begins
@@ -266,7 +246,7 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 			r.epoch, r.round = migRaw.Epoch, migRaw.Round
 		}
 	}
-	node, err := delegate.NewNodeWithOptions(cfg.ID, snapshot, cfg.placementOptions(), nodeTransport{r})
+	node, err := delegate.NewNode(cfg.ID, snapshot, cfg.placementOptions())
 	if err != nil {
 		if r.recovered != nil {
 			return nil, fmt.Errorf("cluster: node %d: journaled placement unusable: %w", cfg.ID, err)
@@ -347,7 +327,7 @@ func (r *Runtime) handle(msg delegate.Message) {
 		r.counters.HeartbeatsReceived++
 	case delegate.MsgReport:
 		r.counters.ReportsReceived++
-		r.enqueueLocked(msg)
+		r.receiveLocked(msg, now)
 		if msg.Round == r.round {
 			select {
 			case r.reportWake <- struct{}{}:
@@ -355,9 +335,7 @@ func (r *Runtime) handle(msg delegate.Message) {
 			}
 		}
 	case delegate.MsgMap:
-		r.enqueueLocked(msg)
-		applied := r.collectLocked(now)
-		if applied {
+		if r.receiveLocked(msg, now) {
 			r.counters.MapsInstalled++
 			r.lastMapTime = now
 			// A map that is the first news of its round has no round start
@@ -412,11 +390,14 @@ func (r *Runtime) observeAndReport(to delegate.NodeID, epoch, round uint64) {
 	}
 	r.node.Observe(requests, latency)
 	r.counters.SampleLatencyHist.Add(latency)
-	r.node.SendReport(to, epoch, round)
-	r.counters.ReportsSent++
-	out := r.takeOutboxLocked()
+	msg, ok := r.node.Report(to, epoch, round)
+	if ok {
+		r.counters.ReportsSent++
+	}
 	r.mu.Unlock()
-	r.sendAll(out)
+	if ok {
+		r.sendOne(msg)
+	}
 }
 
 // sample invokes the configured observer against the published
@@ -426,15 +407,6 @@ func (r *Runtime) sample() (requests uint64, meanLatencySeconds float64) {
 		return 0, 0
 	}
 	return r.cfg.Observe(*r.placement.Load(), r.cfg.ID)
-}
-
-// enqueueLocked buffers a protocol message for the node, shedding the
-// oldest backlog beyond maxMailbox.
-func (r *Runtime) enqueueLocked(msg delegate.Message) {
-	r.mbox = append(r.mbox, msg)
-	if len(r.mbox) > maxMailbox {
-		r.mbox = append([]delegate.Message(nil), r.mbox[len(r.mbox)-maxMailbox:]...)
-	}
 }
 
 // heartbeatLoop beacons liveness (and the current round) to the peers
@@ -637,14 +609,9 @@ wait:
 			r.mu.Unlock()
 			return // superseded by a newer round, epoch, or re-election
 		}
-		if r.collectLocked(now) {
-			r.publishPlacementLocked()
-		}
 		got := r.node.PendingReports() + 1 // + the delegate's own sample
 		all := got >= r.viewSizeLocked(now)
-		recs := r.takeJournalLocked()
 		r.mu.Unlock()
-		r.flushJournal(recs)
 		if all {
 			break
 		}
@@ -672,9 +639,6 @@ wait:
 		r.mu.Unlock()
 		return
 	}
-	if r.collectLocked(now) {
-		r.publishPlacementLocked()
-	}
 	members := r.tuneMembersLocked(now)
 	r.counters.ReportsPerTune.Add(float64(r.node.PendingReports() + 1))
 	snapshot, err := r.node.Rescale(epoch, round, members)
@@ -685,10 +649,8 @@ wait:
 		r.lastMapTime = now
 		r.publishPlacementLocked()
 	}
-	out := r.takeOutboxLocked()
 	rec := r.takeJournalLocked()
 	r.mu.Unlock()
-	r.sendAll(out)
 	if err == nil {
 		// Every other member gets the map, not just the tuned set: a
 		// live peer whose report missed the window was tuned as idle, and

@@ -489,3 +489,38 @@ func TestRuntimeLookupDataPlane(t *testing.T) {
 		})
 	}
 }
+
+// TestMalformedReportCostsNoMap is the regression test for the
+// runtime's message path: a malformed report handled just before a
+// valid map for the same round must not cost the node that map.
+func TestMalformedReportCostsNoMap(t *testing.T) {
+	ids, snapshot := bootstrap(t, 3)
+	mn, err := NewMemNetwork(ChaosConfig{Seed: 4}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mn.Close()
+	rt, err := Start(Config{ID: 1, Members: ids, Snapshot: snapshot, RoundInterval: time.Hour, Logf: t.Logf}, mn.Endpoint(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	s, err := placement.Decode(snapshot, placement.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Fail(2); err != nil {
+		t.Fatal(err)
+	}
+	next := s.Encode()
+	before := rt.Stats().MapsInstalled
+	rt.handle(delegate.Message{Kind: MsgHeartbeat, From: 0, To: 1, Epoch: 1, Round: 5})
+	rt.handle(delegate.Message{Kind: delegate.MsgReport, From: 2, To: 1, Epoch: 1, Round: 5, Payload: []byte{1, 2, 3}})
+	rt.handle(delegate.Message{Kind: delegate.MsgMap, From: 0, To: 1, Epoch: 1, Round: 5, Payload: next})
+	if got := rt.Stats().MapsInstalled - before; got != 1 {
+		t.Fatalf("%d maps installed behind a malformed report, want 1", got)
+	}
+	if fp := rt.Fingerprint(); fp != delegate.SnapshotFingerprint(next) {
+		t.Fatalf("fingerprint %#x, want the map's %#x", fp, delegate.SnapshotFingerprint(next))
+	}
+}

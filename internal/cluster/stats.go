@@ -92,26 +92,10 @@ type Stats struct {
 	Strategy string
 
 	Counters
+	// InstallStats is the node's count of refused map messages, by
+	// cause, and of installs that cut over through a dual-tag window.
+	delegate.InstallStats
 
-	// StaleMapsRejected counts old-round maps refused by the fence —
-	// each one is a reordering the protocol survived.
-	StaleMapsRejected uint64
-	// StaleEpochsRejected counts maps from superseded view epochs
-	// refused by the fence — each one is a partitioned or deposed
-	// delegate that failed to roll the placement back.
-	StaleEpochsRejected uint64
-	// TagMismatchesRejected counts placements refused because their
-	// strategy tag differed from the node's — a misconfigured peer, not
-	// a protocol race.
-	TagMismatchesRejected uint64
-	// CrossTagInstallsRejected counts placements refused during a
-	// dual-tag window because they carried neither the node's current
-	// strategy nor the migration target — a third strategy has no
-	// business on the wire mid-cutover.
-	CrossTagInstallsRejected uint64
-	// UndecodableMapsRejected counts placement payloads that failed to
-	// decode at all (truncated or corrupt snapshots).
-	UndecodableMapsRejected uint64
 	// SendDrops counts outbound messages the transport's async fan-out
 	// lane dropped (per-peer queue full or transport closed). Drops are
 	// bounded loss under backpressure, not errors: the gossip cadence
@@ -120,13 +104,11 @@ type Stats struct {
 	SendDrops uint64
 
 	// MigrationPhase is the in-flight live migration's phase ("idle"
-	// when none), with its id and endpoints; DualTagInstalls counts
-	// cutover installs accepted through a dual-tag window.
-	MigrationPhase  string
-	MigrationID     uint64
-	MigrationFrom   string
-	MigrationTo     string
-	DualTagInstalls uint64
+	// when none), with its id and endpoints.
+	MigrationPhase string
+	MigrationID    uint64
+	MigrationFrom  string
+	MigrationTo    string
 	// RecoveredMigration names the migration phase Start resumed (or
 	// recognised as committed) from the journal, "" when none.
 	RecoveredMigration string
@@ -151,25 +133,20 @@ func (r *Runtime) Stats() Stats {
 	now := time.Now()
 	r.mu.Lock()
 	s := Stats{
-		ID:                       r.cfg.ID,
-		Epoch:                    r.epoch,
-		Round:                    r.round,
-		Delegate:                 r.curDelegate,
-		Live:                     r.viewLocked(now),
-		MapEpoch:                 r.node.MapEpoch(),
-		MapRound:                 r.node.MapRound(),
-		Strategy:                 r.node.Strategy(),
-		Counters:                 r.counters,
-		StaleMapsRejected:        r.node.StaleMapsRejected(),
-		StaleEpochsRejected:      r.node.StaleEpochsRejected(),
-		TagMismatchesRejected:    r.node.TagMismatchesRejected(),
-		CrossTagInstallsRejected: r.node.CrossTagRejected(),
-		UndecodableMapsRejected:  r.node.UndecodableMapsRejected(),
-		SendDrops:                r.sendDrops.Load(),
-		MigrationPhase:           migrate.Idle.String(),
-		DualTagInstalls:          r.node.DualTagInstalls(),
-		RecoveredMigration:       r.recoveredMig,
-		DelegateMigrating:        r.delegateMigrating,
+		ID:                 r.cfg.ID,
+		Epoch:              r.epoch,
+		Round:              r.round,
+		Delegate:           r.curDelegate,
+		Live:               r.viewLocked(now),
+		MapEpoch:           r.node.MapEpoch(),
+		MapRound:           r.node.MapRound(),
+		Strategy:           r.node.Strategy(),
+		Counters:           r.counters,
+		InstallStats:       r.node.InstallStats(),
+		SendDrops:          r.sendDrops.Load(),
+		MigrationPhase:     migrate.Idle.String(),
+		RecoveredMigration: r.recoveredMig,
+		DelegateMigrating:  r.delegateMigrating,
 	}
 	s.InstallLatencyHist = s.InstallLatencyHist.Clone()
 	s.SampleLatencyHist = s.SampleLatencyHist.Clone()

@@ -93,8 +93,7 @@ func TestInstalledBytesCache(t *testing.T) {
 
 	n := c.Node(1)
 	n.OpenDualTag(placement.StrategyChordBounded)
-	sendMap(c, 1, c.Epoch()+1, c.Round()+1, targetSnapshot(t, c))
-	if applied, err := n.CollectReports(c.Round() + 1); err != nil || !applied {
+	if applied, err := receiveMap(n, c.Epoch()+1, c.Round()+1, targetSnapshot(t, c)); err != nil || !applied {
 		t.Fatalf("cutover: applied=%v err=%v", applied, err)
 	}
 	if n.Strategy() != placement.StrategyChordBounded {

@@ -1,18 +1,22 @@
 package delegate
 
 import (
+	"errors"
 	"fmt"
 
 	"anurand/internal/anu"
 	"anurand/internal/hashx"
+	"anurand/internal/placement"
 	"anurand/internal/rng"
 )
 
-// MemTransport is an in-memory Transport with deterministic, seedable
-// chaos — message loss, duplication, and one-round delay (which makes
-// old messages arrive after newer ones, i.e. reordering across rounds)
-// — enough to exercise the protocol's tolerance of what real networks
-// do, without wall-clock timing.
+// MemTransport is the harness's in-memory message queue, with
+// deterministic, seedable chaos — message loss, duplication, and
+// one-round delay (which makes old messages arrive after newer ones,
+// i.e. reordering across rounds) — enough to exercise the protocol's
+// tolerance of what real networks do, without wall-clock timing. A
+// delivered message is handed over as sent: its payload is never reused
+// or rewritten.
 type MemTransport struct {
 	boxes map[NodeID][]Message
 	// deferred holds freshly delayed messages; a Deliver promotes them
@@ -60,7 +64,7 @@ func (t *MemTransport) SetChaos(drop, dup, delay float64, seed uint64) {
 	t.src = rng.New(seed)
 }
 
-// Send implements Transport.
+// Send queues a message for delivery. It never blocks.
 func (t *MemTransport) Send(msg Message) {
 	t.sent++
 	if t.lossProb > 0 && t.src.Float64() < t.lossProb {
@@ -82,8 +86,9 @@ func (t *MemTransport) Send(msg Message) {
 	}
 }
 
-// Deliver implements Transport. Messages delayed on a previous cycle
-// are delivered after the current batch — old traffic arriving late.
+// Deliver drains the messages currently deliverable to the given node.
+// Messages delayed on a previous cycle are delivered after the current
+// batch — old traffic arriving late.
 func (t *MemTransport) Deliver(to NodeID) []Message {
 	msgs := t.boxes[to]
 	t.boxes[to] = nil
@@ -136,10 +141,9 @@ func NewCluster(k int, hashSeed uint64, cfg anu.ControllerConfig) (*Cluster, err
 		return nil, err
 	}
 	snapshot := m.Encode()
-	tr := NewMemTransport()
-	c := &Cluster{tr: tr, lastDel: -1}
+	c := &Cluster{tr: NewMemTransport(), lastDel: -1}
 	for _, id := range ids {
-		n, err := NewNode(id, snapshot, cfg, tr)
+		n, err := NewNode(id, snapshot, placement.Options{Controller: cfg})
 		if err != nil {
 			return nil, err
 		}
@@ -183,8 +187,10 @@ func (c *Cluster) Members() []NodeID {
 
 // Step executes one tuning interval: every live node sends its last
 // observation to the elected delegate, the delegate rescales from what
-// arrived, and broadcasts the new map, which live nodes install. It
-// returns the delegate that acted.
+// arrived, and the harness sends the new map to every other member,
+// which live nodes install. It returns the delegate that acted. A
+// malformed message rejects only itself: the round completes, and Step
+// returns the rejections it saw.
 func (c *Cluster) Step() (NodeID, error) {
 	c.round++
 	del, ok := Elect(c.Nodes)
@@ -196,28 +202,44 @@ func (c *Cluster) Step() (NodeID, error) {
 		c.lastDel = del
 	}
 	for _, n := range c.Nodes {
-		if n.ID() != del {
-			n.SendReport(del, c.epoch, c.round)
-		}
-	}
-	// The delegate drains its inbox, runs the rescale, and broadcasts.
-	delNode := c.Node(del)
-	if _, err := delNode.CollectReports(c.round); err != nil {
-		return del, err
-	}
-	if err := delNode.RunDelegate(c.epoch, c.round, c.Members()); err != nil {
-		return del, err
-	}
-	// Everyone else installs the newest map they received.
-	for _, n := range c.Nodes {
 		if n.ID() == del {
 			continue
 		}
-		if _, err := n.CollectReports(c.round); err != nil {
-			return del, err
+		if msg, ok := n.Report(del, c.epoch, c.round); ok {
+			c.tr.Send(msg)
 		}
 	}
-	return del, nil
+	// The delegate takes its mail, rescales, and the map goes out.
+	delNode := c.Node(del)
+	rejected := c.deliver(delNode)
+	snapshot, err := delNode.Rescale(c.epoch, c.round, c.Members())
+	if err != nil {
+		return del, errors.Join(append(rejected, err)...)
+	}
+	for _, n := range c.Nodes {
+		if n.ID() != del {
+			c.tr.Send(Message{Kind: MsgMap, From: del, To: n.ID(), Epoch: c.epoch, Round: c.round, Payload: snapshot})
+		}
+	}
+	// Everyone else takes theirs, installing the newest map received.
+	for _, n := range c.Nodes {
+		if n.ID() != del {
+			rejected = append(rejected, c.deliver(n)...)
+		}
+	}
+	return del, errors.Join(rejected...)
+}
+
+// deliver hands every message deliverable to n to its Receive, in
+// order, and returns the rejections. A dead node's mail is discarded.
+func (c *Cluster) deliver(n *Node) []error {
+	var rejected []error
+	for _, msg := range c.tr.Deliver(n.ID()) {
+		if _, err := n.Receive(msg, c.round); err != nil {
+			rejected = append(rejected, err)
+		}
+	}
+	return rejected
 }
 
 // Converged reports whether every live node holds a byte-identical map.

@@ -9,14 +9,19 @@
 // The delegate is deliberately stateless: if it fails, the next elected
 // delegate runs the same protocol with the same information. This
 // package makes that property concrete and testable: nodes exchange
-// typed, byte-encoded messages over a Transport, elect the
-// lowest-numbered live node, and converge to byte-identical placement
-// maps even across delegate crashes, message loss and re-elections.
+// typed, byte-encoded messages, elect the lowest-numbered live node,
+// and converge to byte-identical placement maps even across delegate
+// crashes, message loss and re-elections.
 //
-// The runtime is round-synchronous and deterministic — a faithful model
-// of the two-minute tuning cadence that avoids wall-clock flakiness in
-// tests. The wire encodings are real, so the shared-state accounting
-// matches what a networked deployment would replicate.
+// A Node is a state machine that never sends or queues: Receive takes
+// one inbound message, Report builds the outbound report, and Rescale
+// returns the new map's bytes. Its caller owns delivery. Cluster is the
+// round-synchronous, deterministic runner over MemTransport — a
+// faithful model of the two-minute tuning cadence that avoids
+// wall-clock flakiness in tests; package cluster is the wall-clock
+// runner over real networks. The wire encodings are real, so the
+// shared-state accounting matches what a networked deployment would
+// replicate.
 //
 // The protocol is placement-policy-agnostic: a node replicates an
 // opaque, strategy-tagged snapshot (package placement) rather than an
@@ -101,27 +106,12 @@ func encodeReport(r Report) []byte {
 // decodeReport parses a report payload.
 func decodeReport(b []byte) (Report, error) {
 	if len(b) != 16 {
-		return Report{}, fmt.Errorf("delegate: report payload is %d bytes, want 16", len(b))
+		return Report{}, fmt.Errorf("report payload is %d bytes, want 16", len(b))
 	}
 	return Report{
 		Requests:      binary.LittleEndian.Uint64(b[0:8]),
 		LatencyMicros: binary.LittleEndian.Uint64(b[8:16]),
 	}, nil
-}
-
-// Transport delivers messages between nodes. Implementations may delay,
-// reorder or drop; the protocol only assumes that a delivered payload is
-// intact (corrupt maps are rejected by decode-time validation). A
-// delivered Payload belongs to the receiver, which may keep it: a
-// transport never reuses or rewrites a payload after delivering it.
-// (Copies of one message, such as a broadcast's, may share a payload;
-// every holder treats it as read-only.)
-type Transport interface {
-	// Send queues a message for delivery. It never blocks.
-	Send(msg Message)
-	// Deliver drains the messages currently deliverable to the given
-	// node.
-	Deliver(to NodeID) []Message
 }
 
 // Node is one server's management agent. It holds the node's copy of
@@ -141,10 +131,14 @@ type Node struct {
 	// payload, a broadcast's payload, or a journal record's source.
 	enc  []byte
 	fp   uint64
-	tr   Transport
 	last Report // most recent local measurement
-	// pending accumulates reports received while acting as delegate.
+	// pending holds the latest report of each member of s, for the
+	// delegate's next Rescale. Reports from non-members are dropped, so
+	// its size is bounded by the membership. tuned is the round of the
+	// last successful Rescale: a report for it arrives after its tune,
+	// and is dropped rather than counted toward the next round.
 	pending map[NodeID]Report
+	tuned   uint64
 	// (mapEpoch, mapRound) is the fence of the last installed map: a
 	// MsgMap with a lexicographically lower pair is stale and must never
 	// overwrite a newer placement — not even one with a higher round, if
@@ -153,24 +147,12 @@ type Node struct {
 	// from rolling the cluster back when it reconnects.
 	mapEpoch uint64
 	mapRound uint64
-	// staleMaps counts maps rejected for a stale round within the current
-	// epoch; staleEpochs counts maps rejected for a superseded epoch;
-	// tagMismatches counts maps rejected for carrying a different
-	// placement strategy than this node runs (outside any dual-tag
-	// window); crossTag counts maps rejected during a dual-tag window
-	// for carrying neither the current nor the target strategy;
-	// undecodable counts maps whose payload failed to decode at all.
-	staleMaps     uint64
-	staleEpochs   uint64
-	tagMismatches uint64
-	crossTag      uint64
-	undecodable   uint64
+	// installs counts the outcomes of map messages: rejections by
+	// cause, and cutovers through a dual-tag window.
+	installs InstallStats
 	// dualTagTarget, when non-empty, names the one foreign strategy tag
 	// the node will accept an install of — the live-migration window.
 	dualTagTarget string
-	// dualTagInstalls counts cutovers: installs that switched the
-	// node's strategy through an open window.
-	dualTagInstalls uint64
 }
 
 // supersedes reports whether fence (e, r) is at least fence (oe, or):
@@ -183,18 +165,39 @@ func supersedes(e, r, oe, or uint64) bool {
 	return r >= or
 }
 
-// NewNode creates an agent with its own copy of the initial placement,
-// decoded from its tagged snapshot (a raw ANU map or a tagged container
-// — see package placement). All nodes must be constructed from
-// byte-identical snapshots. cfg configures the ANU controller when the
-// snapshot is an ANU map; the zero value means the defaults.
-func NewNode(id NodeID, snapshot []byte, cfg anu.ControllerConfig, tr Transport) (*Node, error) {
-	return NewNodeWithOptions(id, snapshot, placement.Options{Controller: cfg}, tr)
+// InstallStats counts what a node did with the map messages it
+// received. Each rejection counter is one reason an install was
+// refused; the placement was left untouched every time.
+type InstallStats struct {
+	// StaleMapsRejected counts old-round maps refused by the fence —
+	// each one is a reordering the protocol survived.
+	StaleMapsRejected uint64
+	// StaleEpochsRejected counts maps from superseded view epochs
+	// refused by the fence — each one is a partitioned or deposed
+	// delegate that failed to roll the placement back.
+	StaleEpochsRejected uint64
+	// TagMismatchesRejected counts placements refused because their
+	// strategy tag differed from the node's, outside any dual-tag
+	// window — a misconfigured peer, not a protocol race.
+	TagMismatchesRejected uint64
+	// CrossTagInstallsRejected counts placements refused during a
+	// dual-tag window because they carried neither the node's current
+	// strategy nor the migration target.
+	CrossTagInstallsRejected uint64
+	// UndecodableMapsRejected counts payloads that failed to decode at
+	// all (truncated or corrupt snapshots).
+	UndecodableMapsRejected uint64
+	// DualTagInstalls counts cutovers: installs that switched the node's
+	// strategy through an open dual-tag window.
+	DualTagInstalls uint64
 }
 
-// NewNodeWithOptions is NewNode with the full strategy construction
-// options (controller config, load bound, ...).
-func NewNodeWithOptions(id NodeID, snapshot []byte, opts placement.Options, tr Transport) (*Node, error) {
+// NewNode creates an agent with its own copy of the initial placement,
+// decoded from its tagged snapshot (a raw ANU map or a tagged container
+// — see package placement) with opts, which also decode every later
+// install and restart. All nodes must be constructed from
+// byte-identical snapshots.
+func NewNode(id NodeID, snapshot []byte, opts placement.Options) (*Node, error) {
 	s, err := placement.Decode(snapshot, opts)
 	if err != nil {
 		return nil, fmt.Errorf("delegate: node %d: %w", id, err)
@@ -206,7 +209,6 @@ func NewNodeWithOptions(id NodeID, snapshot []byte, opts placement.Options, tr T
 		id:      id,
 		up:      true,
 		opts:    opts,
-		tr:      tr,
 		pending: make(map[NodeID]Report),
 	}
 	n.setPlacement(s, bytes.Clone(snapshot))
@@ -274,6 +276,7 @@ func (n *Node) Crash() {
 	n.up = false
 	n.last = Report{}
 	n.pending = make(map[NodeID]Report)
+	n.tuned = 0
 	n.dualTagTarget = "" // an open migration window is in-memory state
 	if rs, ok := n.s.(placement.SoftStateResetter); ok {
 		rs.ResetSoftState()
@@ -300,6 +303,7 @@ func (n *Node) Restart(snapshot []byte) error {
 	n.up = true
 	n.last = Report{}
 	n.pending = make(map[NodeID]Report)
+	n.tuned = 0
 	n.mapEpoch = 0
 	n.mapRound = 0
 	n.dualTagTarget = ""
@@ -337,98 +341,117 @@ func (n *Node) Observe(requests uint64, meanLatencySeconds float64) {
 	}
 }
 
-// SendReport transmits the node's measurement to the given delegate.
-func (n *Node) SendReport(to NodeID, epoch, round uint64) {
+// Report builds the message carrying the node's latest measurement to
+// the given delegate, for the caller to send. It returns false while
+// the node is down: a crashed node reports nothing.
+func (n *Node) Report(to NodeID, epoch, round uint64) (Message, bool) {
 	if !n.up {
-		return
+		return Message{}, false
 	}
-	n.tr.Send(Message{
+	return Message{
 		Kind:    MsgReport,
 		From:    n.id,
 		To:      to,
 		Epoch:   epoch,
 		Round:   round,
 		Payload: encodeReport(n.last),
-	})
+	}, true
 }
 
-// CollectReports drains the node's inbox, keeping latency reports for
-// the given round and applying the newest map message, if any. It
-// returns whether a map update was applied.
-func (n *Node) CollectReports(round uint64) (mapApplied bool, err error) {
+// Receive handles one inbound message; round is the caller's current
+// round. A report is kept for the next Rescale if it is for round, round
+// is not one the node already rescaled, and its sender is a member of
+// the node's placement; otherwise it is dropped. A map installs if its
+// (epoch, round) fence supersedes the installed one, it decodes, and it
+// carries the node's strategy tag (or, through an open dual-tag window,
+// the target tag); otherwise it is counted in InstallStats and dropped.
+// A down node drops everything. Receive reports whether a map
+// installed. An error rejects a malformed message (a report payload of
+// the wrong size, or an unknown kind) and nothing else.
+//
+// An installed Payload becomes the node's Encoded() bytes, so the
+// caller must not modify it afterwards. Copies of one broadcast may
+// share a payload: every holder treats it as read-only.
+func (n *Node) Receive(msg Message, round uint64) (installed bool, err error) {
 	if !n.up {
-		// A dead node's mail is discarded.
-		n.tr.Deliver(n.id)
 		return false, nil
 	}
-	for _, msg := range n.tr.Deliver(n.id) {
-		switch msg.Kind {
-		case MsgReport:
-			if msg.Round != round {
-				continue // stale report from a previous round
-			}
-			rep, derr := decodeReport(msg.Payload)
-			if derr != nil {
-				return mapApplied, derr
-			}
-			n.pending[msg.From] = rep
-		case MsgMap:
-			if !supersedes(msg.Epoch, msg.Round, n.mapEpoch, n.mapRound) {
-				// A reordered, duplicated or partition-replayed map
-				// carrying an older (epoch, round) must never overwrite
-				// a newer placement: installed fences are monotonic.
-				if msg.Epoch < n.mapEpoch {
-					n.staleEpochs++
-				} else {
-					n.staleMaps++
-				}
-				continue
-			}
-			s, derr := placement.Decode(msg.Payload, n.opts)
-			if derr != nil {
-				// A corrupt map must never be installed.
-				n.undecodable++
-				continue
-			}
-			if s.Name() != n.s.Name() {
-				if n.dualTagTarget == "" {
-					// A placement from a different strategy must never be
-					// installed, whatever its fence says.
-					n.tagMismatches++
-					continue
-				}
-				if s.Name() != n.dualTagTarget {
-					// Even mid-migration only the one named target tag is
-					// admissible; anything else is still poison.
-					n.crossTag++
-					continue
-				}
-				// The cutover: a superseding map carrying the migration
-				// target installs, switches the node's strategy, and
-				// closes the window.
-				n.dualTagInstalls++
-				n.dualTagTarget = ""
-			}
-			if ad, ok := s.(placement.StateAdopter); ok {
-				// Keep soft state (latency smoothing) warm across installs,
-				// as the pre-placement node did by holding one controller
-				// for the life of the process.
-				ad.AdoptState(n.s)
-			}
-			n.setPlacement(s, msg.Payload)
-			n.mapEpoch = msg.Epoch
-			n.mapRound = msg.Round
-			mapApplied = true
-		default:
-			return mapApplied, fmt.Errorf("delegate: node %d: unknown message kind %d", n.id, msg.Kind)
+	switch msg.Kind {
+	case MsgReport:
+		if msg.Round != round || round == n.tuned || !n.s.Has(msg.From) {
+			return false, nil // a stale or already-tuned round, or a non-member
 		}
+		rep, derr := decodeReport(msg.Payload)
+		if derr != nil {
+			return false, fmt.Errorf("delegate: node %d: report from %d: %w", n.id, msg.From, derr)
+		}
+		n.pending[msg.From] = rep
+		return false, nil
+	case MsgMap:
+		return n.install(msg), nil
+	default:
+		return false, fmt.Errorf("delegate: node %d: unknown message kind %d from %d", n.id, msg.Kind, msg.From)
 	}
-	return mapApplied, nil
 }
 
-// PendingReports returns how many distinct servers' reports the node
-// currently holds as delegate — a progress probe for transports that
-// deliver asynchronously.
+// install applies one map message under the fence and tag rules of
+// Receive, reporting whether it installed.
+func (n *Node) install(msg Message) bool {
+	if !supersedes(msg.Epoch, msg.Round, n.mapEpoch, n.mapRound) {
+		// A reordered, duplicated or partition-replayed map carrying an
+		// older (epoch, round) must never overwrite a newer placement:
+		// installed fences are monotonic.
+		if msg.Epoch < n.mapEpoch {
+			n.installs.StaleEpochsRejected++
+		} else {
+			n.installs.StaleMapsRejected++
+		}
+		return false
+	}
+	s, err := placement.Decode(msg.Payload, n.opts)
+	if err != nil {
+		// A corrupt map must never be installed.
+		n.installs.UndecodableMapsRejected++
+		return false
+	}
+	if s.Name() != n.s.Name() {
+		if n.dualTagTarget == "" {
+			// A placement from a different strategy must never be
+			// installed, whatever its fence says.
+			n.installs.TagMismatchesRejected++
+			return false
+		}
+		if s.Name() != n.dualTagTarget {
+			// Even mid-migration only the one named target tag is
+			// admissible; anything else is still poison.
+			n.installs.CrossTagInstallsRejected++
+			return false
+		}
+		// The cutover: a superseding map carrying the migration target
+		// installs, switches the node's strategy, and closes the window.
+		n.installs.DualTagInstalls++
+		n.dualTagTarget = ""
+	}
+	if ad, ok := s.(placement.StateAdopter); ok {
+		// Keep soft state (latency smoothing) warm across installs, as
+		// the pre-placement node did by holding one controller for the
+		// life of the process.
+		ad.AdoptState(n.s)
+	}
+	for id := range n.pending {
+		if !s.Has(id) {
+			delete(n.pending, id) // keep pending within the membership
+		}
+	}
+	n.setPlacement(s, msg.Payload)
+	n.mapEpoch = msg.Epoch
+	n.mapRound = msg.Round
+	return true
+}
+
+// PendingReports returns how many distinct members' reports the node
+// currently holds for its next Rescale — the delegate's quorum probe.
+// It never exceeds the placement's member count.
 func (n *Node) PendingReports() int { return len(n.pending) }
 
 // Reported returns the ids whose reports the node currently holds as
@@ -451,30 +474,8 @@ func (n *Node) MapRound() uint64 { return n.mapRound }
 // non-decreasing for the life of the process.
 func (n *Node) MapEpoch() uint64 { return n.mapEpoch }
 
-// StaleMapsRejected returns how many stale-round map messages the node
-// has refused to install.
-func (n *Node) StaleMapsRejected() uint64 { return n.staleMaps }
-
-// StaleEpochsRejected returns how many map messages from superseded
-// epochs the node has refused to install.
-func (n *Node) StaleEpochsRejected() uint64 { return n.staleEpochs }
-
-// TagMismatchesRejected returns how many map messages the node refused
-// to install because they carried a different placement strategy.
-func (n *Node) TagMismatchesRejected() uint64 { return n.tagMismatches }
-
-// CrossTagRejected returns how many map messages the node refused
-// during a dual-tag window because they carried neither the current
-// nor the migration-target strategy.
-func (n *Node) CrossTagRejected() uint64 { return n.crossTag }
-
-// UndecodableMapsRejected returns how many map messages the node
-// refused because their payload failed to decode.
-func (n *Node) UndecodableMapsRejected() uint64 { return n.undecodable }
-
-// DualTagInstalls returns how many installs cut the node over to a
-// migration-target strategy through an open dual-tag window.
-func (n *Node) DualTagInstalls() uint64 { return n.dualTagInstalls }
+// InstallStats returns the node's map-message counters.
+func (n *Node) InstallStats() InstallStats { return n.installs }
 
 // OpenDualTag opens the live-migration window: until the window closes
 // the node will additionally accept a superseding map install carrying
@@ -498,38 +499,16 @@ func (n *Node) CloseDualTag() { n.dualTagTarget = "" }
 // when no window is open.
 func (n *Node) DualTagTarget() string { return n.dualTagTarget }
 
-// RunDelegate executes the delegate role for one round over the reports
-// collected so far: servers that did not report are treated as failed
+// Rescale executes the delegate role for one round over the reports
+// received so far: members that did not report are treated as failed
 // (the paper's failure handling — a silent server's region goes to the
-// survivors), the controller rescales the map, and the new map is
-// broadcast to every member. The pending report set is cleared.
-func (n *Node) RunDelegate(epoch, round uint64, members []NodeID) error {
-	snapshot, err := n.Rescale(epoch, round, members)
-	if err != nil {
-		return err
-	}
-	for _, id := range members {
-		if id == n.id {
-			continue
-		}
-		n.tr.Send(Message{
-			Kind:    MsgMap,
-			From:    n.id,
-			To:      id,
-			Epoch:   epoch,
-			Round:   round,
-			Payload: snapshot,
-		})
-	}
-	return nil
-}
-
-// Rescale is RunDelegate without the broadcast: it tunes over members
-// exactly as RunDelegate does, stamps the fence, clears the pending
-// reports, and returns the encoded map for the caller to distribute. A
-// caller that tunes over a subset of its peers uses it to address the
-// map beyond that subset. The returned bytes are the node's own
-// Encoded() slice: send them, never modify them.
+// survivors), the controller rescales the placement, the fence is
+// stamped and the pending reports are cleared; a report for round that
+// arrives afterwards is dropped as late. It returns the encoded
+// map for the caller to distribute to every member; a caller that tunes
+// over a subset of its peers may address the map beyond that subset.
+// The returned bytes are the node's own Encoded() slice: send them,
+// never modify them.
 func (n *Node) Rescale(epoch, round uint64, members []NodeID) ([]byte, error) {
 	if !n.up {
 		return nil, fmt.Errorf("delegate: node %d is down", n.id)
@@ -557,6 +536,7 @@ func (n *Node) Rescale(epoch, round uint64, members []NodeID) ([]byte, error) {
 		return nil, err
 	}
 	n.pending = make(map[NodeID]Report)
+	n.tuned = round
 	// The delegate's own map is now the round's authoritative placement;
 	// stamping the fence keeps the guard effective if this node later
 	// receives a late broadcast from a previous delegate.

@@ -3,10 +3,12 @@ package delegate
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"anurand/internal/anu"
+	"anurand/internal/placement"
 	"anurand/internal/rng"
 )
 
@@ -232,21 +234,17 @@ func TestLostReportDoesNotKillServerPermanently(t *testing.T) {
 	}
 }
 
-// TestRescaleLeavesDistributionToCaller pins the split of RunDelegate:
-// Rescale tunes and stamps the fence as RunDelegate does but sends
-// nothing, returning the delegate's new placement for the caller to
-// distribute.
+// TestRescaleLeavesDistributionToCaller pins Rescale's contract: it
+// tunes and stamps the fence, returning the delegate's new placement
+// for the caller to distribute. (That it sends nothing is the type's
+// doing: a Node holds no transport.)
 func TestRescaleLeavesDistributionToCaller(t *testing.T) {
 	c := testCluster(t, 3)
 	observeHeterogeneous(c, paperSpeeds())
 	del := c.Node(0)
-	sentBefore, _ := c.Transport().Stats()
 	snapshot, err := del.Rescale(1, 1, c.Members())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sent, _ := c.Transport().Stats(); sent != sentBefore {
-		t.Errorf("Rescale sent %d messages, want none", sent-sentBefore)
 	}
 	if !bytes.Equal(snapshot, del.Placement().Encode()) {
 		t.Error("Rescale returned bytes other than the delegate's new placement")
@@ -275,13 +273,13 @@ func TestReportEncodingRoundTrip(t *testing.T) {
 }
 
 func TestNodeConstructionErrors(t *testing.T) {
-	tr := NewMemTransport()
-	if _, err := NewNode(0, []byte("garbage"), anu.DefaultControllerConfig(), tr); err == nil {
+	opts := placement.Options{Controller: anu.DefaultControllerConfig()}
+	if _, err := NewNode(0, []byte("garbage"), opts); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
 	c := testCluster(t, 2)
 	snap := c.Node(0).Map().Encode()
-	if _, err := NewNode(99, snap, anu.DefaultControllerConfig(), tr); err == nil {
+	if _, err := NewNode(99, snap, opts); err == nil {
 		t.Fatal("non-member node accepted")
 	}
 }
@@ -289,14 +287,13 @@ func TestNodeConstructionErrors(t *testing.T) {
 func TestCorruptMapMessageIgnored(t *testing.T) {
 	c := testCluster(t, 2)
 	before := c.Node(1).Fingerprint()
-	c.Transport().Send(Message{
+	if _, err := c.Node(1).Receive(Message{
 		Kind:    MsgMap,
 		From:    0,
 		To:      1,
 		Round:   1,
 		Payload: []byte("corrupted payload"),
-	})
-	if _, err := c.Node(1).CollectReports(1); err != nil {
+	}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if c.Node(1).Fingerprint() != before {
@@ -330,6 +327,59 @@ func TestSharedStateIsSnapshotSized(t *testing.T) {
 	}
 }
 
+// TestMalformedReportRejectsOnlyItself is the regression test for the
+// batch drain: a malformed report queued ahead of the round's map in
+// one delivery is rejected alone, and the map behind it still installs.
+func TestMalformedReportRejectsOnlyItself(t *testing.T) {
+	c := testCluster(t, 3)
+	observeHeterogeneous(c, paperSpeeds())
+	c.Transport().Send(Message{Kind: MsgReport, From: 2, To: 1, Epoch: 1, Round: c.Round() + 1, Payload: []byte{1, 2, 3}})
+	_, err := c.Step()
+	if err == nil || !strings.Contains(err.Error(), "report payload is 3 bytes") {
+		t.Fatalf("Step returned %v, want the malformed report's rejection", err)
+	}
+	if n := c.Node(1); n.MapRound() != c.Round() {
+		t.Fatalf("node 1 map round %d behind a malformed report, want %d", n.MapRound(), c.Round())
+	}
+	if !c.Converged() {
+		t.Fatal("cluster diverged over a malformed report")
+	}
+}
+
+// TestReportsBoundedByMembership: reports from senders outside the
+// placement are dropped, so the pending set never outgrows the members
+// however many ids a peer sprays.
+func TestReportsBoundedByMembership(t *testing.T) {
+	c := testCluster(t, 3)
+	n := c.Node(0)
+	payload := encodeReport(Report{Requests: 1, LatencyMicros: 1})
+	for id := NodeID(-5); id < 100; id++ {
+		if _, err := n.Receive(Message{Kind: MsgReport, From: id, To: 0, Round: 1, Payload: payload}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := n.PendingReports(); got != 3 {
+		t.Fatalf("%d pending reports, want one per member (3)", got)
+	}
+}
+
+// TestLateReportDropped: a report for a round the delegate already
+// rescaled arrives after its tune, and must not count toward the next.
+func TestLateReportDropped(t *testing.T) {
+	c := testCluster(t, 3)
+	n := c.Node(0)
+	if _, err := n.Rescale(1, 1, c.Members()); err != nil {
+		t.Fatal(err)
+	}
+	late := Message{Kind: MsgReport, From: 1, To: 0, Round: 1, Payload: encodeReport(Report{Requests: 1})}
+	if _, err := n.Receive(late, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.PendingReports(); got != 0 {
+		t.Fatalf("%d pending reports after a late one, want 0", got)
+	}
+}
+
 // TestStaleMapRoundIgnored is the regression test for the map round
 // guard: a reordered MsgMap from an old round must never overwrite a
 // newer placement, while genuinely newer maps still install.
@@ -349,24 +399,22 @@ func TestStaleMapRoundIgnored(t *testing.T) {
 	}
 	before := n.Fingerprint()
 	// A delayed duplicate of the round-1 broadcast arrives now.
-	c.Transport().Send(Message{Kind: MsgMap, From: 0, To: 1, Epoch: c.Epoch(), Round: 1, Payload: staleSnapshot})
-	applied, err := n.CollectReports(c.Round())
+	applied, err := n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: c.Epoch(), Round: 1, Payload: staleSnapshot}, c.Round())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if applied || n.Fingerprint() != before {
 		t.Fatal("stale-round map was installed over a newer placement")
 	}
-	if n.StaleMapsRejected() != 1 {
-		t.Fatalf("StaleMapsRejected = %d, want 1", n.StaleMapsRejected())
+	if got := n.InstallStats().StaleMapsRejected; got != 1 {
+		t.Fatalf("StaleMapsRejected = %d, want 1", got)
 	}
 	if n.MapRound() != c.Round() {
 		t.Fatalf("map round moved backwards to %d", n.MapRound())
 	}
 	// A newer round still installs.
 	next := c.Round() + 10
-	c.Transport().Send(Message{Kind: MsgMap, From: 0, To: 1, Epoch: c.Epoch(), Round: next, Payload: c.Node(0).Map().Encode()})
-	applied, err = n.CollectReports(c.Round())
+	applied, err = n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: c.Epoch(), Round: next, Payload: c.Node(0).Map().Encode()}, c.Round())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,23 +446,21 @@ func TestStaleEpochFenced(t *testing.T) {
 	before := n.Fingerprint()
 	// A delegate from a superseded epoch wakes up with a round counter
 	// that raced far ahead while it was partitioned.
-	c.Transport().Send(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch - 1, Round: round + 1000, Payload: oldSnapshot})
-	applied, err := n.CollectReports(c.Round())
+	applied, err := n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch - 1, Round: round + 1000, Payload: oldSnapshot}, c.Round())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if applied || n.Fingerprint() != before {
 		t.Fatal("stale-epoch map was installed over a newer placement")
 	}
-	if n.StaleEpochsRejected() != 1 {
-		t.Fatalf("StaleEpochsRejected = %d, want 1", n.StaleEpochsRejected())
+	if got := n.InstallStats().StaleEpochsRejected; got != 1 {
+		t.Fatalf("StaleEpochsRejected = %d, want 1", got)
 	}
 	if n.MapEpoch() != epoch || n.MapRound() != round {
 		t.Fatalf("fence moved to (%d, %d), want (%d, %d)", n.MapEpoch(), n.MapRound(), epoch, round)
 	}
 	// A later epoch installs even though its round restarts lower.
-	c.Transport().Send(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch + 1, Round: 1, Payload: c.Node(0).Map().Encode()})
-	applied, err = n.CollectReports(c.Round())
+	applied, err = n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch + 1, Round: 1, Payload: c.Node(0).Map().Encode()}, c.Round())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,16 +495,15 @@ func TestResumeRestoresFence(t *testing.T) {
 	}
 	// The pre-crash bootstrap map replayed at a lower (epoch, round)
 	// must not install after the durable restart.
-	c.Transport().Send(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch - 1, Round: round + 50, Payload: oldSnapshot})
-	applied, err := n.CollectReports(c.Round())
+	applied, err := n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch - 1, Round: round + 50, Payload: oldSnapshot}, c.Round())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if applied {
 		t.Fatal("replayed stale map installed after durable restart")
 	}
-	if n.StaleEpochsRejected() != 1 {
-		t.Fatalf("StaleEpochsRejected = %d, want 1", n.StaleEpochsRejected())
+	if got := n.InstallStats().StaleEpochsRejected; got != 1 {
+		t.Fatalf("StaleEpochsRejected = %d, want 1", got)
 	}
 }
 
@@ -505,12 +550,11 @@ func TestRestartClearsPreCrashReport(t *testing.T) {
 	}
 	// The first post-restart report on the wire is the zero report, not
 	// the pre-crash measurement.
-	n.SendReport(0, 1, 9)
-	got := c.Transport().Deliver(0)
-	if len(got) != 1 {
-		t.Fatalf("expected 1 message, got %d", len(got))
+	msg, ok := n.Report(0, 1, 9)
+	if !ok {
+		t.Fatal("restarted node built no report")
 	}
-	rep, err := decodeReport(got[0].Payload)
+	rep, err := decodeReport(msg.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +589,7 @@ func TestChaosTransportConvergence(t *testing.T) {
 	}
 	var stale uint64
 	for _, n := range c.Nodes {
-		stale += n.StaleMapsRejected()
+		stale += n.InstallStats().StaleMapsRejected
 	}
 	if stale == 0 {
 		t.Fatal("chaos produced no stale-map deliveries; the guard went unexercised")

@@ -21,8 +21,9 @@ func targetSnapshot(t *testing.T, c *Cluster) []byte {
 	return s.Encode()
 }
 
-func sendMap(c *Cluster, to NodeID, epoch, round uint64, payload []byte) {
-	c.Transport().Send(Message{Kind: MsgMap, From: 0, To: to, Epoch: epoch, Round: round, Payload: payload})
+// receiveMap hands n a map message from node 0 at fence (epoch, round).
+func receiveMap(n *Node, epoch, round uint64, payload []byte) (bool, error) {
+	return n.Receive(Message{Kind: MsgMap, From: 0, To: n.ID(), Epoch: epoch, Round: round, Payload: payload}, round)
 }
 
 // TestDualTagWindowInstallsTarget: with the window open, a superseding
@@ -34,13 +35,12 @@ func TestDualTagWindowInstallsTarget(t *testing.T) {
 	snap := targetSnapshot(t, c)
 
 	// Without a window the foreign tag is rejected.
-	sendMap(c, 1, 1, 1, snap)
-	if _, err := n.CollectReports(1); err != nil {
+	if _, err := receiveMap(n, 1, 1, snap); err != nil {
 		t.Fatal(err)
 	}
-	if n.Strategy() != placement.StrategyANU || n.TagMismatchesRejected() != 1 {
+	if n.Strategy() != placement.StrategyANU || n.InstallStats().TagMismatchesRejected != 1 {
 		t.Fatalf("foreign tag installed without a window: strategy=%s mismatches=%d",
-			n.Strategy(), n.TagMismatchesRejected())
+			n.Strategy(), n.InstallStats().TagMismatchesRejected)
 	}
 
 	n.OpenDualTag(placement.StrategyChordBounded)
@@ -50,8 +50,7 @@ func TestDualTagWindowInstallsTarget(t *testing.T) {
 	// Same-tag installs still work inside the window (the old strategy
 	// keeps tuning while the migration is in flight) — a fresh ANU
 	// snapshot from a peer installs fine.
-	sendMap(c, 1, 1, 2, c.Node(0).Placement().Encode())
-	if applied, err := n.CollectReports(2); err != nil || !applied {
+	if applied, err := receiveMap(n, 1, 2, c.Node(0).Placement().Encode()); err != nil || !applied {
 		t.Fatalf("same-tag install inside window: applied=%v err=%v", applied, err)
 	}
 	if n.Strategy() != placement.StrategyANU {
@@ -59,8 +58,7 @@ func TestDualTagWindowInstallsTarget(t *testing.T) {
 	}
 
 	// The cutover: target-tag install at a superseding fence.
-	sendMap(c, 1, 2, 3, snap)
-	if applied, err := n.CollectReports(3); err != nil || !applied {
+	if applied, err := receiveMap(n, 2, 3, snap); err != nil || !applied {
 		t.Fatalf("cutover install: applied=%v err=%v", applied, err)
 	}
 	if n.Strategy() != placement.StrategyChordBounded {
@@ -69,8 +67,8 @@ func TestDualTagWindowInstallsTarget(t *testing.T) {
 	if n.DualTagTarget() != "" {
 		t.Fatal("window still open after cutover")
 	}
-	if n.DualTagInstalls() != 1 {
-		t.Fatalf("DualTagInstalls = %d", n.DualTagInstalls())
+	if got := n.InstallStats().DualTagInstalls; got != 1 {
+		t.Fatalf("DualTagInstalls = %d", got)
 	}
 	if n.MapEpoch() != 2 || n.MapRound() != 3 {
 		t.Fatalf("fence after cutover = (%d, %d)", n.MapEpoch(), n.MapRound())
@@ -86,37 +84,40 @@ func TestDualTagWindowStillFencesStaleAndCross(t *testing.T) {
 	snap := targetSnapshot(t, c)
 
 	// Advance the node's fence first.
-	sendMap(c, 1, 3, 5, c.Node(0).Placement().Encode())
-	if _, err := n.CollectReports(5); err != nil {
+	if _, err := receiveMap(n, 3, 5, c.Node(0).Placement().Encode()); err != nil {
 		t.Fatal(err)
 	}
 
 	n.OpenDualTag(placement.StrategyChordBounded)
 	// Stale fence with the target tag: still rejected, window stays open.
-	sendMap(c, 1, 2, 9, snap)
+	if _, err := receiveMap(n, 2, 9, snap); err != nil {
+		t.Fatal(err)
+	}
 	// Cross tag (neither anu nor chord-bounded) at a fresh fence.
 	ids := []placement.ServerID{0, 1, 2}
 	chord, err := placement.New(placement.StrategyChord, ids, placement.Options{HashSeed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sendMap(c, 1, 3, 6, chord.Encode())
+	if _, err := receiveMap(n, 3, 6, chord.Encode()); err != nil {
+		t.Fatal(err)
+	}
 	// Undecodable garbage at a fresh fence.
-	sendMap(c, 1, 3, 7, []byte("not a snapshot"))
-	if _, err := n.CollectReports(7); err != nil {
+	if _, err := receiveMap(n, 3, 7, []byte("not a snapshot")); err != nil {
 		t.Fatal(err)
 	}
 	if n.Strategy() != placement.StrategyANU {
 		t.Fatalf("strategy = %s, want anu", n.Strategy())
 	}
-	if n.StaleEpochsRejected() != 1 {
-		t.Fatalf("StaleEpochsRejected = %d", n.StaleEpochsRejected())
+	st := n.InstallStats()
+	if st.StaleEpochsRejected != 1 {
+		t.Fatalf("StaleEpochsRejected = %d", st.StaleEpochsRejected)
 	}
-	if n.CrossTagRejected() != 1 {
-		t.Fatalf("CrossTagRejected = %d", n.CrossTagRejected())
+	if st.CrossTagInstallsRejected != 1 {
+		t.Fatalf("CrossTagInstallsRejected = %d", st.CrossTagInstallsRejected)
 	}
-	if n.UndecodableMapsRejected() != 1 {
-		t.Fatalf("UndecodableMapsRejected = %d", n.UndecodableMapsRejected())
+	if st.UndecodableMapsRejected != 1 {
+		t.Fatalf("UndecodableMapsRejected = %d", st.UndecodableMapsRejected)
 	}
 	if n.DualTagTarget() == "" {
 		t.Fatal("window closed by rejected installs")
@@ -125,12 +126,11 @@ func TestDualTagWindowStillFencesStaleAndCross(t *testing.T) {
 	// Rollback: CloseDualTag leaves the serving strategy untouched and
 	// the target tag becomes poison again.
 	n.CloseDualTag()
-	sendMap(c, 1, 4, 8, snap)
-	if _, err := n.CollectReports(8); err != nil {
+	if _, err := receiveMap(n, 4, 8, snap); err != nil {
 		t.Fatal(err)
 	}
-	if n.Strategy() != placement.StrategyANU || n.TagMismatchesRejected() != 1 {
-		t.Fatalf("post-rollback: strategy=%s mismatches=%d", n.Strategy(), n.TagMismatchesRejected())
+	if n.Strategy() != placement.StrategyANU || n.InstallStats().TagMismatchesRejected != 1 {
+		t.Fatalf("post-rollback: strategy=%s mismatches=%d", n.Strategy(), n.InstallStats().TagMismatchesRejected)
 	}
 }
 
