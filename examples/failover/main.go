@@ -17,8 +17,10 @@
 // the journaled DualTag record (with the warm snapshot) resumes the
 // window, and the leader's post-commit retries finish the cutover —
 // no lookup ever fails, and no node is left behind on the old
-// strategy. Requiring every member to acknowledge the window
-// (Quorum = 5) keeps the crash landing inside it deterministically.
+// strategy. The window closes only when every member acknowledged it
+// (Quorum = 5), and until the crash the victim's transport loses its
+// dual-tag acknowledgements, so the leader cannot commit and the crash
+// lands inside the window however fast the other acks arrive.
 //
 // Run with: go run ./examples/failover
 package main
@@ -69,7 +71,7 @@ func main() {
 		check(err)
 		journals[i] = j
 	}
-	start := func(i int) *cluster.Runtime {
+	start := func(i int, tr cluster.Transport) *cluster.Runtime {
 		rt, err := cluster.Start(cluster.Config{
 			ID:                ids[i],
 			Members:           ids,
@@ -87,15 +89,20 @@ func main() {
 				return uint64(1 + 1000*share), 0.002 + share/speeds[id]
 			},
 			Journal: journals[i],
-		}, cn.Endpoint(ids[i]))
+		}, tr)
 		check(err)
 		return rt
 	}
 
+	victim := 3
 	rts := make([]*cluster.Runtime, len(ids))
 	for i := range ids {
 		openJournal(i)
-		rts[i] = start(i)
+		var tr cluster.Transport = cn.Endpoint(ids[i])
+		if i == victim {
+			tr = holdDualTagAcks{cn.Endpoint(ids[i])}
+		}
+		rts[i] = start(i, tr)
 	}
 	defer func() {
 		for _, rt := range rts {
@@ -145,7 +152,6 @@ func main() {
 	fmt.Printf("\ndelegate proposed migration %d: %s -> %s\n", migID, placement.StrategyANU, placement.StrategyChordBounded)
 
 	// --- crash a follower inside the dual-tag window --------------------
-	victim := 3
 	waitUntil("victim inside the dual-tag window", 20*time.Second, func() bool {
 		phase, _ := rts[victim].MigrationPhase()
 		return phase == migrate.DualTag
@@ -162,7 +168,7 @@ func main() {
 		fmt.Printf("reopened journal: migration record %s (id %d, warm snapshot %d bytes)\n",
 			mr.Phase, mr.ID, len(mr.Snapshot))
 	}
-	rts[victim] = start(victim)
+	rts[victim] = start(victim, cn.Endpoint(ids[victim]))
 	if phase, id := rts[victim].MigrationPhase(); phase == migrate.DualTag {
 		fmt.Printf("node %d restarted: resumed migration %d in %s — window reopened from disk\n", victim, id, phase)
 	} else {
@@ -210,6 +216,20 @@ func main() {
 	for _, rt := range rts {
 		fmt.Printf("  %s\n", rt.Stats())
 	}
+}
+
+// holdDualTagAcks is the victim's transport until it crashes: it loses
+// the victim's acknowledgements of the dual-tag phase, as a lossy
+// network may, so the leader's commit waits for the restarted node.
+type holdDualTagAcks struct{ *cluster.MemEndpoint }
+
+func (h holdDualTagAcks) SendAsync(msg delegate.Message) bool {
+	if msg.Kind == cluster.MsgMigrateAck {
+		if rec, err := migrate.Decode(msg.Payload); err == nil && rec.Phase == migrate.DualTag {
+			return true // accepted, then lost
+		}
+	}
+	return h.MemEndpoint.SendAsync(msg)
 }
 
 func convergedAll(rts []*cluster.Runtime) bool {

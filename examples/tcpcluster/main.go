@@ -74,7 +74,7 @@ func main() {
 
 	book := cluster.NewAddressBook()
 	start := func(i int, id delegate.NodeID) *cluster.Runtime {
-		tr, err := cluster.ListenTCP(id, book, cluster.DefaultTCPOptions())
+		tr, err := cluster.ListenTCP(id, book, "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -75,8 +75,8 @@ func TestLivenessBySlot(t *testing.T) {
 	defer rt.Stop()
 	heard, stranger := mn.Endpoint(2), mn.Endpoint(3)
 	beat := func() {
-		heard.Send(delegate.Message{Kind: MsgHeartbeat, From: 2, To: 0})
-		stranger.Send(delegate.Message{Kind: MsgHeartbeat, From: 3, To: 0})
+		heard.SendAsync(delegate.Message{Kind: MsgHeartbeat, From: 2, To: 0})
+		stranger.SendAsync(delegate.Message{Kind: MsgHeartbeat, From: 3, To: 0})
 	}
 	waitFor(t, 10*time.Second, "the first tune", func() bool {
 		beat()

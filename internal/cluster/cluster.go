@@ -80,9 +80,6 @@ type ObserveFunc func(s placement.Strategy, id delegate.NodeID) (requests uint64
 // *journal.ChaosJournal implement it. The caller owns the journal's
 // lifecycle; the Runtime never closes it.
 type Journal interface {
-	// Last returns the newest recovered or appended record of any
-	// class.
-	Last() (journal.Record, bool)
 	// LastPlacement returns the newest placement record — what a
 	// restarting node serves from.
 	LastPlacement() (journal.Record, bool)

@@ -420,8 +420,8 @@ func TestInstallLatencyTimesSeenRounds(t *testing.T) {
 	del := mn.Endpoint(0)
 	send := func(kind delegate.MsgKind, round uint64, payload []byte) {
 		t.Helper()
-		if err := del.Send(delegate.Message{Kind: kind, From: 0, To: 1, Epoch: 1, Round: round, Payload: payload}); err != nil {
-			t.Fatal(err)
+		if !del.SendAsync(delegate.Message{Kind: kind, From: 0, To: 1, Epoch: 1, Round: round, Payload: payload}) {
+			t.Fatal("SendAsync refused")
 		}
 	}
 	installs := func(want uint64) {

@@ -316,10 +316,13 @@ type MemEndpoint struct {
 	closed bool
 }
 
-// send runs the chaos model for one message under the fabric lock:
-// zero-delay copies are delivered inline, delayed copies go on the
-// heap, and the scheduler is nudged only when something was scheduled.
-func (e *MemEndpoint) send(msg delegate.Message) bool {
+// SendAsync implements Transport by running the chaos model for one
+// message under the fabric lock: zero-delay copies are delivered
+// inline, delayed copies go on the heap, and the scheduler is nudged
+// only when something was scheduled. The fabric never blocks a sender
+// (a full inbox is overflow loss); false only when the fabric or
+// endpoint closed.
+func (e *MemEndpoint) SendAsync(msg delegate.Message) bool {
 	mn := e.mn
 	mn.mu.Lock()
 	if mn.closed || e.closed {
@@ -365,17 +368,11 @@ func (e *MemEndpoint) send(msg delegate.Message) bool {
 	return true
 }
 
-// Send implements Transport. Loss is silent, as on a real network.
+// Send is SendAsync without the verdict; loss is silent, as on a real
+// network. The benchmark's recording endpoint is its last caller.
 func (e *MemEndpoint) Send(msg delegate.Message) error {
-	e.send(msg)
+	e.SendAsync(msg)
 	return nil
-}
-
-// SendAsync implements Transport. The fabric never blocks a
-// sender (a full inbox is overflow loss), so the async path is the
-// chaos model itself; false only when the fabric or endpoint closed.
-func (e *MemEndpoint) SendAsync(msg delegate.Message) bool {
-	return e.send(msg)
 }
 
 // Recv implements Transport.

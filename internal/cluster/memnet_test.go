@@ -20,8 +20,8 @@ func TestMemNetDeliversInline(t *testing.T) {
 	a, b := mn.Endpoint(1), mn.Endpoint(2)
 
 	msg := delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2, Epoch: 3, Round: 9}
-	if err := a.Send(msg); err != nil {
-		t.Fatalf("Send: %v", err)
+	if !a.SendAsync(msg) {
+		t.Fatal("SendAsync refused")
 	}
 	select {
 	case got := <-b.Recv():
@@ -92,7 +92,7 @@ func TestMemNetDropsAboutHalf(t *testing.T) {
 		}
 	}()
 	for i := 0; i < n; i++ {
-		src.Send(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2, Round: uint64(i)})
+		src.SendAsync(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2, Round: uint64(i)})
 	}
 	got := <-done
 	if got < 350 || got > 650 {
@@ -122,7 +122,7 @@ func TestMemNetDuplicatesAndDelays(t *testing.T) {
 	start := time.Now()
 	const n = 100
 	for i := 0; i < n; i++ {
-		src.Send(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2})
+		src.SendAsync(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2})
 	}
 	got := 0
 	var firstArrival time.Duration
@@ -186,11 +186,11 @@ func TestMemNetHeapOrdersDeliveries(t *testing.T) {
 	if err := mn.SetConfig(ChaosConfig{MinDelay: 80 * time.Millisecond, MaxDelay: 80 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	_ = a.Send(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2, Round: 1}) // slow
+	_ = a.SendAsync(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2, Round: 1}) // slow
 	if err := mn.SetConfig(ChaosConfig{MinDelay: 5 * time.Millisecond, MaxDelay: 5 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	_ = a.Send(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2, Round: 2}) // fast, sent second
+	_ = a.SendAsync(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2, Round: 2}) // fast, sent second
 
 	var got []uint64
 	for len(got) < 2 {
@@ -236,7 +236,7 @@ func TestMemNetChaosAccounting(t *testing.T) {
 		}
 	}()
 	for i := 0; i < n; i++ {
-		_ = a.Send(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2, Round: uint64(i)})
+		_ = a.SendAsync(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2, Round: uint64(i)})
 	}
 	<-done
 
@@ -277,7 +277,7 @@ func TestMemNetClosedEndpointReplaced(t *testing.T) {
 
 	const n = 50
 	for i := 0; i < n; i++ {
-		_ = a.Send(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2, Round: uint64(i)})
+		_ = a.SendAsync(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2, Round: uint64(i)})
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -331,8 +331,8 @@ func TestMemNetClosedEndpointBlackholes(t *testing.T) {
 	src := mn.Endpoint(1)
 	dst := mn.Endpoint(2)
 	dst.Close()
-	if err := src.Send(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2}); err != nil {
-		t.Fatal(err)
+	if !src.SendAsync(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2}) {
+		t.Fatal("send to a closed endpoint refused: it is wire loss, not a local failure")
 	}
 	select {
 	case <-dst.Recv():
@@ -344,8 +344,8 @@ func TestMemNetClosedEndpointBlackholes(t *testing.T) {
 	}
 	// The sender's own close blackholes its sends too.
 	src.Close()
-	if err := src.Send(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2}); err != nil {
-		t.Fatal(err)
+	if src.SendAsync(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 2}) {
+		t.Fatal("closed endpoint accepted a send")
 	}
 	if s := mn.Stats(); s.Sent != 1 {
 		t.Fatalf("closed endpoint's send was counted: %+v", s)
@@ -353,8 +353,7 @@ func TestMemNetClosedEndpointBlackholes(t *testing.T) {
 }
 
 // TestMemNetCloseStopsFabric checks Close is idempotent and sends on a
-// closed fabric are refused on the async path and silently swallowed on
-// the sync one.
+// closed fabric are refused and not counted.
 func TestMemNetCloseStopsFabric(t *testing.T) {
 	mn, err := NewMemNetwork(ChaosConfig{Seed: 9}, 0)
 	if err != nil {
@@ -365,9 +364,6 @@ func TestMemNetCloseStopsFabric(t *testing.T) {
 	mn.Close()
 	if a.SendAsync(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 1}) {
 		t.Fatal("SendAsync accepted on closed fabric")
-	}
-	if err := a.Send(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 1}); err != nil {
-		t.Fatalf("Send on closed fabric should be silent loss, got %v", err)
 	}
 	if st := mn.Stats(); st.Sent != 0 {
 		t.Fatalf("closed fabric counted traffic: %+v", st)

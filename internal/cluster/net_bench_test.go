@@ -16,18 +16,18 @@ import (
 func benchTCPPair(tb testing.TB) (*TCPTransport, *TCPTransport) {
 	tb.Helper()
 	book := NewAddressBook()
-	a, err := ListenTCP(1, book, DefaultTCPOptions())
+	a, err := ListenTCP(1, book, loopback)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { a.Close() })
-	b, err := ListenTCP(2, book, DefaultTCPOptions())
+	b, err := ListenTCP(2, book, loopback)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { b.Close() })
-	if err := a.Send(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2}); err != nil {
-		tb.Fatal(err)
+	if !a.SendAsync(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2}) {
+		tb.Fatal("warmup SendAsync refused")
 	}
 	select {
 	case <-b.Recv():
@@ -226,6 +226,7 @@ func TestTCPConcurrentSendersFrameIntegrity(t *testing.T) {
 
 	// sizes straddle smallFrame so both write paths run concurrently.
 	sizes := []int{0, 1, 100, smallFrame - frameHeaderLen, smallFrame + 1, 3 * smallFrame}
+	deadline := time.Now().Add(20 * time.Second)
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		wg.Add(1)
@@ -238,9 +239,14 @@ func TestTCPConcurrentSendersFrameIntegrity(t *testing.T) {
 					Kind: delegate.MsgReport, From: 1, To: 2,
 					Epoch: uint64(s), Round: uint64(i), Payload: payload,
 				}
-				if err := a.Send(msg); err != nil {
-					t.Errorf("sender %d msg %d: %v", s, i, err)
-					return
+				// A full lane refuses the frame; this test needs every
+				// frame delivered, so retry until the writer drains.
+				for !a.SendAsync(msg) {
+					if time.Now().After(deadline) {
+						t.Errorf("sender %d msg %d: lane never drained", s, i)
+						return
+					}
+					time.Sleep(50 * time.Microsecond)
 				}
 			}
 		}(s)

@@ -108,7 +108,7 @@ func TestRuntimeConvergesOverTCP(t *testing.T) {
 	book := NewAddressBook()
 	rts := make([]*Runtime, 0, len(ids))
 	for _, id := range ids {
-		tr, err := ListenTCP(id, book, DefaultTCPOptions())
+		tr, err := ListenTCP(id, book, loopback)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,15 +263,15 @@ func TestChaosSoakConvergence(t *testing.T) {
 		t.Fatalf("soak ended at map round %d; cannot form a stale round", beforeRound)
 	}
 	inj := cn.Endpoint(99)
-	if err := inj.Send(delegate.Message{
+	if !inj.SendAsync(delegate.Message{
 		Kind:    delegate.MsgMap,
 		From:    4,
 		To:      target.ID(),
 		Epoch:   target.MapEpoch(), // same epoch: exercises the round guard
 		Round:   1,
 		Payload: snapshot,
-	}); err != nil {
-		t.Fatal(err)
+	}) {
+		t.Fatal("stale-round injection refused")
 	}
 	waitFor(t, 5*time.Second, "stale map rejection", func() bool {
 		return target.Stats().StaleMapsRejected > beforeStale
@@ -287,15 +287,15 @@ func TestChaosSoakConvergence(t *testing.T) {
 	if fenceEpoch == 0 {
 		t.Fatalf("soak ended at map epoch 0; cannot form a stale epoch")
 	}
-	if err := inj.Send(delegate.Message{
+	if !inj.SendAsync(delegate.Message{
 		Kind:    delegate.MsgMap,
 		From:    4,
 		To:      target.ID(),
 		Epoch:   fenceEpoch - 1,
 		Round:   fenceRound + 1000,
 		Payload: snapshot,
-	}); err != nil {
-		t.Fatal(err)
+	}) {
+		t.Fatal("stale-epoch injection refused")
 	}
 	waitFor(t, 5*time.Second, "stale epoch rejection", func() bool {
 		return target.Stats().StaleEpochsRejected > beforeEpochStale

@@ -10,56 +10,36 @@ import (
 	"time"
 
 	"anurand/internal/delegate"
-	"anurand/internal/metrics"
 )
 
-// TCPOptions tunes the TCP transport.
-type TCPOptions struct {
-	// Addr is the listen address. Default "127.0.0.1:0".
-	Addr string
-	// DialTimeout bounds connection establishment to a peer.
-	DialTimeout time.Duration
-	// WriteTimeout bounds one framed write.
-	WriteTimeout time.Duration
-	// IdleTimeout closes inbound connections with no traffic.
-	IdleTimeout time.Duration
-	// MaxRetries is how many times a failed write is retried (with
-	// exponential backoff and jitter) before giving up.
-	MaxRetries int
-	// BackoffBase is the first retry delay; each retry doubles it.
-	BackoffBase time.Duration
-	// BackoffMax caps the retry delay.
-	BackoffMax time.Duration
-	// MaxPayload bounds accepted frame payloads.
-	MaxPayload int
-	// RecvBuffer is the capacity of the inbound message channel.
-	RecvBuffer int
-	// SendQueue is the per-peer outbound queue depth. A full queue
-	// fails SendAsync (counted as a queue drop) and blocks Send —
-	// backpressure for the synchronous path, bounded loss for the
-	// fan-out path.
-	SendQueue int
-}
-
-// DefaultTCPOptions returns production-shaped defaults scaled for
-// loopback tests.
-func DefaultTCPOptions() TCPOptions {
-	return TCPOptions{
-		Addr:         "127.0.0.1:0",
-		DialTimeout:  500 * time.Millisecond,
-		WriteTimeout: 500 * time.Millisecond,
-		IdleTimeout:  2 * time.Minute,
-		MaxRetries:   2,
-		BackoffBase:  5 * time.Millisecond,
-		BackoffMax:   100 * time.Millisecond,
-		MaxPayload:   1 << 20,
-		RecvBuffer:   1024,
-		SendQueue:    256,
-	}
-}
+// TCP transport settings. They are constants, not options: no caller
+// needs other values, so only the listen address is a parameter.
+const (
+	// dialTimeout bounds connection establishment to a peer.
+	dialTimeout = 500 * time.Millisecond
+	// writeTimeout bounds one framed write.
+	writeTimeout = 500 * time.Millisecond
+	// idleTimeout closes inbound connections with no traffic.
+	idleTimeout = 2 * time.Minute
+	// maxRetries is how many times a failed write is retried, with
+	// exponential backoff from backoffBase and full jitter, before the
+	// frame is given up. The longest backoff is 2 × backoffBase, short
+	// enough to need no cap.
+	maxRetries  = 2
+	backoffBase = 5 * time.Millisecond
+	// maxPayload bounds accepted frame payloads.
+	maxPayload = 1 << 20
+	// recvBuffer is the capacity of the inbound message channel.
+	recvBuffer = 1024
+	// sendQueue is the per-peer outbound queue depth. A full queue
+	// fails SendAsync, counted as a queue drop.
+	sendQueue = 256
+)
 
 // TCPStats is an operator snapshot of one transport's activity.
 type TCPStats struct {
+	// Sent counts frames handed to the kernel; SendErrors counts frames
+	// a writer gave up on after maxRetries.
 	Sent, SendErrors uint64
 	Dials, Retries   uint64
 	FramesReceived   uint64
@@ -73,9 +53,8 @@ type TCPStats struct {
 	// closed). QueueDropsByPeer breaks the per-peer drops out, so a
 	// single wedged peer is identifiable at a glance; only peers with
 	// drops appear.
-	QueueFullDrops     uint64
-	QueueDropsByPeer   map[delegate.NodeID]uint64
-	SendLatencySeconds metrics.Summary
+	QueueFullDrops   uint64
+	QueueDropsByPeer map[delegate.NodeID]uint64
 }
 
 // smallFrame bounds payloads coalesced with the header into a writer's
@@ -121,20 +100,11 @@ func (fw *frameWriter) writeTo(conn net.Conn, msg delegate.Message) error {
 	return err
 }
 
-// outFrame is one queued outbound message. errc is non-nil for
-// synchronous Send, which waits for the writer's verdict; fire-and-
-// forget SendAsync leaves it nil so enqueueing a heartbeat allocates
-// nothing.
-type outFrame struct {
-	msg  delegate.Message
-	errc chan error
-}
-
 // tcpPeer is the outbound lane to one peer: a bounded queue drained by
 // a dedicated writer goroutine that owns the pooled connection.
 type tcpPeer struct {
 	to    delegate.NodeID
-	queue chan outFrame
+	queue chan delegate.Message
 	drops atomic.Uint64
 }
 
@@ -145,13 +115,10 @@ type tcpPeer struct {
 // one timer across backoffs), and is the only goroutine that touches
 // the connection — so concurrent senders can never interleave frame
 // bytes, and a dead peer's backoff stalls only that peer's lane.
-// SendAsync is the fan-out path: non-blocking, with queue-full drops
-// counted per peer. Send keeps the synchronous contract: it returns
-// once the frame was handed to the kernel (or definitively failed).
+// SendAsync never blocks; queue-full drops are counted per peer.
 type TCPTransport struct {
 	id   delegate.NodeID
 	book *AddressBook
-	opts TCPOptions
 	ln   net.Listener
 	recv chan delegate.Message
 	done chan struct{}
@@ -174,30 +141,20 @@ type TCPTransport struct {
 	badVer     atomic.Uint64
 	queueDrops atomic.Uint64
 	jitter     atomic.Uint64
-
-	latMu   sync.Mutex
-	sendLat metrics.Summary
 }
 
-// ListenTCP starts a transport listening for peers and registers its
-// address in the book.
-func ListenTCP(id delegate.NodeID, book *AddressBook, opts TCPOptions) (*TCPTransport, error) {
-	if opts.Addr == "" {
-		opts = DefaultTCPOptions()
-	}
-	if opts.SendQueue <= 0 {
-		opts.SendQueue = 256
-	}
-	ln, err := net.Listen("tcp", opts.Addr)
+// ListenTCP starts a transport listening for peers on addr (for
+// example "127.0.0.1:0") and registers its address in the book.
+func ListenTCP(id delegate.NodeID, book *AddressBook, addr string) (*TCPTransport, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d listen: %w", id, err)
 	}
 	t := &TCPTransport{
 		id:      id,
 		book:    book,
-		opts:    opts,
 		ln:      ln,
-		recv:    make(chan delegate.Message, opts.RecvBuffer),
+		recv:    make(chan delegate.Message, recvBuffer),
 		done:    make(chan struct{}),
 		peers:   make(map[delegate.NodeID]*tcpPeer),
 		conns:   make(map[delegate.NodeID]net.Conn),
@@ -238,47 +195,13 @@ func (t *TCPTransport) peerFor(to delegate.NodeID) *tcpPeer {
 	}
 	p, ok := t.peers[to]
 	if !ok {
-		p = &tcpPeer{to: to, queue: make(chan outFrame, t.opts.SendQueue)}
+		p = &tcpPeer{to: to, queue: make(chan delegate.Message, sendQueue)}
 		t.peers[to] = p
 		t.wg.Add(1)
 		go t.writeLoop(p)
 	}
 	t.mu.Unlock()
 	return p
-}
-
-// Send implements Transport: it enqueues the frame on the peer's lane
-// and waits for the writer's verdict. A full queue applies backpressure
-// (the call blocks until the writer drains); an error means the message
-// was not handed to the kernel for that peer.
-func (t *TCPTransport) Send(msg delegate.Message) error {
-	start := time.Now()
-	p := t.peerFor(msg.To)
-	if p == nil {
-		t.sendErr.Add(1)
-		return fmt.Errorf("cluster: node %d: transport closed", t.id)
-	}
-	f := outFrame{msg: msg, errc: make(chan error, 1)}
-	select {
-	case p.queue <- f:
-	case <-t.done:
-		t.sendErr.Add(1)
-		return fmt.Errorf("cluster: node %d: transport closed", t.id)
-	}
-	select {
-	case err := <-f.errc:
-		if err != nil {
-			return err
-		}
-		t.latMu.Lock()
-		t.sendLat.Add(time.Since(start).Seconds())
-		t.latMu.Unlock()
-		return nil
-	case <-t.done:
-		// The writer replies into the buffered errc regardless; this
-		// caller just stops waiting for it.
-		return fmt.Errorf("cluster: node %d: transport closed", t.id)
-	}
 }
 
 // SendAsync implements Transport: non-blocking enqueue onto the
@@ -294,7 +217,7 @@ func (t *TCPTransport) SendAsync(msg delegate.Message) bool {
 		return false
 	}
 	select {
-	case p.queue <- outFrame{msg: msg}:
+	case p.queue <- msg:
 		return true
 	default:
 		p.drops.Add(1)
@@ -326,33 +249,24 @@ func (t *TCPTransport) writeLoop(p *tcpPeer) {
 		case <-t.done:
 			t.failPending(p)
 			return
-		case f := <-p.queue:
-			err := t.writeWithRetry(p.to, &conn, &fw, f.msg, timer)
-			if err == nil {
+		case msg := <-p.queue:
+			if t.writeWithRetry(p.to, &conn, &fw, msg, timer) {
 				t.sent.Add(1)
 			} else {
 				t.sendErr.Add(1)
-			}
-			if f.errc != nil {
-				f.errc <- err
 			}
 		}
 	}
 }
 
-// failPending drains a closing peer's queue, answering synchronous
-// senders and accounting the fire-and-forget frames as drops.
+// failPending drains a closing peer's queue, counting the frames still
+// in it as drops.
 func (t *TCPTransport) failPending(p *tcpPeer) {
 	for {
 		select {
-		case f := <-p.queue:
-			if f.errc != nil {
-				t.sendErr.Add(1)
-				f.errc <- fmt.Errorf("cluster: node %d: transport closed", t.id)
-			} else {
-				p.drops.Add(1)
-				t.queueDrops.Add(1)
-			}
+		case <-p.queue:
+			p.drops.Add(1)
+			t.queueDrops.Add(1)
 		default:
 			return
 		}
@@ -361,16 +275,13 @@ func (t *TCPTransport) failPending(p *tcpPeer) {
 
 // writeWithRetry writes one frame on the pooled connection, dialing as
 // needed; a broken stream is dropped and retried on a fresh dial with
-// exponential backoff and jitter.
-func (t *TCPTransport) writeWithRetry(to delegate.NodeID, conn *net.Conn, fw *frameWriter, msg delegate.Message, timer *time.Timer) error {
-	var lastErr error
-	for attempt := 0; attempt <= t.opts.MaxRetries; attempt++ {
+// exponential backoff and jitter. It reports whether the frame was
+// handed to the kernel.
+func (t *TCPTransport) writeWithRetry(to delegate.NodeID, conn *net.Conn, fw *frameWriter, msg delegate.Message, timer *time.Timer) bool {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			t.retries.Add(1)
-			backoff := t.opts.BackoffBase << (attempt - 1)
-			if backoff > t.opts.BackoffMax {
-				backoff = t.opts.BackoffMax
-			}
+			backoff := backoffBase << (attempt - 1)
 			// Full jitter keeps a burst of retrying writers from
 			// re-colliding in lockstep.
 			backoff = time.Duration(float64(backoff) * (0.5 + 0.5*t.jitterFloat()))
@@ -380,35 +291,32 @@ func (t *TCPTransport) writeWithRetry(to delegate.NodeID, conn *net.Conn, fw *fr
 				if !timer.Stop() {
 					<-timer.C
 				}
-				return fmt.Errorf("cluster: node %d: transport closed", t.id)
+				return false
 			case <-timer.C:
 			}
 		}
 		if *conn == nil {
 			c, err := t.dial(to)
 			if err != nil {
-				lastErr = err
 				continue
 			}
 			*conn = c
 		}
 		// A deadline that cannot be set means the socket is already
 		// dead: drop it and redial rather than write into the void.
-		if err := (*conn).SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout)); err != nil {
+		if err := (*conn).SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			t.dropConn(to, conn)
-			lastErr = err
 			continue
 		}
 		if err := fw.writeTo(*conn, msg); err != nil {
 			// The pooled stream is broken (peer restart, timeout);
 			// drop it so the retry dials fresh.
 			t.dropConn(to, conn)
-			lastErr = err
 			continue
 		}
-		return nil
+		return true
 	}
-	return fmt.Errorf("cluster: node %d send to %d: %w", t.id, to, lastErr)
+	return false
 }
 
 // dial opens and registers a fresh connection to a peer.
@@ -417,7 +325,7 @@ func (t *TCPTransport) dial(to delegate.NodeID) (net.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: node %d: no address for peer %d", t.id, to)
 	}
-	conn, err := net.DialTimeout("tcp", addr, t.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -488,10 +396,10 @@ func (t *TCPTransport) serve(conn net.Conn) {
 	for {
 		// A read deadline that cannot be set means the socket is dead;
 		// reading it would hang forever, so drop the stream.
-		if err := conn.SetReadDeadline(time.Now().Add(t.opts.IdleTimeout)); err != nil {
+		if err := conn.SetReadDeadline(time.Now().Add(idleTimeout)); err != nil {
 			return
 		}
-		msg, err := readFrameBuf(br, head[:], t.opts.MaxPayload)
+		msg, err := readFrameBuf(br, head[:], maxPayload)
 		if err != nil {
 			if errors.Is(err, errFrameVersion) {
 				t.badVer.Add(1)
@@ -537,18 +445,14 @@ func (t *TCPTransport) Close() error {
 
 // Stats returns a snapshot of the transport's counters.
 func (t *TCPTransport) Stats() TCPStats {
-	t.latMu.Lock()
-	lat := t.sendLat
-	t.latMu.Unlock()
 	s := TCPStats{
-		Sent:               t.sent.Load(),
-		SendErrors:         t.sendErr.Load(),
-		Dials:              t.dials.Load(),
-		Retries:            t.retries.Load(),
-		FramesReceived:     t.frames.Load(),
-		BadVersionFrames:   t.badVer.Load(),
-		QueueFullDrops:     t.queueDrops.Load(),
-		SendLatencySeconds: lat,
+		Sent:             t.sent.Load(),
+		SendErrors:       t.sendErr.Load(),
+		Dials:            t.dials.Load(),
+		Retries:          t.retries.Load(),
+		FramesReceived:   t.frames.Load(),
+		BadVersionFrames: t.badVer.Load(),
+		QueueFullDrops:   t.queueDrops.Load(),
 	}
 	t.mu.Lock()
 	for id, p := range t.peers {

@@ -17,27 +17,23 @@ import (
 // round announcements.
 const MsgHeartbeat delegate.MsgKind = 0x10
 
-// Transport moves protocol messages between runtimes. Send may be
-// called from multiple goroutines; it delivers at-most-once per call
-// and reports a definite local failure (an unreachable peer looks like
-// a lost message, not an error, on lossy transports). SendAsync is the
-// non-blocking path the runtime sends all its gossip through: it
-// enqueues the message and returns immediately, true when the
-// transport accepted it (delivery remains best-effort, as with Send on
-// a lossy fabric), false when it was dropped on the floor — per-peer
-// queue full or transport closed. One slow or dead peer therefore never
-// stalls a round's broadcast to the others; drops are surfaced in Stats
-// and the protocol's retry cadence (re-announced rounds, re-broadcast
-// maps, migration retries) heals them exactly like wire loss. Recv is
-// the inbound stream for the local node; it may be closed by Close,
-// and consumers must also watch their own stop signal. A received
-// Payload is the receiver's to keep: a transport never reuses or
-// rewrites it (TCP allocates one per frame; MemNetwork passes the
-// sender's slice, which senders never modify after sending). The
-// runtime relies on this to keep an installed map's payload as its
-// encoding.
+// Transport moves protocol messages between runtimes over a lossy
+// network. The protocol never needs a delivery verdict — reports and
+// maps are re-sent every round, migration messages retry on a timer —
+// so there is one send path. SendAsync may be called from multiple
+// goroutines and never blocks: it returns true when the transport
+// accepted the message (delivery remains best-effort) and false when
+// the message was dropped on the floor, because the peer's queue is
+// full or the transport is closed. One slow or dead peer therefore
+// never stalls a round's broadcast to the others; drops are counted in
+// the transport's stats and heal like wire loss. Recv is the inbound
+// stream for the local node; it may be closed by Close, and consumers
+// must also watch their own stop signal. A received Payload is the
+// receiver's to keep: a transport never reuses or rewrites it (TCP
+// allocates one per frame; MemNetwork passes the sender's slice, which
+// senders never modify after sending). The runtime relies on this to
+// keep an installed map's payload as its encoding.
 type Transport interface {
-	Send(msg delegate.Message) error
 	SendAsync(msg delegate.Message) bool
 	Recv() <-chan delegate.Message
 	Close() error
@@ -72,17 +68,6 @@ func (b *AddressBook) Get(id delegate.NodeID) (string, bool) {
 	defer b.mu.RUnlock()
 	addr, ok := b.addrs[id]
 	return addr, ok
-}
-
-// All returns a copy of the registered addresses.
-func (b *AddressBook) All() map[delegate.NodeID]string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make(map[delegate.NodeID]string, len(b.addrs))
-	for id, addr := range b.addrs {
-		out[id] = addr
-	}
-	return out
 }
 
 // Wire framing shared by every stream transport (version 3 — version 2

@@ -113,8 +113,10 @@ func TestAddressBook(t *testing.T) {
 	if addr, ok := book.Get(1); !ok || addr != "127.0.0.1:1001" {
 		t.Fatalf("Get(1) = %q/%v", addr, ok)
 	}
-	all := book.All()
-	if len(all) != 2 || all[2] != "127.0.0.1:2000" {
-		t.Fatalf("All() = %v", all)
+	if addr, ok := book.Get(2); !ok || addr != "127.0.0.1:2000" {
+		t.Fatalf("Get(2) = %q/%v", addr, ok)
+	}
+	if _, ok := book.Get(3); ok {
+		t.Fatal("Get(3) resolved an unregistered node")
 	}
 }

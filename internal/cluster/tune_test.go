@@ -95,7 +95,7 @@ func TestLateReporterStillInstalls(t *testing.T) {
 			if m.Kind != delegate.MsgReport {
 				return false
 			}
-			time.AfterFunc(holdBack, func() { ep.Send(m) })
+			time.AfterFunc(holdBack, func() { ep.SendAsync(m) })
 			return true
 		}}
 	})
