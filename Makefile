@@ -135,6 +135,7 @@ bench-scaling:
 # target; go only allows one -fuzz pattern per package invocation).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/anu
+	$(GO) test -run='^$$' -fuzz='^FuzzLookupBatch$$' -fuzztime=$(FUZZTIME) ./internal/anu
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalRecover$$' -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/cluster

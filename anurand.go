@@ -45,6 +45,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"anurand/internal/anu"
 	"anurand/internal/placement"
@@ -313,7 +314,11 @@ func (b *Balancer) LookupProbes(key string) (ServerID, int, bool) {
 
 // NoOwner is stored by LookupBatch for keys that cannot be placed
 // (every server has failed).
-const NoOwner ServerID = -1
+const NoOwner = ServerID(placement.NoServer)
+
+// ServerID and placement.ServerID have one size, so LookupBatch can hand
+// the caller's owners to the strategy as they are.
+var _ [unsafe.Sizeof(ServerID(0))]byte = [unsafe.Sizeof(placement.ServerID(0))]byte{}
 
 // LookupBatch resolves keys[i] into owners[i] for every key, against a
 // single placement snapshot — concurrent tuning never splits a batch
@@ -324,18 +329,12 @@ func (b *Balancer) LookupBatch(keys []string, owners []ServerID) int {
 	if len(owners) < len(keys) {
 		panic(fmt.Sprintf("anurand: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
 	}
-	s := b.strategy()
-	resolved := 0
-	for i, key := range keys {
-		id, ok := placement.Lookup(s, key)
-		if !ok {
-			owners[i] = NoOwner
-			continue
-		}
-		owners[i] = ServerID(id)
-		resolved++
-	}
-	return resolved
+	// The strategy writes its ids straight into owners: the two id types
+	// are one int32 and NoOwner is placement.NoServer. A stack buffer
+	// converted chunk by chunk would escape to the heap through the
+	// interface call, one allocation per batch.
+	ids := unsafe.Slice((*placement.ServerID)(unsafe.Pointer(unsafe.SliceData(owners))), len(keys))
+	return b.strategy().LookupBatch(keys, ids)
 }
 
 // Tune applies one feedback round from per-server latency reports and

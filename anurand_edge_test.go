@@ -1,6 +1,7 @@
 package anurand
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,62 @@ func TestLookupBatchEmptyKeys(t *testing.T) {
 	}
 	if owners[1] != 42 || owners[2] != 42 {
 		t.Fatalf("LookupBatch wrote past the keys: %v", owners)
+	}
+}
+
+// TestLookupBatchMatchesLookup holds LookupBatch, which hands the
+// caller's owners to the strategy's batch path, to Lookup key for key on
+// every strategy: with one member failed, then with every member failed
+// (NoOwner throughout). It also pins the batch path at zero allocations
+// for lengths that end mid-chunk.
+func TestLookupBatchMatchesLookup(t *testing.T) {
+	keys := make([]string, 257)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("vol%02d/f%08x.dat", i%64, i*2654435761)
+	}
+	keys[7] = ""
+	owners := make([]ServerID, len(keys))
+	for _, name := range Strategies() {
+		t.Run(name, func(t *testing.T) {
+			b, err := NewWithOptions([]ServerID{0, 1, 2, 3, 4, 5}, Options{Strategy: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(live bool) {
+				t.Helper()
+				resolved := b.LookupBatch(keys, owners)
+				want := 0
+				for i, key := range keys {
+					id, ok := b.Lookup(key)
+					if !ok {
+						id = NoOwner
+					} else {
+						want++
+					}
+					if owners[i] != id {
+						t.Fatalf("key %q: LookupBatch owner %d, Lookup %d", key, owners[i], id)
+					}
+				}
+				if resolved != want || (want == len(keys)) != live {
+					t.Fatalf("LookupBatch resolved %d keys, Lookup %d of %d (live members: %v)", resolved, want, len(keys), live)
+				}
+			}
+			if err := b.Fail(2); err != nil {
+				t.Fatal(err)
+			}
+			check(true)
+			for _, size := range []int{1, 3, 5, 7, 9, 63, 65, 255, 257} {
+				if n := testing.AllocsPerRun(50, func() { b.LookupBatch(keys[:size], owners) }); n != 0 {
+					t.Errorf("LookupBatch allocated %g times per %d-key batch, want 0", n, size)
+				}
+			}
+			for _, id := range []ServerID{0, 1, 3, 4, 5} {
+				if err := b.Fail(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(false)
+		})
 	}
 }
 

@@ -294,6 +294,119 @@ func (m *Map) LookupDigest(d hashx.Digest) (ServerID, int) {
 	return m.rankFallback(first), m.maxProbes
 }
 
+const (
+	// batchChunk is how many keys LookupBatch prehashes and probes per
+	// pass; their digests live in a stack array.
+	batchChunk = 8
+
+	// batchProbes (K) is how many probes of the chain LookupBatch
+	// computes for every key before looking at any of them. Under half
+	// occupancy all K miss with probability 2^-K = 1/16; only those keys
+	// take the scalar chain.
+	batchProbes = 4
+)
+
+// LookupBatch resolves keys[i] into owners[i] for every key and returns
+// how many resolved to a server; owners must be at least as long as
+// keys. Every owner is bit-identical to LookupDigest(hashx.Prehash(key)).
+//
+// The scalar chain branches on every probe, and under half occupancy
+// that branch is a coin flip the predictor cannot learn. LookupBatch
+// instead prehashes keys in chunks of batchChunk (hashx.PrehashBatch),
+// computes the first batchProbes probes of every key unconditionally,
+// and picks the first hit with conditional moves. A key whose K probes
+// all miss is resolved by LookupDigest from round 0, so the probe budget
+// and the rank fallback need no rules of their own here.
+func (m *Map) LookupBatch(keys []string, owners []ServerID) int {
+	if len(owners) < len(keys) {
+		panic(fmt.Sprintf("anu: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
+	}
+	var ds [batchChunk]hashx.Digest
+	resolved := 0
+	for len(keys) > 0 {
+		n := min(len(keys), batchChunk)
+		hashx.PrehashBatch(keys[:n], ds[:n])
+		resolved += m.lookupDigests(ds[:n], owners[:n])
+		keys, owners = keys[n:], owners[n:]
+	}
+	return resolved
+}
+
+// lookupDigests is LookupBatch's kernel over one chunk of at most
+// batchChunk digests.
+func (m *Map) lookupDigests(ds []hashx.Digest, owners []ServerID) int {
+	owners = owners[:len(ds)]
+	// scalar marks the keys LookupDigest resolves, bit i for ds[i].
+	scalar := uint(1)<<len(ds) - 1
+	if m.maxProbes >= batchProbes {
+		scalar = m.speculate(ds, owners)
+	}
+	for ; scalar != 0; scalar &= scalar - 1 {
+		i := bits.TrailingZeros(scalar)
+		owners[i], _ = m.LookupDigest(ds[i])
+	}
+	resolved := 0
+	for _, id := range owners {
+		if id != NoServer {
+			resolved++
+		}
+	}
+	return resolved
+}
+
+// speculate computes the first batchProbes probes of every digest
+// without branching on them and stores each key's first hit in owners.
+// It returns the keys with no hit among them, bit i for ds[i]; their
+// owners entries are NoServer.
+func (m *Map) speculate(ds []hashx.Digest, owners []ServerID) (miss uint) {
+	owners = owners[:len(ds)]
+	// The tweaks stay in memory, so the loop keeps its registers for
+	// the probes.
+	var tw [batchProbes]uint64
+	for r := range tw {
+		tw[r] = m.family.Tweak(r)
+	}
+	// The & 63 is a no-op that spares the shifts Go's guard for counts
+	// of 64 and more.
+	shift := (UnitBits - m.partBits) & 63
+	mask := Ticks(1)<<shift - 1
+	parts := m.parts
+	for i, d := range ds {
+		// Probe from the last round back to the first, so the first hit
+		// is the one selected last.
+		id := NoServer
+		if o, hit := probe(parts, d, tw[3], shift, mask); hit {
+			id = o
+		}
+		if o, hit := probe(parts, d, tw[2], shift, mask); hit {
+			id = o
+		}
+		if o, hit := probe(parts, d, tw[1], shift, mask); hit {
+			id = o
+		}
+		if o, hit := probe(parts, d, tw[0], shift, mask); hit {
+			id = o
+		}
+		owners[i] = id
+		// Server ids are non-negative, so only NoServer sets the sign
+		// bit. A free partition (owner NoServer, occ 0) never hits; were
+		// it to, its key would still take the scalar chain.
+		miss |= uint(uint32(id)>>31) << i
+	}
+	return miss
+}
+
+// probe is one round of the chain for a digest and the round's tweak:
+// the owner of the partition its offset falls in, and whether the offset
+// lies in the occupied prefix. It reads both fields whatever the answer,
+// so the caller can select the owner without a branch.
+func probe(parts []partInfo, d hashx.Digest, tweak uint64, shift uint, mask Ticks) (ServerID, bool) {
+	// Top UnitBits bits of the round's hash, as in LookupDigest.
+	x := Ticks(hashx.HashTweak(d, tweak) >> (64 - UnitBits))
+	p := &parts[x>>shift]
+	return p.owner, x&mask < p.occ
+}
+
 // rankFallback deterministically maps x into the mapped measure: the
 // point x/Unit * mapped-total is located within the concatenation of
 // occupied prefixes in partition order.

@@ -361,3 +361,26 @@ func TestLoadBoundWithTwoChoices(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLookupBatch is the batch kernel over the same map and names
+// as BenchmarkLookup, 256 keys per batch.
+func BenchmarkLookupBatch(b *testing.B) {
+	ids := make([]ServerID, 16)
+	for i := range ids {
+		ids[i] = ServerID(i)
+	}
+	m, err := New(hashx.NewFamily(1), ids)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, 256)
+	for i := range names {
+		names[i] = fmt.Sprintf("fileset-%d", i)
+	}
+	owners := make([]ServerID, len(names))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.LookupBatch(names, owners)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(names)), "ns/key")
+}

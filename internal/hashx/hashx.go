@@ -77,8 +77,11 @@ func deriveTweak(seed uint64, round int) uint64 {
 	return rng.Mix64(seed + uint64(round)*tweakStep + tweakSalt)
 }
 
-// tweak returns the round's tweak, from the table when available.
-func (f Family) tweak(round int) uint64 {
+// Tweak returns the round's tweak, the key-independent half of h_round,
+// from the table when available: HashDigest(d, round) equals
+// HashTweak(d, f.Tweak(round)). Batch lookups read the tweaks of their
+// first rounds once per batch instead of once per key.
+func (f Family) Tweak(round int) uint64 {
 	if f.tweaks != nil && uint(round) < tweakRounds {
 		return f.tweaks[round]
 	}
@@ -88,12 +91,16 @@ func (f Family) tweak(round int) uint64 {
 // Prehash returns the round-independent digest of key, to be combined
 // with any round via HashDigest or UnitDigest.
 func Prehash(key string) Digest {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	return Digest(fnv(fnvOffset, key))
+}
+
+// fnv continues an FNV-1a state h over the bytes of s.
+func fnv(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= fnvPrime
 	}
-	return Digest(h)
+	return h
 }
 
 // PrehashBytes is Prehash over a byte slice — bit-identical to Prehash
@@ -109,6 +116,49 @@ func PrehashBytes(b []byte) Digest {
 	return Digest(h)
 }
 
+// PrehashBatch writes Prehash(keys[i]) into out[i] for every key; out
+// must be at least as long as keys. FNV-1a is one serial
+// xor-multiply chain per byte, so a single key runs at the multiplier's
+// latency. PrehashBatch hashes four keys at a time, byte by byte over
+// their common length, so the four independent chains share the
+// multiplier's throughput instead; each key's tail then finishes alone.
+// The digests are bit-identical to Prehash's.
+func PrehashBatch(keys []string, out []Digest) {
+	out = out[:len(keys)]
+	i := 0
+	for ; i+4 <= len(keys); i += 4 {
+		k := keys[i : i+4]
+		h0, h1, h2, h3, n := fnv4(k[0], k[1], k[2], k[3])
+		o := out[i : i+4]
+		o[0] = Digest(fnv(h0, k[0][n:]))
+		o[1] = Digest(fnv(h1, k[1][n:]))
+		o[2] = Digest(fnv(h2, k[2][n:]))
+		o[3] = Digest(fnv(h3, k[3][n:]))
+	}
+	for ; i < len(keys); i++ {
+		out[i] = Prehash(keys[i])
+	}
+}
+
+// fnv4 runs four FNV-1a chains from the offset basis, interleaved byte
+// by byte over the four keys' common prefix, and returns the four
+// states and the prefix length. It is kept out of line so its loop has
+// the registers to itself: inlined into PrehashBatch, the four states
+// spill to the stack and every byte pays a store-to-load round trip.
+//
+//go:noinline
+func fnv4(k0, k1, k2, k3 string) (h0, h1, h2, h3 uint64, n int) {
+	h0, h1, h2, h3 = fnvOffset, fnvOffset, fnvOffset, fnvOffset
+	n = min(len(k0), len(k1), len(k2), len(k3))
+	for j := 0; j < n; j++ {
+		h0 = (h0 ^ uint64(k0[j])) * fnvPrime
+		h1 = (h1 ^ uint64(k1[j])) * fnvPrime
+		h2 = (h2 ^ uint64(k2[j])) * fnvPrime
+		h3 = (h3 ^ uint64(k3[j])) * fnvPrime
+	}
+	return h0, h1, h2, h3, n
+}
+
 // Hash returns h_round(key), the round-th member of the family applied
 // to key.
 func (f Family) Hash(key string, round int) uint64 {
@@ -118,9 +168,14 @@ func (f Family) Hash(key string, round int) uint64 {
 // HashDigest returns h_round for a key whose digest was computed with
 // Prehash. It is bit-identical to Hash on the original key.
 func (f Family) HashDigest(d Digest, round int) uint64 {
-	// Mix the per-round tweak with the digest so rounds are decorrelated
-	// even for similar keys.
-	return rng.Mix64(uint64(d) ^ f.tweak(round))
+	return HashTweak(d, f.Tweak(round))
+}
+
+// HashTweak returns h_round for a digest and the round's tweak (see
+// Tweak). It mixes the tweak with the digest so rounds are decorrelated
+// even for similar keys.
+func HashTweak(d Digest, tweak uint64) uint64 {
+	return rng.Mix64(uint64(d) ^ tweak)
 }
 
 // Unit returns h_round(key) mapped onto [0, unit) ticks of a discrete

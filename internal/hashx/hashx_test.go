@@ -231,3 +231,100 @@ func BenchmarkHash(b *testing.B) {
 	}
 	_ = sink
 }
+
+// batchLens are the batch lengths the batch paths are checked at: empty,
+// around the four-key interleave, and around the usual 64 and 256.
+var batchLens = []int{0, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 255, 256, 257}
+
+// randomKeys returns n keys of unequal lengths, from "" to well past a
+// hundred bytes, so every interleaved group ends its common prefix at a
+// different key.
+func randomKeys(r *rand.Rand, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		b := make([]byte, r.Intn(140))
+		r.Read(b)
+		keys[i] = string(b)
+	}
+	return keys
+}
+
+// TestPrehashBatchGolden holds PrehashBatch to the reference
+// implementation on the golden keys, in every order, so each key takes
+// every lane of the interleave.
+func TestPrehashBatchGolden(t *testing.T) {
+	keys := []string{"", "a", "fileset-001", "/usr/share/doc", "\x00\xff"}
+	out := make([]Digest, len(keys))
+	for rot := range keys {
+		batch := append(keys[rot:len(keys):len(keys)], keys[:rot]...)
+		PrehashBatch(batch, out)
+		for i, key := range batch {
+			if got, want := NewFamily(0).HashDigest(out[i], 0), refHash(0, key, 0); got != want {
+				t.Fatalf("rotation %d: PrehashBatch digest of %q hashes to %#x, want %#x", rot, key, got, want)
+			}
+		}
+	}
+}
+
+// TestPrehashBatchMatchesPrehash pins PrehashBatch to Prehash bit for
+// bit on keys of unequal lengths at every batch length, and checks it
+// writes nothing past len(keys).
+func TestPrehashBatchMatchesPrehash(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	const sentinel = Digest(0x5eed)
+	for _, n := range batchLens {
+		keys := randomKeys(r, n)
+		out := make([]Digest, n+1)
+		out[n] = sentinel
+		PrehashBatch(keys, out)
+		for i, key := range keys {
+			if want := Prehash(key); out[i] != want {
+				t.Fatalf("n=%d: PrehashBatch[%d] (%d bytes) = %#x, Prehash = %#x", n, i, len(key), out[i], want)
+			}
+		}
+		if out[n] != sentinel {
+			t.Fatalf("n=%d: PrehashBatch wrote past the last key", n)
+		}
+	}
+}
+
+func TestPrehashBatchZeroAllocs(t *testing.T) {
+	keys := randomKeys(rand.New(rand.NewSource(1)), 257)
+	out := make([]Digest, len(keys))
+	if n := testing.AllocsPerRun(100, func() { PrehashBatch(keys, out) }); n != 0 {
+		t.Fatalf("PrehashBatch allocated %g times per batch, want 0", n)
+	}
+}
+
+// prehashBenchKeys are 256 keys shaped like the repository benchmark's
+// ("vol%02d/f%08x.dat", 19 bytes).
+func prehashBenchKeys() []string {
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("vol%02d/f%08x.dat", i%64, uint32(i)*2654435761)
+	}
+	return keys
+}
+
+func BenchmarkHashPrehash(b *testing.B) {
+	keys := prehashBenchKeys()
+	var sink Digest
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range keys {
+			sink ^= Prehash(k)
+		}
+	}
+	_ = sink
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(keys)), "ns/key")
+}
+
+func BenchmarkHashPrehashBatch(b *testing.B) {
+	keys := prehashBenchKeys()
+	out := make([]Digest, len(keys))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PrehashBatch(keys, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(keys)), "ns/key")
+}

@@ -8,13 +8,13 @@ import (
 )
 
 // TestLookupPathsZeroAllocs pins the data-plane contract for every
-// registered strategy: single lookups, batched lookups, and the digest
-// fast path must not allocate. One failed member keeps the failover
-// branches in play.
+// registered strategy: single lookups, batched lookups at odd lengths
+// that end mid-chunk, and the digest fast path must not allocate. One
+// failed member keeps the failover branches in play.
 func TestLookupPathsZeroAllocs(t *testing.T) {
 	servers := []ServerID{0, 1, 2, 3, 4, 5, 6, 7}
-	keys := make([]string, 256)
-	digests := make([]hashx.Digest, 256)
+	keys := make([]string, 257)
+	digests := make([]hashx.Digest, len(keys))
 	for i := range keys {
 		keys[i] = fmt.Sprintf("fileset/%04d", i)
 		digests[i] = hashx.Prehash(keys[i])
@@ -36,10 +36,12 @@ func TestLookupPathsZeroAllocs(t *testing.T) {
 			}); n != 0 {
 				t.Errorf("Lookup(%s) allocated %g times per %d lookups, want 0", tag, n, len(keys))
 			}
-			if n := testing.AllocsPerRun(100, func() {
-				s.LookupBatch(keys, owners)
-			}); n != 0 {
-				t.Errorf("%s.LookupBatch allocated %g times per batch, want 0", tag, n)
+			for _, size := range []int{1, 3, 5, 7, 9, 63, 65, 255, 257} {
+				if n := testing.AllocsPerRun(100, func() {
+					s.LookupBatch(keys[:size], owners)
+				}); n != 0 {
+					t.Errorf("%s.LookupBatch allocated %g times per %d-key batch, want 0", tag, n, size)
+				}
 			}
 			if n := testing.AllocsPerRun(100, func() {
 				for _, d := range digests {

@@ -73,8 +73,10 @@ func (a *ANU) LookupDigest(d hashx.Digest) (ServerID, int) {
 	return a.m.LookupDigest(d)
 }
 
+// LookupBatch runs the map's batch kernel (anu.Map.LookupBatch), which
+// returns the owners LookupDigest would, key for key.
 func (a *ANU) LookupBatch(keys []string, owners []ServerID) int {
-	return lookupBatch(a, keys, owners)
+	return a.m.LookupBatch(keys, owners)
 }
 
 func (a *ANU) Tune(reports []Report) (bool, error) {

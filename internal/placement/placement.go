@@ -74,7 +74,9 @@ type Strategy interface {
 	// LookupBatch resolves keys[i] into owners[i] against this one
 	// placement state, returning how many keys resolved; unresolved
 	// entries are set to NoServer. owners must be at least as long as
-	// keys. Every strategy implements it with lookupBatch.
+	// keys. It must return the owners LookupDigest gives and must not
+	// allocate. ANU runs its map's batch kernel; the other strategies
+	// share lookupBatch.
 	LookupBatch(keys []string, owners []ServerID) int
 
 	// Tune applies one feedback round from the delegate's reports and
@@ -133,8 +135,8 @@ func LookupProbes(s Strategy, key string) (id ServerID, probes int, ok bool) {
 	return id, probes, id != NoServer
 }
 
-// lookupBatch is the LookupBatch every strategy shares: keys[i] resolves
-// into owners[i] through s.LookupDigest.
+// lookupBatch is the LookupBatch the strategies without a batch kernel
+// share: keys[i] resolves into owners[i] through s.LookupDigest.
 func lookupBatch(s Strategy, keys []string, owners []ServerID) int {
 	if len(owners) < len(keys) {
 		panic(fmt.Sprintf("placement: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
