@@ -45,15 +45,16 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"anurand/internal/anu"
 	"anurand/internal/placement"
 )
 
 // ServerID identifies a server. IDs are assigned by the caller, must be
-// non-negative, and stay stable across failure and recovery.
-type ServerID int32
+// non-negative, and stay stable across failure and recovery. It is the
+// placement layer's own id type, so ids, owner slices and share maps
+// pass between the two without conversion.
+type ServerID = placement.ServerID
 
 // Report is one server's performance sample for a tuning interval.
 type Report struct {
@@ -181,19 +182,13 @@ type Options struct {
 }
 
 func (o Options) placementOptions() placement.Options {
-	po := placement.Options{
+	return placement.Options{
 		HashSeed:   o.HashSeed,
 		Controller: o.Tuning.toConfig(),
 		LoadBound:  o.LoadBound,
+		Weights:    o.Weights, // strategies copy what they keep
 		Choices:    o.Choices,
 	}
-	if len(o.Weights) > 0 {
-		po.Weights = make(map[placement.ServerID]float64, len(o.Weights))
-		for id, w := range o.Weights {
-			po.Weights[placement.ServerID(id)] = w
-		}
-	}
-	return po
 }
 
 func (o Options) strategyName() string {
@@ -237,11 +232,7 @@ func NewWithOptions(servers []ServerID, opts Options) (*Balancer, error) {
 	if err := opts.Tuning.Validate(); err != nil {
 		return nil, err
 	}
-	ids := make([]placement.ServerID, len(servers))
-	for i, s := range servers {
-		ids[i] = placement.ServerID(s)
-	}
-	s, err := placement.New(opts.strategyName(), ids, opts.placementOptions())
+	s, err := placement.New(opts.strategyName(), servers, opts.placementOptions())
 	if err != nil {
 		return nil, fmt.Errorf("anurand: %w", err)
 	}
@@ -298,7 +289,7 @@ func (b *Balancer) Lookup(key string) (ServerID, bool) {
 	if !ok {
 		return 0, false
 	}
-	return ServerID(id), true
+	return id, true
 }
 
 // LookupProbes returns the placement along with the number of
@@ -309,16 +300,12 @@ func (b *Balancer) LookupProbes(key string) (ServerID, int, bool) {
 	if !ok {
 		return 0, probes, false
 	}
-	return ServerID(id), probes, true
+	return id, probes, true
 }
 
 // NoOwner is stored by LookupBatch for keys that cannot be placed
 // (every server has failed).
-const NoOwner = ServerID(placement.NoServer)
-
-// ServerID and placement.ServerID have one size, so LookupBatch can hand
-// the caller's owners to the strategy as they are.
-var _ [unsafe.Sizeof(ServerID(0))]byte = [unsafe.Sizeof(placement.ServerID(0))]byte{}
+const NoOwner = placement.NoServer
 
 // LookupBatch resolves keys[i] into owners[i] for every key, against a
 // single placement snapshot — concurrent tuning never splits a batch
@@ -329,12 +316,7 @@ func (b *Balancer) LookupBatch(keys []string, owners []ServerID) int {
 	if len(owners) < len(keys) {
 		panic(fmt.Sprintf("anurand: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
 	}
-	// The strategy writes its ids straight into owners: the two id types
-	// are one int32 and NoOwner is placement.NoServer. A stack buffer
-	// converted chunk by chunk would escape to the heap through the
-	// interface call, one allocation per batch.
-	ids := unsafe.Slice((*placement.ServerID)(unsafe.Pointer(unsafe.SliceData(owners))), len(keys))
-	return b.strategy().LookupBatch(keys, ids)
+	return b.strategy().LookupBatch(keys, owners)
 }
 
 // Tune applies one feedback round from per-server latency reports and
@@ -345,7 +327,7 @@ func (b *Balancer) Tune(reports []Report) (bool, error) {
 	rs := make([]placement.Report, len(reports))
 	for i, r := range reports {
 		rs[i] = placement.Report{
-			Server:   placement.ServerID(r.Server),
+			Server:   r.Server,
 			Requests: r.Requests,
 			Latency:  r.LatencySeconds,
 			Failed:   r.Failed,
@@ -366,23 +348,23 @@ func (b *Balancer) Tune(reports []Report) (bool, error) {
 // AddServer commissions a new server with an equal share of the key
 // space.
 func (b *Balancer) AddServer(id ServerID) error {
-	return b.mutate(func(s placement.Strategy) error { return s.AddServer(placement.ServerID(id)) })
+	return b.mutate(func(s placement.Strategy) error { return s.AddServer(id) })
 }
 
 // RemoveServer decommissions a server; its load fails over to the
 // survivors.
 func (b *Balancer) RemoveServer(id ServerID) error {
-	return b.mutate(func(s placement.Strategy) error { return s.RemoveServer(placement.ServerID(id)) })
+	return b.mutate(func(s placement.Strategy) error { return s.RemoveServer(id) })
 }
 
 // Fail records a server failure; only its file sets move.
 func (b *Balancer) Fail(id ServerID) error {
-	return b.mutate(func(s placement.Strategy) error { return s.Fail(placement.ServerID(id)) })
+	return b.mutate(func(s placement.Strategy) error { return s.Fail(id) })
 }
 
 // Recover re-admits a failed server with an equal share.
 func (b *Balancer) Recover(id ServerID) error {
-	return b.mutate(func(s placement.Strategy) error { return s.Recover(placement.ServerID(id)) })
+	return b.mutate(func(s placement.Strategy) error { return s.Recover(id) })
 }
 
 // SetWeights installs updated per-server capacity weights on a
@@ -395,11 +377,7 @@ func (b *Balancer) SetWeights(weights map[ServerID]float64) error {
 		if !ok {
 			return fmt.Errorf("anurand: strategy %q does not support weights", s.Name())
 		}
-		pw := make(map[placement.ServerID]float64, len(weights))
-		for id, w := range weights {
-			pw[placement.ServerID(id)] = w
-		}
-		return rw.SetWeights(pw)
+		return rw.SetWeights(weights) // strategies copy what they keep
 	})
 }
 
@@ -411,12 +389,7 @@ func (b *Balancer) Weights() map[ServerID]float64 {
 	if !ok {
 		return nil
 	}
-	pw := rw.Weights()
-	out := make(map[ServerID]float64, len(pw))
-	for id, w := range pw {
-		out[ServerID(id)] = w
-	}
-	return out
+	return rw.Weights()
 }
 
 // Advisory flags a server the controller considers incompetent for this
@@ -440,7 +413,7 @@ func (b *Balancer) Advisories() []Advisory {
 	advs := a.Controller().Advisories()
 	out := make([]Advisory, len(advs))
 	for i, adv := range advs {
-		out[i] = Advisory{Server: ServerID(adv.Server), Rounds: adv.Rounds}
+		out[i] = Advisory{Server: adv.Server, Rounds: adv.Rounds}
 	}
 	return out
 }
@@ -448,24 +421,14 @@ func (b *Balancer) Advisories() []Advisory {
 // Servers returns the member ids in ascending order (including failed,
 // zero-share members).
 func (b *Balancer) Servers() []ServerID {
-	ids := b.strategy().Servers()
-	out := make([]ServerID, len(ids))
-	for i, id := range ids {
-		out[i] = ServerID(id)
-	}
-	return out
+	return b.strategy().Servers()
 }
 
 // Shares returns each server's fraction of the key space (fractions sum
 // to 1 across live servers; failed servers report 0). All fractions
 // come from one placement snapshot.
 func (b *Balancer) Shares() map[ServerID]float64 {
-	shares := b.strategy().Shares()
-	out := make(map[ServerID]float64, len(shares))
-	for id, s := range shares {
-		out[ServerID(id)] = s
-	}
-	return out
+	return b.strategy().Shares()
 }
 
 // Snapshot serializes the placement — the only state a delegate

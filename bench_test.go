@@ -12,6 +12,7 @@ package anurand
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,7 +52,7 @@ func BenchmarkFig4DFSTraceLatency(b *testing.B) {
 		last = res
 	}
 	for name, res := range last {
-		b.ReportMetric(res.MeanLatency()*1e3, fmt.Sprintf("ms-mean-%s", name))
+		b.ReportMetric(res.MeanLatency()*1e3, "ms-mean-"+string(name))
 	}
 }
 
@@ -68,7 +69,7 @@ func BenchmarkFig5SyntheticLatency(b *testing.B) {
 		last = res
 	}
 	for name, res := range last {
-		b.ReportMetric(res.MeanLatency()*1e3, fmt.Sprintf("ms-mean-%s", name))
+		b.ReportMetric(res.MeanLatency()*1e3, "ms-mean-"+string(name))
 	}
 }
 
@@ -85,8 +86,8 @@ func BenchmarkFig6aAggregateLatency(b *testing.B) {
 		}
 	}
 	for _, row := range rows {
-		b.ReportMetric(row.MeanLatency*1e3, fmt.Sprintf("ms-mean-%s", row.Policy))
-		b.ReportMetric(row.StdDev*1e3, fmt.Sprintf("ms-sd-%s", row.Policy))
+		b.ReportMetric(row.MeanLatency*1e3, "ms-mean-"+string(row.Policy))
+		b.ReportMetric(row.StdDev*1e3, "ms-sd-"+string(row.Policy))
 	}
 }
 
@@ -177,8 +178,8 @@ func BenchmarkFig8VPTradeoff(b *testing.B) {
 		}
 	}
 	for _, pt := range res.Hot {
-		b.ReportMetric(pt.MeanLatency*1e3, fmt.Sprintf("ms-mean-vp%d", pt.NumVP))
-		b.ReportMetric(float64(pt.SharedStateBytes), fmt.Sprintf("B-state-vp%d", pt.NumVP))
+		b.ReportMetric(pt.MeanLatency*1e3, "ms-mean-vp"+strconv.Itoa(pt.NumVP))
+		b.ReportMetric(float64(pt.SharedStateBytes), "B-state-vp"+strconv.Itoa(pt.NumVP))
 	}
 	b.ReportMetric(res.HotRefs.ANULatency*1e3, "ms-mean-anu")
 	b.ReportMetric(float64(res.HotRefs.ANUSharedState), "B-state-anu")

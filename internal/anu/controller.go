@@ -232,7 +232,7 @@ func (c *Controller) Tune(m *Map, reports []Report) (bool, error) {
 	}
 
 	smoothed := c.smooth(byID)
-	avg, ok := weightedAverage(byID, smoothed)
+	avg, ok := weightedAverage(m.order, byID, smoothed)
 	if !ok {
 		// Nothing completed anywhere: only act on failures.
 		return c.tuneFailuresOnly(m, byID)
@@ -246,7 +246,8 @@ func (c *Controller) Tune(m *Map, reports []Report) (bool, error) {
 	lengths := m.Lengths()
 	weights := make(map[ServerID]float64, len(lengths))
 	var live []ServerID
-	for id, l := range lengths {
+	for _, id := range m.order { // id order: the sums over live below are order-sensitive
+		l := lengths[id]
 		weights[id] = float64(l)
 		r, reported := byID[id]
 		switch {
@@ -330,10 +331,16 @@ func (c *Controller) smooth(byID map[ServerID]Report) map[ServerID]float64 {
 	return out
 }
 
-func weightedAverage(byID map[ServerID]Report, smoothed map[ServerID]float64) (float64, bool) {
+// weightedAverage sums in the order of ids, so equal inputs give
+// bit-equal averages: a float sum depends on its order.
+func weightedAverage(ids []ServerID, byID map[ServerID]Report, smoothed map[ServerID]float64) (float64, bool) {
 	var sum float64
 	var n uint64
-	for id, lat := range smoothed {
+	for _, id := range ids {
+		lat, ok := smoothed[id]
+		if !ok {
+			continue
+		}
 		req := byID[id].Requests
 		sum += lat * float64(req)
 		n += req

@@ -69,18 +69,20 @@ func (m *Map) SetWeights(weights map[ServerID]float64) error {
 // off by more than a tick per adjustment round.
 func LengthsFromWeights(weights map[ServerID]float64, total Ticks) (map[ServerID]Ticks, error) {
 	ids := make([]ServerID, 0, len(weights))
-	var sumW float64
 	for id, w := range weights {
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return nil, fmt.Errorf("weight for server %d is invalid: %g", id, w)
 		}
-		sumW += w
 		ids = append(ids, id)
 	}
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("no weights")
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var sumW float64
+	for _, id := range ids { // in id order: a float sum depends on its order
+		sumW += weights[id]
+	}
 	if sumW == 0 {
 		return nil, fmt.Errorf("all weights are zero")
 	}

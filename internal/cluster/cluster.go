@@ -35,7 +35,8 @@
 // beyond FailAfter are treated as failed per the paper — their region
 // is released to the survivors — while a server that merely missed one
 // report window but is demonstrably alive is left idle rather than
-// evicted, and still installs the map.
+// evicted, and still installs the map. A failed server heard again is
+// re-admitted with an equal share in the next map (placement.TuneRound).
 //
 // Wire invariant established here and in package delegate: installed
 // placements are fenced by the (epoch, round) pair. The view epoch

@@ -652,35 +652,25 @@ wait:
 	rec := r.takeJournalLocked()
 	r.mu.Unlock()
 	if err == nil {
-		// Every other member gets the map, not just the tuned set: a
-		// live peer whose report missed the window was tuned as idle, and
-		// it must still install the round it is serving under.
+		// Every other member gets the map: a live peer whose report
+		// missed the window was tuned as idle, and it must still install
+		// the round it is serving under.
 		r.broadcast(delegate.Message{Kind: delegate.MsgMap, From: r.cfg.ID, Epoch: epoch, Round: round, Payload: snapshot})
 	}
 	r.flushJournal(rec)
 }
 
-// tuneMembersLocked chooses the member set the delegate tunes over:
-// itself, every peer that reported this round, and every peer silent
-// beyond FailAfter (which Rescale then marks failed, releasing its
-// region to the survivors). A peer that is demonstrably alive but
-// missed this report window is omitted — the controller treats it as
-// idle instead of evicting it on one lost packet.
-func (r *Runtime) tuneMembersLocked(now time.Time) []delegate.NodeID {
-	reported := make(map[delegate.NodeID]bool)
-	for _, id := range r.node.Reported() {
-		reported[id] = true
-	}
-	members := make([]delegate.NodeID, 0, len(r.cfg.Members))
+// tuneMembersLocked is the membership view the delegate tunes over:
+// every configured member, up if it is this node or was heard within
+// FailAfter. A report refreshes lastSeen, so a peer that reported is
+// up. A live peer that missed this report window is tuned as idle
+// instead of evicted on one lost packet; a silent one is failed,
+// releasing its region to the survivors; a restarted one is
+// re-admitted.
+func (r *Runtime) tuneMembersLocked(now time.Time) []placement.Member {
+	members := make([]placement.Member, len(r.cfg.Members))
 	for k, id := range r.cfg.Members {
-		switch {
-		case id == r.cfg.ID:
-			members = append(members, id)
-		case reported[id]:
-			members = append(members, id)
-		case !r.heardLocked(r.slots[k], now):
-			members = append(members, id)
-		}
+		members[k] = placement.Member{ID: id, Up: id == r.cfg.ID || r.heardLocked(r.slots[k], now)}
 	}
 	return members
 }

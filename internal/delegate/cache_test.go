@@ -61,9 +61,11 @@ func TestInstalledBytesCache(t *testing.T) {
 		t.Fatal("Rescale returned bytes other than its cached encoding")
 	}
 
-	// A Tune that fails leaves the cache describing the placement.
-	if _, err := c.Node(0).Rescale(c.Epoch(), c.Round()+1, []NodeID{0, 99}); err == nil {
-		t.Fatal("Rescale over an unknown member succeeded")
+	// A round that fails leaves the cache describing the placement: ANU
+	// refuses to commission the up member -1.
+	bad := append(c.Members(), placement.Member{ID: -1, Up: true})
+	if _, err := c.Node(0).Rescale(c.Epoch(), c.Round()+1, bad); err == nil {
+		t.Fatal("Rescale commissioning member -1 succeeded")
 	}
 	checkCache(t, "failed rescale", c.Node(0))
 

@@ -174,15 +174,14 @@ func (c *Cluster) Node(id NodeID) *Node {
 // Delegate returns the currently elected delegate id.
 func (c *Cluster) Delegate() (NodeID, bool) { return Elect(c.Nodes) }
 
-// Members returns the ids of all nodes (live and crashed) — the
-// membership view the delegate tunes over; crashed members are detected
-// by their missing reports.
-func (c *Cluster) Members() []NodeID {
-	ids := make([]NodeID, 0, len(c.Nodes))
+// Members returns the membership view the delegate tunes over: every
+// node, up as its Up flag says — the flag Elect reads.
+func (c *Cluster) Members() []placement.Member {
+	members := make([]placement.Member, 0, len(c.Nodes))
 	for _, n := range c.Nodes {
-		ids = append(ids, n.ID())
+		members = append(members, placement.Member{ID: n.ID(), Up: n.Up()})
 	}
-	return ids
+	return members
 }
 
 // Step executes one tuning interval: every live node sends its last

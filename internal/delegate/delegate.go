@@ -454,16 +454,6 @@ func (n *Node) install(msg Message) bool {
 // It never exceeds the placement's member count.
 func (n *Node) PendingReports() int { return len(n.pending) }
 
-// Reported returns the ids whose reports the node currently holds as
-// delegate, in unspecified order.
-func (n *Node) Reported() []NodeID {
-	out := make([]NodeID, 0, len(n.pending))
-	for id := range n.pending {
-		out = append(out, id)
-	}
-	return out
-}
-
 // MapRound returns the round of the node's installed map: 0 until the
 // first install (or after a Restart), then monotonically non-decreasing
 // within an epoch for the life of the process.
@@ -499,39 +489,38 @@ func (n *Node) CloseDualTag() { n.dualTagTarget = "" }
 // when no window is open.
 func (n *Node) DualTagTarget() string { return n.dualTagTarget }
 
-// Rescale executes the delegate role for one round over the reports
-// received so far: members that did not report are treated as failed
-// (the paper's failure handling — a silent server's region goes to the
-// survivors), the controller rescales the placement, the fence is
-// stamped and the pending reports are cleared; a report for round that
-// arrives afterwards is dropped as late. It returns the encoded
-// map for the caller to distribute to every member; a caller that tunes
-// over a subset of its peers may address the map beyond that subset.
+// Rescale executes the delegate role for one round: placement.TuneRound
+// over members, with the pending reports of up members and the node's
+// own latest measurement as the reports. An up member that did not
+// report is tuned as idle; a down member is failed, so its region goes
+// to the survivors (the paper's failure handling); an up member the
+// placement holds at zero share is re-admitted with an equal share.
+// The fence is then stamped and the pending reports are cleared; a
+// report for round that arrives afterwards is dropped as late. It
+// returns the encoded map for the caller to distribute to every member.
 // The returned bytes are the node's own Encoded() slice: send them,
 // never modify them.
-func (n *Node) Rescale(epoch, round uint64, members []NodeID) ([]byte, error) {
+func (n *Node) Rescale(epoch, round uint64, members []placement.Member) ([]byte, error) {
 	if !n.up {
 		return nil, fmt.Errorf("delegate: node %d is down", n.id)
 	}
 	reports := make([]placement.Report, 0, len(members))
-	for _, id := range members {
-		rep, ok := n.pending[id]
-		if !ok && id != n.id {
-			reports = append(reports, placement.Report{Server: id, Failed: true})
-			continue
+	for _, m := range members {
+		rep, ok := n.pending[m.ID]
+		if m.ID == n.id {
+			rep, ok = n.last, true // the delegate reports to itself directly
 		}
-		if id == n.id {
-			rep = n.last // the delegate reports to itself directly
+		if m.Up && ok {
+			reports = append(reports, placement.Report{
+				Server:   m.ID,
+				Requests: rep.Requests,
+				Latency:  float64(rep.LatencyMicros) / 1e6,
+			})
 		}
-		reports = append(reports, placement.Report{
-			Server:   id,
-			Requests: rep.Requests,
-			Latency:  float64(rep.LatencyMicros) / 1e6,
-		})
 	}
-	if _, err := n.s.Tune(reports); err != nil {
-		// A failed Tune may still have touched the placement; re-encode so
-		// the cached bytes keep describing it.
+	if err := placement.TuneRound(n.s, members, reports); err != nil {
+		// A failed round may still have touched the placement; re-encode
+		// so the cached bytes keep describing it.
 		n.setPlacement(n.s, n.s.Encode())
 		return nil, err
 	}

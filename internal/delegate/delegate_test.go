@@ -158,10 +158,11 @@ func TestRestartRejoinsFromSnapshot(t *testing.T) {
 	if !c.Converged() {
 		t.Fatal("restarted node did not converge from snapshot")
 	}
-	// The restarted node is re-admitted by the controller over the
-	// following rounds (its region was zeroed while down; recovery is
-	// the map-level Recover operation driven by the cluster layer, so
-	// here we just assert protocol health).
+	// The next round's delegate sees node 3 up again at zero share and
+	// re-admits it with an equal share (placement.TuneRound's Recover):
+	// it holds at least half of one after every step, rather than
+	// regrowing from the controller's floor, and the cluster stays
+	// converged.
 	for round := 0; round < 3; round++ {
 		observeHeterogeneous(c, speeds)
 		if _, err := c.Step(); err != nil {
@@ -169,6 +170,9 @@ func TestRestartRejoinsFromSnapshot(t *testing.T) {
 		}
 		if !c.Converged() {
 			t.Fatal("cluster diverged after rejoin")
+		}
+		if l := c.Node(0).Map().Length(3); l < anu.Half/8 {
+			t.Fatalf("round %d after restart: node 3 holds %d ticks, want at least half an equal share (%d)", round+1, l, anu.Half/8)
 		}
 	}
 }
@@ -202,27 +206,24 @@ func TestMessageLossToleratedEventually(t *testing.T) {
 }
 
 func TestLostReportDoesNotKillServerPermanently(t *testing.T) {
-	// A lost report makes the delegate treat a server as failed for
-	// that round. Once reports flow again, the server must be
-	// re-admitted (Recover via controller-level failure handling is
-	// the cluster layer's job; at protocol level the region must not
-	// stay zero if the node reports again and the map still has it).
+	// A lost report leaves an up server idle for that round, never
+	// failed: the delegate fails only members that are down. Once
+	// reports flow again the server must still hold its region.
 	c := testCluster(t, 3)
 	speeds := map[NodeID]float64{0: 3, 1: 3, 2: 3}
 	observeHeterogeneous(c, speeds)
 	if _, err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	// Drop everything for one round: nodes 1 and 2 look dead.
+	// Drop everything for one round: nodes 1 and 2 go unheard.
 	c.Transport().SetLoss(0.999999, 3)
 	observeHeterogeneous(c, speeds)
 	if _, err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
 	c.Transport().SetLoss(0, 3)
-	// The delegate zeroed them; the protocol itself does not resurrect
-	// regions (the cluster layer's Recover does). What must hold: the
-	// cluster still steps and converges.
+	// They were tuned as idle, not failed. What must hold: the cluster
+	// still steps and converges, and neither lost its region.
 	for round := 0; round < 3; round++ {
 		observeHeterogeneous(c, speeds)
 		if _, err := c.Step(); err != nil {
@@ -231,6 +232,11 @@ func TestLostReportDoesNotKillServerPermanently(t *testing.T) {
 	}
 	if !c.Converged() {
 		t.Fatal("cluster diverged after transient blackout")
+	}
+	for _, id := range []NodeID{1, 2} {
+		if l := c.Node(0).Map().Length(id); l < anu.Half/6 {
+			t.Errorf("node %d holds %d ticks after a lost report, want at least half an equal share (%d)", id, l, anu.Half/6)
+		}
 	}
 }
 

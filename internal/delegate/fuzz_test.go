@@ -16,7 +16,10 @@ import (
 // panics, the installed (epoch, round) never decreases, a message that
 // installs nothing leaves Encoded() and Fingerprint() unchanged, an
 // install's Encoded() is the payload, and PendingReports() never
-// exceeds the member count.
+// exceeds the member count. After the eight messages the node rescales
+// over members 0–2, member i up when bit i of up is set: Rescale never
+// panics, an error leaves Encoded() describing the placement, and
+// otherwise a member holds a nonzero share exactly when it is up.
 func FuzzNodeReceive(f *testing.F) {
 	opts := placement.Options{Controller: anu.DefaultControllerConfig()}
 	c, err := NewCluster(3, 42, opts.Controller)
@@ -29,22 +32,22 @@ func FuzzNodeReceive(f *testing.F) {
 		f.Fatal(err)
 	}
 	tuned := c.Node(0).Encoded()
-	target, err := placement.New(placement.StrategyChordBounded, c.Members(), placement.Options{HashSeed: 42})
+	target, err := placement.New(placement.StrategyChordBounded, c.Node(0).Placement().Servers(), placement.Options{HashSeed: 42})
 	if err != nil {
 		f.Fatal(err)
 	}
 	report := encodeReport(Report{Requests: 10, LatencyMicros: 2000})
-	f.Add(uint8(MsgReport), int32(0), uint64(1), uint64(5), report, false)
-	f.Add(uint8(MsgReport), int32(2), uint64(1), uint64(5), []byte{1, 2, 3}, false)
-	f.Add(uint8(MsgReport), int32(1), uint64(1), uint64(4), report, false)
-	f.Add(uint8(MsgMap), int32(0), uint64(2), uint64(5), tuned, false)
-	f.Add(uint8(MsgMap), int32(0), uint64(1), uint64(4), tuned, false)
-	f.Add(uint8(MsgMap), int32(0), uint64(0), uint64(99), tuned, false)
-	f.Add(uint8(MsgMap), int32(0), uint64(3), uint64(1), target.Encode(), true)
-	f.Add(uint8(MsgMap), int32(0), uint64(3), uint64(1), target.Encode(), false)
-	f.Add(uint8(MsgMap), int32(0), uint64(1), uint64(6), []byte("not a snapshot"), false)
-	f.Add(uint8(0x20), int32(0), uint64(1), uint64(5), report, false)
-	f.Fuzz(func(t *testing.T, kind uint8, from int32, epoch, round uint64, payload []byte, window bool) {
+	f.Add(uint8(MsgReport), int32(0), uint64(1), uint64(5), report, false, uint8(0b111))
+	f.Add(uint8(MsgReport), int32(2), uint64(1), uint64(5), []byte{1, 2, 3}, false, uint8(0b011))
+	f.Add(uint8(MsgReport), int32(1), uint64(1), uint64(4), report, false, uint8(0b101))
+	f.Add(uint8(MsgMap), int32(0), uint64(2), uint64(5), tuned, false, uint8(0b111))
+	f.Add(uint8(MsgMap), int32(0), uint64(1), uint64(4), tuned, false, uint8(0b110))
+	f.Add(uint8(MsgMap), int32(0), uint64(0), uint64(99), tuned, false, uint8(0b111))
+	f.Add(uint8(MsgMap), int32(0), uint64(3), uint64(1), target.Encode(), true, uint8(0b111))
+	f.Add(uint8(MsgMap), int32(0), uint64(3), uint64(1), target.Encode(), false, uint8(0b010))
+	f.Add(uint8(MsgMap), int32(0), uint64(1), uint64(6), []byte("not a snapshot"), false, uint8(0b111))
+	f.Add(uint8(0x20), int32(0), uint64(1), uint64(5), report, false, uint8(0b000))
+	f.Fuzz(func(t *testing.T, kind uint8, from int32, epoch, round uint64, payload []byte, window bool, up uint8) {
 		n, err := NewNode(1, boot, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -73,6 +76,22 @@ func FuzzNodeReceive(f *testing.F) {
 			}
 			if got, max := n.PendingReports(), len(n.Placement().Servers()); got > max {
 				t.Fatalf("%d pending reports for %d members", got, max)
+			}
+		}
+		var members []placement.Member
+		for id := NodeID(0); id < 3; id++ {
+			members = append(members, placement.Member{ID: id, Up: up&(1<<id) != 0})
+		}
+		if _, err := n.Rescale(n.MapEpoch(), 6, members); err != nil {
+			if !bytes.Equal(n.Encoded(), n.Placement().Encode()) {
+				t.Fatalf("failed Rescale (%v) left Encoded() stale", err)
+			}
+			return
+		}
+		shares := n.Placement().Shares()
+		for _, m := range members {
+			if (shares[m.ID] > 0) != m.Up {
+				t.Fatalf("member %d up=%v holds share %g after Rescale", m.ID, m.Up, shares[m.ID])
 			}
 		}
 	})

@@ -3,7 +3,6 @@ package policy
 import (
 	"fmt"
 
-	"anurand/internal/anu"
 	"anurand/internal/hashx"
 	"anurand/internal/placement"
 	"anurand/internal/workload"
@@ -20,6 +19,14 @@ type StrategyPlacer struct {
 	// digest is the per-key half of every family hash.
 	digests []hashx.Digest
 	s       placement.Strategy
+	// weighted is whether s is a placement.Reweigher, asserted once
+	// here: members carry speeds only to a strategy that takes them, so
+	// TuneRound skips its per-round interface assertion for the rest.
+	// That assertion's runtime cache is built on a random draw, which
+	// would leave a stray allocation in a random run.
+	weighted bool
+	// members is Retune's scratch view, reused every round.
+	members []placement.Member
 }
 
 // NewStrategyPlacer builds a Placer for a registered strategy over the
@@ -40,7 +47,8 @@ func NewStrategyPlacerKeys(strategy string, keys *workload.KeySet, servers []Ser
 	if err != nil {
 		return nil, fmt.Errorf("policy: NewStrategyPlacer: %w", err)
 	}
-	return &StrategyPlacer{digests: keys.Digests, s: s}, nil
+	_, weighted := s.(placement.Reweigher)
+	return &StrategyPlacer{digests: keys.Digests, s: s, weighted: weighted}, nil
 }
 
 // Strategy exposes the wrapped strategy for inspection.
@@ -59,60 +67,25 @@ func (p *StrategyPlacer) Place(fs int) ServerID {
 	return id
 }
 
-// Retune implements Placer: one feedback round against the snapshot.
+// Retune implements Placer: one placement.TuneRound over the
+// snapshot's servers, weighted by speed, and its reports.
 func (p *StrategyPlacer) Retune(env *Env) error {
 	if err := validateEnv(env, len(p.digests), false); err != nil {
 		return err
 	}
-	return retuneStrategy(p.s, env)
+	p.members = p.members[:0]
+	for _, sv := range env.Servers {
+		m := placement.Member{ID: sv.ID, Up: sv.Up}
+		if p.weighted {
+			m.Weight = sv.Speed
+		}
+		p.members = append(p.members, m)
+	}
+	if err := placement.TuneRound(p.s, p.members, env.Reports); err != nil {
+		return fmt.Errorf("policy: %s retune: %w", p.s.Name(), err)
+	}
+	return nil
 }
 
 // SharedStateSize implements Placer.
 func (p *StrategyPlacer) SharedStateSize() int { return p.s.SharedStateSize() }
-
-// retuneStrategy is the one simulator tuning round every strategy-backed
-// placer shares: commission servers the snapshot reports up but the
-// strategy does not know, re-admit recovered members, refresh capacity
-// weights on weight-aware strategies from the snapshot's server speeds,
-// convert down servers to Failed reports, and apply the strategy's own
-// feedback step.
-func retuneStrategy(s placement.Strategy, env *Env) error {
-	shares := s.Shares()
-	for _, sv := range env.Servers {
-		if !sv.Up {
-			continue
-		}
-		if !s.Has(sv.ID) {
-			if err := s.AddServer(sv.ID); err != nil {
-				return fmt.Errorf("policy: %s retune: %w", s.Name(), err)
-			}
-		} else if shares[sv.ID] == 0 {
-			if err := s.Recover(sv.ID); err != nil {
-				return fmt.Errorf("policy: %s retune: %w", s.Name(), err)
-			}
-		}
-	}
-	if rw, ok := s.(placement.Reweigher); ok {
-		weights := make(map[placement.ServerID]float64)
-		for _, sv := range env.Servers {
-			if sv.Speed > 0 && s.Has(sv.ID) {
-				weights[sv.ID] = sv.Speed
-			}
-		}
-		if len(weights) > 0 {
-			if err := rw.SetWeights(weights); err != nil {
-				return fmt.Errorf("policy: %s retune: %w", s.Name(), err)
-			}
-		}
-	}
-	reports := append([]anu.Report(nil), env.Reports...)
-	for _, sv := range env.Servers {
-		if !sv.Up && s.Has(sv.ID) {
-			reports = append(reports, anu.Report{Server: sv.ID, Failed: true})
-		}
-	}
-	if _, err := s.Tune(reports); err != nil {
-		return fmt.Errorf("policy: %s retune: %w", s.Name(), err)
-	}
-	return nil
-}
