@@ -31,6 +31,7 @@ package anu
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"sort"
 
@@ -226,6 +227,18 @@ func (m *Map) Lengths() map[ServerID]Ticks {
 		out[id] = r.length
 	}
 	return out
+}
+
+// AllLengths yields every server's region length, in no fixed order,
+// without copying them into a map.
+func (m *Map) AllLengths() iter.Seq2[ServerID, Ticks] {
+	return func(yield func(ServerID, Ticks) bool) {
+		for id, r := range m.regions {
+			if !yield(id, r.length) {
+				return
+			}
+		}
+	}
 }
 
 // TotalMapped returns the sum of all region lengths. It equals Half

@@ -286,17 +286,20 @@ func (b *Bounded) ownerAt(p point) (NodeID, int, bool) {
 	return b.ring.ids[next], probes + 1, true
 }
 
-// Shares returns each member's fraction of the key space under the
-// current failure and shed state (live fractions sum to 1; failed
+// SharesOf returns each member of b's fraction of the key space under
+// the current failure and shed state (live fractions sum to 1; failed
 // members report 0). It is the closed form of the Owner walk over the
 // same dense state: a failed node's arc goes to its next live successor,
-// and a shedding node's prefix goes to the next live node after it.
-func (b *Bounded) Shares() map[NodeID]float64 {
+// and a shedding node's prefix goes to the next live node after it. The
+// map is keyed by any id type over NodeID's int32, so a caller that
+// names members by its own id type fills one map instead of converting
+// a second.
+func SharesOf[K ~int32](b *Bounded) map[K]float64 {
 	ids := b.ring.ids
 	n := len(ids)
-	out := make(map[NodeID]float64, n)
+	out := make(map[K]float64, n)
 	for _, id := range ids {
-		out[id] = 0
+		out[K(id)] = 0
 	}
 	if b.LiveCount() == 0 {
 		return out
@@ -314,16 +317,16 @@ func (b *Bounded) Shares() map[NodeID]float64 {
 		// a live member's entry is itself only when it is the only one.
 		next := int(b.nextLiveAt[i])
 		if b.failedAt[i] {
-			out[ids[next]] += arcF
+			out[K(ids[next])] += arcF
 			continue
 		}
 		s := b.shed[id]
 		if s == 0 || next == i {
-			out[id] += arcF
+			out[K(id)] += arcF
 			continue
 		}
-		out[id] += arcF * (1 - s)
-		out[ids[next]] += arcF * s
+		out[K(id)] += arcF * (1 - s)
+		out[K(ids[next])] += arcF * s
 	}
 	return out
 }

@@ -83,7 +83,7 @@ func TestBoundedAllFailed(t *testing.T) {
 	if _, _, ok := b.Owner("anything"); ok {
 		t.Fatal("all-failed ring still places keys")
 	}
-	for id, s := range b.Shares() {
+	for id, s := range SharesOf[NodeID](b) {
 		if s != 0 {
 			t.Errorf("all-failed ring reports share %g for %d", s, id)
 		}
@@ -118,8 +118,8 @@ func TestBoundedShedMovesPrefixFraction(t *testing.T) {
 	// Shares agree with the sampled behaviour: the target's share dropped
 	// by about half relative to its unshed arc.
 	unshed := newBounded(t, 5)
-	before := unshed.Shares()[target]
-	after := b.Shares()[target]
+	before := SharesOf[NodeID](unshed)[target]
+	after := SharesOf[NodeID](b)[target]
 	if math.Abs(after-before*(1-shedFrac)) > 0.05 {
 		t.Errorf("Shares: shed share %g, want ~%g", after, before*(1-shedFrac))
 	}
@@ -131,7 +131,7 @@ func TestBoundedSharesSumToOne(t *testing.T) {
 	b.SetShed(3, 0.25)
 	b.SetShed(5, 0.75)
 	var sum float64
-	for _, s := range b.Shares() {
+	for _, s := range SharesOf[NodeID](b) {
 		if s < 0 {
 			t.Fatalf("negative share %g", s)
 		}
@@ -140,7 +140,7 @@ func TestBoundedSharesSumToOne(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("shares sum to %g, want 1", sum)
 	}
-	if s := b.Shares()[1]; s != 0 {
+	if s := SharesOf[NodeID](b)[1]; s != 0 {
 		t.Errorf("failed node has share %g", s)
 	}
 }
@@ -221,8 +221,8 @@ func TestApplyMatchesSetters(t *testing.T) {
 					seed, key, a, pa, oka, b, pb, okb)
 			}
 		}
-		singleShares := single.Shares()
-		for id, s := range bulk.Shares() {
+		singleShares := SharesOf[NodeID](single)
+		for id, s := range SharesOf[NodeID](bulk) {
 			if s != singleShares[id] {
 				t.Fatalf("seed %d: share of %d is %g after Apply, %g after setters", seed, id, s, singleShares[id])
 			}
@@ -275,7 +275,7 @@ func TestBoundedSingleNode(t *testing.T) {
 	if !ok || id != 0 || probes != 1 {
 		t.Fatalf("single-node owner = (%d, %d, %v)", id, probes, ok)
 	}
-	if s := b.Shares()[0]; s != 1 {
+	if s := SharesOf[NodeID](b)[0]; s != 1 {
 		t.Errorf("single-node share %g, want 1", s)
 	}
 }

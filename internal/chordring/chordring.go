@@ -166,6 +166,21 @@ func (r *Ring) Leave(id NodeID) error {
 	return nil
 }
 
+// SameMembers reports whether nodes, which must hold no duplicates, are
+// exactly the ring's members. A decoder holding the previous ring uses
+// it to skip rebuilding one whose membership did not change.
+func (r *Ring) SameMembers(nodes []NodeID) bool {
+	if len(nodes) != len(r.ids) {
+		return false
+	}
+	for _, id := range nodes {
+		if _, ok := r.byID[id]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a copy of the ring that may Join and Leave independently
 // of the original. It shares the membership state, which Join and Leave
 // replace rather than edit.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"sync"
@@ -47,11 +48,15 @@ type ChaosStats struct {
 // only a small (due, seq, slot) ref moves through the heap, so neither a
 // push nor a pop copies envelopes around, and nothing allocates once the
 // slab and heap have grown. One scheduler goroutine delivers what is due
-// and sleeps on one reused timer until the earliest due ref. The cost
-// per message is one mutex acquisition. The randomness stream is
-// deterministic for a seed and copies due at the same instant are
-// delivered in send order, though the interleaving of senders still
-// depends on goroutine scheduling.
+// and sleeps on one reused timer until the earliest due ref; it records
+// that due time as armed, under mu. A send wakes it only when a copy
+// comes due before armed (always, when it sleeps with an empty heap),
+// so a fan-out whose copies fall due after the armed deadline costs the
+// scheduler no wakeup, and delivery order and timing are as if it
+// re-armed on every push. The cost per message is one mutex
+// acquisition. The randomness stream is deterministic for a seed and
+// copies due at the same instant are delivered in send order, though
+// the interleaving of senders still depends on goroutine scheduling.
 type MemNetwork struct {
 	mu      sync.Mutex
 	cfg     ChaosConfig
@@ -62,10 +67,17 @@ type MemNetwork struct {
 	stats   ChaosStats
 	recvBuf int
 	closed  bool
+	// armed is the due time, in ns since clock0, the scheduler will next
+	// wake at unprompted; unarmed when it waits with an empty heap.
+	armed int64
 
-	wake chan struct{} // cap 1: nudges the scheduler after a push
+	wake chan struct{} // cap 1: nudges the scheduler after an earlier push
 	done chan struct{}
 }
+
+// unarmed is armed's value while the scheduler sleeps without a
+// deadline: every push comes due before it.
+const unarmed = math.MaxInt64
 
 // memQueue holds the fabric's delayed deliveries. Messages live in a
 // slab whose freed slots are reused through a free list; a 4-ary
@@ -168,6 +180,7 @@ func NewMemNetwork(cfg ChaosConfig, recvBuf int) (*MemNetwork, error) {
 		eps:     make(map[delegate.NodeID]*MemEndpoint),
 		clock0:  time.Now(),
 		recvBuf: recvBuf,
+		armed:   unarmed,
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
@@ -255,11 +268,13 @@ func (mn *MemNetwork) run() {
 			mn.mu.Unlock()
 			return
 		}
+		mn.armed = unarmed
 		if mn.queue.len() > 0 {
 			now := int64(time.Since(mn.clock0))
 			for mn.queue.len() > 0 {
 				if due := mn.queue.next(); due > now {
 					wait = time.Duration(due - now)
+					mn.armed = due
 					break
 				}
 				msg := mn.queue.pop()
@@ -319,9 +334,9 @@ type MemEndpoint struct {
 // SendAsync implements Transport by running the chaos model for one
 // message under the fabric lock: zero-delay copies are delivered
 // inline, delayed copies go on the heap, and the scheduler is nudged
-// only when something was scheduled. The fabric never blocks a sender
-// (a full inbox is overflow loss); false only when the fabric or
-// endpoint closed.
+// only when a copy comes due before the deadline it is armed for. The
+// fabric never blocks a sender (a full inbox is overflow loss); false
+// only when the fabric or endpoint closed.
 func (e *MemEndpoint) SendAsync(msg delegate.Message) bool {
 	mn := e.mn
 	mn.mu.Lock()
@@ -341,7 +356,7 @@ func (e *MemEndpoint) SendAsync(msg delegate.Message) bool {
 		mn.stats.Duplicated++
 	}
 	span := float64(mn.cfg.MaxDelay - mn.cfg.MinDelay)
-	scheduled := false
+	nudge := false
 	now := int64(-1)
 	for i := 0; i < copies; i++ {
 		d := mn.cfg.MinDelay
@@ -355,11 +370,18 @@ func (e *MemEndpoint) SendAsync(msg delegate.Message) bool {
 		if now < 0 {
 			now = int64(time.Since(mn.clock0))
 		}
-		mn.queue.push(now+int64(d), msg)
-		scheduled = true
+		due := now + int64(d)
+		mn.queue.push(due, msg)
+		if due < mn.armed {
+			// The scheduler sleeps past this copy: wake it, and record
+			// the earlier deadline so later copies due after it do not
+			// wake it again. It re-arms from the heap when it runs.
+			mn.armed = due
+			nudge = true
+		}
 	}
 	mn.mu.Unlock()
-	if scheduled {
+	if nudge {
 		select {
 		case mn.wake <- struct{}{}:
 		default:

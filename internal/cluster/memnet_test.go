@@ -206,6 +206,44 @@ func TestMemNetHeapOrdersDeliveries(t *testing.T) {
 	}
 }
 
+// TestMemNetEarlierSendWakesScheduler pins the wake rule: the scheduler
+// is nudged only for a copy due before the deadline it is armed for, so
+// each send below, due earlier than everything before it, must wake it.
+// A missed wake would hold the short-delay copies behind the hour-long
+// one, and they would never arrive. Only the order is asserted.
+func TestMemNetEarlierSendWakesScheduler(t *testing.T) {
+	mn, err := NewMemNetwork(ChaosConfig{Seed: 3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mn.Close()
+	a, b := mn.Endpoint(1), mn.Endpoint(2)
+	for round, d := range []time.Duration{time.Hour, 50 * time.Millisecond, time.Millisecond} {
+		if err := mn.SetConfig(ChaosConfig{MinDelay: d, MaxDelay: d}); err != nil {
+			t.Fatal(err)
+		}
+		if !a.SendAsync(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 2, Round: uint64(round)}) {
+			t.Fatal("SendAsync refused on open fabric")
+		}
+		time.Sleep(time.Millisecond) // let the scheduler arm for this copy
+	}
+	var got []uint64
+	for len(got) < 2 {
+		select {
+		case m := <-b.Recv():
+			got = append(got, m.Round)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("delivered %v, then nothing: the scheduler missed a wake", got)
+		}
+	}
+	if got[0] != 2 || got[1] != 1 {
+		t.Fatalf("delivery order %v, want [2 1]", got)
+	}
+	if n := mn.Pending(); n != 1 {
+		t.Fatalf("%d copies pending, want the hour-long one", n)
+	}
+}
+
 // TestMemNetChaosAccounting checks the drop/duplicate ledger balances:
 // every accepted copy is eventually delivered, dropped, or overflowed.
 func TestMemNetChaosAccounting(t *testing.T) {

@@ -74,8 +74,9 @@ type Runtime struct {
 	round      uint64
 	roundStart time.Time
 	// reportWake is the wakeup of the round this node last opened as
-	// delegate: handle signals it, without blocking, on every report for
-	// the current round, and that round's tune goroutine waits on it.
+	// delegate: handle signals it, without blocking, when a report for
+	// the current round brings the count to Quorum or to the whole live
+	// view, and that round's tune goroutine waits on it.
 	// Each round gets a fresh channel, so a tune left over from an
 	// earlier round can never consume the next round's wakeup.
 	reportWake chan struct{}
@@ -262,7 +263,7 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 	if resumeMig != nil {
 		r.resumeMigration(*resumeMig, now)
 	}
-	s := node.Placement().Clone()
+	s := node.Placement()
 	r.placement.Store(&s)
 	r.roundStart, r.lastMapTime = now, now
 	r.wg.Add(3)
@@ -329,9 +330,14 @@ func (r *Runtime) handle(msg delegate.Message) {
 		r.counters.ReportsReceived++
 		r.receiveLocked(msg, now)
 		if msg.Round == r.round {
-			select {
-			case r.reportWake <- struct{}{}:
-			default: // a wakeup is already pending; it covers this report
+			// Wake the tune wait only at the two counts it acts on: the
+			// Quorum-th report, which starts the straggler cutoff, and the
+			// last of the live view. + 1 is the delegate's own sample.
+			if got := r.node.PendingReports() + 1; got == r.cfg.Quorum || got >= r.viewSizeLocked(now) {
+				select {
+				case r.reportWake <- struct{}{}:
+				default: // a wakeup is already pending; it covers this report
+				}
 			}
 		}
 	case delegate.MsgMap:
@@ -590,7 +596,8 @@ func (r *Runtime) tick() {
 
 // tune waits for the round's reports, then rescales and sends the new
 // map to every other member as the round's delegate. The wait wakes on
-// report arrival (wake, signalled by handle) and ends at the first of:
+// the reports it acts on (wake, signalled by handle at the Quorum-th
+// report and at the last of the live view) and ends at the first of:
 //   - every peer in the live view has reported;
 //   - the straggler cutoff: once Quorum reports are in at elapsed time
 //     t_q after the round opened, the rest get as long again, 2·t_q;
@@ -838,10 +845,11 @@ func (r *Runtime) MapState() (epoch, round, fingerprint uint64) {
 // lock-free data plane and, with a journal configured, stages the
 // placement for a durable append. Must be called with r.mu held, after
 // any protocol step that installed or produced a new placement. The
-// clone is immutable once stored: readers share it, the protocol never
-// touches it again.
+// node's placement is stored as it is, without a copy: the node never
+// mutates a placement once set (Rescale tunes a clone, installs replace
+// it), so readers share it safely.
 func (r *Runtime) publishPlacementLocked() {
-	s := r.node.Placement().Clone()
+	s := r.node.Placement()
 	r.placement.Store(&s)
 	if r.cfg.Journal != nil {
 		r.journalStage = append(r.journalStage, journal.Record{

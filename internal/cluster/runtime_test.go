@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -380,8 +382,13 @@ func TestWatchdogReelection(t *testing.T) {
 
 // TestRuntimeLookupDataPlane exercises the lock-free read path on the
 // ANU and chord-bounded strategies: request routing via Lookup,
-// LookupDigest and LookupBatch must stay valid and uninterrupted while
-// the protocol installs new placements underneath it.
+// LookupDigest and LookupBatch, and Shares on the published placement
+// itself, must stay valid and uninterrupted while the protocol installs
+// new placements underneath it. The runtime publishes the node's
+// placement without a copy, which is safe only because the node never
+// mutates a placement once set: under -race a round that tuned the
+// published instance in place is a data race, and each reader also
+// checks that the first instance it took still encodes as it did.
 func TestRuntimeLookupDataPlane(t *testing.T) {
 	for _, strategy := range []string{placement.StrategyANU, placement.StrategyChordBounded} {
 		t.Run(strategy, func(t *testing.T) {
@@ -424,11 +431,28 @@ func TestRuntimeLookupDataPlane(t *testing.T) {
 					defer wg.Done()
 					keys := []string{"/home/alice", "/home/bob", "/var/mail", "/srv/data"}
 					owners := make([]anu.ServerID, len(keys))
+					var held placement.Strategy // the first published instance seen
+					var heldEnc []byte
 					for n := 0; ; n++ {
 						select {
 						case <-stop:
+							if !bytes.Equal(held.Encode(), heldEnc) {
+								errs <- fmt.Errorf("node %d: a published placement changed after publication", i)
+							}
 							return
 						default:
+						}
+						s := *rt.placement.Load()
+						if held == nil {
+							held, heldEnc = s, s.Encode()
+						}
+						total := 0.0
+						for _, share := range s.Shares() {
+							total += share
+						}
+						if math.Abs(total-1) > 1e-9 {
+							errs <- fmt.Errorf("node %d: published shares sum to %g", i, total)
+							return
 						}
 						key := keys[n%len(keys)]
 						owner, ok := rt.Lookup(key)

@@ -241,7 +241,7 @@ func RunClosed(cfg ClosedConfig) (*ClosedResult, error) {
 
 	h.servers = make([]*closedServer, len(cfg.Speeds))
 	for i, speed := range cfg.Speeds {
-		h.servers[i] = &closedServer{res: sim.NewResource(&h.eng, fmt.Sprintf("server-%d", i), speed), up: true}
+		h.servers[i] = &closedServer{res: sim.NewResource(&h.eng, resourceName("server-", i), speed), up: true}
 	}
 
 	if cfg.SAN.Enabled {

@@ -3,6 +3,7 @@ package clustersim
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"anurand/internal/anu"
 	"anurand/internal/metrics"
@@ -158,12 +159,23 @@ func (r *runner) state(id ServerID) *serverState {
 	return r.states[i]
 }
 
+// resourceName is prefix followed by i in decimal, as
+// fmt.Sprintf(prefix+"%d", i) would give. It is built without fmt:
+// fmt's printer pool refills after a GC cycle, and a named-type
+// argument sends fmt through an interface type switch whose call-site
+// cache allocates on a random draw, so a Sprintf here moves a run's
+// allocation count from one run to the next.
+func resourceName(prefix string, i int) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(i), 10))
+}
+
 func (r *runner) addServer(id ServerID, speed float64) {
 	s := &serverState{
 		id:    id,
 		idx:   int32(len(r.states)),
 		speed: speed,
-		res:   sim.NewResource(&r.eng, fmt.Sprintf("server-%d", id), speed),
+		res:   sim.NewResource(&r.eng, resourceName("server-", int(id)), speed),
 		up:    true,
 		stats: &ServerStats{ID: id, Speed: speed, Series: metrics.NewSeries(r.window)},
 	}

@@ -86,7 +86,7 @@ type san struct {
 func newSAN(eng *sim.Engine, cfg SANConfig) *san {
 	s := &san{cfg: cfg, eng: eng, family: hashx.NewFamily(0x5a4e)}
 	for i := 0; i < cfg.Disks; i++ {
-		s.disks = append(s.disks, sim.NewResource(eng, fmt.Sprintf("disk-%d", i), 1))
+		s.disks = append(s.disks, sim.NewResource(eng, resourceName("disk-", i), 1))
 	}
 	s.stats.Disks = cfg.Disks
 	s.doneFn = func(j *sim.Job) {

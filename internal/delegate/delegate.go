@@ -244,7 +244,10 @@ func (n *Node) ID() NodeID { return n.id }
 func (n *Node) Up() bool { return n.up }
 
 // Placement returns the node's current placement strategy (read-only
-// use).
+// use). The node never mutates a placement's state once set (soft
+// state such as ANU's controller aside): Rescale tunes a clone, and
+// installs and restarts replace it, so the value stays valid for
+// concurrent readers after the node moves on.
 func (n *Node) Placement() placement.Strategy { return n.s }
 
 // Strategy returns the registered tag of the node's placement strategy.
@@ -408,7 +411,9 @@ func (n *Node) install(msg Message) bool {
 		}
 		return false
 	}
-	s, err := placement.Decode(msg.Payload, n.opts)
+	// Decoding after the installed placement lets a strategy reuse what
+	// the map leaves unchanged (chord's ring, while the members stay).
+	s, err := placement.DecodeAfter(msg.Payload, n.opts, n.s)
 	if err != nil {
 		// A corrupt map must never be installed.
 		n.installs.UndecodableMapsRejected++
@@ -495,11 +500,15 @@ func (n *Node) DualTagTarget() string { return n.dualTagTarget }
 // report is tuned as idle; a down member is failed, so its region goes
 // to the survivors (the paper's failure handling); an up member the
 // placement holds at zero share is re-admitted with an equal share.
-// The fence is then stamped and the pending reports are cleared; a
-// report for round that arrives afterwards is dropped as late. It
-// returns the encoded map for the caller to distribute to every member.
-// The returned bytes are the node's own Encoded() slice: send them,
-// never modify them.
+// The round tunes a clone of the placement and installs it only on
+// success: a failed round returns the error and leaves Placement(),
+// Encoded() and Fingerprint() as they were. A node thus never mutates a
+// placement it has set, so a caller may publish Placement() to readers
+// without copying it. On success the fence is stamped and the pending
+// reports are cleared; a report for round that arrives afterwards is
+// dropped as late. It returns the encoded map for the caller to
+// distribute to every member. The returned bytes are the node's own
+// Encoded() slice: send them, never modify them.
 func (n *Node) Rescale(epoch, round uint64, members []placement.Member) ([]byte, error) {
 	if !n.up {
 		return nil, fmt.Errorf("delegate: node %d is down", n.id)
@@ -518,10 +527,8 @@ func (n *Node) Rescale(epoch, round uint64, members []placement.Member) ([]byte,
 			})
 		}
 	}
-	if err := placement.TuneRound(n.s, members, reports); err != nil {
-		// A failed round may still have touched the placement; re-encode
-		// so the cached bytes keep describing it.
-		n.setPlacement(n.s, n.s.Encode())
+	s := n.s.Clone()
+	if err := placement.TuneRound(s, members, reports); err != nil {
 		return nil, err
 	}
 	n.pending = make(map[NodeID]Report)
@@ -533,7 +540,7 @@ func (n *Node) Rescale(epoch, round uint64, members []placement.Member) ([]byte,
 		n.mapEpoch = epoch
 		n.mapRound = round
 	}
-	n.setPlacement(n.s, n.s.Encode())
+	n.setPlacement(s, s.Encode())
 	return n.enc, nil
 }
 

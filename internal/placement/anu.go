@@ -42,7 +42,7 @@ func newANU(servers []ServerID, opts Options) (Strategy, error) {
 	return &ANU{m: m, ctl: anu.NewController(cfg)}, nil
 }
 
-func decodeANU(data []byte, opts Options) (Strategy, error) {
+func decodeANU(data []byte, opts Options, _ Strategy) (Strategy, error) {
 	cfg := controllerConfig(opts)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -94,7 +94,7 @@ func (a *ANU) Has(id ServerID) bool { return a.m.Has(id) }
 func (a *ANU) Shares() map[ServerID]float64 {
 	total := float64(a.m.TotalMapped())
 	out := make(map[ServerID]float64, a.m.K())
-	for id, l := range a.m.Lengths() {
+	for id, l := range a.m.AllLengths() {
 		if total == 0 {
 			out[id] = 0
 		} else {

@@ -23,14 +23,17 @@ const StrategyChord = "chord"
 const StrategyChordBounded = "chord-bounded"
 
 func init() {
-	Register(StrategyChord, Factory{
-		New:    func(servers []ServerID, opts Options) (Strategy, error) { return newChord(servers, opts, false) },
-		Decode: func(data []byte, opts Options) (Strategy, error) { return decodeChord(data, false) },
-	})
-	Register(StrategyChordBounded, Factory{
-		New:    func(servers []ServerID, opts Options) (Strategy, error) { return newChord(servers, opts, true) },
-		Decode: func(data []byte, opts Options) (Strategy, error) { return decodeChord(data, true) },
-	})
+	Register(StrategyChord, chordFactory(false))
+	Register(StrategyChordBounded, chordFactory(true))
+}
+
+func chordFactory(bounded bool) Factory {
+	return Factory{
+		New: func(servers []ServerID, opts Options) (Strategy, error) { return newChord(servers, opts, bounded) },
+		Decode: func(data []byte, opts Options, prev Strategy) (Strategy, error) {
+			return decodeChord(data, bounded, prev)
+		},
+	}
 }
 
 // shedDamping is the per-round EWMA coefficient on shed fractions: each
@@ -222,14 +225,7 @@ func (c *Chord) Servers() []ServerID {
 
 func (c *Chord) Has(id ServerID) bool { return c.b.Has(chordring.NodeID(id)) }
 
-func (c *Chord) Shares() map[ServerID]float64 {
-	shares := c.b.Shares()
-	out := make(map[ServerID]float64, len(shares))
-	for id, s := range shares {
-		out[ServerID(id)] = s
-	}
-	return out
-}
+func (c *Chord) Shares() map[ServerID]float64 { return chordring.SharesOf[ServerID](c.b) }
 
 // The chord payload inside the tagged container:
 //
@@ -279,7 +275,13 @@ func (c *Chord) Clone() Strategy {
 	return &Chord{b: c.b.Clone(), seed: c.seed, bound: c.bound, bounded: c.bounded}
 }
 
-func decodeChord(data []byte, bounded bool) (Strategy, error) {
+// decodeChord decodes a chord or chord-bounded snapshot. When prev is
+// a *Chord whose ring has the snapshot's seed and member ids, the
+// result shares that ring (a shallow Ring.Clone; ring membership state
+// is replaced, never edited) instead of re-hashing and re-sorting every
+// member point. The records are parsed and validated the same either
+// way, so the result equals a cold decode.
+func decodeChord(data []byte, bounded bool, prev Strategy) (Strategy, error) {
 	name, payload, err := DecodeTagged(data)
 	if err != nil {
 		return nil, err
@@ -340,8 +342,10 @@ func decodeChord(data []byte, bounded bool) (Strategy, error) {
 			states = append(states, chordring.NodeState{ID: id, Failed: failed, Shed: shed})
 		}
 	}
-	ring, err := chordring.New(hashx.NewFamily(seed), nodes)
-	if err != nil {
+	var ring *chordring.Ring
+	if p, ok := prev.(*Chord); ok && p.seed == seed && p.b.Ring().SameMembers(nodes) {
+		ring = p.b.Ring().Clone()
+	} else if ring, err = chordring.New(hashx.NewFamily(seed), nodes); err != nil {
 		return nil, err
 	}
 	b, err := chordring.NewBounded(ring, states)

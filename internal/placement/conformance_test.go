@@ -202,7 +202,7 @@ func TestConformanceTagMismatch(t *testing.T) {
 			if encName == decName {
 				continue
 			}
-			if _, err := f.Decode(encs[encName], conformanceOptions(5)); err == nil {
+			if _, err := f.Decode(encs[encName], conformanceOptions(5), nil); err == nil {
 				t.Errorf("%s decoder accepted a %s snapshot", decName, encName)
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"anurand/internal/hashx"
 )
 
 // FuzzWeightedSnapshot hammers the weighted snapshot codec shared by
@@ -60,7 +62,11 @@ func FuzzWeightedSnapshot(f *testing.F) {
 // FuzzChordSnapshot is FuzzWeightedSnapshot for the ring strategies
 // (chord and chord-bounded): Decode never panics, and an accepted
 // snapshot satisfies the invariants, re-encodes byte-identically, and
-// never places a key on a member with zero share.
+// never places a key on a member with zero share. Each input is also
+// decoded after the placement decoded from the previous input, as a
+// node decodes an install after the map it holds, and after its own
+// cold decode (the ring-reuse path): both must accept exactly what the
+// cold decode accepts and re-encode and route as it does.
 func FuzzChordSnapshot(f *testing.F) {
 	for _, name := range []string{StrategyChord, StrategyChordBounded} {
 		s, err := New(name, []ServerID{0, 1, 2, 3, 5, 8}, Options{HashSeed: 9})
@@ -83,13 +89,35 @@ func FuzzChordSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeTagged(StrategyChordBounded, nil))
 
+	var prev Strategy // the placement decoded from the previous input
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(data, Options{})
+		after, afterErr := DecodeAfter(data, Options{}, prev)
+		if (err == nil) != (afterErr == nil) {
+			t.Fatalf("cold decode error %v, decode after the previous input %v", err, afterErr)
+		}
 		if err != nil {
 			return
 		}
+		prev = after
 		if _, ok := dec.(*Chord); !ok {
 			return
+		}
+		again, err := DecodeAfter(data, Options{}, dec)
+		if err != nil {
+			t.Fatalf("decode after its own cold decode: %v", err)
+		}
+		for _, warm := range []Strategy{after, again} {
+			if !bytes.Equal(warm.Encode(), data) {
+				t.Fatal("warm decode does not re-encode as the cold decode")
+			}
+			for i := 0; i < 16; i++ {
+				d := hashx.Prehash(fmt.Sprintf("fuzz-probe/%d", i))
+				want, _ := dec.LookupDigest(d)
+				if got, _ := warm.LookupDigest(d); got != want {
+					t.Fatalf("warm decode routes probe %d to %d, cold decode to %d", i, got, want)
+				}
+			}
 		}
 		if err := dec.(Invariants).CheckInvariants(); err != nil {
 			t.Fatalf("accepted snapshot violates invariants: %v", err)

@@ -228,8 +228,11 @@ type Factory struct {
 	New func(servers []ServerID, opts Options) (Strategy, error)
 	// Decode reconstructs a strategy from bytes produced by its Encode.
 	// Implementations must validate everything; the bytes may come from
-	// disk or the network.
-	Decode func(data []byte, opts Options) (Strategy, error)
+	// disk or the network. prev is the placement the result will
+	// supersede, or nil: a decoder may share prev's immutable parts
+	// where the bytes describe the same ones, and must return what a
+	// decode with nil prev returns.
+	Decode func(data []byte, opts Options, prev Strategy) (Strategy, error)
 }
 
 var (
@@ -369,6 +372,16 @@ func Tag(data []byte) (string, error) {
 // runtime (e.g. the ANU controller); state that must match the encoder
 // (seeds, membership, bounds) always comes from the bytes.
 func Decode(data []byte, opts Options) (Strategy, error) {
+	return DecodeAfter(data, opts, nil)
+}
+
+// DecodeAfter is Decode for a snapshot that supersedes prev, the
+// placement its caller has installed (nil decodes cold). The result is
+// what Decode returns; a strategy whose snapshot repeats prev's
+// immutable parts reuses them instead of rebuilding them (chord keeps
+// prev's ring while the seed and members are unchanged). prev is only
+// read.
+func DecodeAfter(data []byte, opts Options, prev Strategy) (Strategy, error) {
 	tag, err := Tag(data)
 	if err != nil {
 		return nil, err
@@ -377,7 +390,7 @@ func Decode(data []byte, opts Options) (Strategy, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := f.Decode(data, opts)
+	s, err := f.Decode(data, opts, prev)
 	if err != nil {
 		return nil, fmt.Errorf("placement: decode %q snapshot: %w", tag, err)
 	}

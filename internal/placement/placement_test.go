@@ -167,16 +167,16 @@ func TestCrossStrategyDecode(t *testing.T) {
 		}
 		reg[name] = f
 	}
-	if _, err := reg[StrategyANU].Decode(chordBytes, Options{}); err == nil {
+	if _, err := reg[StrategyANU].Decode(chordBytes, Options{}, nil); err == nil {
 		t.Error("ANU factory decoded chord bytes")
 	}
-	if _, err := reg[StrategyChord].Decode(anuBytes, Options{}); err == nil {
+	if _, err := reg[StrategyChord].Decode(anuBytes, Options{}, nil); err == nil {
 		t.Error("chord factory decoded ANU bytes")
 	}
-	if _, err := reg[StrategyChord].Decode(boundedBytes, Options{}); err == nil {
+	if _, err := reg[StrategyChord].Decode(boundedBytes, Options{}, nil); err == nil {
 		t.Error("chord factory decoded chord-bounded bytes")
 	}
-	if _, err := reg[StrategyChordBounded].Decode(chordBytes, Options{}); err == nil {
+	if _, err := reg[StrategyChordBounded].Decode(chordBytes, Options{}, nil); err == nil {
 		t.Error("chord-bounded factory decoded chord bytes")
 	}
 	// Package Decode dispatches each to its own strategy.

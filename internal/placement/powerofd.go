@@ -228,7 +228,7 @@ func (p *PowerOfD) Clone() Strategy {
 	}
 }
 
-func decodePowerOfD(data []byte, opts Options) (Strategy, error) {
+func decodePowerOfD(data []byte, opts Options, _ Strategy) (Strategy, error) {
 	name, payload, err := DecodeTagged(data)
 	if err != nil {
 		return nil, err

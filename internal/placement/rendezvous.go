@@ -144,7 +144,7 @@ func (r *Rendezvous) Clone() Strategy {
 	return &Rendezvous{t: r.t.clone(), seed: r.seed, salt: append([]uint64(nil), r.salt...)}
 }
 
-func decodeRendezvous(data []byte, opts Options) (Strategy, error) {
+func decodeRendezvous(data []byte, opts Options, _ Strategy) (Strategy, error) {
 	name, payload, err := DecodeTagged(data)
 	if err != nil {
 		return nil, err

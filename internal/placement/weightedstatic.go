@@ -113,7 +113,7 @@ func (s *WeightedStatic) Clone() Strategy {
 	return &WeightedStatic{t: s.t.clone(), seed: s.seed, fam: s.fam}
 }
 
-func decodeWeightedStatic(data []byte, opts Options) (Strategy, error) {
+func decodeWeightedStatic(data []byte, opts Options, _ Strategy) (Strategy, error) {
 	name, payload, err := DecodeTagged(data)
 	if err != nil {
 		return nil, err

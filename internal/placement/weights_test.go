@@ -22,7 +22,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 func TestRegisterRejectsBadNames(t *testing.T) {
 	okFactory := Factory{
 		New:    func(servers []ServerID, opts Options) (Strategy, error) { return nil, nil },
-		Decode: func(data []byte, opts Options) (Strategy, error) { return nil, nil },
+		Decode: func(data []byte, opts Options, prev Strategy) (Strategy, error) { return nil, nil },
 	}
 	bad := []string{
 		"",
