@@ -28,15 +28,16 @@
 // new round, and a round watchdog re-elects when the delegate stays
 // silent — heartbeats without placement maps are not progress.
 //
-// The delegate's tune wait wakes on report arrival. It tunes once every
-// live peer has reported, or once stragglers have had as long again as
-// the quorum took to arrive, or when a grace period expires, whichever
-// is first, and sends the new map to every other member. Servers silent
-// beyond FailAfter are treated as failed per the paper — their region
-// is released to the survivors — while a server that merely missed one
-// report window but is demonstrably alive is left idle rather than
-// evicted, and still installs the map. A failed server heard again is
-// re-admitted with an equal share in the next map (placement.TuneRound).
+// The delegate's tune wait is driven by report arrival. It tunes once
+// every live peer has reported, or once stragglers have had as long
+// again as the quorum took to arrive, or half a round after the round
+// opened, whichever is first, and sends the new map to every other
+// member. Servers silent beyond FailAfter are treated as failed per the
+// paper — their region is released to the survivors — while a server
+// that merely missed one report window but is demonstrably alive is left
+// idle rather than evicted, and still installs the map. A failed server
+// heard again is re-admitted with an equal share in the next map
+// (placement.TuneRound).
 //
 // Wire invariant established here and in package delegate: installed
 // placements are fenced by the (epoch, round) pair. The view epoch
@@ -53,6 +54,16 @@
 // a stale map and keeps rejecting anything older than what it
 // persisted. With Journal nil the runtime is exactly the in-memory
 // system it was before.
+//
+// Concurrency: each Runtime runs on one goroutine, started by Start and
+// ended by Stop. It is the paper's management agent as one sequence of
+// events: an inbound message, a heartbeat beat, a round tick, the
+// pending tune's cutoff, or a Migrate call, each handled to completion,
+// its messages sent and its journal records flushed, before the next.
+// So protocol state has one writer and the journal sees records in the
+// order they were staged. The mutex only lets other goroutines read
+// that state through the accessors (Stats, MapState, View, ...); the
+// lookup path reads an RCU snapshot and takes no lock at all.
 package cluster
 
 import (
@@ -67,10 +78,12 @@ import (
 
 // ObserveFunc samples the local server's performance for the elapsed
 // interval: the number of requests served and their mean latency in
-// seconds. It is called without the runtime's lock, so it may call back
-// into the Runtime (Stats, Lookup, ...); s is the node's published
-// placement snapshot, immutable and read-only — strategy-agnostic
-// observers read shares through s.Shares().
+// seconds. It runs on the runtime's goroutine without the runtime's
+// lock, so it may call the accessors and the lookup path (Stats,
+// Lookup, ...), but it must not call Migrate or Stop, which wait for
+// that goroutine. s is the node's published placement snapshot,
+// immutable and read-only — strategy-agnostic observers read shares
+// through s.Shares().
 type ObserveFunc func(s placement.Strategy, id delegate.NodeID) (requests uint64, meanLatencySeconds float64)
 
 // Journal persists installed placements and live-migration phase
@@ -129,17 +142,11 @@ type Config struct {
 	// time, marked failed so its region goes to the survivors.
 	// Default: 4×HeartbeatInterval + RoundInterval.
 	FailAfter time.Duration
-	// ReportGrace bounds how long the delegate waits for reports after
-	// opening a round before tuning with what arrived. The wait wakes on
-	// each report and usually ends far sooner: as soon as every live peer
-	// has reported, or at the straggler cutoff that Quorum sets.
-	// Default: RoundInterval/2.
-	ReportGrace time.Duration
 	// Quorum is the report count (including the delegate's own sample)
 	// that starts the straggler cutoff: when the Quorum-th report is in
 	// at elapsed time t_q after the round opened, the delegate waits for
-	// the rest until 2·t_q (or ReportGrace, if that comes first), then
-	// tunes. Late peers are tuned as idle and still receive the map.
+	// the rest until 2·t_q, or half a RoundInterval if that comes first,
+	// then tunes. Late peers are tuned as idle and still receive the map.
 	// Default: majority of Members.
 	Quorum int
 	// WatchdogRounds re-elects when no map has been installed for this
@@ -194,7 +201,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}{
 		{"HeartbeatInterval", cfg.HeartbeatInterval},
 		{"FailAfter", cfg.FailAfter},
-		{"ReportGrace", cfg.ReportGrace},
 		{"MigrateTimeout", cfg.MigrateTimeout},
 		{"MigrateRetry", cfg.MigrateRetry},
 	} {
@@ -216,9 +222,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.FailAfter == 0 {
 		cfg.FailAfter = 4*cfg.HeartbeatInterval + cfg.RoundInterval
-	}
-	if cfg.ReportGrace == 0 {
-		cfg.ReportGrace = cfg.RoundInterval / 2
 	}
 	if cfg.Quorum == 0 {
 		cfg.Quorum = len(cfg.Members)/2 + 1

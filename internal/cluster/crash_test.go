@@ -156,7 +156,6 @@ func runCrashRestartSoak(t *testing.T, strategy string) {
 			RoundInterval:     50 * time.Millisecond,
 			HeartbeatInterval: 10 * time.Millisecond,
 			FailAfter:         150 * time.Millisecond,
-			ReportGrace:       30 * time.Millisecond,
 			Observe:           closedLoopObserve(speeds),
 			Journal:           journals[i],
 		}, cn.Endpoint(ids[i]))

@@ -76,7 +76,8 @@ func TestHeartbeatTargets(t *testing.T) {
 				}
 			}
 			for _, id := range tc.suspect {
-				rt.suspectUntil[id] = now.Add(time.Hour)
+				i, _ := slices.BinarySearch(rt.peers, id)
+				rt.suspectUntil[i] = int64(now.Add(time.Hour).Sub(rt.clock0))
 			}
 			before := rt.counters.HeartbeatsSent
 			rt.mu.Unlock()

@@ -46,6 +46,7 @@ package cluster
 //	Aborted   | any                        | history; boot plc normally
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"anurand/internal/delegate"
@@ -110,28 +111,32 @@ type migrationLinger struct {
 // Migrate starts a live migration of the whole cluster from its
 // current placement strategy to the named target. It must be called on
 // the current delegate (migration leadership follows cluster
-// leadership) and returns the migration id immediately; progress is
-// asynchronous and observable through MigrationPhase and Stats. The
-// data plane keeps serving lock-free lookups from the old placement
-// throughout; the flip to the target is one atomic snapshot publish
-// per node, and any failure rolls back to the old placement.
-func (r *Runtime) Migrate(to string) (uint64, error) {
-	registered := false
-	for _, name := range placement.Names() {
-		if name == to {
-			registered = true
-			break
-		}
-	}
-	if !registered {
+// leadership). It runs on the runtime's goroutine, like every other
+// protocol step, and returns the migration id once the messages and
+// journal records it staged are sent and flushed: a one-member quorum
+// has cut over by then; otherwise progress is asynchronous and
+// observable through MigrationPhase and Stats. The data plane keeps
+// serving lock-free lookups from the old placement throughout; the flip
+// to the target is one atomic snapshot publish per node, and any
+// failure rolls back to the old placement.
+func (r *Runtime) Migrate(to string) (id uint64, err error) {
+	if !slices.Contains(placement.Names(), to) {
 		return 0, fmt.Errorf("cluster: node %d: unknown strategy %q", r.cfg.ID, to)
 	}
-	now := time.Now()
-	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
+	done := make(chan struct{})
+	select {
+	case r.calls <- func() { id, err = r.migrate(to); close(done) }:
+	case <-r.stop:
 		return 0, fmt.Errorf("cluster: node %d: runtime stopped", r.cfg.ID)
 	}
+	<-done
+	return id, err
+}
+
+// migrate is Migrate's body, run on the loop.
+func (r *Runtime) migrate(to string) (uint64, error) {
+	now := time.Now()
+	r.mu.Lock()
 	if r.curDelegate != r.cfg.ID {
 		r.mu.Unlock()
 		return 0, fmt.Errorf("cluster: node %d: not the delegate (delegate is %d)", r.cfg.ID, r.curDelegate)
@@ -508,6 +513,7 @@ func (r *Runtime) enterDualTagLocked(now time.Time) {
 func (r *Runtime) commitMigrationLocked(now time.Time) {
 	m := r.mig
 	r.epoch++
+	r.tuneAt = time.Time{} // fenced out with the old epoch
 	rec := m.rec
 	rec.Phase = migrate.Committed
 	r.counters.MigratePhaseLatencyHist.Add(now.Sub(m.phaseStart).Seconds())
@@ -719,7 +725,7 @@ func (r *Runtime) handleAckLocked(msg delegate.Message, rec migrate.Record, now 
 // interrupted, from its journaled phase record. The proposer is
 // unknown after a restart (-1): only explicit messages, the next
 // leader's retries, or the deadline settle a resumed phase. Called
-// from Start before the runtime's goroutines exist, so no lock.
+// from Start before the loop starts, so no lock.
 func (r *Runtime) resumeMigration(rec migrate.Record, now time.Time) {
 	m := &migration{
 		phase:      rec.Phase,

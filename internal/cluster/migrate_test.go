@@ -135,7 +135,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative RoundInterval", func(c *Config) { c.RoundInterval = -time.Second }},
 		{"negative HeartbeatInterval", func(c *Config) { c.HeartbeatInterval = -time.Millisecond }},
 		{"negative FailAfter", func(c *Config) { c.FailAfter = -time.Second }},
-		{"negative ReportGrace", func(c *Config) { c.ReportGrace = -time.Millisecond }},
 		{"negative MigrateTimeout", func(c *Config) { c.MigrateTimeout = -time.Second }},
 		{"negative MigrateRetry", func(c *Config) { c.MigrateRetry = -time.Millisecond }},
 		{"negative Quorum", func(c *Config) { c.Quorum = -1 }},
@@ -230,6 +229,85 @@ func TestMigrateSingleNode(t *testing.T) {
 	}
 	if got := rt.Strategy(); got != placement.StrategyANU {
 		t.Fatalf("strategy %q after return migration, want %q", got, placement.StrategyANU)
+	}
+}
+
+// holdJournal holds the first migration-record Append until another
+// Append arrives or 200 ms pass, so any flush that can run beside
+// Migrate's gets in between its records.
+type holdJournal struct {
+	*journal.Journal
+	mu   sync.Mutex
+	held chan struct{} // open while the first migration record waits
+}
+
+func (h *holdJournal) Append(rec journal.Record) error {
+	h.mu.Lock()
+	var wait chan struct{}
+	switch {
+	case h.held == nil && migrate.IsRecord(rec.Map):
+		h.held = make(chan struct{})
+		wait = h.held
+	case h.held != nil:
+		select {
+		case <-h.held:
+		default:
+			close(h.held)
+		}
+	}
+	h.mu.Unlock()
+	if wait != nil {
+		select {
+		case <-wait:
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	return h.Journal.Append(rec)
+}
+
+// TestMigrateJournalOrder pins the journal order of a migration: with
+// Migrate's first record held back, a concurrent flush of a newer
+// placement would make Append's monotone guard drop every record
+// Migrate staged. The journal must still end with the Committed record
+// and a placement carrying the target tag.
+func TestMigrateJournalOrder(t *testing.T) {
+	cn, err := NewMemNetwork(ChaosConfig{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	ids, snapshot := bootstrap(t, 1)
+	j, err := journal.Open(filepath.Join(t.TempDir(), "node0.wal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	rt, err := Start(Config{
+		ID: 0, Members: ids, Snapshot: snapshot,
+		Controller: anu.DefaultControllerConfig(), RoundInterval: 20 * time.Millisecond,
+		Journal: &holdJournal{Journal: j}, Logf: t.Logf,
+	}, cn.Endpoint(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	waitFor(t, 10*time.Second, "self-election", func() bool { return rt.Delegate() == 0 })
+	if _, err := rt.Migrate(placement.StrategyChordBounded); err != nil {
+		t.Fatal(err)
+	}
+	mrec, ok := j.LastMigration()
+	if !ok {
+		t.Fatal("no migration record journaled")
+	}
+	if mr, err := migrate.Decode(mrec.Map); err != nil || mr.Phase != migrate.Committed {
+		t.Fatalf("journaled migration record (%+v, %v), want Committed", mr, err)
+	}
+	prec, ok := j.LastPlacement()
+	if !ok {
+		t.Fatal("no placement record journaled")
+	}
+	if tag, _ := placement.Tag(prec.Map); tag != placement.StrategyChordBounded {
+		t.Fatalf("journaled placement tag %q, want %q", tag, placement.StrategyChordBounded)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 const lineSize = 3
 
 // Runtime runs one node of the delegate protocol on the wall clock.
+// One goroutine, started by Start, runs every protocol step; see run.
 //
 // Round pacing: the elected delegate advances the round on its own
 // timer and announces it through heartbeats (which carry the sender's
@@ -40,6 +41,8 @@ type Runtime struct {
 	tr   Transport
 	stop chan struct{}
 	wg   sync.WaitGroup
+	// calls carries work other goroutines hand to the loop (Migrate).
+	calls chan func()
 
 	// sendDrops counts messages the async fan-out path dropped
 	// (per-peer queue full or transport closed). Atomic: drops are
@@ -59,13 +62,14 @@ type Runtime struct {
 	// peers is the sorted, deduplicated membership, fixed at Start; a
 	// member's index in it is its liveness slot, and slots[k] is the slot
 	// of cfg.Members[k]. lastSeen[slot] is when the member was last heard
-	// from, in monotonic ns since clock0, or -1 if never. Messages from
-	// non-members have no slot and leave liveness untouched.
+	// from, in monotonic ns since clock0, or -1 if never; suspectUntil[slot]
+	// is when the watchdog's suspicion of it lapses, on the same clock.
+	// Messages from non-members have no slot and leave liveness untouched.
 	peers        []delegate.NodeID
 	slots        []int
 	lastSeen     []int64
+	suspectUntil []int64
 	clock0       time.Time
-	suspectUntil map[delegate.NodeID]time.Time
 	// epoch is the view epoch: bumped when this node takes over as
 	// delegate, adopted from any higher epoch observed on the wire, and
 	// stamped into every outbound message. Together with the round it
@@ -73,17 +77,14 @@ type Runtime struct {
 	epoch      uint64
 	round      uint64
 	roundStart time.Time
-	// reportWake is the wakeup of the round this node last opened as
-	// delegate: handle signals it, without blocking, when a report for
-	// the current round brings the count to Quorum or to the whole live
-	// view, and that round's tune goroutine waits on it.
-	// Each round gets a fresh channel, so a tune left over from an
-	// earlier round can never consume the next round's wakeup.
-	reportWake chan struct{}
+	// tuneAt is the cutoff of the round this node opened as delegate and
+	// has not tuned yet, zero when no tune is pending. tick sets it half
+	// a round after the round opened; the Quorum-th report pulls it in
+	// (see tuneDueLocked); a newer round or epoch clears it.
+	tuneAt time.Time
 	// journalStage holds records (placements and migration phases, in
 	// order) staged for the journal under mu and appended (fsynced)
-	// outside it; Journal.Append's own monotone guard keeps racing
-	// flushes safe.
+	// outside it, on the loop, so they reach the journal in stage order.
 	journalStage []journal.Record
 	recovered    *journal.Record // the record Start resumed from, if any
 	lastMapTime  time.Time
@@ -150,11 +151,12 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 		cfg:          cfg,
 		tr:           tr,
 		stop:         make(chan struct{}),
+		calls:        make(chan func()),
 		peers:        peers,
 		slots:        slots,
 		lastSeen:     lastSeen,
+		suspectUntil: make([]int64, len(peers)),
 		clock0:       time.Now(),
-		suspectUntil: make(map[delegate.NodeID]time.Time),
 		curDelegate:  -1,
 	}
 	r.counters.InstallLatencyHist = latencyHistogram()
@@ -266,10 +268,8 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 	s := node.Placement()
 	r.placement.Store(&s)
 	r.roundStart, r.lastMapTime = now, now
-	r.wg.Add(3)
-	go r.recvLoop()
-	go r.heartbeatLoop()
-	go r.roundLoop()
+	r.wg.Add(1)
+	go r.run()
 	return r, nil
 }
 
@@ -287,19 +287,52 @@ func (r *Runtime) Stop() {
 	r.wg.Wait()
 }
 
-// recvLoop dispatches inbound messages until the transport or runtime
-// stops.
-func (r *Runtime) recvLoop() {
+// run is the runtime's one goroutine, the node's management agent: it
+// receives messages, beacons heartbeats, opens rounds, tunes, and runs
+// Migrate, one event at a time. Every change to protocol state and
+// every journal flush therefore happens on it, in order; mu only lets
+// the accessors read that state from other goroutines. After each
+// event the tune timer is re-armed from tuneAt.
+func (r *Runtime) run() {
 	defer r.wg.Done()
+	heartbeat := time.NewTicker(r.cfg.HeartbeatInterval)
+	defer heartbeat.Stop()
+	round := time.NewTicker(r.cfg.RoundInterval)
+	defer round.Stop()
+	tune := time.NewTimer(time.Hour)
+	tune.Stop()
+	var armed time.Time // the cutoff tune is set for, zero when stopped
+	recv := r.tr.Recv()
+	r.sendHeartbeats()
 	for {
+		r.mu.Lock()
+		at := r.tuneAt
+		r.mu.Unlock()
+		if !at.Equal(armed) {
+			armed = at
+			tune.Stop()
+			if !at.IsZero() {
+				tune.Reset(time.Until(at))
+			}
+		}
 		select {
 		case <-r.stop:
 			return
-		case msg, ok := <-r.tr.Recv():
+		case msg, ok := <-recv:
 			if !ok {
-				return
+				recv = nil // the transport closed; run on until Stop
+				continue
 			}
 			r.handle(msg)
+		case <-heartbeat.C:
+			r.sendHeartbeats()
+		case <-round.C:
+			r.tick()
+		case <-tune.C:
+			armed = time.Time{}
+			r.tuneIfDue()
+		case call := <-r.calls:
+			call()
 		}
 	}
 }
@@ -314,32 +347,25 @@ func (r *Runtime) handle(msg delegate.Message) {
 	}
 	// Epoch gossip: the view epoch is a cluster-wide maximum carried on
 	// every message, so a node that slept through a re-election learns
-	// the new epoch from the first heartbeat it receives.
+	// the new epoch from the first heartbeat it receives. A tune pending
+	// in the old epoch is dropped.
 	if msg.Epoch > r.epoch {
 		r.epoch = msg.Epoch
+		r.tuneAt = time.Time{}
 	}
 	// Migration gossip: mirror the delegate's FlagMigrating bit so
 	// operators can watch a cutover propagate through Stats.
 	if msg.From == r.curDelegate {
 		r.delegateMigrating = msg.Flags&FlagMigrating != 0
 	}
+	tune := false
 	switch msg.Kind {
 	case MsgHeartbeat:
 		r.counters.HeartbeatsReceived++
 	case delegate.MsgReport:
 		r.counters.ReportsReceived++
 		r.receiveLocked(msg, now)
-		if msg.Round == r.round {
-			// Wake the tune wait only at the two counts it acts on: the
-			// Quorum-th report, which starts the straggler cutoff, and the
-			// last of the live view. + 1 is the delegate's own sample.
-			if got := r.node.PendingReports() + 1; got == r.cfg.Quorum || got >= r.viewSizeLocked(now) {
-				select {
-				case r.reportWake <- struct{}{}:
-				default: // a wakeup is already pending; it covers this report
-				}
-			}
-		}
+		tune = msg.Round == r.round
 	case delegate.MsgMap:
 		if r.receiveLocked(msg, now) {
 			r.counters.MapsInstalled++
@@ -362,15 +388,16 @@ func (r *Runtime) handle(msg delegate.Message) {
 	}
 	// Round gossip: adopt a newer round and report into it at once —
 	// followers are paced by the delegate's announcements, not their
-	// own timers. The report itself is sent by observeAndReport after
-	// the lock is released, because sampling calls the user's observer.
+	// own timers. A tune pending in the old round is dropped. The report
+	// itself is sent by observeAndReport after the lock is released,
+	// because sampling calls the user's observer.
 	reportTo := delegate.NodeID(-1)
-	var reportEpoch, reportRound uint64
 	if msg.Round > r.round {
 		r.round = msg.Round
 		r.roundStart = now
+		r.tuneAt = time.Time{}
 		if del := r.lowestLiveLocked(now); del != r.cfg.ID {
-			reportTo, reportEpoch, reportRound = del, r.epoch, r.round
+			reportTo = del
 		}
 	}
 	out := r.takeOutboxLocked()
@@ -378,25 +405,24 @@ func (r *Runtime) handle(msg delegate.Message) {
 	r.mu.Unlock()
 	r.sendAll(out)
 	r.flushJournal(rec)
+	if tune {
+		r.tuneIfDue()
+	}
 	if reportTo >= 0 {
-		r.observeAndReport(reportTo, reportEpoch, reportRound)
+		r.observeAndReport(reportTo)
 	}
 }
 
 // observeAndReport samples local performance and sends the report for
-// the given round. The observer runs without the runtime lock — it may
-// call back into Stats or the lookup path — so the report is only sent
-// if the round is still current when the lock is retaken.
-func (r *Runtime) observeAndReport(to delegate.NodeID, epoch, round uint64) {
+// the current round. The observer runs without the runtime lock — it
+// may call back into Stats or the lookup path — and on the loop, so the
+// round cannot move while it runs.
+func (r *Runtime) observeAndReport(to delegate.NodeID) {
 	requests, latency := r.sample()
 	r.mu.Lock()
-	if r.stopped || r.round != round {
-		r.mu.Unlock()
-		return
-	}
 	r.node.Observe(requests, latency)
 	r.counters.SampleLatencyHist.Add(latency)
-	msg, ok := r.node.Report(to, epoch, round)
+	msg, ok := r.node.Report(to, r.epoch, r.round)
 	if ok {
 		r.counters.ReportsSent++
 	}
@@ -413,23 +439,6 @@ func (r *Runtime) sample() (requests uint64, meanLatencySeconds float64) {
 		return 0, 0
 	}
 	return r.cfg.Observe(*r.placement.Load(), r.cfg.ID)
-}
-
-// heartbeatLoop beacons liveness (and the current round) to the peers
-// sendHeartbeats picks.
-func (r *Runtime) heartbeatLoop() {
-	defer r.wg.Done()
-	r.sendHeartbeats()
-	tick := time.NewTicker(r.cfg.HeartbeatInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-tick.C:
-			r.sendHeartbeats()
-		}
-	}
 }
 
 // sendHeartbeats beacons one heartbeat toward the delegate line. Only
@@ -499,21 +508,6 @@ func (r *Runtime) takeoverHeldLocked(now time.Time) bool {
 	return r.hbLineOnly || now.Sub(r.hbAllSince) < r.cfg.FailAfter // Sub saturates: a zero hbAllSince never holds
 }
 
-// roundLoop drives the wall-clock tuning cadence.
-func (r *Runtime) roundLoop() {
-	defer r.wg.Done()
-	tick := time.NewTicker(r.cfg.RoundInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-tick.C:
-			r.tick()
-		}
-	}
-}
-
 // tick runs one timer beat: election over the observed view, the
 // round watchdog, and — when this node is the delegate — starting a
 // new round.
@@ -526,7 +520,8 @@ func (r *Runtime) tick() {
 	// intervals, suspect it so election moves to the next id.
 	watchdog := time.Duration(r.cfg.WatchdogRounds) * r.cfg.RoundInterval
 	if del != r.cfg.ID && now.Sub(r.lastMapTime) > watchdog {
-		r.suspectUntil[del] = now.Add(r.cfg.FailAfter)
+		i, _ := slices.BinarySearch(r.peers, del)
+		r.suspectUntil[i] = int64(now.Sub(r.clock0) + r.cfg.FailAfter)
 		r.counters.WatchdogTrips++
 		r.lastMapTime = now // restart the clock; suspect one rank at a time
 		r.cfg.logf("node %d: watchdog: no map for %v, suspecting delegate %d", r.cfg.ID, watchdog, del)
@@ -552,21 +547,20 @@ func (r *Runtime) tick() {
 		r.curDelegate = del
 	}
 	isDelegate := del == r.cfg.ID
+	r.tuneAt = time.Time{} // a round not tuned by the next tick is dropped
 	r.migrateTickLocked(now)
-	var epoch, round uint64
 	if isDelegate {
 		// This node paces the cluster: open the round, announce it to
 		// peers, and tune after the grace window. The self-sample runs
 		// after the lock is released (the observer may call back in).
 		r.round++
-		epoch, round = r.epoch, r.round
 		r.roundStart = now
 		flags := r.migFlagsLocked()
 		for _, id := range r.cfg.Members {
 			if id == r.cfg.ID {
 				continue
 			}
-			r.outbox = append(r.outbox, delegate.Message{Kind: MsgHeartbeat, Flags: flags, From: r.cfg.ID, To: id, Epoch: epoch, Round: round})
+			r.outbox = append(r.outbox, delegate.Message{Kind: MsgHeartbeat, Flags: flags, From: r.cfg.ID, To: id, Epoch: r.epoch, Round: r.round})
 		}
 		r.counters.HeartbeatsSent += uint64(len(r.cfg.Members) - 1)
 	}
@@ -580,75 +574,29 @@ func (r *Runtime) tick() {
 	}
 	requests, latency := r.sample()
 	r.mu.Lock()
-	if r.stopped || r.round != round || r.epoch != epoch || r.curDelegate != r.cfg.ID {
-		r.mu.Unlock()
-		return // superseded while sampling
-	}
 	r.node.Observe(requests, latency)
 	r.counters.SampleLatencyHist.Add(latency)
-	// tick runs on the wg-counted roundLoop goroutine, so the counter
-	// cannot reach zero before this Add.
-	r.wg.Add(1)
-	r.reportWake = make(chan struct{}, 1)
-	go r.tune(epoch, round, now, r.reportWake)
+	r.tuneAt = now.Add(r.cfg.RoundInterval / 2)
 	r.mu.Unlock()
+	r.tuneIfDue()
 }
 
-// tune waits for the round's reports, then rescales and sends the new
-// map to every other member as the round's delegate. The wait wakes on
-// the reports it acts on (wake, signalled by handle at the Quorum-th
-// report and at the last of the live view) and ends at the first of:
-//   - every peer in the live view has reported;
-//   - the straggler cutoff: once Quorum reports are in at elapsed time
-//     t_q after the round opened, the rest get as long again, 2·t_q;
-//   - ReportGrace after the round opened.
-func (r *Runtime) tune(epoch, round uint64, opened time.Time, wake <-chan struct{}) {
-	defer r.wg.Done()
-	cutoff := r.cfg.ReportGrace
-	timer := time.NewTimer(cutoff - time.Since(opened))
-	defer timer.Stop()
-	quorate := false
-wait:
-	for {
-		now := time.Now()
-		r.mu.Lock()
-		if r.round != round || r.epoch != epoch || r.curDelegate != r.cfg.ID {
-			r.mu.Unlock()
-			return // superseded by a newer round, epoch, or re-election
-		}
-		got := r.node.PendingReports() + 1 // + the delegate's own sample
-		all := got >= r.viewSizeLocked(now)
-		r.mu.Unlock()
-		if all {
-			break
-		}
-		if !quorate && got >= r.cfg.Quorum {
-			quorate = true
-			if tq := now.Sub(opened); 2*tq < cutoff {
-				// The cutoff only ever moves earlier, so a tick the old
-				// deadline may already have fired is due under the new
-				// one too.
-				cutoff = 2 * tq
-				timer.Reset(cutoff - time.Since(opened))
-			}
-		}
-		select {
-		case <-r.stop:
-			return
-		case <-wake:
-		case <-timer.C:
-			break wait
-		}
-	}
+// tuneIfDue tunes the round this node opened as delegate once the wait
+// for its reports is over (see tuneDueLocked), and sends the new map to
+// every other member: a live peer whose report missed the window was
+// tuned as idle, and it must still install the round it is serving
+// under.
+func (r *Runtime) tuneIfDue() {
 	now := time.Now()
 	r.mu.Lock()
-	if r.round != round || r.epoch != epoch || r.curDelegate != r.cfg.ID {
+	if !r.tuneDueLocked(now) {
 		r.mu.Unlock()
 		return
 	}
-	members := r.tuneMembersLocked(now)
+	r.tuneAt = time.Time{}
 	r.counters.ReportsPerTune.Add(float64(r.node.PendingReports() + 1))
-	snapshot, err := r.node.Rescale(epoch, round, members)
+	epoch, round := r.epoch, r.round
+	snapshot, err := r.node.Rescale(epoch, round, r.tuneMembersLocked(now))
 	if err != nil {
 		r.cfg.logf("node %d: tune round %d: %v", r.cfg.ID, round, err)
 	} else {
@@ -656,15 +604,31 @@ wait:
 		r.lastMapTime = now
 		r.publishPlacementLocked()
 	}
-	rec := r.takeJournalLocked()
+	recs := r.takeJournalLocked()
 	r.mu.Unlock()
 	if err == nil {
-		// Every other member gets the map: a live peer whose report
-		// missed the window was tuned as idle, and it must still install
-		// the round it is serving under.
 		r.broadcast(delegate.Message{Kind: delegate.MsgMap, From: r.cfg.ID, Epoch: epoch, Round: round, Payload: snapshot})
 	}
-	r.flushJournal(rec)
+	r.flushJournal(recs)
+}
+
+// tuneDueLocked reports whether a tune is pending and its wait is over.
+// The wait ends at the first of:
+//   - every peer in the live view has reported;
+//   - the straggler cutoff: once Quorum reports are in at elapsed time
+//     t_q after the round opened, the rest get as long again, 2·t_q;
+//   - half a RoundInterval after the round opened.
+//
+// The straggler cutoff is folded into tuneAt, which only moves earlier.
+func (r *Runtime) tuneDueLocked(now time.Time) bool {
+	if r.tuneAt.IsZero() {
+		return false
+	}
+	got := r.node.PendingReports() + 1 // + the delegate's own sample
+	if at := now.Add(now.Sub(r.roundStart)); got >= r.cfg.Quorum && at.Before(r.tuneAt) {
+		r.tuneAt = at
+	}
+	return !now.Before(r.tuneAt) || got >= r.viewSizeLocked(now)
 }
 
 // tuneMembersLocked is the membership view the delegate tunes over:
@@ -720,19 +684,10 @@ func (r *Runtime) lowestLiveLocked(now time.Time) delegate.NodeID {
 }
 
 // liveLocked reports whether the member in liveness slot i is in the
-// observed view at now, expiring a lapsed watchdog suspicion on the way.
+// observed view at now: self, or heard within FailAfter and not
+// suspected by the watchdog.
 func (r *Runtime) liveLocked(i int, now time.Time) bool {
-	id := r.peers[i]
-	if id == r.cfg.ID {
-		return true
-	}
-	if until, ok := r.suspectUntil[id]; ok {
-		if now.Before(until) {
-			return false
-		}
-		delete(r.suspectUntil, id)
-	}
-	return r.heardLocked(i, now)
+	return r.peers[i] == r.cfg.ID || int64(now.Sub(r.clock0)) >= r.suspectUntil[i] && r.heardLocked(i, now)
 }
 
 // heardLocked reports whether the member in liveness slot i was heard
@@ -869,11 +824,11 @@ func (r *Runtime) takeJournalLocked() []journal.Record {
 }
 
 // flushJournal appends staged records in order, fsyncing, outside the
-// runtime lock so disk latency never stalls the protocol. Append's
-// internal monotone guard makes concurrent flushes safe regardless of
-// order; a failure is counted and logged — the in-memory placement is
-// already live, so the node keeps serving and retries durability on
-// the next install.
+// runtime lock so disk latency never stalls the accessors. Flushes run
+// on the loop, one after another, so records reach the journal in the
+// order they were staged; a failure is counted and logged — the
+// in-memory placement is already live, so the node keeps serving and
+// retries durability on the next install.
 func (r *Runtime) flushJournal(recs []journal.Record) {
 	for _, rec := range recs {
 		if err := r.cfg.Journal.Append(rec); err != nil {

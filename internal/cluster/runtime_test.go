@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -81,6 +82,62 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("timed out after %v waiting for %s", d, what)
+}
+
+// TestOneGoroutinePerRuntime pins the runtime's concurrency model: Start
+// launches one goroutine, no round launches another, and Stop ends it.
+func TestOneGoroutinePerRuntime(t *testing.T) {
+	mn, err := NewMemNetwork(ChaosConfig{Seed: 3}, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mn.Close()
+	ids, snapshot := bootstrap(t, 3)
+	speeds := map[delegate.NodeID]float64{0: 1, 1: 2, 2: 4}
+	// Wait out goroutines that earlier tests left exiting: the count
+	// must hold still for 50 ms before it is the baseline.
+	base := runtime.NumGoroutine()
+	for still := 0; still < 5; still++ {
+		time.Sleep(10 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n != base {
+			base, still = n, -1
+		}
+	}
+	rts := make([]*Runtime, 0, len(ids))
+	defer func() {
+		for _, rt := range rts {
+			rt.Stop()
+		}
+	}()
+	for _, id := range ids {
+		before := runtime.NumGoroutine()
+		rt, err := Start(Config{
+			ID: id, Members: ids, Snapshot: snapshot,
+			Controller: anu.DefaultControllerConfig(), RoundInterval: 20 * time.Millisecond,
+			Observe: closedLoopObserve(speeds),
+		}, mn.Endpoint(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts = append(rts, rt)
+		if got := runtime.NumGoroutine(); got != before+1 {
+			t.Fatalf("Start of node %d took the goroutine count from %d to %d, want one more", id, before, got)
+		}
+	}
+	peak := 0
+	waitFor(t, 20*time.Second, "ten tuned rounds", func() bool {
+		peak = max(peak, runtime.NumGoroutine())
+		return rts[0].Stats().Tunes >= 10
+	})
+	if peak > base+len(ids) {
+		t.Errorf("goroutine count peaked at %d over the rounds, want at most %d", peak, base+len(ids))
+	}
+	for _, rt := range rts {
+		rt.Stop()
+	}
+	waitFor(t, 5*time.Second, "the goroutine count back at its baseline", func() bool {
+		return runtime.NumGoroutine() <= base
+	})
 }
 
 func TestStartValidation(t *testing.T) {
@@ -180,7 +237,6 @@ func TestChaosSoakConvergence(t *testing.T) {
 			RoundInterval:     50 * time.Millisecond,
 			HeartbeatInterval: 10 * time.Millisecond,
 			FailAfter:         150 * time.Millisecond,
-			ReportGrace:       30 * time.Millisecond,
 			Observe:           closedLoopObserve(speeds),
 		}, cn.Endpoint(id))
 		if err != nil {

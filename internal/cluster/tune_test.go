@@ -8,9 +8,9 @@ import (
 	"anurand/internal/delegate"
 )
 
-// tuneRound is the cadence of the tune-wait tests: ReportGrace defaults
-// to half of it (200 ms), so a wait that polled at ReportGrace/8 would
-// put every install at 25 ms or later.
+// tuneRound is the cadence of the tune-wait tests: the report grace is
+// half of it (200 ms), so a wait that polled at an eighth of the grace
+// would put every install at 25 ms or later.
 const tuneRound = 400 * time.Millisecond
 
 // startTuneCluster starts five nodes on a calm MemNetwork at tuneRound,
@@ -55,7 +55,8 @@ func startTuneCluster(t *testing.T, wrap func(id delegate.NodeID, ep *MemEndpoin
 // TestTuneWakesOnReports pins the event-driven tune wait: on a calm
 // fabric every follower reports as soon as it sees the round open, the
 // delegate tunes on the arrival of the last report, and installs land
-// well inside ReportGrace/8 — the period the wait once polled at.
+// well inside an eighth of the report grace — the period the wait once
+// polled at.
 func TestTuneWakesOnReports(t *testing.T) {
 	rts := startTuneCluster(t, nil)
 	waitFor(t, 20*time.Second, "five installs on every follower", func() bool {
@@ -71,7 +72,7 @@ func TestTuneWakesOnReports(t *testing.T) {
 		s := rt.Stats()
 		p50 := time.Duration(s.InstallLatencyHist.Quantile(0.5) * float64(time.Second))
 		if p50 >= limit {
-			t.Errorf("node %d: install p50 %v, want < ReportGrace/8 = %v (%s)", s.ID, p50, limit, s.InstallLatencyHist)
+			t.Errorf("node %d: install p50 %v, want < grace/8 = %v (%s)", s.ID, p50, limit, s.InstallLatencyHist)
 		}
 	}
 }
@@ -84,7 +85,7 @@ func TestTuneWakesOnReports(t *testing.T) {
 func TestLateReporterStillInstalls(t *testing.T) {
 	const late = delegate.NodeID(4)
 	// Past the cutoff (twice the few milliseconds a quorum takes on a
-	// calm fabric) but inside ReportGrace, so the held report still
+	// calm fabric) but inside the report grace, so the held report still
 	// arrives in its own round.
 	const holdBack = 150 * time.Millisecond
 	rts := startTuneCluster(t, func(id delegate.NodeID, ep *MemEndpoint) Transport {
