@@ -19,7 +19,7 @@ LOOKUP_BENCH = -bench='Balancer|Hash|Lookup|SetWeights|StrategyDecode|StrategyTu
 FIGS_BENCH = -bench='Fig' -benchtime=1x -benchmem .
 NET_BENCH = -bench='Frame|Heartbeat|Broadcast|MapState' -benchmem ./internal/cluster
 
-.PHONY: all check build test race bench bench-lookup bench-figs bench-net bench-smoke bench-test bench-gate bench-gate-allocs bench-scaling fuzz-smoke soak-migrate soak-scale soak-scale-short lint vet fmt figures examples clean
+.PHONY: all check build test race bench bench-lookup bench-figs bench-net bench-smoke bench-test bench-gate bench-gate-allocs fuzz-smoke soak-migrate soak-scale soak-scale-short lint vet fmt figures examples clean
 
 all: check
 
@@ -125,11 +125,6 @@ bench-gate-allocs: BENCH_current.json BENCH_figs_current.json BENCH_net_current.
 	$(GO) run ./cmd/benchdiff -metric allocs/op -o /dev/null BENCH_lookup.json BENCH_current.json
 	$(GO) run ./cmd/benchdiff -metric allocs/op -o benchdiff-figs-report.md BENCH_figs.json BENCH_figs_current.json
 	$(GO) run ./cmd/benchdiff -metric allocs/op -o /dev/null BENCH_net.json BENCH_net_current.json
-
-# Record the parallel figure runner's scaling curve (workers 1,2,4,...
-# up to GOMAXPROCS) into BENCH_scaling.json.
-bench-scaling:
-	$(GO) run ./cmd/paperfigs -scaling -scaling-out BENCH_scaling.json
 
 # Timeboxed coverage-guided fuzzing of every fuzz target (FUZZTIME per
 # target; go only allows one -fuzz pattern per package invocation).

@@ -7,7 +7,6 @@
 //	paperfigs -fig 5       # one figure
 //	paperfigs -fig 8 -csv  # machine-readable output
 //	paperfigs -quick       # scaled-down workloads (~seconds)
-//	paperfigs -scaling     # parallel-runner speedup curve -> BENCH_scaling.json
 package main
 
 import (
@@ -16,11 +15,8 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 	"sort"
-	"time"
 
-	"anurand/internal/benchfmt"
 	"anurand/internal/clustersim"
 	"anurand/internal/experiment"
 	"anurand/internal/policy"
@@ -37,10 +33,6 @@ func main() {
 		csv     = flag.Bool("csv", false, "emit CSV instead of tables and charts")
 		rep     = flag.Int("replicate", 0, "run the Figure 5 comparison across this many seeds and print across-seed aggregates")
 		workers = flag.Int("workers", 0, "simulation cells run concurrently (0 = one per CPU, 1 = sequential; results are identical)")
-
-		scaling    = flag.Bool("scaling", false, "measure the parallel runner's scaling curve: time the Figure 5 suite at workers=1,2,4,... and record a speedup benchmark")
-		scalingMax = flag.Int("scaling-max", 0, "highest worker count for -scaling (0 = GOMAXPROCS)")
-		scalingOut = flag.String("scaling-out", "BENCH_scaling.json", `path for the -scaling benchmark record ("-" = stdout)`)
 	)
 	flag.Parse()
 
@@ -49,13 +41,6 @@ func main() {
 	cfg.Quick = *quick
 	cfg.Workers = *workers
 	suite := experiment.NewSuite(cfg)
-
-	if *scaling {
-		if err := runScaling(os.Stdout, cfg, *scalingMax, *scalingOut, *csv); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	if *rep > 0 {
 		if err := replicate(os.Stdout, cfg, *rep, *csv); err != nil {
@@ -384,75 +369,6 @@ func constSeries(v float64, n int) []float64 {
 		out[i] = v
 	}
 	return out
-}
-
-// scalingCounts returns the worker counts for the scaling sweep:
-// 1, 2, 4, ... doubling up to max, always ending at max itself.
-func scalingCounts(max int) []int {
-	counts := []int{}
-	for n := 1; n < max; n *= 2 {
-		counts = append(counts, n)
-	}
-	return append(counts, max)
-}
-
-// runScaling times the Figure 5 suite (the canonical four-policy
-// synthetic comparison) at increasing worker counts and records the
-// speedup curve as a benchfmt file, so the parallel runner's scaling
-// is tracked by the same gate/diff machinery as the microbenchmarks.
-// Each worker count gets a fresh Suite: the figure cache must not let
-// run 1 pay for the cells and run N reuse them.
-func runScaling(w io.Writer, cfg experiment.Config, max int, outPath string, csv bool) error {
-	if max <= 0 {
-		max = runtime.GOMAXPROCS(0)
-	}
-	counts := scalingCounts(max)
-
-	fmt.Fprintf(w, "== Parallel-runner scaling: Figure 5 suite, workers 1..%d ==\n", max)
-	file := &benchfmt.File{Goos: runtime.GOOS, Goarch: runtime.GOARCH}
-	tb := report.NewTable("workers", "time (s)", "speedup", "efficiency")
-	var base float64
-	for _, n := range counts {
-		c := cfg
-		c.Workers = n
-		s := experiment.NewSuite(c)
-		start := time.Now()
-		if _, err := s.Fig5(); err != nil {
-			return err
-		}
-		elapsed := time.Since(start).Seconds()
-		if base == 0 {
-			base = elapsed
-		}
-		speedup := base / elapsed
-		name := fmt.Sprintf("BenchmarkPaperfigsFig5/workers=%d", n)
-		file.Benchmarks = append(file.Benchmarks, benchfmt.Benchmark{
-			Pkg:  "anurand/cmd/paperfigs",
-			Name: name,
-			N:    1,
-			Metrics: map[string]float64{
-				"ns/op":   elapsed * 1e9,
-				"speedup": speedup,
-			},
-		})
-		file.Raw = append(file.Raw, fmt.Sprintf("%s 1 %d ns/op %.4f speedup",
-			name, int64(elapsed*1e9), speedup))
-		tb.AddRowf(n, elapsed, speedup, speedup/float64(n))
-	}
-	if err := benchfmt.WriteFile(file, outPath); err != nil {
-		return err
-	}
-	if csv {
-		if err := tb.WriteCSV(w); err != nil {
-			return err
-		}
-	} else if err := tb.Render(w); err != nil {
-		return err
-	}
-	if outPath != "" && outPath != "-" {
-		fmt.Fprintf(w, "recorded %s\n", outPath)
-	}
-	return nil
 }
 
 // replicate renders the across-seed Figure 5 aggregates.

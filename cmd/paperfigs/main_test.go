@@ -3,12 +3,9 @@ package main
 import (
 	"bytes"
 	"io"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
-	"anurand/internal/benchfmt"
 	"anurand/internal/experiment"
 )
 
@@ -82,62 +79,6 @@ func TestReplicateRenders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("replicate output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestScalingCounts(t *testing.T) {
-	cases := map[int][]int{
-		1: {1},
-		2: {1, 2},
-		4: {1, 2, 4},
-		6: {1, 2, 4, 6},
-		8: {1, 2, 4, 8},
-	}
-	for max, want := range cases {
-		if got := scalingCounts(max); !reflect.DeepEqual(got, want) {
-			t.Errorf("scalingCounts(%d) = %v, want %v", max, got, want)
-		}
-	}
-}
-
-func TestScalingRecordsSpeedupCurve(t *testing.T) {
-	cfg := experiment.DefaultConfig()
-	cfg.Quick = true
-	out := filepath.Join(t.TempDir(), "BENCH_scaling.json")
-	var buf bytes.Buffer
-	if err := runScaling(&buf, cfg, 2, out, false); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "workers") {
-		t.Fatalf("scaling output missing table:\n%s", buf.String())
-	}
-
-	f, err := benchfmt.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Benchmarks) != 2 {
-		t.Fatalf("recorded %d benchmarks, want 2:\n%+v", len(f.Benchmarks), f.Benchmarks)
-	}
-	for i, b := range f.Benchmarks {
-		if b.Metrics["ns/op"] <= 0 {
-			t.Errorf("benchmark %d (%s): non-positive ns/op %v", i, b.Name, b.Metrics["ns/op"])
-		}
-		if b.Metrics["speedup"] <= 0 {
-			t.Errorf("benchmark %d (%s): non-positive speedup %v", i, b.Name, b.Metrics["speedup"])
-		}
-	}
-	if sp := f.Benchmarks[0].Metrics["speedup"]; sp != 1 {
-		t.Errorf("workers=1 speedup = %v, want exactly 1 (it is the baseline)", sp)
-	}
-	// The raw lines round-trip through the go test -bench parser, so
-	// benchstat and the gate can consume a scaling record.
-	parsed, err := benchfmt.Parse(strings.NewReader(strings.Join(f.Raw, "\n")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed.Benchmarks) != 2 {
-		t.Fatalf("raw lines parsed to %d benchmarks, want 2", len(parsed.Benchmarks))
 	}
 }
 

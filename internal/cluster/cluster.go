@@ -55,11 +55,14 @@
 // persisted. With Journal nil the runtime is exactly the in-memory
 // system it was before.
 //
-// Concurrency: each Runtime runs on one goroutine, started by Start and
-// ended by Stop. It is the paper's management agent as one sequence of
-// events: an inbound message, a heartbeat beat, a round tick, the
-// pending tune's cutoff, or a Migrate call, each handled to completion,
-// its messages sent and its journal records flushed, before the next.
+// Concurrency and time: each Runtime is the paper's management agent as
+// one sequence of events (an inbound message, a Migrate call, or its
+// earliest deadline of the next heartbeat, round tick and tune cutoff),
+// each handled to completion, its messages sent and its journal records
+// flushed, before the next. Protocol steps take the time as an argument.
+// Start runs them on one goroutine, ended by Stop, that waits on one
+// timer and reads the wall clock once per event; the tests also step
+// unstarted runtimes on a virtual clock, where a seed replays exactly.
 // So protocol state has one writer and the journal sees records in the
 // order they were staged. The mutex only lets other goroutines read
 // that state through the accessors (Stats, MapState, View, ...); the
@@ -78,10 +81,10 @@ import (
 
 // ObserveFunc samples the local server's performance for the elapsed
 // interval: the number of requests served and their mean latency in
-// seconds. It runs on the runtime's goroutine without the runtime's
-// lock, so it may call the accessors and the lookup path (Stats,
-// Lookup, ...), but it must not call Migrate or Stop, which wait for
-// that goroutine. s is the node's published placement snapshot,
+// seconds. It runs inside a protocol step, on the runtime's one loop and
+// without the runtime's lock, so it may call the accessors and the
+// lookup path (Stats, Lookup, ...), but it must not call Migrate or
+// Stop, which wait for that loop. s is the node's published placement snapshot,
 // immutable and read-only — strategy-agnostic observers read shares
 // through s.Shares().
 type ObserveFunc func(s placement.Strategy, id delegate.NodeID) (requests uint64, meanLatencySeconds float64)

@@ -54,20 +54,20 @@ func TestHeartbeatTargets(t *testing.T) {
 				}
 				return true
 			}}
-			// An hour-long round keeps the runtime's own loops quiet after
-			// the heartbeat Start sends.
-			rt, err := Start(Config{ID: tc.self, Members: ids, Snapshot: snapshot, RoundInterval: time.Hour}, tr)
+			// An unstarted runtime: the test fires its steps by hand.
+			now := time.Now()
+			rt, err := newRuntime(Config{ID: tc.self, Members: ids, Snapshot: snapshot, RoundInterval: time.Hour}, tr, now)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer rt.Stop()
-			// Start beacons everyone once, having heard nobody yet.
-			waitFor(t, 5*time.Second, "the start-up heartbeat", func() bool {
-				mu.Lock()
-				defer mu.Unlock()
-				return len(got) == n-1
-			})
-			now := time.Now()
+			// The start-up heartbeat goes to everyone: nobody is heard yet.
+			rt.fire(now)
+			mu.Lock()
+			if len(got) != n-1 {
+				t.Fatalf("the start-up heartbeat reached %d members, want %d", len(got), n-1)
+			}
+			mu.Unlock()
 			rt.mu.Lock()
 			for i, id := range rt.peers {
 				rt.lastSeen[i] = int64(now.Sub(rt.clock0))
@@ -85,7 +85,7 @@ func TestHeartbeatTargets(t *testing.T) {
 			got = nil
 			mu.Unlock()
 
-			rt.sendHeartbeats()
+			rt.sendHeartbeats(now)
 			mu.Lock()
 			defer mu.Unlock()
 			slices.Sort(got)
@@ -109,7 +109,7 @@ func TestHeartbeatTargets(t *testing.T) {
 func TestLivenessScansDoNotAllocate(t *testing.T) {
 	rt := heardRuntime(t, 100, 99)
 	var line [lineSize]int
-	now := time.Now()
+	now := rt.clock0
 	allocs := testing.AllocsPerRun(100, func() {
 		rt.mu.Lock()
 		rt.heartbeatLineLocked(now, &line)
@@ -122,9 +122,9 @@ func TestLivenessScansDoNotAllocate(t *testing.T) {
 	}
 }
 
-// heardRuntime starts member self of an n-member cluster with an
-// hour-long round, and marks every other member heard just now except
-// the lowest id, a failed delegate.
+// heardRuntime builds member self of an n-member cluster with an
+// hour-long round, unstarted, and marks every other member heard at its
+// origin except the lowest id, a failed delegate.
 func heardRuntime(tb testing.TB, n int, self delegate.NodeID) *Runtime {
 	tb.Helper()
 	ids, snapshot := bootstrap(tb, n)
@@ -133,16 +133,13 @@ func heardRuntime(tb testing.TB, n int, self delegate.NodeID) *Runtime {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(mn.Close)
-	rt, err := Start(Config{ID: self, Members: ids, Snapshot: snapshot, RoundInterval: time.Hour}, mn.Endpoint(self))
+	rt, err := newRuntime(Config{ID: self, Members: ids, Snapshot: snapshot, RoundInterval: time.Hour}, mn.Endpoint(self), time.Now())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(rt.Stop)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	now := int64(time.Since(rt.clock0))
 	for i := 1; i < len(rt.lastSeen); i++ {
-		rt.lastSeen[i] = now
+		rt.lastSeen[i] = 0
 	}
 	return rt
 }
@@ -154,18 +151,19 @@ func heardRuntime(tb testing.TB, n int, self delegate.NodeID) *Runtime {
 func TestTakeoverGuard(t *testing.T) {
 	const failAfter = time.Minute
 	ids, snapshot := bootstrap(t, 10)
-	// Each runtime gets its own network, so the test owns every input
-	// to tick: node 8 takes over at epoch 1 below, and on a shared
-	// network its heartbeats or map would reach node 7, whose epoch
-	// gossip would adopt epoch 1 before the guard is checked.
+	t0 := time.Now()
+	// Each runtime is unstarted and gets its own network, so the test
+	// owns every input to tick, the time included: node 8 takes over at
+	// epoch 1 below, and on a shared network its heartbeats or map would
+	// reach node 7, whose epoch gossip would adopt epoch 1 before the
+	// guard is checked.
 	start := func(id delegate.NodeID) *Runtime {
 		mn, err := NewMemNetwork(ChaosConfig{Seed: 2}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(mn.Close)
-		// An hour-long round keeps the runtime's own loops quiet.
-		rt, err := Start(Config{ID: id, Members: ids, Snapshot: snapshot, RoundInterval: time.Hour, FailAfter: failAfter}, mn.Endpoint(id))
+		rt, err := newRuntime(Config{ID: id, Members: ids, Snapshot: snapshot, RoundInterval: time.Hour, FailAfter: failAfter}, mn.Endpoint(id), t0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,43 +176,41 @@ func TestTakeoverGuard(t *testing.T) {
 		for i := range rt.lastSeen {
 			rt.lastSeen[i] = -1
 			if heard {
-				rt.lastSeen[i] = int64(time.Since(rt.clock0))
+				rt.lastSeen[i] = 0 // at t0
 			}
 		}
 	}
 
 	fresh := start(8)
-	fresh.tick()
+	fresh.tick(t0)
 	if d := fresh.Delegate(); d != 8 {
 		t.Fatalf("a node that heard nobody since Start elected %d, want itself", d)
 	}
 
 	rt := start(7)
 	hear(rt, true)
-	rt.tick()
-	rt.sendHeartbeats()
+	rt.tick(t0)
+	rt.sendHeartbeats(t0)
 	if d := rt.Delegate(); d != 0 || !rt.hbLineOnly {
 		t.Fatalf("delegate %d, line only %v: want delegate 0 heard over the line", d, rt.hbLineOnly)
 	}
 	epoch := rt.Epoch()
-	hold := func(when string) {
+	hold := func(when string, now time.Time) {
 		t.Helper()
-		rt.tick()
+		rt.tick(now)
 		if d, e := rt.Delegate(), rt.Epoch(); d != 0 || e != epoch {
 			t.Fatalf("%s: delegate %d at epoch %d, want 0 held at epoch %d", when, d, e, epoch)
 		}
 	}
 	hear(rt, false)
-	hold("line silent, heartbeats still to the line")
-	rt.sendHeartbeats()
+	hold("line silent, heartbeats still to the line", t0)
+	rt.sendHeartbeats(t0)
 	if rt.hbLineOnly || rt.hbAllSince.IsZero() {
 		t.Fatal("heartbeats did not switch to everyone")
 	}
-	hold("heartbeating everyone for less than FailAfter")
-	rt.mu.Lock()
-	rt.hbAllSince = rt.hbAllSince.Add(-failAfter)
-	rt.mu.Unlock()
-	rt.tick()
+	hold("heartbeating everyone for less than FailAfter", t0)
+	hold("heartbeating everyone for just under FailAfter", t0.Add(failAfter-time.Nanosecond))
+	rt.tick(t0.Add(failAfter))
 	if d, e := rt.Delegate(), rt.Epoch(); d != 7 || e != epoch+1 {
 		t.Fatalf("after FailAfter heartbeating everyone: delegate %d at epoch %d, want 7 at epoch %d", d, e, epoch+1)
 	}

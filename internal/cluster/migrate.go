@@ -125,7 +125,7 @@ func (r *Runtime) Migrate(to string) (id uint64, err error) {
 	}
 	done := make(chan struct{})
 	select {
-	case r.calls <- func() { id, err = r.migrate(to); close(done) }:
+	case r.calls <- func(now time.Time) { id, err = r.migrate(to, now); close(done) }:
 	case <-r.stop:
 		return 0, fmt.Errorf("cluster: node %d: runtime stopped", r.cfg.ID)
 	}
@@ -134,8 +134,7 @@ func (r *Runtime) Migrate(to string) (id uint64, err error) {
 }
 
 // migrate is Migrate's body, run on the loop.
-func (r *Runtime) migrate(to string) (uint64, error) {
-	now := time.Now()
+func (r *Runtime) migrate(to string, now time.Time) (uint64, error) {
 	r.mu.Lock()
 	if r.curDelegate != r.cfg.ID {
 		r.mu.Unlock()
@@ -171,11 +170,7 @@ func (r *Runtime) migrate(to string) (uint64, error) {
 	r.cfg.logf("node %d: migration %d: proposing %s -> %s", r.cfg.ID, id, from, to)
 	// A one-member quorum needs no acks; advance immediately.
 	r.migrateAdvanceLocked(now)
-	out := r.takeOutboxLocked()
-	recs := r.takeJournalLocked()
-	r.mu.Unlock()
-	r.sendAll(out)
-	r.flushJournal(recs)
+	r.unlockAndFlush()
 	return id, nil
 }
 
@@ -215,16 +210,10 @@ func (r *Runtime) stageMigrationLocked(rec migrate.Record) {
 
 // broadcastMigrationLocked stages one migration message per peer.
 func (r *Runtime) broadcastMigrationLocked(kind delegate.MsgKind, rec migrate.Record) {
-	payload := rec.Encode()
-	for _, id := range r.cfg.Members {
-		if id == r.cfg.ID {
-			continue
-		}
-		r.outbox = append(r.outbox, delegate.Message{
-			Kind: kind, Flags: FlagMigrating, From: r.cfg.ID, To: id,
-			Epoch: r.epoch, Round: r.round, Payload: payload,
-		})
-	}
+	r.stageToPeersLocked(delegate.Message{
+		Kind: kind, Flags: FlagMigrating, From: r.cfg.ID,
+		Epoch: r.epoch, Round: r.round, Payload: rec.Encode(),
+	}, nil)
 }
 
 // ackMigrationLocked stages a phase acknowledgement to the proposer.
@@ -395,16 +384,10 @@ func (r *Runtime) migrateLingerTickLocked(now time.Time) {
 		return
 	}
 	l.lastSend = now
-	payload := l.rec.Encode()
-	for _, id := range r.cfg.Members {
-		if id == r.cfg.ID || l.acks[id] >= migrate.Committed {
-			continue
-		}
-		r.outbox = append(r.outbox, delegate.Message{
-			Kind: MsgMigrateCommit, From: r.cfg.ID, To: id,
-			Epoch: r.epoch, Round: r.round, Payload: payload,
-		})
-	}
+	r.stageToPeersLocked(delegate.Message{
+		Kind: MsgMigrateCommit, From: r.cfg.ID,
+		Epoch: r.epoch, Round: r.round, Payload: l.rec.Encode(),
+	}, func(id delegate.NodeID) bool { return l.acks[id] >= migrate.Committed })
 }
 
 // migrateRetryLocked re-broadcasts the current phase to members that
@@ -419,16 +402,10 @@ func (r *Runtime) migrateRetryLocked(now time.Time) {
 		rec.Phase = migrate.DualTag
 		rec.Snapshot = m.warm
 	}
-	payload := rec.Encode()
-	for _, id := range r.cfg.Members {
-		if id == r.cfg.ID || m.acks[id] >= m.phase {
-			continue
-		}
-		r.outbox = append(r.outbox, delegate.Message{
-			Kind: kind, Flags: FlagMigrating, From: r.cfg.ID, To: id,
-			Epoch: r.epoch, Round: r.round, Payload: payload,
-		})
-	}
+	r.stageToPeersLocked(delegate.Message{
+		Kind: kind, Flags: FlagMigrating, From: r.cfg.ID,
+		Epoch: r.epoch, Round: r.round, Payload: rec.Encode(),
+	}, func(id delegate.NodeID) bool { return m.acks[id] >= m.phase })
 }
 
 // migrateAckCountLocked counts members (including the leader itself)

@@ -1099,22 +1099,21 @@ func TestMigrateCommitsPastMalformedReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mn.Close()
-	// A one-member quorum runs the whole migration inside Migrate; the
-	// hour-long round keeps tick, and with it any tune, from running.
-	rt, err := Start(Config{
+	// A one-member quorum runs the whole migration inside Migrate's body;
+	// the runtime is unstarted, so no tick, and with it no tune, runs.
+	now := time.Now()
+	rt, err := newRuntime(Config{
 		ID: 0, Members: ids, Snapshot: snapshot, Quorum: 1,
 		RoundInterval: time.Hour, Logf: t.Logf,
-	}, mn.Endpoint(0))
+	}, mn.Endpoint(0), now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Stop()
-	rt.mu.Lock()
 	rt.curDelegate = 0
-	rt.mu.Unlock()
-	rt.handle(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 0, Round: 3})
-	rt.handle(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 0, Round: 3, Payload: []byte{1, 2, 3}})
-	if _, err := rt.Migrate(placement.StrategyChordBounded); err != nil {
+	rt.handle(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 0, Round: 3}, now)
+	rt.handle(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 0, Round: 3, Payload: []byte{1, 2, 3}}, now)
+	if _, err := rt.migrate(placement.StrategyChordBounded, now); err != nil {
 		t.Fatal(err)
 	}
 	if got := rt.Strategy(); got != placement.StrategyChordBounded {

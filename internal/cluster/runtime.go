@@ -22,8 +22,9 @@ import (
 // delegate included, heartbeats every member. See sendHeartbeats.
 const lineSize = 3
 
-// Runtime runs one node of the delegate protocol on the wall clock.
-// One goroutine, started by Start, runs every protocol step; see run.
+// Runtime runs one node of the delegate protocol. Its protocol steps
+// take the time as an argument and never read a clock; Start drives them
+// from the wall clock on one goroutine (see run).
 //
 // Round pacing: the elected delegate advances the round on its own
 // timer and announces it through heartbeats (which carry the sender's
@@ -41,8 +42,9 @@ type Runtime struct {
 	tr   Transport
 	stop chan struct{}
 	wg   sync.WaitGroup
-	// calls carries work other goroutines hand to the loop (Migrate).
-	calls chan func()
+	// calls carries work other goroutines hand to the loop (Migrate),
+	// run with the loop's clock reading.
+	calls chan func(now time.Time)
 
 	// sendDrops counts messages the async fan-out path dropped
 	// (per-peer queue full or transport closed). Atomic: drops are
@@ -82,6 +84,10 @@ type Runtime struct {
 	// a round after the round opened; the Quorum-th report pulls it in
 	// (see tuneDueLocked); a newer round or epoch clears it.
 	tuneAt time.Time
+	// hbAt and roundAt are when the next heartbeat and the next round
+	// tick are due. Only the loop reads or writes them (see fire), so
+	// they need no lock.
+	hbAt, roundAt time.Time
 	// journalStage holds records (placements and migration phases, in
 	// order) staged for the journal under mu and appended (fsynced)
 	// outside it, on the loop, so they reach the journal in stage order.
@@ -134,6 +140,21 @@ type Runtime struct {
 // though cfg.Strategy still names the old one, and a terminal record
 // behind the placement is history.
 func Start(cfg Config, tr Transport) (*Runtime, error) {
+	r, err := newRuntime(cfg, tr, time.Now())
+	if err != nil {
+		return nil, err
+	}
+	r.wg.Add(1)
+	go r.run()
+	return r, nil
+}
+
+// newRuntime is Start without the loop: it validates cfg and recovers
+// the journal into a runtime whose clock starts at now, and starts no
+// goroutine. Its first heartbeat is due at now and its first round one
+// RoundInterval later. A caller that never runs the loop drives the
+// runtime by calling handle and fire itself, with times of its choosing.
+func newRuntime(cfg Config, tr Transport, now time.Time) (*Runtime, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -151,12 +172,12 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 		cfg:          cfg,
 		tr:           tr,
 		stop:         make(chan struct{}),
-		calls:        make(chan func()),
+		calls:        make(chan func(time.Time)),
 		peers:        peers,
 		slots:        slots,
 		lastSeen:     lastSeen,
 		suspectUntil: make([]int64, len(peers)),
-		clock0:       time.Now(),
+		clock0:       now,
 		curDelegate:  -1,
 	}
 	r.counters.InstallLatencyHist = latencyHistogram()
@@ -261,15 +282,13 @@ func Start(cfg Config, tr Transport) (*Runtime, error) {
 		cfg.logf("node %d: resumed from journal at epoch %d round %d", cfg.ID, r.recovered.Epoch, r.recovered.Round)
 	}
 	r.node = node
-	now := time.Now()
 	if resumeMig != nil {
 		r.resumeMigration(*resumeMig, now)
 	}
 	s := node.Placement()
 	r.placement.Store(&s)
 	r.roundStart, r.lastMapTime = now, now
-	r.wg.Add(1)
-	go r.run()
+	r.hbAt, r.roundAt = now, now.Add(cfg.RoundInterval)
 	return r, nil
 }
 
@@ -287,34 +306,17 @@ func (r *Runtime) Stop() {
 	r.wg.Wait()
 }
 
-// run is the runtime's one goroutine, the node's management agent: it
-// receives messages, beacons heartbeats, opens rounds, tunes, and runs
-// Migrate, one event at a time. Every change to protocol state and
-// every journal flush therefore happens on it, in order; mu only lets
-// the accessors read that state from other goroutines. After each
-// event the tune timer is re-armed from tuneAt.
+// run is the wall-clock loop, the runtime's one goroutine: it handles
+// a message, a Migrate call or its one timer, armed at next(), one event
+// at a time with the time it woke at. So every change to protocol state
+// and every journal flush happens on it, in order; mu only lets the
+// accessors read that state from other goroutines.
 func (r *Runtime) run() {
 	defer r.wg.Done()
-	heartbeat := time.NewTicker(r.cfg.HeartbeatInterval)
-	defer heartbeat.Stop()
-	round := time.NewTicker(r.cfg.RoundInterval)
-	defer round.Stop()
-	tune := time.NewTimer(time.Hour)
-	tune.Stop()
-	var armed time.Time // the cutoff tune is set for, zero when stopped
+	timer := time.NewTimer(time.Until(r.next()))
+	defer timer.Stop()
 	recv := r.tr.Recv()
-	r.sendHeartbeats()
 	for {
-		r.mu.Lock()
-		at := r.tuneAt
-		r.mu.Unlock()
-		if !at.Equal(armed) {
-			armed = at
-			tune.Stop()
-			if !at.IsZero() {
-				tune.Reset(time.Until(at))
-			}
-		}
 		select {
 		case <-r.stop:
 			return
@@ -323,24 +325,54 @@ func (r *Runtime) run() {
 				recv = nil // the transport closed; run on until Stop
 				continue
 			}
-			r.handle(msg)
-		case <-heartbeat.C:
-			r.sendHeartbeats()
-		case <-round.C:
-			r.tick()
-		case <-tune.C:
-			armed = time.Time{}
-			r.tuneIfDue()
+			r.handle(msg, time.Now())
+		case <-timer.C:
+			r.fire(time.Now())
 		case call := <-r.calls:
-			call()
+			call(time.Now())
 		}
+		timer.Reset(time.Until(r.next()))
 	}
+}
+
+// next is the earliest time the runtime has work due without a message:
+// its next heartbeat, its next round tick, or the pending tune's cutoff.
+func (r *Runtime) next() time.Time {
+	at := r.hbAt
+	if r.roundAt.Before(at) {
+		at = r.roundAt
+	}
+	if !r.tuneAt.IsZero() && r.tuneAt.Before(at) {
+		at = r.tuneAt // written under mu, but only ever on the loop
+	}
+	return at
+}
+
+// fire runs every step due at now: the heartbeat, then the round tick,
+// then the pending tune. A deadline that passed moves to the first
+// interval boundary after now, so a late wake-up runs each step once
+// and skips the beats it missed, as time.Ticker drops ticks.
+func (r *Runtime) fire(now time.Time) {
+	if !now.Before(r.hbAt) {
+		r.hbAt = nextBoundary(r.hbAt, r.cfg.HeartbeatInterval, now)
+		r.sendHeartbeats(now)
+	}
+	if !now.Before(r.roundAt) {
+		r.roundAt = nextBoundary(r.roundAt, r.cfg.RoundInterval, now)
+		r.tick(now)
+	}
+	r.tuneIfDue(now)
+}
+
+// nextBoundary is the first time at + k·every, k ≥ 1, after now; at
+// must not be after now.
+func nextBoundary(at time.Time, every time.Duration, now time.Time) time.Time {
+	return at.Add((now.Sub(at)/every + 1) * every)
 }
 
 // handle processes one inbound message: liveness bookkeeping, protocol
 // routing, and epoch/round gossip.
-func (r *Runtime) handle(msg delegate.Message) {
-	now := time.Now()
+func (r *Runtime) handle(msg delegate.Message, now time.Time) {
 	r.mu.Lock()
 	if i, ok := slices.BinarySearch(r.peers, msg.From); ok {
 		r.lastSeen[i] = int64(now.Sub(r.clock0))
@@ -400,13 +432,9 @@ func (r *Runtime) handle(msg delegate.Message) {
 			reportTo = del
 		}
 	}
-	out := r.takeOutboxLocked()
-	rec := r.takeJournalLocked()
-	r.mu.Unlock()
-	r.sendAll(out)
-	r.flushJournal(rec)
+	r.unlockAndFlush()
 	if tune {
-		r.tuneIfDue()
+		r.tuneIfDue(now)
 	}
 	if reportTo >= 0 {
 		r.observeAndReport(reportTo)
@@ -450,9 +478,8 @@ func (r *Runtime) sample() (requests uint64, meanLatencySeconds float64) {
 // everyone and every node sees it; it sits in every node's line, so it
 // hears every follower. Traffic per interval falls from n(n-1) to about
 // 2·lineSize·n.
-func (r *Runtime) sendHeartbeats() {
+func (r *Runtime) sendHeartbeats(now time.Time) {
 	var line [lineSize]int
-	now := time.Now()
 	r.mu.Lock()
 	lineOnly := r.heartbeatLineLocked(now, &line)
 	if r.hbLineOnly && !lineOnly {
@@ -511,8 +538,7 @@ func (r *Runtime) takeoverHeldLocked(now time.Time) bool {
 // tick runs one timer beat: election over the observed view, the
 // round watchdog, and — when this node is the delegate — starting a
 // new round.
-func (r *Runtime) tick() {
-	now := time.Now()
+func (r *Runtime) tick(now time.Time) {
 	r.mu.Lock()
 	del := r.lowestLiveLocked(now)
 	// Watchdog: heartbeats without placement maps are not progress.
@@ -555,20 +581,10 @@ func (r *Runtime) tick() {
 		// after the lock is released (the observer may call back in).
 		r.round++
 		r.roundStart = now
-		flags := r.migFlagsLocked()
-		for _, id := range r.cfg.Members {
-			if id == r.cfg.ID {
-				continue
-			}
-			r.outbox = append(r.outbox, delegate.Message{Kind: MsgHeartbeat, Flags: flags, From: r.cfg.ID, To: id, Epoch: r.epoch, Round: r.round})
-		}
+		r.stageToPeersLocked(delegate.Message{Kind: MsgHeartbeat, Flags: r.migFlagsLocked(), From: r.cfg.ID, Epoch: r.epoch, Round: r.round}, nil)
 		r.counters.HeartbeatsSent += uint64(len(r.cfg.Members) - 1)
 	}
-	out := r.takeOutboxLocked()
-	recs := r.takeJournalLocked()
-	r.mu.Unlock()
-	r.sendAll(out)
-	r.flushJournal(recs)
+	r.unlockAndFlush()
 	if !isDelegate {
 		return
 	}
@@ -578,7 +594,7 @@ func (r *Runtime) tick() {
 	r.counters.SampleLatencyHist.Add(latency)
 	r.tuneAt = now.Add(r.cfg.RoundInterval / 2)
 	r.mu.Unlock()
-	r.tuneIfDue()
+	r.tuneIfDue(now)
 }
 
 // tuneIfDue tunes the round this node opened as delegate once the wait
@@ -586,8 +602,7 @@ func (r *Runtime) tick() {
 // every other member: a live peer whose report missed the window was
 // tuned as idle, and it must still install the round it is serving
 // under.
-func (r *Runtime) tuneIfDue() {
-	now := time.Now()
+func (r *Runtime) tuneIfDue(now time.Time) {
 	r.mu.Lock()
 	if !r.tuneDueLocked(now) {
 		r.mu.Unlock()
@@ -595,21 +610,16 @@ func (r *Runtime) tuneIfDue() {
 	}
 	r.tuneAt = time.Time{}
 	r.counters.ReportsPerTune.Add(float64(r.node.PendingReports() + 1))
-	epoch, round := r.epoch, r.round
-	snapshot, err := r.node.Rescale(epoch, round, r.tuneMembersLocked(now))
+	snapshot, err := r.node.Rescale(r.epoch, r.round, r.tuneMembersLocked(now))
 	if err != nil {
-		r.cfg.logf("node %d: tune round %d: %v", r.cfg.ID, round, err)
+		r.cfg.logf("node %d: tune round %d: %v", r.cfg.ID, r.round, err)
 	} else {
 		r.counters.Tunes++
 		r.lastMapTime = now
 		r.publishPlacementLocked()
+		r.stageToPeersLocked(delegate.Message{Kind: delegate.MsgMap, From: r.cfg.ID, Epoch: r.epoch, Round: r.round, Payload: snapshot}, nil)
 	}
-	recs := r.takeJournalLocked()
-	r.mu.Unlock()
-	if err == nil {
-		r.broadcast(delegate.Message{Kind: delegate.MsgMap, From: r.cfg.ID, Epoch: epoch, Round: round, Payload: snapshot})
-	}
-	r.flushJournal(recs)
+	r.unlockAndFlush()
 }
 
 // tuneDueLocked reports whether a tune is pending and its wait is over.
@@ -697,14 +707,6 @@ func (r *Runtime) heardLocked(i int, now time.Time) bool {
 	return seen >= 0 && int64(now.Sub(r.clock0))-seen <= int64(r.cfg.FailAfter)
 }
 
-// takeOutboxLocked drains staged outbound messages for sending
-// outside the lock.
-func (r *Runtime) takeOutboxLocked() []delegate.Message {
-	out := r.outbox
-	r.outbox = nil
-	return out
-}
-
 // broadcast fans one message template out to every other member,
 // stamping To per peer: N bounded enqueues, so the whole fan-out
 // completes without blocking on any peer's socket.
@@ -718,6 +720,17 @@ func (r *Runtime) broadcast(msg delegate.Message) {
 	}
 }
 
+// stageToPeersLocked stages msg for every other member, stamping To per
+// peer, except those skip (when non-nil) excludes.
+func (r *Runtime) stageToPeersLocked(msg delegate.Message, skip func(delegate.NodeID) bool) {
+	for _, id := range r.cfg.Members {
+		if id != r.cfg.ID && (skip == nil || !skip(id)) {
+			msg.To = id
+			r.outbox = append(r.outbox, msg)
+		}
+	}
+}
+
 // sendOne enqueues one message on the transport. A drop is counted,
 // never fatal: a queue-full drop is healed by the protocol's own
 // cadence (re-announced rounds, re-broadcast maps, migration retries)
@@ -725,13 +738,6 @@ func (r *Runtime) broadcast(msg delegate.Message) {
 func (r *Runtime) sendOne(msg delegate.Message) {
 	if !r.tr.SendAsync(msg) {
 		r.sendDrops.Add(1)
-	}
-}
-
-// sendAll pushes staged messages to the transport via sendOne.
-func (r *Runtime) sendAll(msgs []delegate.Message) {
-	for _, msg := range msgs {
-		r.sendOne(msg)
 	}
 }
 
@@ -815,12 +821,17 @@ func (r *Runtime) publishPlacementLocked() {
 	}
 }
 
-// takeJournalLocked drains the staged journal records for flushing
-// outside the lock.
-func (r *Runtime) takeJournalLocked() []journal.Record {
-	recs := r.journalStage
-	r.journalStage = nil
-	return recs
+// unlockAndFlush ends a protocol step: it takes the staged messages and
+// journal records, releases mu, then sends the messages and appends the
+// records, so socket and disk latency never stall the accessors.
+func (r *Runtime) unlockAndFlush() {
+	out, recs := r.outbox, r.journalStage
+	r.outbox, r.journalStage = nil, nil
+	r.mu.Unlock()
+	for _, msg := range out {
+		r.sendOne(msg)
+	}
+	r.flushJournal(recs)
 }
 
 // flushJournal appends staged records in order, fsyncing, outside the

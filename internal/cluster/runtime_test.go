@@ -580,7 +580,8 @@ func TestMalformedReportCostsNoMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mn.Close()
-	rt, err := Start(Config{ID: 1, Members: ids, Snapshot: snapshot, RoundInterval: time.Hour, Logf: t.Logf}, mn.Endpoint(1))
+	now := time.Now()
+	rt, err := newRuntime(Config{ID: 1, Members: ids, Snapshot: snapshot, RoundInterval: time.Hour, Logf: t.Logf}, mn.Endpoint(1), now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,9 +595,9 @@ func TestMalformedReportCostsNoMap(t *testing.T) {
 	}
 	next := s.Encode()
 	before := rt.Stats().MapsInstalled
-	rt.handle(delegate.Message{Kind: MsgHeartbeat, From: 0, To: 1, Epoch: 1, Round: 5})
-	rt.handle(delegate.Message{Kind: delegate.MsgReport, From: 2, To: 1, Epoch: 1, Round: 5, Payload: []byte{1, 2, 3}})
-	rt.handle(delegate.Message{Kind: delegate.MsgMap, From: 0, To: 1, Epoch: 1, Round: 5, Payload: next})
+	rt.handle(delegate.Message{Kind: MsgHeartbeat, From: 0, To: 1, Epoch: 1, Round: 5}, now)
+	rt.handle(delegate.Message{Kind: delegate.MsgReport, From: 2, To: 1, Epoch: 1, Round: 5, Payload: []byte{1, 2, 3}}, now)
+	rt.handle(delegate.Message{Kind: delegate.MsgMap, From: 0, To: 1, Epoch: 1, Round: 5, Payload: next}, now)
 	if got := rt.Stats().MapsInstalled - before; got != 1 {
 		t.Fatalf("%d maps installed behind a malformed report, want 1", got)
 	}
