@@ -8,14 +8,15 @@ import (
 )
 
 // batchLens are the batch lengths LookupBatch is checked at: empty,
-// around the four-key prehash interleave and the eight-key chunk, and
-// around the usual 64 and 256.
-var batchLens = []int{0, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 255, 256, 257}
+// around the four-key prehash interleave, around the usual 64, around
+// one and two 256-key chunks, and a partial fourth chunk. The last is
+// the longest.
+var batchLens = []int{0, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1000}
 
 // batchProbeBudgets are the probe budgets LookupBatch is checked under:
-// every budget that ends inside or just past the speculative probes,
-// and the default.
-var batchProbeBudgets = []int{1, 2, 3, 4, 5, DefaultMaxProbes}
+// 1 to 6 and 8 rounds, so keys reach the rank fallback after each
+// number of rounds the kernel commonly runs, and the default.
+var batchProbeBudgets = []int{1, 2, 3, 4, 5, 6, 8, DefaultMaxProbes}
 
 // unevenKeys returns n random keys of unequal lengths, "" first, up to
 // 159 bytes, so the prehash interleave's common prefix ends at a
@@ -173,7 +174,7 @@ func TestLookupBatchShortOwnersPanics(t *testing.T) {
 
 func TestLookupBatchZeroAllocs(t *testing.T) {
 	m := newTestMap(t, 8)
-	keys := unevenKeys(rng.New(3), 257)
+	keys := unevenKeys(rng.New(3), batchLens[len(batchLens)-1])
 	owners := make([]ServerID, len(keys))
 	for _, n := range batchLens {
 		if a := testing.AllocsPerRun(50, func() { m.LookupBatch(keys[:n], owners) }); a != 0 {

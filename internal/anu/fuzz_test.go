@@ -2,6 +2,7 @@ package anu
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -49,10 +50,21 @@ func mapSeeds(f *testing.F) [][]byte {
 // budget: the batch kernel must store, key for key, the owner the
 // scalar LookupDigest returns.
 func FuzzLookupBatch(f *testing.F) {
-	for _, seed := range mapSeeds(f) {
+	seeds := mapSeeds(f)
+	for _, seed := range seeds {
 		f.Add(seed, "", uint8(0))
 		f.Add(seed, "a\nfileset-001\n\n/usr/share/doc\n"+strings.Repeat("k", 120), uint8(2))
 		f.Add(seed, "vol01/f0000002a.dat\nx\ny\nz\nw\nv\nu\nt\ns", uint8(64))
+	}
+	// 600 keys span three of the kernel's 256-key chunks.
+	keys := make([]string, 600)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("vol%02d/f%08x.dat", i%64, uint32(i)*0x9e3779b1)
+	}
+	many := strings.Join(keys, "\n")
+	for _, seed := range seeds {
+		f.Add(seed, many, uint8(3))
+		f.Add(seed, many, uint8(64))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, keyList string, maxProbes uint8) {
 		m, err := Decode(data)

@@ -307,17 +307,19 @@ func (m *Map) LookupDigest(d hashx.Digest) (ServerID, int) {
 	return m.rankFallback(first), m.maxProbes
 }
 
-const (
-	// batchChunk is how many keys LookupBatch prehashes and probes per
-	// pass; their digests live in a stack array.
-	batchChunk = 8
+// batchChunk is how many keys LookupBatch prehashes and probes per
+// pass; a uint8 indexes them.
+const batchChunk = 256
 
-	// batchProbes (K) is how many probes of the chain LookupBatch
-	// computes for every key before looking at any of them. Under half
-	// occupancy all K miss with probability 2^-K = 1/16; only those keys
-	// take the scalar chain.
-	batchProbes = 4
-)
+// batch is LookupBatch's working set for one chunk, kept on the stack:
+// the keys' digests, their owners, and the list of keys still missing.
+// The owners are gathered here and copied out once, so probeRound
+// indexes all three with a uint8 and no bounds check.
+type batch struct {
+	ds   [batchChunk]hashx.Digest
+	out  [batchChunk]ServerID
+	list [batchChunk]uint8
+}
 
 // LookupBatch resolves keys[i] into owners[i] for every key and returns
 // how many resolved to a server; owners must be at least as long as
@@ -325,99 +327,69 @@ const (
 //
 // The scalar chain branches on every probe, and under half occupancy
 // that branch is a coin flip the predictor cannot learn. LookupBatch
-// instead prehashes keys in chunks of batchChunk (hashx.PrehashBatch),
-// computes the first batchProbes probes of every key unconditionally,
-// and picks the first hit with conditional moves. A key whose K probes
-// all miss is resolved by LookupDigest from round 0, so the probe budget
-// and the rank fallback need no rules of their own here.
+// instead walks the chain one round at a time over a chunk of keys
+// (prehashed with hashx.PrehashBatch): round r probes only the keys
+// every earlier round missed, without branching on the answer, and
+// compacts the misses into the next round's list. Each round halves the
+// list, so a key costs about two probes, as the chain does. Keys still
+// listed when the probe budget runs out take the rank fallback of their
+// round-0 offset, as in LookupDigest.
 func (m *Map) LookupBatch(keys []string, owners []ServerID) int {
 	if len(owners) < len(keys) {
 		panic(fmt.Sprintf("anu: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
 	}
-	var ds [batchChunk]hashx.Digest
-	resolved := 0
+	var b batch
+	resolved := len(keys)
 	for len(keys) > 0 {
 		n := min(len(keys), batchChunk)
-		hashx.PrehashBatch(keys[:n], ds[:n])
-		resolved += m.lookupDigests(ds[:n], owners[:n])
+		hashx.PrehashBatch(keys[:n], b.ds[:n])
+		for i := range n {
+			b.list[i] = uint8(i)
+		}
+		misses := n
+		for r := 0; r < m.maxProbes && misses > 0; r++ {
+			misses = b.probeRound(m.family.Tweak(r), UnitBits-m.partBits, m.parts, misses)
+		}
+		for _, i := range b.list[:misses] {
+			b.out[i] = m.rankFallback(Ticks(m.family.HashDigest(b.ds[i], 0) >> (64 - UnitBits)))
+			if b.out[i] == NoServer {
+				resolved--
+			}
+		}
+		copy(owners, b.out[:n])
 		keys, owners = keys[n:], owners[n:]
 	}
 	return resolved
 }
 
-// lookupDigests is LookupBatch's kernel over one chunk of at most
-// batchChunk digests.
-func (m *Map) lookupDigests(ds []hashx.Digest, owners []ServerID) int {
-	owners = owners[:len(ds)]
-	// scalar marks the keys LookupDigest resolves, bit i for ds[i].
-	scalar := uint(1)<<len(ds) - 1
-	if m.maxProbes >= batchProbes {
-		scalar = m.speculate(ds, owners)
-	}
-	for ; scalar != 0; scalar &= scalar - 1 {
-		i := bits.TrailingZeros(scalar)
-		owners[i], _ = m.LookupDigest(ds[i])
-	}
-	resolved := 0
-	for _, id := range owners {
-		if id != NoServer {
-			resolved++
-		}
-	}
-	return resolved
-}
-
-// speculate computes the first batchProbes probes of every digest
-// without branching on them and stores each key's first hit in owners.
-// It returns the keys with no hit among them, bit i for ds[i]; their
-// owners entries are NoServer.
-func (m *Map) speculate(ds []hashx.Digest, owners []ServerID) (miss uint) {
-	owners = owners[:len(ds)]
-	// The tweaks stay in memory, so the loop keeps its registers for
-	// the probes.
-	var tw [batchProbes]uint64
-	for r := range tw {
-		tw[r] = m.family.Tweak(r)
-	}
+// probeRound is one round of the chain, for the round's tweak, over the
+// n keys listed first in b.list. It stores the owner of each key's
+// partition in b.out, a placeholder on a miss that a later round or the
+// fallback overwrites, and compacts the misses to the front of b.list,
+// returning how many there are. It branches on no probe, and it is kept
+// out of line so its loop has the registers to itself.
+//
+//go:noinline
+func (b *batch) probeRound(tweak uint64, shift uint, parts []partInfo, n int) int {
 	// The & 63 is a no-op that spares the shifts Go's guard for counts
 	// of 64 and more.
-	shift := (UnitBits - m.partBits) & 63
-	mask := Ticks(1)<<shift - 1
-	parts := m.parts
-	for i, d := range ds {
-		// Probe from the last round back to the first, so the first hit
-		// is the one selected last.
-		id := NoServer
-		if o, hit := probe(parts, d, tw[3], shift, mask); hit {
-			id = o
-		}
-		if o, hit := probe(parts, d, tw[2], shift, mask); hit {
-			id = o
-		}
-		if o, hit := probe(parts, d, tw[1], shift, mask); hit {
-			id = o
-		}
-		if o, hit := probe(parts, d, tw[0], shift, mask); hit {
-			id = o
-		}
-		owners[i] = id
-		// Server ids are non-negative, so only NoServer sets the sign
-		// bit. A free partition (owner NoServer, occ 0) never hits; were
-		// it to, its key would still take the scalar chain.
-		miss |= uint(uint32(id)>>31) << i
+	shift &= 63
+	k := 0
+	for _, i := range b.list[:n] {
+		// Top UnitBits bits of the round's hash, as in LookupDigest.
+		x := Ticks(hashx.HashTweak(b.ds[i], tweak) >> (64 - UnitBits))
+		j := x >> shift
+		p := &parts[j]
+		b.out[i] = p.owner
+		b.list[uint8(k)] = i
+		// Ticks are below 2^62, so the subtraction's sign bit is
+		// "offset in partition < p.occ": a hit, unless the partition is
+		// free. Server ids are non-negative, so only NoServer sets the
+		// owner's sign bit.
+		hit := uint64(x-j<<shift-p.occ) >> 63 &^ (uint64(uint32(p.owner)) >> 31)
+		k += int(hit ^ 1)
 	}
-	return miss
-}
-
-// probe is one round of the chain for a digest and the round's tweak:
-// the owner of the partition its offset falls in, and whether the offset
-// lies in the occupied prefix. It reads both fields whatever the answer,
-// so the caller can select the owner without a branch.
-func probe(parts []partInfo, d hashx.Digest, tweak uint64, shift uint, mask Ticks) (ServerID, bool) {
-	// Top UnitBits bits of the round's hash, as in LookupDigest.
-	x := Ticks(hashx.HashTweak(d, tweak) >> (64 - UnitBits))
-	p := &parts[x>>shift]
-	return p.owner, x&mask < p.occ
+	return k
 }
 
 // rankFallback deterministically maps x into the mapped measure: the

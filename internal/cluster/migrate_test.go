@@ -1123,3 +1123,44 @@ func TestMigrateCommitsPastMalformedReport(t *testing.T) {
 		t.Fatalf("committed=%d aborted=%d, want 1/0", s.MigrationsCommitted, s.MigrationsAborted)
 	}
 }
+
+// TestDelegateMigratingHoldsAcrossInstalls: FlagMigrating rides every
+// frame a migrating node sends, maps and reports included. A follower
+// mirrors the bit from any message of its delegate, so while the
+// delegate's migration is in flight the follower's DelegateMigrating
+// must read true after every delivery, across the map installs of the
+// window. On the virtual clock, acknowledgements are lost, so the
+// migration stays Proposed while the delegate keeps tuning.
+func TestDelegateMigratingHoldsAcrossInstalls(t *testing.T) {
+	cfg := virtualConfig(t, placement.StrategyANU, 3)
+	cfg.MigrateTimeout = time.Hour
+	vn := newVirtualNet(t, cfg, ChaosConfig{MaxDelay: 5 * time.Millisecond, Seed: 1})
+	vn.drop = func(msg delegate.Message, _ time.Duration) bool { return msg.Kind == MsgMigrateAck }
+	vn.runUntil(10 * virtualRound)
+	del := vn.rts[0]
+	if _, err := del.migrate(placement.StrategyChordBounded, vn.time()); err != nil {
+		t.Fatal(err)
+	}
+	vn.runUntil(vn.now + virtualRound) // the proposal reaches every follower
+	followers := vn.rts[1:]
+	installs := make([]uint64, len(followers))
+	for i, rt := range followers {
+		installs[i] = rt.Stats().MapsInstalled
+	}
+	for end := vn.now + 20*virtualRound; vn.now < end; {
+		vn.runUntil(vn.now + time.Millisecond)
+		for _, rt := range followers {
+			if s := rt.Stats(); !s.DelegateMigrating {
+				t.Fatalf("at %v: node %d reads DelegateMigrating false with the delegate's migration in flight (%d maps installed)", vn.now, s.ID, s.MapsInstalled)
+			}
+		}
+	}
+	if phase, _ := del.MigrationPhase(); phase != migrate.Proposed {
+		t.Fatalf("delegate phase %v, want Proposed", phase)
+	}
+	for i, rt := range followers {
+		if got := rt.Stats().MapsInstalled - installs[i]; got < 10 {
+			t.Fatalf("node %d installed %d maps in 20 rounds, want at least 10", rt.cfg.ID, got)
+		}
+	}
+}

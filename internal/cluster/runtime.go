@@ -452,6 +452,7 @@ func (r *Runtime) observeAndReport(to delegate.NodeID) {
 	r.counters.SampleLatencyHist.Add(latency)
 	msg, ok := r.node.Report(to, r.epoch, r.round)
 	if ok {
+		msg.Flags = r.migFlagsLocked()
 		r.counters.ReportsSent++
 	}
 	r.mu.Unlock()
@@ -617,7 +618,7 @@ func (r *Runtime) tuneIfDue(now time.Time) {
 		r.counters.Tunes++
 		r.lastMapTime = now
 		r.publishPlacementLocked()
-		r.stageToPeersLocked(delegate.Message{Kind: delegate.MsgMap, From: r.cfg.ID, Epoch: r.epoch, Round: r.round, Payload: snapshot}, nil)
+		r.stageToPeersLocked(delegate.Message{Kind: delegate.MsgMap, Flags: r.migFlagsLocked(), From: r.cfg.ID, Epoch: r.epoch, Round: r.round, Payload: snapshot}, nil)
 	}
 	r.unlockAndFlush()
 }

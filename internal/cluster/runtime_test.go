@@ -436,6 +436,25 @@ func TestWatchdogReelection(t *testing.T) {
 	})
 }
 
+// TestRuntimeLookupBatchZeroAllocs: a 1,000-key LookupBatch through the
+// runtime's published placement, four of the ANU kernel's 256-key
+// chunks, resolves every key and allocates nothing.
+func TestRuntimeLookupBatchZeroAllocs(t *testing.T) {
+	vn := newVirtualNet(t, virtualConfig(t, placement.StrategyANU, 4), ChaosConfig{Seed: 1})
+	rt := vn.rts[0]
+	keys := make([]string, 1000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("vol%02d/f%08x.dat", i%64, i)
+	}
+	owners := make([]anu.ServerID, len(keys))
+	if got := rt.LookupBatch(keys, owners); got != len(keys) {
+		t.Fatalf("LookupBatch resolved %d of %d keys", got, len(keys))
+	}
+	if a := testing.AllocsPerRun(50, func() { rt.LookupBatch(keys, owners) }); a != 0 {
+		t.Fatalf("Runtime.LookupBatch of %d keys allocated %g times, want 0", len(keys), a)
+	}
+}
+
 // TestRuntimeLookupDataPlane exercises the lock-free read path on the
 // ANU and chord-bounded strategies: request routing via Lookup,
 // LookupDigest and LookupBatch, and Shares on the published placement
