@@ -127,17 +127,17 @@ bench-gate-allocs: BENCH_current.json BENCH_figs_current.json BENCH_net_current.
 	$(GO) run ./cmd/benchdiff -metric allocs/op -o /dev/null BENCH_net.json BENCH_net_current.json
 
 # Timeboxed coverage-guided fuzzing of every fuzz target (FUZZTIME per
-# target; go only allows one -fuzz pattern per package invocation).
+# target). The targets are found, not listed: every Fuzz* function that
+# `go test -list` reports in a package under ./... runs, one per
+# invocation, since go allows only one -fuzz pattern per package run.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/anu
-	$(GO) test -run='^$$' -fuzz='^FuzzLookupBatch$$' -fuzztime=$(FUZZTIME) ./internal/anu
-	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/workload
-	$(GO) test -run='^$$' -fuzz='^FuzzJournalRecover$$' -fuzztime=$(FUZZTIME) ./internal/journal
-	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/cluster
-	$(GO) test -run='^$$' -fuzz='^FuzzNodeReceive$$' -fuzztime=$(FUZZTIME) ./internal/delegate
-	$(GO) test -run='^$$' -fuzz='^FuzzMigrationRecord$$' -fuzztime=$(FUZZTIME) ./internal/migrate
-	$(GO) test -run='^$$' -fuzz='^FuzzWeightedSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/placement
-	$(GO) test -run='^$$' -fuzz='^FuzzChordSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/placement
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list='^Fuzz' $$pkg) || exit 1; \
+		for target in $$(echo "$$targets" | grep '^Fuzz' || true); do \
+			echo "fuzz-smoke: $$pkg $$target"; \
+			$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # The live-migration chaos soak under the race detector: five nodes on
 # a lossy network with chaos journals, faults injected in every phase

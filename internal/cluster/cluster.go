@@ -1,6 +1,6 @@
 // Package cluster is the networked runtime for the delegate protocol
-// of package delegate: it turns the round-synchronous protocol model
-// into a wall-clock system that survives what real networks do.
+// of package delegate, and its one runner: it turns the node-level
+// protocol into a system that survives what real networks do.
 //
 // Each server runs one Runtime around its delegate.Node, the protocol's
 // transport-free state machine: the runtime hands every inbound report

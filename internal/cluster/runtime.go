@@ -450,15 +450,11 @@ func (r *Runtime) observeAndReport(to delegate.NodeID) {
 	r.mu.Lock()
 	r.node.Observe(requests, latency)
 	r.counters.SampleLatencyHist.Add(latency)
-	msg, ok := r.node.Report(to, r.epoch, r.round)
-	if ok {
-		msg.Flags = r.migFlagsLocked()
-		r.counters.ReportsSent++
-	}
+	msg := r.node.Report(to, r.epoch, r.round)
+	msg.Flags = r.migFlagsLocked()
+	r.counters.ReportsSent++
 	r.mu.Unlock()
-	if ok {
-		r.sendOne(msg)
-	}
+	r.sendOne(msg)
 }
 
 // sample invokes the configured observer against the published

@@ -21,14 +21,18 @@ import (
 // source, as MemNetwork does. A step advances the clock to the earlier
 // of the queue head and the smallest runtime deadline (next), and on a
 // tie delivers the message first, then fires the lowest node id. So a
-// seed replays exactly.
+// seed replays exactly. A crashed node is neither fired nor delivered
+// to until restart replaces its runtime.
 type virtualNet struct {
+	tb     testing.TB
+	base   Config // what restart rebuilds a runtime from
 	origin time.Time
 	now    time.Duration // since origin
 	chaos  ChaosConfig
 	src    *rng.Source
 	queue  memQueue
 	rts    []*Runtime // by node id: ids are 0..n-1
+	down   []bool     // by node id: crashed and not restarted
 	// drop, when set, loses a message at send time before chaos draws:
 	// a silenced node or a held link.
 	drop func(msg delegate.Message, now time.Duration) bool
@@ -41,6 +45,7 @@ type virtualNet struct {
 	producers map[[2]uint64]uint64
 	splits    int
 	delivered int
+	lost      int // messages the chaos model dropped
 }
 
 // mapState is one node's installed (epoch, round, fingerprint).
@@ -63,11 +68,14 @@ func (e virtualEndpoint) Close() error                        { return nil }
 func newVirtualNet(t testing.TB, base Config, chaos ChaosConfig) *virtualNet {
 	t.Helper()
 	vn := &virtualNet{
+		tb:        t,
+		base:      base,
 		origin:    virtualOrigin,
 		chaos:     chaos,
 		src:       rng.New(chaos.Seed),
 		digest:    fnv.New64a(),
 		maps:      make([]mapState, len(base.Members)),
+		down:      make([]bool, len(base.Members)),
 		producers: make(map[[2]uint64]uint64),
 	}
 	for i, id := range base.Members {
@@ -92,6 +100,7 @@ func (vn *virtualNet) send(msg delegate.Message) {
 		return
 	}
 	if vn.chaos.Drop > 0 && vn.src.Float64() < vn.chaos.Drop {
+		vn.lost++
 		return
 	}
 	copies := 1
@@ -114,13 +123,16 @@ func (vn *virtualNet) runUntil(until time.Duration) {
 	for {
 		fire, at := -1, until
 		for i, rt := range vn.rts {
-			if d := rt.next().Sub(vn.origin); d < at {
+			if d := rt.next().Sub(vn.origin); d < at && !vn.down[i] {
 				fire, at = i, d
 			}
 		}
 		if vn.queue.len() > 0 && time.Duration(vn.queue.next()) <= at && time.Duration(vn.queue.next()) < until {
 			vn.now = time.Duration(vn.queue.next())
 			msg := vn.queue.pop()
+			if vn.down[msg.To] {
+				continue
+			}
 			vn.hashMessage(msg)
 			vn.rts[msg.To].handle(msg, vn.time())
 			vn.record(msg.To)
@@ -134,6 +146,39 @@ func (vn *virtualNet) runUntil(until time.Duration) {
 		vn.rts[fire].fire(vn.time())
 		vn.record(delegate.NodeID(fire))
 	}
+}
+
+// crash takes node id down: it is neither fired nor delivered to, and
+// a message that falls due while it is down is lost.
+func (vn *virtualNet) crash(id delegate.NodeID) { vn.down[id] = true }
+
+// restart brings node id back as a fresh runtime at the current virtual
+// time, bootstrapped from the snapshot of live peer donor. Its install
+// fence starts again at (0, 0), so the monotonicity check in record
+// re-baselines there.
+func (vn *virtualNet) restart(id, donor delegate.NodeID) {
+	cfg := vn.base
+	cfg.ID = id
+	cfg.Snapshot = vn.rts[donor].Snapshot()
+	rt, err := newRuntime(cfg, virtualEndpoint{vn}, vn.time())
+	if err != nil {
+		vn.tb.Fatal(err)
+	}
+	vn.rts[id], vn.down[id] = rt, false
+	var ms mapState
+	ms.epoch, ms.round, ms.fp = rt.MapState()
+	vn.maps[id] = ms
+}
+
+// up lists the ids of the nodes that are not down, lowest first.
+func (vn *virtualNet) up() []delegate.NodeID {
+	var ids []delegate.NodeID
+	for i, down := range vn.down {
+		if !down {
+			ids = append(ids, delegate.NodeID(i))
+		}
+	}
+	return ids
 }
 
 // time is the virtual clock's reading.
@@ -156,12 +201,17 @@ func (vn *virtualNet) hashMessage(msg delegate.Message) {
 }
 
 // record folds node id's install into the digest when its map changed,
-// and checks it against the first map seen at the same (epoch, round).
+// fails the test if the install moved its (epoch, round) backwards, and
+// checks it against the first map seen at the same (epoch, round).
 func (vn *virtualNet) record(id delegate.NodeID) {
 	var ms mapState
 	ms.epoch, ms.round, ms.fp = vn.rts[id].MapState()
-	if ms == vn.maps[id] {
+	prev := vn.maps[id]
+	if ms == prev {
 		return
+	}
+	if pairLess(ms.epoch, ms.round, prev.epoch, prev.round) {
+		vn.tb.Fatalf("at %v node %d installed (%d, %d) after (%d, %d)", vn.now, id, ms.epoch, ms.round, prev.epoch, prev.round)
 	}
 	vn.maps[id] = ms
 	b := binary.LittleEndian.AppendUint32(vn.buf[:0], uint32(id))

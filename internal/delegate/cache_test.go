@@ -20,9 +20,9 @@ func checkCache(t *testing.T, step string, n *Node) {
 	}
 }
 
-func checkAll(t *testing.T, step string, c *Cluster) {
+func checkAll(t *testing.T, step string, nodes []*Node) {
 	t.Helper()
-	for _, n := range c.Nodes {
+	for _, n := range nodes {
 		checkCache(t, step, n)
 	}
 }
@@ -32,77 +32,71 @@ func sameBacking(a, b []byte) bool {
 }
 
 // TestInstalledBytesCache walks a node through every way its placement
-// changes — construction, install, rescale, restart, crash and restart,
+// changes — construction, install, rescale, restart from a snapshot,
 // dual-tag cutover — and checks the cached bytes and fingerprint after
 // each against a fresh encoding.
 func TestInstalledBytesCache(t *testing.T) {
-	c := testCluster(t, 4)
+	nodes := testNodes(t, 4)
 	speeds := map[NodeID]float64{0: 1, 1: 2, 2: 4, 3: 8}
-	checkAll(t, "construction", c)
+	checkAll(t, "construction", nodes)
 
-	for round := 0; round < 3; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-		checkAll(t, "install", c)
+	for round := uint64(1); round <= 3; round++ {
+		observeHeterogeneous(nodes, speeds)
+		step(t, nodes, round)
+		checkAll(t, "install", nodes)
 	}
 	// A follower keeps the delegate's payload instead of re-encoding it.
-	if !sameBacking(c.Node(1).Encoded(), c.Node(0).Encoded()) {
+	if !sameBacking(nodes[1].Encoded(), nodes[0].Encoded()) {
 		t.Fatal("follower re-encoded the installed payload instead of keeping it")
 	}
 
-	snap, err := c.Node(0).Rescale(c.Epoch(), c.Round()+1, c.Members())
+	snap, err := nodes[0].Rescale(1, 4, allUp(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCache(t, "rescale", c.Node(0))
-	if !sameBacking(snap, c.Node(0).Encoded()) {
+	checkCache(t, "rescale", nodes[0])
+	if !sameBacking(snap, nodes[0].Encoded()) {
 		t.Fatal("Rescale returned bytes other than its cached encoding")
 	}
 
 	// A round that fails leaves the cache describing the placement: ANU
 	// refuses to commission the up member -1.
-	bad := append(c.Members(), placement.Member{ID: -1, Up: true})
-	if _, err := c.Node(0).Rescale(c.Epoch(), c.Round()+1, bad); err == nil {
+	bad := append(allUp(nodes), placement.Member{ID: -1, Up: true})
+	if _, err := nodes[0].Rescale(1, 4, bad); err == nil {
 		t.Fatal("Rescale commissioning member -1 succeeded")
 	}
-	checkCache(t, "failed rescale", c.Node(0))
+	checkCache(t, "failed rescale", nodes[0])
 
-	// Restart copies the snapshot: the caller may reuse its buffer.
-	buf := append([]byte(nil), c.Node(0).Encoded()...)
-	if err := c.Node(2).Restart(buf); err != nil {
-		t.Fatal(err)
+	// A restart builds a fresh node from a peer's snapshot, which NewNode
+	// copies: the caller may reuse its buffer.
+	for _, id := range []NodeID{2, 3} {
+		buf := append([]byte(nil), nodes[0].Encoded()...)
+		if nodes[id], err = NewNode(id, buf, nodeOpts); err != nil {
+			t.Fatal(err)
+		}
+		nodes[id].Resume(nodes[0].MapEpoch(), nodes[0].MapRound())
+		for i := range buf {
+			buf[i] = 0
+		}
+		checkCache(t, "restart", nodes[id])
 	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	checkCache(t, "restart", c.Node(2))
-
-	c.Node(3).Crash()
-	checkCache(t, "crash", c.Node(3))
-	observeHeterogeneous(c, speeds)
-	if _, err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Node(3).Restart(c.Node(0).Map().Encode()); err != nil {
-		t.Fatal(err)
-	}
-	checkAll(t, "crash/restart", c)
-	if !c.Converged() {
+	observeHeterogeneous(nodes, speeds)
+	step(t, nodes, 5)
+	checkAll(t, "install after restart", nodes)
+	if !converged(nodes) {
 		t.Fatal("restarted node holds a different fingerprint")
 	}
 
-	n := c.Node(1)
+	n := nodes[1]
 	n.OpenDualTag(placement.StrategyChordBounded)
-	if applied, err := receiveMap(n, c.Epoch()+1, c.Round()+1, targetSnapshot(t, c)); err != nil || !applied {
+	if applied, err := receiveMap(n, 2, 6, targetSnapshot(t, nodes)); err != nil || !applied {
 		t.Fatalf("cutover: applied=%v err=%v", applied, err)
 	}
 	if n.Strategy() != placement.StrategyChordBounded {
 		t.Fatalf("cutover left strategy %s", n.Strategy())
 	}
 	checkCache(t, "dual-tag cutover", n)
-	if _, err := n.Rescale(c.Epoch()+1, c.Round()+2, c.Members()); err != nil {
+	if _, err := n.Rescale(2, 7, allUp(nodes)); err != nil {
 		t.Fatal(err)
 	}
 	checkCache(t, "rescale after cutover", n)

@@ -9,19 +9,18 @@
 // The delegate is deliberately stateless: if it fails, the next elected
 // delegate runs the same protocol with the same information. This
 // package makes that property concrete and testable: nodes exchange
-// typed, byte-encoded messages, elect the lowest-numbered live node,
-// and converge to byte-identical placement maps even across delegate
-// crashes, message loss and re-elections.
+// typed, byte-encoded messages, and whichever node acts as delegate
+// tunes from the reports it received alone.
 //
 // A Node is a state machine that never sends or queues: Receive takes
 // one inbound message, Report builds the outbound report, and Rescale
-// returns the new map's bytes. Its caller owns delivery. Cluster is the
-// round-synchronous, deterministic runner over MemTransport — a
-// faithful model of the two-minute tuning cadence that avoids
-// wall-clock flakiness in tests; package cluster is the wall-clock
-// runner over real networks. The wire encodings are real, so the
-// shared-state accounting matches what a networked deployment would
-// replicate.
+// returns the new map's bytes. Its caller owns delivery, liveness and
+// election: package cluster's Runtime is the one runner, driven by the
+// wall clock over real networks or, in its tests, by a replayable
+// virtual clock. A restart builds a fresh Node from the journaled
+// snapshot and re-arms its fence with Resume. The wire encodings are
+// real, so the shared-state accounting matches what a networked
+// deployment would replicate.
 //
 // The protocol is placement-policy-agnostic: a node replicates an
 // opaque, strategy-tagged snapshot (package placement) rather than an
@@ -118,17 +117,16 @@ func decodeReport(b []byte) (Report, error) {
 // the placement strategy and, when elected, the delegate logic.
 type Node struct {
 	id NodeID
-	up bool
 	// s is the node's placement strategy — the replicated state plus the
 	// tuning rule that rescales it. opts reproduces the construction
-	// configuration when installs and restarts decode fresh snapshots.
+	// configuration when installs decode fresh snapshots.
 	s    placement.Strategy
 	opts placement.Options
 	// enc is s's canonical encoding and fp its SnapshotFingerprint. Both
-	// are set wherever s changes (construction, install, rescale,
-	// restart), so reading the installed map's bytes or fingerprint never
-	// re-encodes. enc is shared read-only: it may also be a delivered
-	// payload, a broadcast's payload, or a journal record's source.
+	// are set wherever s changes (construction, install, rescale), so
+	// reading the installed map's bytes or fingerprint never re-encodes.
+	// enc is shared read-only: it may also be a delivered payload, a
+	// broadcast's payload, or a journal record's source.
 	enc  []byte
 	fp   uint64
 	last Report // most recent local measurement
@@ -195,8 +193,9 @@ type InstallStats struct {
 // NewNode creates an agent with its own copy of the initial placement,
 // decoded from its tagged snapshot (a raw ANU map or a tagged container
 // — see package placement) with opts, which also decode every later
-// install and restart. All nodes must be constructed from
-// byte-identical snapshots.
+// install. All nodes must be constructed from byte-identical snapshots;
+// a restarting node is constructed from its journaled snapshot and then
+// Resumed. NewNode copies the snapshot, so the caller may reuse it.
 func NewNode(id NodeID, snapshot []byte, opts placement.Options) (*Node, error) {
 	s, err := placement.Decode(snapshot, opts)
 	if err != nil {
@@ -207,7 +206,6 @@ func NewNode(id NodeID, snapshot []byte, opts placement.Options) (*Node, error) 
 	}
 	n := &Node{
 		id:      id,
-		up:      true,
 		opts:    opts,
 		pending: make(map[NodeID]Report),
 	}
@@ -240,14 +238,11 @@ func SnapshotFingerprint(enc []byte) uint64 {
 // ID returns the node's identity.
 func (n *Node) ID() NodeID { return n.id }
 
-// Up reports whether the node is alive.
-func (n *Node) Up() bool { return n.up }
-
 // Placement returns the node's current placement strategy (read-only
 // use). The node never mutates a placement's state once set (soft
 // state such as ANU's controller aside): Rescale tunes a clone, and
-// installs and restarts replace it, so the value stays valid for
-// concurrent readers after the node moves on.
+// installs replace it, so the value stays valid for concurrent readers
+// after the node moves on.
 func (n *Node) Placement() placement.Strategy { return n.s }
 
 // Strategy returns the registered tag of the node's placement strategy.
@@ -272,51 +267,10 @@ func (n *Node) Fingerprint() uint64 { return n.fp }
 // callers must not modify it, and copy it if they hand it out.
 func (n *Node) Encoded() []byte { return n.enc }
 
-// Crash takes the node down: it stops reporting, applying maps, and
-// acting as delegate. Its in-memory state is discarded, as a real crash
-// would.
-func (n *Node) Crash() {
-	n.up = false
-	n.last = Report{}
-	n.pending = make(map[NodeID]Report)
-	n.tuned = 0
-	n.dualTagTarget = "" // an open migration window is in-memory state
-	if rs, ok := n.s.(placement.SoftStateResetter); ok {
-		rs.ResetSoftState()
-	}
-}
-
-// Restart brings a crashed node back using a fresh snapshot obtained
-// from a live peer (in a real cluster, from shared storage or the
-// delegate). Its smoothing state starts empty — the protocol tolerates
-// that because the delegate is stateless. The pre-crash measurement is
-// zeroed: the first report after a restart must describe the restarted
-// process, not replay load data from before the crash. The round guard
-// also resets — the snapshot is the node's new baseline and any map
-// that arrives afterwards is newer than what the node knows.
-func (n *Node) Restart(snapshot []byte) error {
-	s, err := placement.Decode(snapshot, n.opts)
-	if err != nil {
-		return fmt.Errorf("delegate: restart node %d: %w", n.id, err)
-	}
-	if s.Name() != n.s.Name() {
-		return fmt.Errorf("delegate: restart node %d: snapshot carries strategy %q, node runs %q", n.id, s.Name(), n.s.Name())
-	}
-	n.setPlacement(s, bytes.Clone(snapshot))
-	n.up = true
-	n.last = Report{}
-	n.pending = make(map[NodeID]Report)
-	n.tuned = 0
-	n.mapEpoch = 0
-	n.mapRound = 0
-	n.dualTagTarget = ""
-	return nil
-}
-
 // Resume restores the node's install fence after a durable restart: the
-// caller recovered (epoch, round) — and the matching map snapshot passed
-// to Restart — from a journal, so the node must reject any install older
-// than what it already persisted.
+// caller recovered (epoch, round) — and the matching map snapshot the
+// node was constructed from — from a journal, so the node must reject
+// any install older than what it already persisted.
 func (n *Node) Resume(epoch, round uint64) {
 	n.mapEpoch = epoch
 	n.mapRound = round
@@ -345,12 +299,8 @@ func (n *Node) Observe(requests uint64, meanLatencySeconds float64) {
 }
 
 // Report builds the message carrying the node's latest measurement to
-// the given delegate, for the caller to send. It returns false while
-// the node is down: a crashed node reports nothing.
-func (n *Node) Report(to NodeID, epoch, round uint64) (Message, bool) {
-	if !n.up {
-		return Message{}, false
-	}
+// the given delegate, for the caller to send.
+func (n *Node) Report(to NodeID, epoch, round uint64) Message {
 	return Message{
 		Kind:    MsgReport,
 		From:    n.id,
@@ -358,7 +308,7 @@ func (n *Node) Report(to NodeID, epoch, round uint64) (Message, bool) {
 		Epoch:   epoch,
 		Round:   round,
 		Payload: encodeReport(n.last),
-	}, true
+	}
 }
 
 // Receive handles one inbound message; round is the caller's current
@@ -368,17 +318,13 @@ func (n *Node) Report(to NodeID, epoch, round uint64) (Message, bool) {
 // (epoch, round) fence supersedes the installed one, it decodes, and it
 // carries the node's strategy tag (or, through an open dual-tag window,
 // the target tag); otherwise it is counted in InstallStats and dropped.
-// A down node drops everything. Receive reports whether a map
-// installed. An error rejects a malformed message (a report payload of
+// Receive reports whether a map installed. An error rejects a malformed message (a report payload of
 // the wrong size, or an unknown kind) and nothing else.
 //
 // An installed Payload becomes the node's Encoded() bytes, so the
 // caller must not modify it afterwards. Copies of one broadcast may
 // share a payload: every holder treats it as read-only.
 func (n *Node) Receive(msg Message, round uint64) (installed bool, err error) {
-	if !n.up {
-		return false, nil
-	}
 	switch msg.Kind {
 	case MsgReport:
 		if msg.Round != round || round == n.tuned || !n.s.Has(msg.From) {
@@ -460,13 +406,13 @@ func (n *Node) install(msg Message) bool {
 func (n *Node) PendingReports() int { return len(n.pending) }
 
 // MapRound returns the round of the node's installed map: 0 until the
-// first install (or after a Restart), then monotonically non-decreasing
-// within an epoch for the life of the process.
+// first install or Resume, then monotonically non-decreasing within an
+// epoch for the life of the process.
 func (n *Node) MapRound() uint64 { return n.mapRound }
 
 // MapEpoch returns the view epoch of the node's installed map: 0 until
-// the first install (or after a Restart), then monotonically
-// non-decreasing for the life of the process.
+// the first install or Resume, then monotonically non-decreasing for
+// the life of the process.
 func (n *Node) MapEpoch() uint64 { return n.mapEpoch }
 
 // InstallStats returns the node's map-message counters.
@@ -510,9 +456,6 @@ func (n *Node) DualTagTarget() string { return n.dualTagTarget }
 // distribute to every member. The returned bytes are the node's own
 // Encoded() slice: send them, never modify them.
 func (n *Node) Rescale(epoch, round uint64, members []placement.Member) ([]byte, error) {
-	if !n.up {
-		return nil, fmt.Errorf("delegate: node %d is down", n.id)
-	}
 	reports := make([]placement.Report, 0, len(members))
 	for _, m := range members {
 		rep, ok := n.pending[m.ID]
@@ -542,20 +485,4 @@ func (n *Node) Rescale(epoch, round uint64, members []placement.Member) ([]byte,
 	}
 	n.setPlacement(s, s.Encode())
 	return n.enc, nil
-}
-
-// Elect returns the delegate for a membership view: the lowest-numbered
-// live node, the paper's "elected delegate" with its stateless
-// succession rule.
-func Elect(nodes []*Node) (NodeID, bool) {
-	best := NodeID(-1)
-	for _, n := range nodes {
-		if !n.Up() {
-			continue
-		}
-		if best < 0 || n.ID() < best {
-			best = n.ID()
-		}
-	}
-	return best, best >= 0
 }

@@ -5,32 +5,83 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"anurand/internal/anu"
+	"anurand/internal/hashx"
 	"anurand/internal/placement"
-	"anurand/internal/rng"
 )
 
-// rngNew keeps the chaos property test readable.
-func rngNew(seed uint64) *rng.Source { return rng.New(seed) }
+// nodeOpts configures every test node as the cluster runtime would.
+var nodeOpts = placement.Options{Controller: anu.DefaultControllerConfig()}
 
-func testCluster(t *testing.T, k int) *Cluster {
+// testNodes builds k nodes, ids 0..k-1, from one shared ANU snapshot, as
+// every member of a cluster starts.
+func testNodes(t testing.TB, k int) []*Node {
 	t.Helper()
-	c, err := NewCluster(k, 42, anu.DefaultControllerConfig())
+	ids := make([]NodeID, k)
+	for i := range ids {
+		ids[i] = NodeID(i)
+	}
+	m, err := anu.New(hashx.NewFamily(42), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	snapshot := m.Encode()
+	nodes := make([]*Node, k)
+	for i, id := range ids {
+		if nodes[i], err = NewNode(id, snapshot, nodeOpts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nodes
+}
+
+// allUp is the membership view with every node up.
+func allUp(nodes []*Node) []placement.Member {
+	members := make([]placement.Member, len(nodes))
+	for i, n := range nodes {
+		members[i] = placement.Member{ID: n.ID(), Up: true}
+	}
+	return members
+}
+
+// step runs one round of the protocol in epoch 1, with no transport:
+// node 0, the delegate, receives every other node's report for round
+// and rescales with every node up, and every other node receives the
+// map.
+func step(t testing.TB, nodes []*Node, round uint64) {
+	t.Helper()
+	del := nodes[0]
+	for _, n := range nodes[1:] {
+		if _, err := del.Receive(n.Report(del.ID(), 1, round), round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot, err := del.Rescale(1, round, allUp(nodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes[1:] {
+		if _, err := n.Receive(Message{Kind: MsgMap, From: del.ID(), To: n.ID(), Epoch: 1, Round: round, Payload: snapshot}, round); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// converged reports whether every node holds a byte-identical map.
+func converged(nodes []*Node) bool {
+	for _, n := range nodes[1:] {
+		if n.Fingerprint() != nodes[0].Fingerprint() {
+			return false
+		}
+	}
+	return true
 }
 
 // observeHeterogeneous feeds each node a measurement from the paper's
 // closed-loop model: latency proportional to region share over speed.
-func observeHeterogeneous(c *Cluster, speeds map[NodeID]float64) {
-	for _, n := range c.Nodes {
-		if !n.Up() {
-			continue
-		}
+func observeHeterogeneous(nodes []*Node, speeds map[NodeID]float64) {
+	for _, n := range nodes {
 		share := float64(n.Map().Length(n.ID())) / float64(anu.Half)
 		if share == 0 {
 			n.Observe(0, 0)
@@ -44,38 +95,19 @@ func paperSpeeds() map[NodeID]float64 {
 	return map[NodeID]float64{0: 1, 1: 3, 2: 5, 3: 7, 4: 9}
 }
 
-func TestElectLowestLive(t *testing.T) {
-	c := testCluster(t, 5)
-	if del, ok := c.Delegate(); !ok || del != 0 {
-		t.Fatalf("delegate = %d/%v, want 0", del, ok)
-	}
-	c.Node(0).Crash()
-	if del, ok := c.Delegate(); !ok || del != 1 {
-		t.Fatalf("delegate after crash = %d/%v, want 1", del, ok)
-	}
-	for _, n := range c.Nodes {
-		n.Crash()
-	}
-	if _, ok := c.Delegate(); ok {
-		t.Fatal("delegate elected on a dead cluster")
-	}
-}
-
 func TestStepConvergesMaps(t *testing.T) {
-	c := testCluster(t, 5)
+	nodes := testNodes(t, 5)
 	speeds := paperSpeeds()
-	for round := 0; round < 30; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if !c.Converged() {
+	for round := uint64(1); round <= 30; round++ {
+		observeHeterogeneous(nodes, speeds)
+		step(t, nodes, round)
+		if !converged(nodes) {
 			t.Fatalf("round %d: nodes diverged", round)
 		}
 	}
 	// The shared map must have adapted: the fastest server's region
 	// should exceed the slowest's on every node.
-	for _, n := range c.Nodes {
+	for _, n := range nodes {
 		m := n.Map()
 		if m.Length(4) <= m.Length(0) {
 			t.Fatalf("node %d: map did not adapt (len4=%d len0=%d)", n.ID(), m.Length(4), m.Length(0))
@@ -83,158 +115,31 @@ func TestStepConvergesMaps(t *testing.T) {
 	}
 }
 
-func TestDelegateStatelessSuccession(t *testing.T) {
-	// Kill the delegate mid-run: the next-lowest node must take over
-	// and the cluster must keep converging, with the dead node's
-	// region released (paper: failure handling via missing reports).
-	c := testCluster(t, 5)
-	speeds := paperSpeeds()
-	for round := 0; round < 10; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Node(0).Crash()
-	for round := 0; round < 10; round++ {
-		observeHeterogeneous(c, speeds)
-		del, err := c.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if del != 1 {
-			t.Fatalf("delegate = %d after node 0 crashed, want 1", del)
-		}
-	}
-	if !c.Converged() {
-		t.Fatal("cluster diverged after delegate succession")
-	}
-	for _, n := range c.Nodes {
-		if !n.Up() {
-			continue
-		}
-		if l := n.Map().Length(0); l != 0 {
-			t.Fatalf("node %d still maps the crashed node with %d ticks", n.ID(), l)
-		}
-	}
-}
-
-func TestCrashedNodeDetectedBySilence(t *testing.T) {
-	c := testCluster(t, 3)
-	speeds := map[NodeID]float64{0: 2, 1: 2, 2: 2}
-	observeHeterogeneous(c, speeds)
-	if _, err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	c.Node(2).Crash()
-	observeHeterogeneous(c, speeds)
-	if _, err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if l := c.Node(0).Map().Length(2); l != 0 {
-		t.Fatalf("silent node keeps %d ticks", l)
-	}
-}
-
-func TestRestartRejoinsFromSnapshot(t *testing.T) {
-	c := testCluster(t, 4)
-	speeds := map[NodeID]float64{0: 1, 1: 2, 2: 4, 3: 8}
-	for round := 0; round < 5; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Node(3).Crash()
-	observeHeterogeneous(c, speeds)
-	if _, err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	// Restart from a live peer's snapshot.
-	snap := c.Node(0).Map().Encode()
-	if err := c.Node(3).Restart(snap); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Converged() {
-		t.Fatal("restarted node did not converge from snapshot")
-	}
-	// The next round's delegate sees node 3 up again at zero share and
-	// re-admits it with an equal share (placement.TuneRound's Recover):
-	// it holds at least half of one after every step, rather than
-	// regrowing from the controller's floor, and the cluster stays
-	// converged.
-	for round := 0; round < 3; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if !c.Converged() {
-			t.Fatal("cluster diverged after rejoin")
-		}
-		if l := c.Node(0).Map().Length(3); l < anu.Half/8 {
-			t.Fatalf("round %d after restart: node 3 holds %d ticks, want at least half an equal share (%d)", round+1, l, anu.Half/8)
-		}
-	}
-}
-
-func TestMessageLossToleratedEventually(t *testing.T) {
-	c := testCluster(t, 5)
-	c.Transport().SetLoss(0.3, 7)
-	speeds := paperSpeeds()
-	for round := 0; round < 40; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// With 30% loss some map updates are missed, but the protocol is
-	// self-healing: run a few lossless rounds and everyone converges.
-	c.Transport().SetLoss(0, 7)
-	for round := 0; round < 3; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !c.Converged() {
-		t.Fatal("cluster did not re-converge after loss stopped")
-	}
-	sent, dropped := c.Transport().Stats()
-	if dropped == 0 || dropped >= sent {
-		t.Fatalf("loss injection implausible: %d/%d dropped", dropped, sent)
-	}
-}
-
 func TestLostReportDoesNotKillServerPermanently(t *testing.T) {
 	// A lost report leaves an up server idle for that round, never
 	// failed: the delegate fails only members that are down. Once
 	// reports flow again the server must still hold its region.
-	c := testCluster(t, 3)
+	nodes := testNodes(t, 3)
 	speeds := map[NodeID]float64{0: 3, 1: 3, 2: 3}
-	observeHeterogeneous(c, speeds)
-	if _, err := c.Step(); err != nil {
+	observeHeterogeneous(nodes, speeds)
+	step(t, nodes, 1)
+	// Everything is lost for round 2: the delegate hears neither node 1
+	// nor node 2, and its map reaches neither.
+	observeHeterogeneous(nodes, speeds)
+	if _, err := nodes[0].Rescale(1, 2, allUp(nodes)); err != nil {
 		t.Fatal(err)
 	}
-	// Drop everything for one round: nodes 1 and 2 go unheard.
-	c.Transport().SetLoss(0.999999, 3)
-	observeHeterogeneous(c, speeds)
-	if _, err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	c.Transport().SetLoss(0, 3)
 	// They were tuned as idle, not failed. What must hold: the cluster
 	// still steps and converges, and neither lost its region.
-	for round := 0; round < 3; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
+	for round := uint64(3); round <= 5; round++ {
+		observeHeterogeneous(nodes, speeds)
+		step(t, nodes, round)
 	}
-	if !c.Converged() {
+	if !converged(nodes) {
 		t.Fatal("cluster diverged after transient blackout")
 	}
 	for _, id := range []NodeID{1, 2} {
-		if l := c.Node(0).Map().Length(id); l < anu.Half/6 {
+		if l := nodes[0].Map().Length(id); l < anu.Half/6 {
 			t.Errorf("node %d holds %d ticks after a lost report, want at least half an equal share (%d)", id, l, anu.Half/6)
 		}
 	}
@@ -245,10 +150,10 @@ func TestLostReportDoesNotKillServerPermanently(t *testing.T) {
 // for the caller to distribute. (That it sends nothing is the type's
 // doing: a Node holds no transport.)
 func TestRescaleLeavesDistributionToCaller(t *testing.T) {
-	c := testCluster(t, 3)
-	observeHeterogeneous(c, paperSpeeds())
-	del := c.Node(0)
-	snapshot, err := del.Rescale(1, 1, c.Members())
+	nodes := testNodes(t, 3)
+	observeHeterogeneous(nodes, paperSpeeds())
+	del := nodes[0]
+	snapshot, err := del.Rescale(1, 1, allUp(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +162,6 @@ func TestRescaleLeavesDistributionToCaller(t *testing.T) {
 	}
 	if del.MapEpoch() != 1 || del.MapRound() != 1 {
 		t.Errorf("fence (%d,%d) after Rescale, want (1,1)", del.MapEpoch(), del.MapRound())
-	}
-	del.Crash()
-	if _, err := del.Rescale(1, 2, c.Members()); err == nil {
-		t.Error("a crashed node rescaled")
 	}
 }
 
@@ -279,21 +180,19 @@ func TestReportEncodingRoundTrip(t *testing.T) {
 }
 
 func TestNodeConstructionErrors(t *testing.T) {
-	opts := placement.Options{Controller: anu.DefaultControllerConfig()}
-	if _, err := NewNode(0, []byte("garbage"), opts); err == nil {
+	if _, err := NewNode(0, []byte("garbage"), nodeOpts); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
-	c := testCluster(t, 2)
-	snap := c.Node(0).Map().Encode()
-	if _, err := NewNode(99, snap, opts); err == nil {
+	snap := testNodes(t, 2)[0].Map().Encode()
+	if _, err := NewNode(99, snap, nodeOpts); err == nil {
 		t.Fatal("non-member node accepted")
 	}
 }
 
 func TestCorruptMapMessageIgnored(t *testing.T) {
-	c := testCluster(t, 2)
-	before := c.Node(1).Fingerprint()
-	if _, err := c.Node(1).Receive(Message{
+	n := testNodes(t, 2)[1]
+	before := n.Fingerprint()
+	if _, err := n.Receive(Message{
 		Kind:    MsgMap,
 		From:    0,
 		To:      1,
@@ -302,52 +201,38 @@ func TestCorruptMapMessageIgnored(t *testing.T) {
 	}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if c.Node(1).Fingerprint() != before {
+	if n.Fingerprint() != before {
 		t.Fatal("corrupt map installed")
-	}
-}
-
-func TestClusterErrors(t *testing.T) {
-	if _, err := NewCluster(0, 1, anu.DefaultControllerConfig()); err == nil {
-		t.Fatal("empty cluster accepted")
-	}
-	c := testCluster(t, 2)
-	c.Node(0).Crash()
-	c.Node(1).Crash()
-	if _, err := c.Step(); err == nil {
-		t.Fatal("step succeeded with no live nodes")
 	}
 }
 
 func TestSharedStateIsSnapshotSized(t *testing.T) {
 	// The protocol's map message payload is exactly the O(k) snapshot —
 	// the paper's shared-state claim at the protocol level.
-	c := testCluster(t, 5)
-	observeHeterogeneous(c, paperSpeeds())
-	if _, err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	snapLen := len(c.Node(0).Map().Encode())
+	nodes := testNodes(t, 5)
+	observeHeterogeneous(nodes, paperSpeeds())
+	step(t, nodes, 1)
+	snapLen := len(nodes[0].Map().Encode())
 	if snapLen == 0 || snapLen > 4096 {
 		t.Fatalf("snapshot size %d implausible for k=5", snapLen)
 	}
 }
 
-// TestMalformedReportRejectsOnlyItself is the regression test for the
-// batch drain: a malformed report queued ahead of the round's map in
-// one delivery is rejected alone, and the map behind it still installs.
+// TestMalformedReportRejectsOnlyItself: a malformed report received
+// ahead of the round's map is rejected alone, and the map behind it
+// still installs.
 func TestMalformedReportRejectsOnlyItself(t *testing.T) {
-	c := testCluster(t, 3)
-	observeHeterogeneous(c, paperSpeeds())
-	c.Transport().Send(Message{Kind: MsgReport, From: 2, To: 1, Epoch: 1, Round: c.Round() + 1, Payload: []byte{1, 2, 3}})
-	_, err := c.Step()
+	nodes := testNodes(t, 3)
+	observeHeterogeneous(nodes, paperSpeeds())
+	_, err := nodes[1].Receive(Message{Kind: MsgReport, From: 2, To: 1, Epoch: 1, Round: 1, Payload: []byte{1, 2, 3}}, 1)
 	if err == nil || !strings.Contains(err.Error(), "report payload is 3 bytes") {
-		t.Fatalf("Step returned %v, want the malformed report's rejection", err)
+		t.Fatalf("Receive returned %v, want the malformed report's rejection", err)
 	}
-	if n := c.Node(1); n.MapRound() != c.Round() {
-		t.Fatalf("node 1 map round %d behind a malformed report, want %d", n.MapRound(), c.Round())
+	step(t, nodes, 1)
+	if n := nodes[1]; n.MapRound() != 1 {
+		t.Fatalf("node 1 map round %d behind a malformed report, want 1", n.MapRound())
 	}
-	if !c.Converged() {
+	if !converged(nodes) {
 		t.Fatal("cluster diverged over a malformed report")
 	}
 }
@@ -356,8 +241,7 @@ func TestMalformedReportRejectsOnlyItself(t *testing.T) {
 // placement are dropped, so the pending set never outgrows the members
 // however many ids a peer sprays.
 func TestReportsBoundedByMembership(t *testing.T) {
-	c := testCluster(t, 3)
-	n := c.Node(0)
+	n := testNodes(t, 3)[0]
 	payload := encodeReport(Report{Requests: 1, LatencyMicros: 1})
 	for id := NodeID(-5); id < 100; id++ {
 		if _, err := n.Receive(Message{Kind: MsgReport, From: id, To: 0, Round: 1, Payload: payload}, 1); err != nil {
@@ -372,9 +256,9 @@ func TestReportsBoundedByMembership(t *testing.T) {
 // TestLateReportDropped: a report for a round the delegate already
 // rescaled arrives after its tune, and must not count toward the next.
 func TestLateReportDropped(t *testing.T) {
-	c := testCluster(t, 3)
-	n := c.Node(0)
-	if _, err := n.Rescale(1, 1, c.Members()); err != nil {
+	nodes := testNodes(t, 3)
+	n := nodes[0]
+	if _, err := n.Rescale(1, 1, allUp(nodes)); err != nil {
 		t.Fatal(err)
 	}
 	late := Message{Kind: MsgReport, From: 1, To: 0, Round: 1, Payload: encodeReport(Report{Requests: 1})}
@@ -390,22 +274,21 @@ func TestLateReportDropped(t *testing.T) {
 // guard: a reordered MsgMap from an old round must never overwrite a
 // newer placement, while genuinely newer maps still install.
 func TestStaleMapRoundIgnored(t *testing.T) {
-	c := testCluster(t, 2)
-	staleSnapshot := c.Node(1).Map().Encode() // the bootstrap placement
+	nodes := testNodes(t, 2)
+	staleSnapshot := nodes[1].Map().Encode() // the bootstrap placement
 	speeds := map[NodeID]float64{0: 1, 1: 9}
-	for round := 0; round < 5; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
+	const rounds = 5
+	for round := uint64(1); round <= rounds; round++ {
+		observeHeterogeneous(nodes, speeds)
+		step(t, nodes, round)
 	}
-	n := c.Node(1)
-	if n.MapRound() != c.Round() {
-		t.Fatalf("map round %d, want %d", n.MapRound(), c.Round())
+	n := nodes[1]
+	if n.MapRound() != rounds {
+		t.Fatalf("map round %d, want %d", n.MapRound(), rounds)
 	}
 	before := n.Fingerprint()
 	// A delayed duplicate of the round-1 broadcast arrives now.
-	applied, err := n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: c.Epoch(), Round: 1, Payload: staleSnapshot}, c.Round())
+	applied, err := n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: 1, Round: 1, Payload: staleSnapshot}, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,12 +298,12 @@ func TestStaleMapRoundIgnored(t *testing.T) {
 	if got := n.InstallStats().StaleMapsRejected; got != 1 {
 		t.Fatalf("StaleMapsRejected = %d, want 1", got)
 	}
-	if n.MapRound() != c.Round() {
+	if n.MapRound() != rounds {
 		t.Fatalf("map round moved backwards to %d", n.MapRound())
 	}
 	// A newer round still installs.
-	next := c.Round() + 10
-	applied, err = n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: c.Epoch(), Round: next, Payload: c.Node(0).Map().Encode()}, c.Round())
+	next := uint64(rounds + 10)
+	applied, err = n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: 1, Round: next, Payload: nodes[0].Map().Encode()}, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,24 +318,22 @@ func TestStaleMapRoundIgnored(t *testing.T) {
 // scenario a round guard alone cannot catch — while a higher epoch
 // installs even at a lower round.
 func TestStaleEpochFenced(t *testing.T) {
-	c := testCluster(t, 2)
-	oldSnapshot := c.Node(1).Map().Encode()
+	nodes := testNodes(t, 2)
+	oldSnapshot := nodes[1].Map().Encode()
 	speeds := map[NodeID]float64{0: 1, 1: 9}
-	for round := 0; round < 3; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
+	for round := uint64(1); round <= 3; round++ {
+		observeHeterogeneous(nodes, speeds)
+		step(t, nodes, round)
 	}
-	n := c.Node(1)
+	n := nodes[1]
 	epoch, round := n.MapEpoch(), n.MapRound()
 	if epoch == 0 {
-		t.Fatal("harness never assigned an epoch")
+		t.Fatal("install left the fence at epoch 0")
 	}
 	before := n.Fingerprint()
 	// A delegate from a superseded epoch wakes up with a round counter
 	// that raced far ahead while it was partitioned.
-	applied, err := n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch - 1, Round: round + 1000, Payload: oldSnapshot}, c.Round())
+	applied, err := n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch - 1, Round: round + 1000, Payload: oldSnapshot}, round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +347,7 @@ func TestStaleEpochFenced(t *testing.T) {
 		t.Fatalf("fence moved to (%d, %d), want (%d, %d)", n.MapEpoch(), n.MapRound(), epoch, round)
 	}
 	// A later epoch installs even though its round restarts lower.
-	applied, err = n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch + 1, Round: 1, Payload: c.Node(0).Map().Encode()}, c.Round())
+	applied, err = n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch + 1, Round: 1, Payload: nodes[0].Map().Encode()}, round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,24 +356,22 @@ func TestStaleEpochFenced(t *testing.T) {
 	}
 }
 
-// TestResumeRestoresFence verifies durable-restart semantics: after
-// Restart with a journal-recovered snapshot, Resume re-arms the install
-// fence so replayed older maps are still rejected.
+// TestResumeRestoresFence verifies durable-restart semantics, as the
+// cluster runtime restarts a node: after NewNode from a journal-recovered
+// snapshot, Resume re-arms the install fence so replayed older maps are
+// still rejected.
 func TestResumeRestoresFence(t *testing.T) {
-	c := testCluster(t, 2)
-	oldSnapshot := c.Node(1).Map().Encode()
+	nodes := testNodes(t, 2)
+	oldSnapshot := nodes[1].Map().Encode()
 	speeds := map[NodeID]float64{0: 1, 1: 9}
-	for round := 0; round < 3; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
+	for round := uint64(1); round <= 3; round++ {
+		observeHeterogeneous(nodes, speeds)
+		step(t, nodes, round)
 	}
-	n := c.Node(1)
-	epoch, round := n.MapEpoch(), n.MapRound()
-	recovered := n.Map().Encode()
-	n.Crash()
-	if err := n.Restart(recovered); err != nil {
+	epoch, round := nodes[1].MapEpoch(), nodes[1].MapRound()
+	recovered := nodes[1].Map().Encode()
+	n, err := NewNode(1, recovered, nodeOpts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	n.Resume(epoch, round)
@@ -501,7 +380,7 @@ func TestResumeRestoresFence(t *testing.T) {
 	}
 	// The pre-crash bootstrap map replayed at a lower (epoch, round)
 	// must not install after the durable restart.
-	applied, err := n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch - 1, Round: round + 50, Payload: oldSnapshot}, c.Round())
+	applied, err := n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: epoch - 1, Round: round + 50, Payload: oldSnapshot}, round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,8 +397,7 @@ func TestResumeRestoresFence(t *testing.T) {
 // saturate at MaxLatencyMicros instead of hitting the
 // platform-dependent out-of-range float64→uint64 conversion.
 func TestObserveClampsExtremeLatency(t *testing.T) {
-	c := testCluster(t, 2)
-	n := c.Node(0)
+	n := testNodes(t, 2)[0]
 	cases := []struct {
 		latency float64
 		want    uint64
@@ -537,170 +415,5 @@ func TestObserveClampsExtremeLatency(t *testing.T) {
 		if n.last.LatencyMicros != tc.want {
 			t.Errorf("Observe(%g) -> %d micros, want %d", tc.latency, n.last.LatencyMicros, tc.want)
 		}
-	}
-}
-
-// TestRestartClearsPreCrashReport is the regression test for stale
-// report replay: a freshly restarted node must not re-send load data
-// measured before the crash.
-func TestRestartClearsPreCrashReport(t *testing.T) {
-	c := testCluster(t, 3)
-	n := c.Node(2)
-	n.Observe(5000, 1.25)
-	n.Crash()
-	if err := n.Restart(c.Node(0).Map().Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if n.last != (Report{}) {
-		t.Fatalf("restarted node still holds pre-crash report %+v", n.last)
-	}
-	// The first post-restart report on the wire is the zero report, not
-	// the pre-crash measurement.
-	msg, ok := n.Report(0, 1, 9)
-	if !ok {
-		t.Fatal("restarted node built no report")
-	}
-	rep, err := decodeReport(msg.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep != (Report{}) {
-		t.Fatalf("restarted node replayed stale report %+v", rep)
-	}
-}
-
-// TestChaosTransportConvergence runs the protocol over seeded drop,
-// duplicate and delay chaos and asserts the protocol invariants: the
-// installed map round never moves backwards on any node, and once the
-// chaos stops, every node reaches a byte-identical fingerprint within
-// a bounded number of rounds.
-func TestChaosTransportConvergence(t *testing.T) {
-	c := testCluster(t, 5)
-	c.Transport().SetChaos(0.2, 0.3, 0.3, 11)
-	speeds := paperSpeeds()
-	prevRounds := make(map[NodeID]uint64)
-	for round := 0; round < 40; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range c.Nodes {
-			if mr := n.MapRound(); mr < prevRounds[n.ID()] {
-				t.Fatalf("round %d: node %d map round regressed %d -> %d",
-					round, n.ID(), prevRounds[n.ID()], mr)
-			} else {
-				prevRounds[n.ID()] = mr
-			}
-		}
-	}
-	var stale uint64
-	for _, n := range c.Nodes {
-		stale += n.InstallStats().StaleMapsRejected
-	}
-	if stale == 0 {
-		t.Fatal("chaos produced no stale-map deliveries; the guard went unexercised")
-	}
-	// Chaos off: the self-healing protocol converges within a bounded
-	// number of clean rounds (two flush the delay queues, then every
-	// broadcast reaches everyone).
-	c.Transport().SetChaos(0, 0, 0, 11)
-	const bound = 5
-	for round := 0; round < bound; round++ {
-		observeHeterogeneous(c, speeds)
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !c.Converged() {
-		t.Fatalf("nodes did not converge within %d clean rounds", bound)
-	}
-	_, _, duplicated, delayed := c.Transport().ChaosStats()
-	if duplicated == 0 || delayed == 0 {
-		t.Fatalf("chaos implausible: duplicated=%d delayed=%d", duplicated, delayed)
-	}
-}
-
-// TestProtocolChaosProperty drives random crash/restart/loss schedules
-// and asserts the protocol-level invariants: Step never errors while a
-// node lives, live nodes converge to byte-identical maps once the
-// transport is clean, and the delegate is always the lowest live id.
-func TestProtocolChaosProperty(t *testing.T) {
-	prop := func(seed uint64, opsRaw uint8) bool {
-		c, err := NewCluster(5, seed, anu.DefaultControllerConfig())
-		if err != nil {
-			return false
-		}
-		src := rngNew(seed)
-		speeds := paperSpeeds()
-		ops := int(opsRaw%40) + 5
-		for i := 0; i < ops; i++ {
-			switch src.Intn(5) {
-			case 0: // crash a random node (keep at least one alive)
-				live := 0
-				for _, n := range c.Nodes {
-					if n.Up() {
-						live++
-					}
-				}
-				if live > 1 {
-					c.Nodes[src.Intn(5)].Crash()
-				}
-			case 1: // restart a crashed node from a live snapshot
-				var donor *Node
-				for _, n := range c.Nodes {
-					if n.Up() {
-						donor = n
-						break
-					}
-				}
-				victim := c.Nodes[src.Intn(5)]
-				if donor != nil && !victim.Up() {
-					if err := victim.Restart(donor.Map().Encode()); err != nil {
-						t.Logf("restart: %v", err)
-						return false
-					}
-				}
-			case 2: // toggle loss
-				c.Transport().SetLoss(src.Float64()*0.5, seed+uint64(i))
-			default: // a normal tuning step
-				observeHeterogeneous(c, speeds)
-				del, err := c.Step()
-				if err != nil {
-					t.Logf("step: %v", err)
-					return false
-				}
-				want, _ := Elect(c.Nodes)
-				if del != want {
-					t.Logf("delegate %d, elected %d", del, want)
-					return false
-				}
-			}
-		}
-		// Clean transport, a few quiet rounds: everyone converges.
-		c.Transport().SetLoss(0, 1)
-		for i := 0; i < 3; i++ {
-			observeHeterogeneous(c, speeds)
-			if _, err := c.Step(); err != nil {
-				t.Logf("final step: %v", err)
-				return false
-			}
-		}
-		if !c.Converged() {
-			t.Log("did not converge after clean rounds")
-			return false
-		}
-		// Every live node's map still satisfies the geometry invariants.
-		for _, n := range c.Nodes {
-			if n.Up() {
-				if err := n.Map().CheckInvariants(); err != nil {
-					t.Logf("node %d invariants: %v", n.ID(), err)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }

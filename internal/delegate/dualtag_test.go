@@ -6,12 +6,12 @@ import (
 	"anurand/internal/placement"
 )
 
-// targetSnapshot builds a chord-bounded placement over the cluster's
-// member set — the warm snapshot a live migration would install.
-func targetSnapshot(t *testing.T, c *Cluster) []byte {
+// targetSnapshot builds a chord-bounded placement over the nodes — the
+// warm snapshot a live migration would install.
+func targetSnapshot(t *testing.T, nodes []*Node) []byte {
 	t.Helper()
-	ids := make([]placement.ServerID, len(c.Nodes))
-	for i, n := range c.Nodes {
+	ids := make([]placement.ServerID, len(nodes))
+	for i, n := range nodes {
 		ids[i] = n.ID()
 	}
 	s, err := placement.New(placement.StrategyChordBounded, ids, placement.Options{HashSeed: 42})
@@ -30,9 +30,9 @@ func receiveMap(n *Node, epoch, round uint64, payload []byte) (bool, error) {
 // map carrying the target tag installs, switches the node's strategy,
 // and closes the window.
 func TestDualTagWindowInstallsTarget(t *testing.T) {
-	c := testCluster(t, 3)
-	n := c.Node(1)
-	snap := targetSnapshot(t, c)
+	nodes := testNodes(t, 3)
+	n := nodes[1]
+	snap := targetSnapshot(t, nodes)
 
 	// Without a window the foreign tag is rejected.
 	if _, err := receiveMap(n, 1, 1, snap); err != nil {
@@ -50,7 +50,7 @@ func TestDualTagWindowInstallsTarget(t *testing.T) {
 	// Same-tag installs still work inside the window (the old strategy
 	// keeps tuning while the migration is in flight) — a fresh ANU
 	// snapshot from a peer installs fine.
-	if applied, err := receiveMap(n, 1, 2, c.Node(0).Placement().Encode()); err != nil || !applied {
+	if applied, err := receiveMap(n, 1, 2, nodes[0].Placement().Encode()); err != nil || !applied {
 		t.Fatalf("same-tag install inside window: applied=%v err=%v", applied, err)
 	}
 	if n.Strategy() != placement.StrategyANU {
@@ -79,12 +79,12 @@ func TestDualTagWindowInstallsTarget(t *testing.T) {
 // the tag check, never the fence; and tags other than the named target
 // stay poison.
 func TestDualTagWindowStillFencesStaleAndCross(t *testing.T) {
-	c := testCluster(t, 3)
-	n := c.Node(1)
-	snap := targetSnapshot(t, c)
+	nodes := testNodes(t, 3)
+	n := nodes[1]
+	snap := targetSnapshot(t, nodes)
 
 	// Advance the node's fence first.
-	if _, err := receiveMap(n, 3, 5, c.Node(0).Placement().Encode()); err != nil {
+	if _, err := receiveMap(n, 3, 5, nodes[0].Placement().Encode()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,11 +134,9 @@ func TestDualTagWindowStillFencesStaleAndCross(t *testing.T) {
 	}
 }
 
-// TestDualTagWindowLifecycle: self-target is a no-op, re-open replaces,
-// crash and restart clear the window.
+// TestDualTagWindowLifecycle: self-target is a no-op, re-open replaces.
 func TestDualTagWindowLifecycle(t *testing.T) {
-	c := testCluster(t, 2)
-	n := c.Node(1)
+	n := testNodes(t, 2)[1]
 	n.OpenDualTag(placement.StrategyANU) // own strategy: nothing to migrate to
 	if n.DualTagTarget() != "" {
 		t.Fatal("self-target opened a window")
@@ -147,16 +145,5 @@ func TestDualTagWindowLifecycle(t *testing.T) {
 	n.OpenDualTag(placement.StrategyChordBounded)
 	if n.DualTagTarget() != placement.StrategyChordBounded {
 		t.Fatalf("re-open did not replace target: %q", n.DualTagTarget())
-	}
-	n.Crash()
-	if n.DualTagTarget() != "" {
-		t.Fatal("window survived a crash")
-	}
-	n.OpenDualTag(placement.StrategyChord)
-	if err := n.Restart(c.Node(0).Placement().Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if n.DualTagTarget() != "" {
-		t.Fatal("window survived a restart")
 	}
 }

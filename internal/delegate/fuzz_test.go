@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"anurand/internal/anu"
 	"anurand/internal/placement"
 )
 
@@ -21,18 +20,12 @@ import (
 // panics, an error leaves Encoded() describing the placement, and
 // otherwise a member holds a nonzero share exactly when it is up.
 func FuzzNodeReceive(f *testing.F) {
-	opts := placement.Options{Controller: anu.DefaultControllerConfig()}
-	c, err := NewCluster(3, 42, opts.Controller)
-	if err != nil {
-		f.Fatal(err)
-	}
-	boot := c.Node(0).Encoded()
-	observeHeterogeneous(c, paperSpeeds())
-	if _, err := c.Step(); err != nil {
-		f.Fatal(err)
-	}
-	tuned := c.Node(0).Encoded()
-	target, err := placement.New(placement.StrategyChordBounded, c.Node(0).Placement().Servers(), placement.Options{HashSeed: 42})
+	nodes := testNodes(f, 3)
+	boot := nodes[0].Encoded()
+	observeHeterogeneous(nodes, paperSpeeds())
+	step(f, nodes, 1)
+	tuned := nodes[0].Encoded()
+	target, err := placement.New(placement.StrategyChordBounded, nodes[0].Placement().Servers(), placement.Options{HashSeed: 42})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -48,7 +41,7 @@ func FuzzNodeReceive(f *testing.F) {
 	f.Add(uint8(MsgMap), int32(0), uint64(1), uint64(6), []byte("not a snapshot"), false, uint8(0b111))
 	f.Add(uint8(0x20), int32(0), uint64(1), uint64(5), report, false, uint8(0b000))
 	f.Fuzz(func(t *testing.T, kind uint8, from int32, epoch, round uint64, payload []byte, window bool, up uint8) {
-		n, err := NewNode(1, boot, opts)
+		n, err := NewNode(1, boot, nodeOpts)
 		if err != nil {
 			t.Fatal(err)
 		}

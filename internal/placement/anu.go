@@ -118,11 +118,6 @@ func (a *ANU) Clone() Strategy {
 	return &ANU{m: a.m.Clone(), ctl: a.ctl}
 }
 
-// ResetSoftState implements SoftStateResetter: it clears the
-// controller's EWMA and advisory counters, as a crashed-and-restarted
-// node would.
-func (a *ANU) ResetSoftState() { a.ctl.Reset() }
-
 // AdoptState implements StateAdopter: a freshly decoded instance
 // inherits the superseded instance's controller (EWMA, advisory
 // counters) so a delegate install does not cold-restart smoothing.

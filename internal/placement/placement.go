@@ -162,13 +162,6 @@ type StateAdopter interface {
 	AdoptState(prev Strategy)
 }
 
-// SoftStateResetter is the optional crash-model capability: discard
-// soft state (smoothing, advisory counters) that would not survive a
-// process crash, without touching the encoded placement.
-type SoftStateResetter interface {
-	ResetSoftState()
-}
-
 // Reweigher is the optional capacity-knowledge capability: strategies
 // that place by per-server weight implement it so callers can install
 // updated speed estimates at runtime (the policy layer refreshes
