@@ -140,10 +140,10 @@ fuzz-smoke:
 	done
 
 # The live-migration chaos soak under the race detector: five nodes on
-# a lossy network with chaos journals, faults injected in every phase
-# of the migration state machine (leader killed in Proposed, follower
-# crash-restarted with a torn journal tail in DualTag, flipped witness
-# crash-restarted in Committed, partition mid-rollback), with lookup
+# a lossy network with chaos journals, a fault at each step of a
+# migration (delegate killed right after Migrate, follower
+# crash-restarted with a torn journal tail inside the window, flipped
+# witness crash-restarted after it, partition mid-cutover), with lookup
 # hammers asserting the zero-downtime contract throughout.
 soak-migrate:
 	$(GO) test -race -run='^TestMigrationChaosSoak$$' -count=1 -v ./internal/cluster

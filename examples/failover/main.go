@@ -1,26 +1,21 @@
 // Failover: live-migrate a serving cluster to a new placement
-// strategy, crash a node inside the cutover window, and finish the
+// strategy, crash a node inside the migration window, and finish the
 // migration from its journal.
 //
 // The example runs a five-node delegate cluster on a lossy in-memory
-// network, with every node journaling installed placements AND
-// migration phase records to disk. While client lookups hammer every
-// node, the delegate drives a zero-downtime migration from the
-// paper's ANU strategy to the bounded-load chord ring:
-//
-//	Idle -> Proposed -> DualTag -> Committed
-//
-// During the dual-tag window each node keeps serving lock-free
-// lookups from the old ANU snapshot while the chord placement warms;
-// the flip is one atomic snapshot publish fenced by an epoch bump.
-// Mid-window, one follower is killed and restarted from its journal:
-// the journaled DualTag record (with the warm snapshot) resumes the
-// window, and the leader's post-commit retries finish the cutover —
-// no lookup ever fails, and no node is left behind on the old
-// strategy. The window closes only when every member acknowledged it
-// (Quorum = 5), and until the crash the victim's transport loses its
-// dual-tag acknowledgements, so the leader cannot commit and the crash
-// lands inside the window however fast the other acks arrive.
+// network, with every node journaling its installed placement maps to
+// disk. While client lookups hammer every node, the delegate migrates
+// from the paper's ANU strategy to the bounded-load chord ring as an
+// ordinary map round: its next map serves the chord ring inside a
+// migration window that also names ANU, so every node still on ANU
+// installs it through the usual (epoch, round) fence, one atomic
+// snapshot publish per node. For MigrateTimeout the delegate keeps the
+// window on its maps, then sends the plain chord map, which closes it.
+// Inside the window one follower is killed and restarted from its
+// journal: the newest journaled map is the window map, so the node
+// boots the chord ring inside the window, although its config still
+// names ANU, and installs the plain map that closes the window — no
+// lookup ever fails, and no node is left behind on the old strategy.
 //
 // Run with: go run ./examples/failover
 package main
@@ -39,7 +34,6 @@ import (
 	"anurand/internal/delegate"
 	"anurand/internal/hashx"
 	"anurand/internal/journal"
-	"anurand/internal/migrate"
 	"anurand/internal/placement"
 )
 
@@ -71,7 +65,7 @@ func main() {
 		check(err)
 		journals[i] = j
 	}
-	start := func(i int, tr cluster.Transport) *cluster.Runtime {
+	start := func(i int) *cluster.Runtime {
 		rt, err := cluster.Start(cluster.Config{
 			ID:                ids[i],
 			Members:           ids,
@@ -81,15 +75,13 @@ func main() {
 			HeartbeatInterval: 8 * time.Millisecond,
 			FailAfter:         400 * time.Millisecond,
 			WatchdogRounds:    10,
-			Quorum:            len(ids), // the dual-tag window closes only when everyone acked
-			MigrateTimeout:    20 * time.Second,
-			MigrateRetry:      80 * time.Millisecond,
+			MigrateTimeout:    time.Second, // a 25-round window
 			Observe: func(p placement.Strategy, id delegate.NodeID) (uint64, float64) {
 				share := p.Shares()[id]
 				return uint64(1 + 1000*share), 0.002 + share/speeds[id]
 			},
 			Journal: journals[i],
-		}, tr)
+		}, cn.Endpoint(ids[i]))
 		check(err)
 		return rt
 	}
@@ -98,11 +90,7 @@ func main() {
 	rts := make([]*cluster.Runtime, len(ids))
 	for i := range ids {
 		openJournal(i)
-		var tr cluster.Transport = cn.Endpoint(ids[i])
-		if i == victim {
-			tr = holdDualTagAcks{cn.Endpoint(ids[i])}
-		}
-		rts[i] = start(i, tr)
+		rts[i] = start(i)
 	}
 	defer func() {
 		for _, rt := range rts {
@@ -113,7 +101,7 @@ func main() {
 		}
 	}()
 
-	fmt.Printf("5 nodes tuning %q over a lossy network, journaling placements and migration phases\n\n", placement.StrategyANU)
+	fmt.Printf("5 nodes tuning %q over a lossy network, journaling every installed map\n\n", placement.StrategyANU)
 	waitUntil("initial convergence", 20*time.Second, func() bool {
 		return convergedAll(rts) && rts[2].MapRound() >= 4
 	})
@@ -145,58 +133,49 @@ func main() {
 		}(rt)
 	}
 
-	// --- the delegate proposes the live cutover -------------------------
-	epochBefore := rts[0].MapEpoch()
-	migID, err := rts[0].Migrate(placement.StrategyChordBounded)
-	check(err)
-	fmt.Printf("\ndelegate proposed migration %d: %s -> %s\n", migID, placement.StrategyANU, placement.StrategyChordBounded)
+	// --- the delegate starts the live cutover ---------------------------
+	check(rts[0].Migrate(placement.StrategyChordBounded))
+	fmt.Printf("\ndelegate migrating %s -> %s at its next round\n", placement.StrategyANU, placement.StrategyChordBounded)
 
-	// --- crash a follower inside the dual-tag window --------------------
-	waitUntil("victim inside the dual-tag window", 20*time.Second, func() bool {
-		phase, _ := rts[victim].MigrationPhase()
-		return phase == migrate.DualTag
+	// --- crash a follower inside the migration window -------------------
+	waitUntil("victim inside the migration window", 20*time.Second, func() bool {
+		return rts[victim].Stats().Window.IsOpen()
 	})
+	w := rts[victim].Stats().Window
 	rts[victim].Stop()
 	check(journals[victim].Close())
-	fmt.Printf("node %d killed inside the dual-tag window (old strategy still serving everywhere)\n", victim)
+	fmt.Printf("node %d killed inside the window opened at round %d (it serves %q, and still admits %q maps)\n",
+		victim, w.Opened, placement.StrategyChordBounded, w.From)
 
 	// --- restart it from the journal ------------------------------------
 	openJournal(victim)
-	if rec, ok := journals[victim].LastMigration(); ok {
-		mr, err := migrate.Decode(rec.Map)
-		check(err)
-		fmt.Printf("reopened journal: migration record %s (id %d, warm snapshot %d bytes)\n",
-			mr.Phase, mr.ID, len(mr.Snapshot))
+	if rec, ok := journals[victim].LastPlacement(); ok {
+		fmt.Printf("reopened journal: newest map at (epoch %d, round %d), %d bytes\n", rec.Epoch, rec.Round, len(rec.Map))
 	}
-	rts[victim] = start(victim, cn.Endpoint(ids[victim]))
-	if phase, id := rts[victim].MigrationPhase(); phase == migrate.DualTag {
-		fmt.Printf("node %d restarted: resumed migration %d in %s — window reopened from disk\n", victim, id, phase)
-	} else {
-		fmt.Printf("node %d restarted in %s; the leader's commit retries will catch it up\n", victim, phase)
-	}
+	rts[victim] = start(victim)
+	s = rts[victim].Stats()
+	fmt.Printf("node %d restarted on %q (config says %q), window from %q open: %v\n",
+		victim, s.Strategy, placement.StrategyANU, s.Window.From, s.Window.IsOpen())
 
 	// --- the cutover completes everywhere -------------------------------
 	waitUntil("cluster-wide cutover", 30*time.Second, func() bool {
 		for _, rt := range rts {
-			if rt.Strategy() != placement.StrategyChordBounded {
-				return false
-			}
-			if phase, _ := rt.MigrationPhase(); phase != migrate.Idle {
+			if s := rt.Stats(); s.Strategy != placement.StrategyChordBounded || s.Window.IsOpen() {
 				return false
 			}
 		}
 		return true
 	})
-	fmt.Printf("\nevery node now serves %q; commit bumped the install epoch %d -> %d\n",
-		placement.StrategyChordBounded, epochBefore, rts[0].MapEpoch())
+	fmt.Printf("\nevery node now serves %q; the plain map closed the window at round %d\n",
+		placement.StrategyChordBounded, rts[0].MapRound())
 
 	waitUntil("reconvergence on the new strategy", 20*time.Second, func() bool {
 		if !convergedAll(rts) {
 			return false
 		}
-		// Let the post-commit gossip settle so the per-node stats below
-		// show the cluster at rest: everyone back behind delegate 0 with
-		// the migrating bit cleared.
+		// Let the gossip settle so the per-node stats below show the
+		// cluster at rest: everyone behind delegate 0 with the migrating
+		// bit cleared.
 		for _, rt := range rts {
 			s := rt.Stats()
 			if s.Delegate != 0 || s.DelegateMigrating {
@@ -216,20 +195,6 @@ func main() {
 	for _, rt := range rts {
 		fmt.Printf("  %s\n", rt.Stats())
 	}
-}
-
-// holdDualTagAcks is the victim's transport until it crashes: it loses
-// the victim's acknowledgements of the dual-tag phase, as a lossy
-// network may, so the leader's commit waits for the restarted node.
-type holdDualTagAcks struct{ *cluster.MemEndpoint }
-
-func (h holdDualTagAcks) SendAsync(msg delegate.Message) bool {
-	if msg.Kind == cluster.MsgMigrateAck {
-		if rec, err := migrate.Decode(msg.Payload); err == nil && rec.Phase == migrate.DualTag {
-			return true // accepted, then lost
-		}
-	}
-	return h.MemEndpoint.SendAsync(msg)
 }
 
 func convergedAll(rts []*cluster.Runtime) bool {

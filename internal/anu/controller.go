@@ -145,13 +145,6 @@ func (c *Controller) Config() ControllerConfig { return c.cfg }
 // Rounds returns how many tuning rounds have been applied.
 func (c *Controller) Rounds() uint64 { return c.rounds }
 
-// Reset discards the latency smoothing state, as a newly elected
-// delegate would.
-func (c *Controller) Reset() {
-	c.ewma = make(map[ServerID]float64)
-	c.atFloor = make(map[ServerID]int)
-}
-
 // advisoryRounds is how many consecutive floor rounds mark a server
 // incompetent.
 const advisoryRounds = 5

@@ -286,26 +286,6 @@ func TestTuneConvergesOnHeterogeneousCapacity(t *testing.T) {
 	}
 }
 
-func TestControllerResetClearsSmoothing(t *testing.T) {
-	cfg := DefaultControllerConfig()
-	cfg.Smoothing = 0.9
-	m := newTestMap(t, 2)
-	ctl := NewController(cfg)
-	if _, err := ctl.Tune(m, []Report{
-		{Server: 0, Requests: 10, Latency: 100},
-		{Server: 1, Requests: 10, Latency: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ctl.Reset()
-	if len(ctl.ewma) != 0 {
-		t.Fatal("Reset left smoothing state behind")
-	}
-	if ctl.Rounds() != 1 {
-		t.Fatalf("Rounds() = %d, want 1", ctl.Rounds())
-	}
-}
-
 func TestAdvisoriesFlagIncompetentServer(t *testing.T) {
 	cfg := DefaultControllerConfig()
 	cfg.Smoothing = 0

@@ -47,6 +47,12 @@
 // dropped, never installed over a newer placement — even one whose raw
 // round number raced ahead under a superseded delegate.
 //
+// Live strategy migration (Migrate) is an ordinary map round: the
+// delegate's next map serves the target strategy inside a window that
+// also names the old one, so every node installs it through the same
+// fence, and after a fixed number of rounds the plain map closes the
+// window (see migrate.go).
+//
 // Durability is opt-in: give Config a Journal and every installed
 // placement is appended (with its fence) and fsynced, and a restarted
 // Runtime resumes from the journal's last record — map, epoch and round
@@ -89,22 +95,17 @@ import (
 // through s.Shares().
 type ObserveFunc func(s placement.Strategy, id delegate.NodeID) (requests uint64, meanLatencySeconds float64)
 
-// Journal persists installed placements and live-migration phase
-// records. Implementations must make Append durable before returning
-// (the runtime treats a nil error as "this record survives a crash")
-// and must keep the monotone rule: a record that does not supersede
-// the last one is skipped, not an error. *journal.Journal and
-// *journal.ChaosJournal implement it. The caller owns the journal's
-// lifecycle; the Runtime never closes it.
+// Journal persists installed placements. Implementations must make
+// Append durable before returning (the runtime treats a nil error as
+// "this record survives a crash") and must keep the monotone rule: a
+// record that does not supersede the last one is skipped, not an
+// error. *journal.Journal and *journal.ChaosJournal implement it. The
+// caller owns the journal's lifecycle; the Runtime never closes it.
 type Journal interface {
 	// LastPlacement returns the newest placement record — what a
 	// restarting node serves from.
 	LastPlacement() (journal.Record, bool)
-	// LastMigration returns the newest migration phase record — what a
-	// restarting node resumes (or recognises as complete).
-	LastMigration() (journal.Record, bool)
-	// Append durably records an installed placement or migration
-	// phase.
+	// Append durably records an installed placement.
 	Append(rec journal.Record) error
 }
 
@@ -120,16 +121,16 @@ type Config struct {
 	// Controller configures the ANU feedback controller (when the
 	// strategy is ANU). The zero value means the defaults.
 	Controller anu.ControllerConfig
-	// Strategy is the registered placement strategy this node expects
-	// ("anu", "chord-bounded", ...). Empty means "anu". Both the
-	// bootstrap Snapshot and any journal-recovered placement must carry
-	// exactly this tag; a mismatch is a configuration error, never a
-	// silent adoption.
+	// Strategy is the registered placement strategy of the bootstrap
+	// Snapshot ("anu", "chord-bounded", ...). Empty means "anu". A
+	// Snapshot with another tag is a configuration error. A
+	// journal-recovered placement boots whatever its tag: a live
+	// migration moves the cluster off this strategy.
 	Strategy string
 	// Weights carries per-server capacity weights for weight-aware
 	// strategies (rendezvous, weighted-static, power-of-d). They apply
 	// when this node constructs a fresh placement — bootstrap and the
-	// warm target of a live migration; decoded snapshots carry their own
+	// first map of a live migration; decoded snapshots carry their own
 	// weights in the bytes. Zero value means uniform. Ignored by
 	// strategies without capacity knowledge.
 	Weights map[delegate.NodeID]float64
@@ -156,14 +157,12 @@ type Config struct {
 	// many round intervals: the current delegate is suspected for
 	// FailAfter so election moves to the next id. Default: 3.
 	WatchdogRounds uint64
-	// MigrateTimeout bounds each phase of a live strategy migration
-	// (Migrate): a phase that does not advance within it rolls back to
-	// the old placement. Default: 20×RoundInterval.
+	// MigrateTimeout is the length of a live migration's window
+	// (Migrate): the delegate sends the target's maps inside the window
+	// for this long, in whole rounds rounded up, and then the plain map.
+	// A node down for the whole window misses the migration. Default:
+	// 20×RoundInterval.
 	MigrateTimeout time.Duration
-	// MigrateRetry is how often the migration leader re-broadcasts the
-	// current phase message to peers that have not acknowledged it.
-	// Default: 2×RoundInterval.
-	MigrateRetry time.Duration
 
 	// Observe samples local performance each round. Optional; when nil
 	// the node reports zero load.
@@ -205,7 +204,6 @@ func (cfg Config) withDefaults() (Config, error) {
 		{"HeartbeatInterval", cfg.HeartbeatInterval},
 		{"FailAfter", cfg.FailAfter},
 		{"MigrateTimeout", cfg.MigrateTimeout},
-		{"MigrateRetry", cfg.MigrateRetry},
 	} {
 		if knob.val < 0 {
 			return cfg, fmt.Errorf("cluster: %s must not be negative, got %v", knob.name, knob.val)
@@ -231,9 +229,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.MigrateTimeout == 0 {
 		cfg.MigrateTimeout = 20 * cfg.RoundInterval
-	}
-	if cfg.MigrateRetry == 0 {
-		cfg.MigrateRetry = 2 * cfg.RoundInterval
 	}
 	if cfg.WatchdogRounds == 0 {
 		cfg.WatchdogRounds = 3

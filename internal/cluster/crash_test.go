@@ -185,7 +185,7 @@ func runCrashRestartSoak(t *testing.T, strategy string) {
 	crashRestart := func(i int, damageTail bool) {
 		fm.detach(ids[i])
 		rts[i].Stop()
-		durable, hadDurable := journals[i].Last()
+		durable, hadDurable := journals[i].LastPlacement()
 		var injected bool
 		if damageTail {
 			kind, ok, err := journals[i].InjectTailFault()
@@ -202,7 +202,7 @@ func runCrashRestartSoak(t *testing.T, strategy string) {
 		}
 
 		openJournal(i)
-		rec, ok := journals[i].Last()
+		rec, ok := journals[i].LastPlacement()
 		if hadDurable {
 			if !injected {
 				// A clean shutdown loses nothing: the reopened journal
@@ -283,7 +283,7 @@ func runCrashRestartSoak(t *testing.T, strategy string) {
 	// the right strategy tag, decodes, and satisfies the same invariants
 	// — durability covers the final state, not just intermediate rounds.
 	for i := range ids {
-		rec, ok := journals[i].Last()
+		rec, ok := journals[i].LastPlacement()
 		if !ok {
 			t.Errorf("node %d: no journaled record after soak", i)
 			continue
@@ -383,7 +383,7 @@ func TestJournalRestartResumesFromRecoveredPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	rec, ok := j.Last()
+	rec, ok := j.LastPlacement()
 	if !ok {
 		t.Fatal("journal empty after convergence")
 	}
@@ -445,10 +445,10 @@ func TestJournalRestartResumesFromRecoveredPlacement(t *testing.T) {
 	}
 }
 
-// TestStartRejectsStrategyTagMismatch covers the placement layer's
-// recovery contract: a node never silently adopts a placement from a
-// different strategy. Both boundaries — the bootstrap snapshot and a
-// journal-recovered record — must fail Start loudly on a tag mismatch.
+// TestStartRejectsStrategyTagMismatch covers the bootstrap boundary of
+// the placement layer: a bootstrap snapshot whose tag differs from
+// Config.Strategy fails Start loudly, while a journal recovering a
+// placement of the configured strategy starts.
 func TestStartRejectsStrategyTagMismatch(t *testing.T) {
 	cn, err := NewMemNetwork(ChaosConfig{Seed: 11}, 0)
 	if err != nil {
@@ -456,7 +456,6 @@ func TestStartRejectsStrategyTagMismatch(t *testing.T) {
 	}
 	defer cn.Close()
 	ids, anuSnap := bootstrap(t, 3)
-	_, chordSnap := bootstrapStrategy(t, 3, placement.StrategyChordBounded)
 
 	// Bootstrap snapshot carrying a different strategy's tag.
 	_, err = Start(Config{
@@ -470,28 +469,7 @@ func TestStartRejectsStrategyTagMismatch(t *testing.T) {
 		t.Fatalf("mismatched bootstrap snapshot accepted: %v", err)
 	}
 
-	// Journal-recovered placement carrying a different strategy's tag:
-	// the operator changed Config.Strategy without wiping durable state.
-	j, err := journal.Open(filepath.Join(t.TempDir(), "node.wal"), journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if err := j.Append(journal.Record{Epoch: 1, Round: 2, Map: chordSnap}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Start(Config{
-		ID:            1,
-		Members:       ids,
-		Snapshot:      anuSnap, // matches the default "anu" strategy
-		RoundInterval: 40 * time.Millisecond,
-		Journal:       j,
-	}, cn.Endpoint(1))
-	if err == nil || !strings.Contains(err.Error(), "strategy") {
-		t.Fatalf("mismatched journaled placement accepted: %v", err)
-	}
-	// The matching journal is fine: same config, journal rewritten with
-	// an ANU record.
+	// A journal recovering an ANU record starts.
 	j2, err := journal.Open(filepath.Join(t.TempDir(), "node2.wal"), journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -570,18 +548,14 @@ func TestObserverMayCallRuntime(t *testing.T) {
 	})
 }
 
-// TestCompactionAcrossStrategyChangeRefusesMismatchedTail covers the
-// interaction of two durability features: journal compaction and the
-// strategy-tag fence on recovery. A journal whose records span a
-// strategy change (ANU epochs followed by a chord-bounded epoch) is
-// compacted down to its single newest record; the surviving tail still
-// carries the newer strategy's tag, so a restart configured for the
-// old strategy must refuse it just as loudly as it would refuse the
-// full journal — compaction must never launder a mismatched placement
-// into an adoptable one. A matching restart then recovers the
-// compacted record, and a crash that tears the lone surviving frame
-// degrades to a clean snapshot bootstrap.
-func TestCompactionAcrossStrategyChangeRefusesMismatchedTail(t *testing.T) {
+// TestCompactionAcrossStrategyChangeBootsNewestTail covers journal
+// compaction across a strategy change: a journal whose records span one
+// (ANU epochs followed by a chord-bounded epoch) is compacted down to
+// its single newest record, and a restart boots that record whatever
+// strategy its config names — the config still naming the old strategy
+// and a migrated config alike. A crash that tears the lone surviving
+// frame degrades to a clean snapshot bootstrap.
+func TestCompactionAcrossStrategyChangeBootsNewestTail(t *testing.T) {
 	cn, err := NewMemNetwork(ChaosConfig{Seed: 21}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -624,7 +598,7 @@ func TestCompactionAcrossStrategyChangeRefusesMismatchedTail(t *testing.T) {
 	if s := j.Stats(); s.RecordsRecovered != 1 {
 		t.Fatalf("recovered %d records from compacted journal, want 1", s.RecordsRecovered)
 	}
-	rec, ok := j.Last()
+	rec, ok := j.LastPlacement()
 	if !ok {
 		t.Fatal("compacted journal empty on reopen")
 	}
@@ -635,36 +609,23 @@ func TestCompactionAcrossStrategyChangeRefusesMismatchedTail(t *testing.T) {
 		t.Fatalf("surviving record tag = (%q, %v), want %q", tag, err, placement.StrategyChordBounded)
 	}
 
-	// A node still configured for the pre-change strategy must refuse
-	// the compacted tail.
-	_, err = Start(Config{
-		ID:            0,
-		Members:       ids,
-		Snapshot:      anuSnap, // matches the default "anu" strategy
-		RoundInterval: 40 * time.Millisecond,
-		Journal:       j,
-	}, cn.Endpoint(0))
-	if err == nil || !strings.Contains(err.Error(), "strategy") {
-		t.Fatalf("compacted mismatched journal accepted: %v", err)
-	}
-
-	// The migrated configuration recovers the compacted record.
-	rt, err := Start(Config{
-		ID:            1,
-		Members:       ids,
-		Snapshot:      chordSnap,
-		Strategy:      placement.StrategyChordBounded,
-		RoundInterval: 40 * time.Millisecond,
-		Journal:       j,
-	}, cn.Endpoint(1))
-	if err != nil {
-		t.Fatalf("matching strategy rejected its own compacted journal: %v", err)
-	}
-	if s := rt.Stats(); !s.Recovered || s.RecoveredEpoch != 2 || s.RecoveredRound != 1 {
+	// A node still configured for the pre-change strategy, and one
+	// configured for the new one, both boot the compacted tail.
+	for i, cfg := range []Config{
+		{Snapshot: anuSnap}, // matches the default "anu" strategy
+		{Snapshot: chordSnap, Strategy: placement.StrategyChordBounded},
+	} {
+		cfg.ID, cfg.Members, cfg.RoundInterval, cfg.Journal = ids[i], ids, 40*time.Millisecond, j
+		rt, err := Start(cfg, cn.Endpoint(ids[i]))
+		if err != nil {
+			t.Fatalf("config %q rejected the compacted journal: %v", cfg.Strategy, err)
+		}
+		s := rt.Stats()
 		rt.Stop()
-		t.Fatalf("restart stats %+v, want recovery at (2,1)", s)
+		if s.Strategy != placement.StrategyChordBounded || !s.Recovered || s.RecoveredEpoch != 2 || s.RecoveredRound != 1 {
+			t.Fatalf("config %q: restart stats %+v, want %q recovered at (2,1)", cfg.Strategy, s, placement.StrategyChordBounded)
+		}
 	}
-	rt.Stop()
 
 	// Crash damage on the lone surviving frame: recovery truncates the
 	// tail and the restart falls back to a clean snapshot bootstrap —
@@ -691,7 +652,7 @@ func TestCompactionAcrossStrategyChangeRefusesMismatchedTail(t *testing.T) {
 	if s := raw.Stats(); s.TornTailsTruncated == 0 {
 		t.Fatalf("injected fault not detected on reopen: %+v", s)
 	}
-	if _, ok := raw.Last(); ok {
+	if _, ok := raw.LastPlacement(); ok {
 		t.Fatal("damaged single-record journal still yields a record")
 	}
 	rt2, err := Start(Config{

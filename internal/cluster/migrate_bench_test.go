@@ -8,11 +8,11 @@ import (
 	"anurand/internal/placement"
 )
 
-// dualTagRuntime boots a quiet single-node runtime and opens a
-// dual-tag window on it, the data-plane state a live migration holds
-// while the new strategy warms: lookups keep serving the old snapshot
-// through the same lock-free pointer.
-func dualTagRuntime(tb testing.TB) *Runtime {
+// windowRuntime boots a quiet single-node runtime whose map holds a
+// migration window, the state every node holds while a live migration's
+// window is open: lookups serve the window's strategy through the same
+// lock-free pointer.
+func windowRuntime(tb testing.TB) *Runtime {
 	tb.Helper()
 	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
@@ -20,17 +20,18 @@ func dualTagRuntime(tb testing.TB) *Runtime {
 	}
 	tb.Cleanup(cn.Close)
 	ids, snapshot := bootstrap(tb, 4)
+	window := placement.Window{From: placement.StrategyChordBounded, Opened: 1}
 	rt, err := Start(Config{
-		ID: 0, Members: ids, Snapshot: snapshot,
+		ID: 0, Members: ids, Snapshot: placement.EncodeWindow(window, snapshot),
 		Controller: anu.DefaultControllerConfig(), RoundInterval: time.Hour,
 	}, cn.Endpoint(0))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(rt.Stop)
-	rt.mu.Lock()
-	rt.node.OpenDualTag(placement.StrategyChordBounded)
-	rt.mu.Unlock()
+	if got := rt.Stats().Window; got != window {
+		tb.Fatalf("runtime holds window %+v, want %+v", got, window)
+	}
 	return rt
 }
 
@@ -40,32 +41,32 @@ func dualTagRuntime(tb testing.TB) *Runtime {
 // moment. bench-gate-allocs enforces the same bound on the benchmark
 // below.
 func TestDualTagLookupZeroAlloc(t *testing.T) {
-	rt := dualTagRuntime(t)
+	rt := windowRuntime(t)
 	keys := []string{"/home/alice", "/home/bob", "/var/mail", "/srv/data"}
 	owners := make([]anu.ServerID, len(keys))
 	if avg := testing.AllocsPerRun(200, func() {
 		for _, key := range keys {
 			if _, ok := rt.Lookup(key); !ok {
-				t.Fatal("lookup failed inside the dual-tag window")
+				t.Fatal("lookup failed inside the migration window")
 			}
 		}
 	}); avg != 0 {
-		t.Errorf("Lookup allocates %.1f/op inside the dual-tag window, want 0", avg)
+		t.Errorf("Lookup allocates %.1f/op inside the migration window, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
 		if got := rt.LookupBatch(keys, owners); got != len(keys) {
-			t.Fatalf("batch resolved %d/%d inside the dual-tag window", got, len(keys))
+			t.Fatalf("batch resolved %d/%d inside the migration window", got, len(keys))
 		}
 	}); avg != 0 {
-		t.Errorf("LookupBatch allocates %.1f/op inside the dual-tag window, want 0", avg)
+		t.Errorf("LookupBatch allocates %.1f/op inside the migration window, want 0", avg)
 	}
 }
 
 // BenchmarkDualTagLookup measures the lookup fast path while a
-// dual-tag migration window is open — it must match the steady-state
+// migration window is open — it must match the steady-state
 // path exactly (same atomic snapshot load, zero allocations).
 func BenchmarkDualTagLookup(b *testing.B) {
-	rt := dualTagRuntime(b)
+	rt := windowRuntime(b)
 	keys := []string{"/home/alice", "/home/bob", "/var/mail", "/srv/data"}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,30 +3,30 @@ package cluster
 import (
 	"fmt"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"anurand/internal/anu"
 	"anurand/internal/delegate"
 	"anurand/internal/journal"
-	"anurand/internal/migrate"
 	"anurand/internal/placement"
 )
 
 // TestMigrationChaosSoak is the acceptance soak for live strategy
 // migration: five nodes on a lossy, reordering network with chaos
-// journals, driven through a migration with a fault injected in every
-// phase of the state machine:
+// journals, driven through migrations with a fault at each step:
 //
-//   - Proposed: the delegate is killed right after proposing — the
-//     followers roll back on re-election, and the restarted ex-leader's
-//     resumed phase self-aborts (no live proposer);
-//   - DualTag: a follower crash-restarts inside the window with its
-//     journal tail damaged — the cluster commits without it and the
-//     leader's post-commit retry heals it onto the new strategy;
-//   - Committed: a follower that already cut over crash-restarts — its
-//     journal, not its (stale) config, decides what it boots;
+//   - the delegate crash-restarts right after Migrate — the target dies
+//     with it, or its window map is out and it continues the window
+//     from its journal; either way the cluster settles on one strategy;
+//   - the delegate is killed inside the window — the successor holds
+//     the window in its map and continues it, and the restarted
+//     ex-delegate rejoins inside it;
+//   - a follower crash-restarts inside the window with its journal tail
+//     damaged — whatever record survived, the window's maps or the
+//     plain map that closes it bring it onto the new strategy;
+//   - a follower that already cut over crash-restarts — its journal,
+//     not its (stale) config, decides what it boots;
 //   - and a migration back under a transient partition (drop rate
 //     spiked mid-cutover), which must end with every node on one
 //     coherent strategy, whichever way it resolves.
@@ -54,33 +54,17 @@ func TestMigrationChaosSoak(t *testing.T) {
 		}
 		journals[i] = journal.NewChaos(j, 100+uint64(i))
 	}
-	// While pinGate is set, no Commit order or placement map reaches the
-	// pinned victim: it is held inside its dual-tag window so the crash
-	// can be injected there deterministically instead of racing a
-	// 20 ms poll against a sub-millisecond commit.
-	var pinGate atomic.Bool
-	pinned := ids[n-1] // highest id: never the delegate while anyone else lives
 	rts := make([]*Runtime, n)
 	startNode := func(i int) {
-		var tr Transport = cn.Endpoint(ids[i])
-		tr = filterTransport{Transport: tr, drop: func(m delegate.Message) bool {
-			return pinGate.Load() && m.To == pinned &&
-				(m.Kind == MsgMigrateCommit || m.Kind == delegate.MsgMap)
-		}}
-		// Quorum = n makes every commit wait for the pinned victim's
-		// dual-tag ack, so the crash deterministically lands inside an
-		// acknowledged window. WatchdogRounds is large because the pin
-		// gate starves the victim of maps by design: a 500 ms watchdog
-		// would re-elect on the victim and nack the very migration the
-		// scenario is holding open (the watchdog has its own test).
+		// A 3 s window (60 rounds) outlasts every outage below, so no
+		// node is down for a whole window.
 		rt, err := Start(Config{
 			ID: ids[i], Members: ids, Snapshot: snapshot,
 			Controller: anu.DefaultControllerConfig(), RoundInterval: 50 * time.Millisecond,
 			HeartbeatInterval: 10 * time.Millisecond, FailAfter: 500 * time.Millisecond,
-			WatchdogRounds: 600, Quorum: n,
-			MigrateTimeout: 10 * time.Second, MigrateRetry: 100 * time.Millisecond,
+			WatchdogRounds: 600, MigrateTimeout: 3 * time.Second,
 			Observe: closedLoopObserve(speeds), Journal: journals[i], Logf: t.Logf,
-		}, tr)
+		}, cn.Endpoint(ids[i]))
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -105,8 +89,8 @@ func TestMigrationChaosSoak(t *testing.T) {
 		startNode(i)
 	}
 	// migrateFromDelegate drives Migrate on whichever node currently
-	// leads, retrying through transient refusals (resumed phases still
-	// draining, elections settling).
+	// leads, retrying through transient refusals (a window still open,
+	// elections settling).
 	migrateFromDelegate := func(target string) {
 		t.Helper()
 		waitFor(t, 30*time.Second, fmt.Sprintf("a delegate accepting Migrate(%s)", target), func() bool {
@@ -114,7 +98,7 @@ func TestMigrationChaosSoak(t *testing.T) {
 				if rt.Delegate() != rt.ID() {
 					continue
 				}
-				if _, err := rt.Migrate(target); err == nil {
+				if err := rt.Migrate(target); err == nil {
 					return true
 				}
 			}
@@ -122,17 +106,7 @@ func TestMigrationChaosSoak(t *testing.T) {
 		})
 	}
 	allOn := func(tag string) func() bool {
-		return func() bool {
-			for _, rt := range rts {
-				if rt.Strategy() != tag {
-					return false
-				}
-				if phase, _ := rt.MigrationPhase(); phase != migrate.Idle {
-					return false
-				}
-			}
-			return true
-		}
+		return func() bool { return settledOn(rts, tag) }
 	}
 
 	for i := range ids {
@@ -151,53 +125,87 @@ func TestMigrationChaosSoak(t *testing.T) {
 
 	hammer := startLookupHammer(rts, n, placement.StrategyANU, placement.StrategyChordBounded)
 
-	// ---- Fault in Proposed: kill the delegate right after it proposes.
+	// settle waits until every node in rts serves one strategy, anu or
+	// chord-bounded, with no window open, and converges; it returns
+	// that strategy.
+	settle := func(what string, rts []*Runtime) string {
+		t.Helper()
+		var settled string
+		waitFor(t, 30*time.Second, what, func() bool {
+			hammer.check(t)
+			for _, tag := range []string{placement.StrategyANU, placement.StrategyChordBounded} {
+				if settledOn(rts, tag) && converged(rts) {
+					settled = tag
+					return true
+				}
+			}
+			return false
+		})
+		return settled
+	}
+	// toANU migrates the cluster back to anu if it is not there.
+	toANU := func() {
+		if !allOn(placement.StrategyANU)() {
+			migrateFromDelegate(placement.StrategyANU)
+			waitFor(t, 30*time.Second, "back on anu", allOn(placement.StrategyANU))
+		}
+	}
+
+	// ---- Fault at the hand-off: the delegate crash-restarts right after
+	// Migrate. Its target dies with it, or its window map is out and its
+	// journal carries the window on.
 	del := waitDelegate(t, rts)
-	leader := int(del.ID())
-	if _, err := del.Migrate(placement.StrategyChordBounded); err != nil {
+	if err := del.Migrate(placement.StrategyChordBounded); err != nil {
 		t.Fatal(err)
 	}
-	rts[leader].Stop()
-	waitFor(t, 30*time.Second, "rollback after leader death in proposed", func() bool {
+	crashRestart(int(del.ID()), false)
+	t.Logf("soak: after the hand-off crash the cluster settled on %q", settle("settle after the hand-off crash", rts))
+
+	// ---- Fault inside the window at the delegate: kill it once every
+	// node holds the window. The successor continues the window; the
+	// ex-delegate restarts from its window map while it is still open.
+	toANU()
+	migrateFromDelegate(placement.StrategyChordBounded)
+	waitFor(t, 30*time.Second, "every node inside the window", func() bool {
 		hammer.check(t)
-		for i, rt := range rts {
-			if i == leader {
-				continue
-			}
-			if rt.Strategy() != placement.StrategyANU {
-				return false
-			}
-			if phase, _ := rt.MigrationPhase(); phase != migrate.Idle {
+		for _, rt := range rts {
+			if !rt.Stats().Window.IsOpen() {
 				return false
 			}
 		}
 		return true
 	})
-	crashRestart(leader, false)
-	// The restarted ex-leader resumes its journaled Proposed phase and,
-	// once it sees a quorum view with itself elected, self-aborts.
-	waitFor(t, 30*time.Second, "ex-leader drained its resumed phase", func() bool {
+	del = waitDelegate(t, rts)
+	leader := int(del.ID())
+	del.Stop()
+	survivors := append(append([]*Runtime(nil), rts[:leader]...), rts[leader+1:]...)
+	waitFor(t, 30*time.Second, "a successor tuning inside the window", func() bool {
 		hammer.check(t)
-		phase, _ := rts[leader].MigrationPhase()
-		return phase == migrate.Idle && rts[leader].Strategy() == placement.StrategyANU
+		for _, rt := range survivors {
+			if rt.Delegate() == rt.ID() && rt.Stats().Tunes > 0 && rt.Stats().Window.IsOpen() {
+				return true
+			}
+		}
+		return false
 	})
+	crashRestart(leader, false)
+	if got := settle("settle after the delegate died inside the window", rts); got != placement.StrategyChordBounded {
+		t.Fatalf("the cluster settled on %q after its delegate died inside the window, want %q", got, placement.StrategyChordBounded)
+	}
 
-	// ---- Fault in DualTag: crash-restart a follower inside the window,
-	// with its journal tail torn. The migration must still commit.
-	victim := n - 1
-	pinGate.Store(true)
+	// ---- Fault inside the window at a follower: crash-restart it inside
+	// the window, with its journal tail torn.
+	victim := n - 1 // highest id: never the delegate while anyone else lives
+	toANU()
 	migrateFromDelegate(placement.StrategyChordBounded)
-	waitFor(t, 30*time.Second, "pinned follower inside the dual-tag window", func() bool {
+	waitFor(t, 30*time.Second, "follower inside the window", func() bool {
 		hammer.check(t)
-		phase, _ := rts[victim].MigrationPhase()
-		return phase == migrate.DualTag
+		return rts[victim].Stats().Window.IsOpen()
 	})
 	crashRestart(victim, true)
-	pinGate.Store(false)
-	// Whatever the torn tail left behind — a resumed window, a bare
-	// placement, or nothing past an older record — the leader's
-	// post-commit retries and the next broadcast map must flip it.
-	waitFor(t, 45*time.Second, "cutover heals the dual-tag crash victim", allOn(placement.StrategyChordBounded))
+	// Whatever the torn tail left behind — the window map, or an older
+	// anu map — the window's maps or the plain map must flip it.
+	waitFor(t, 45*time.Second, "cutover heals the window crash victim", allOn(placement.StrategyChordBounded))
 	waitFor(t, 30*time.Second, "reconvergence on the new strategy", func() bool {
 		hammer.check(t)
 		return converged(rts)
@@ -206,7 +214,7 @@ func TestMigrationChaosSoak(t *testing.T) {
 		t.Fatal("lookup hammer never ran")
 	}
 
-	// ---- Fault in Committed: a node that already flipped crash-restarts.
+	// ---- After the cutover: a node that already flipped crash-restarts.
 	// Its config still says "anu"; its journal must win.
 	witness := (victim + 1) % n
 	if rts[witness].Delegate() == rts[witness].ID() {
@@ -239,8 +247,10 @@ func TestMigrationChaosSoak(t *testing.T) {
 		if allOn(placement.StrategyANU)() {
 			return true
 		}
-		// The partition may have aborted the attempt; that is a legal
-		// outcome — roll it forward by migrating again.
+		// The partition may have lost the attempt (the delegate changed
+		// before its tune, or a successor without the window map took
+		// over); that is a legal outcome — roll it forward by migrating
+		// again.
 		if allOn(placement.StrategyChordBounded)() {
 			for _, rt := range rts {
 				if rt.Delegate() == rt.ID() {
@@ -260,8 +270,7 @@ func TestMigrationChaosSoak(t *testing.T) {
 	}
 
 	// Every journal must be coherent with the final state: the newest
-	// placement record decodes and carries the final strategy, and the
-	// newest migration record is terminal.
+	// record decodes, carries the final strategy and holds no window.
 	for i := range rts {
 		rts[i].Stop()
 		prec, ok := journals[i].LastPlacement()
@@ -269,18 +278,11 @@ func TestMigrationChaosSoak(t *testing.T) {
 			t.Errorf("node %d: no journaled placement after the soak", i)
 			continue
 		}
-		if tag, err := placement.Tag(prec.Map); err != nil || tag != placement.StrategyANU {
-			t.Errorf("node %d: final journaled placement tag (%q, %v), want %q", i, tag, err, placement.StrategyANU)
-		}
-		if _, err := placement.Decode(prec.Map, placement.Options{}); err != nil {
+		dec, w, err := placement.DecodeAfter(prec.Map, placement.Options{}, nil)
+		if err != nil {
 			t.Errorf("node %d: final journaled placement undecodable: %v", i, err)
-		}
-		if mrec, ok := journals[i].LastMigration(); ok {
-			if mr, err := migrate.Decode(mrec.Map); err != nil {
-				t.Errorf("node %d: final journaled migration record undecodable: %v", i, err)
-			} else if mr.Phase.InFlight() {
-				t.Errorf("node %d: soak ended with an in-flight journaled migration (%s)", i, mr.Phase)
-			}
+		} else if dec.Name() != placement.StrategyANU || w.IsOpen() {
+			t.Errorf("node %d: final journaled placement %q with window %+v, want plain %q", i, dec.Name(), w, placement.StrategyANU)
 		}
 		s := rts[i].Stats()
 		t.Logf("soak: node %d final stats: %s", i, s)

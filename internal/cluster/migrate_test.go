@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -11,7 +12,6 @@ import (
 	"anurand/internal/anu"
 	"anurand/internal/delegate"
 	"anurand/internal/journal"
-	"anurand/internal/migrate"
 	"anurand/internal/placement"
 )
 
@@ -136,7 +136,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative HeartbeatInterval", func(c *Config) { c.HeartbeatInterval = -time.Millisecond }},
 		{"negative FailAfter", func(c *Config) { c.FailAfter = -time.Second }},
 		{"negative MigrateTimeout", func(c *Config) { c.MigrateTimeout = -time.Second }},
-		{"negative MigrateRetry", func(c *Config) { c.MigrateRetry = -time.Millisecond }},
 		{"negative Quorum", func(c *Config) { c.Quorum = -1 }},
 		{"quorum beyond members", func(c *Config) { c.Quorum = len(ids) + 1 }},
 	}
@@ -156,9 +155,44 @@ func TestConfigValidation(t *testing.T) {
 	rt.Stop()
 }
 
-// TestMigrateSingleNode is the smallest end-to-end cutover: with a
-// one-member quorum the whole state machine — propose, warm, dual-tag,
-// epoch-fenced commit — runs synchronously inside Migrate.
+// mapWindow decodes a journaled or sent map's strategy tag and window.
+func mapWindow(t testing.TB, data []byte) (string, placement.Window) {
+	t.Helper()
+	s, w, err := placement.DecodeAfter(data, placement.Options{}, nil)
+	if err != nil {
+		t.Fatalf("undecodable map: %v", err)
+	}
+	return s.Name(), w
+}
+
+// settledOn reports whether every runtime serves strategy tag with no
+// migration window open.
+func settledOn(rts []*Runtime, tag string) bool {
+	for _, rt := range rts {
+		if s := rt.Stats(); s.Strategy != tag || s.Window.IsOpen() {
+			return false
+		}
+	}
+	return true
+}
+
+// wantJournalTail fails the test unless the journal's newest record is
+// a plain map of strategy tag.
+func wantJournalTail(t *testing.T, node int, j Journal, tag string) {
+	t.Helper()
+	rec, ok := j.LastPlacement()
+	if !ok {
+		t.Fatalf("node %d: nothing journaled", node)
+	}
+	if got, w := mapWindow(t, rec.Map); got != tag || w.IsOpen() {
+		t.Fatalf("node %d: journal ends on %q with window %+v, want plain %q", node, got, w, tag)
+	}
+}
+
+// TestMigrateSingleNode is the smallest end-to-end cutover: a one-node
+// cluster opens the window at its next tune, serves the target inside
+// it, closes it after MigrateTimeout's rounds and journals the plain
+// target map; a second migration returns home.
 func TestMigrateSingleNode(t *testing.T) {
 	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
@@ -183,69 +217,43 @@ func TestMigrateSingleNode(t *testing.T) {
 	defer rt.Stop()
 	waitFor(t, 10*time.Second, "self-election", func() bool { return rt.Delegate() == 0 })
 
-	epochBefore := rt.MapEpoch()
-	id, err := rt.Migrate(placement.StrategyChordBounded)
-	if err != nil {
+	if err := rt.Migrate(placement.StrategyChordBounded); err != nil {
 		t.Fatal(err)
 	}
-	if id == 0 {
-		t.Error("migration id is zero")
+	waitFor(t, 10*time.Second, "the window map", func() bool {
+		return rt.Strategy() == placement.StrategyChordBounded
+	})
+	if w := rt.Stats().Window; w.From != placement.StrategyANU {
+		t.Fatalf("first target map holds window %+v, want one from %q", w, placement.StrategyANU)
 	}
-	if got := rt.Strategy(); got != placement.StrategyChordBounded {
-		t.Fatalf("strategy %q after Migrate, want %q", got, placement.StrategyChordBounded)
-	}
-	if phase, _ := rt.MigrationPhase(); phase != migrate.Idle {
-		t.Fatalf("phase %s after synchronous cutover, want idle", phase)
-	}
-	if rt.MapEpoch() <= epochBefore {
-		t.Errorf("commit did not bump the install epoch: %d -> %d", epochBefore, rt.MapEpoch())
-	}
-	s := rt.Stats()
-	if s.MigrationsStarted != 1 || s.MigrationsCommitted != 1 || s.MigrationsAborted != 0 {
-		t.Errorf("migration counters started=%d committed=%d aborted=%d, want 1/1/0",
-			s.MigrationsStarted, s.MigrationsCommitted, s.MigrationsAborted)
-	}
-	// The journal's tail records the cutover durably: the newest
-	// migration record is Committed and the newest placement carries
-	// the target tag.
-	mrec, ok := j.LastMigration()
-	if !ok {
-		t.Fatal("no migration record journaled")
-	}
-	mr, err := migrate.Decode(mrec.Map)
-	if err != nil || mr.Phase != migrate.Committed {
-		t.Fatalf("journaled migration record (%+v, %v), want Committed", mr, err)
-	}
-	prec, ok := j.LastPlacement()
-	if !ok {
-		t.Fatal("no placement record journaled")
-	}
-	if tag, _ := placement.Tag(prec.Map); tag != placement.StrategyChordBounded {
-		t.Fatalf("journaled placement tag %q, want %q", tag, placement.StrategyChordBounded)
-	}
+	waitFor(t, 10*time.Second, "the window to close", func() bool {
+		return settledOn([]*Runtime{rt}, placement.StrategyChordBounded)
+	})
+	wantJournalTail(t, 0, j, placement.StrategyChordBounded)
 	// A second migration returns home.
-	if _, err := rt.Migrate(placement.StrategyANU); err != nil {
+	if err := rt.Migrate(placement.StrategyANU); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.Strategy(); got != placement.StrategyANU {
-		t.Fatalf("strategy %q after return migration, want %q", got, placement.StrategyANU)
-	}
+	waitFor(t, 10*time.Second, "the return migration", func() bool {
+		return settledOn([]*Runtime{rt}, placement.StrategyANU)
+	})
 }
 
-// holdJournal holds the first migration-record Append until another
-// Append arrives or 200 ms pass, so any flush that can run beside
-// Migrate's gets in between its records.
+// holdJournal holds the first Append of a map carrying a migration
+// window until another Append arrives or 200 ms pass, so any flush that
+// can run beside the window map's gets in between.
 type holdJournal struct {
 	*journal.Journal
 	mu   sync.Mutex
-	held chan struct{} // open while the first migration record waits
+	held chan struct{} // open while the first window record waits
 }
 
 func (h *holdJournal) Append(rec journal.Record) error {
 	h.mu.Lock()
 	var wait chan struct{}
+	_, w, _ := placement.DecodeAfter(rec.Map, placement.Options{}, nil)
 	switch {
-	case h.held == nil && migrate.IsRecord(rec.Map):
+	case h.held == nil && w.IsOpen():
 		h.held = make(chan struct{})
 		wait = h.held
 	case h.held != nil:
@@ -266,10 +274,10 @@ func (h *holdJournal) Append(rec journal.Record) error {
 }
 
 // TestMigrateJournalOrder pins the journal order of a migration: with
-// Migrate's first record held back, a concurrent flush of a newer
-// placement would make Append's monotone guard drop every record
-// Migrate staged. The journal must still end with the Committed record
-// and a placement carrying the target tag.
+// the first window map's record held back, a concurrent flush of a
+// newer placement would make Append's monotone guard drop it. Flushes
+// run on the loop in stage order, so the journal must hold the window
+// map and then end with the plain target map.
 func TestMigrateJournalOrder(t *testing.T) {
 	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
@@ -285,34 +293,30 @@ func TestMigrateJournalOrder(t *testing.T) {
 	rt, err := Start(Config{
 		ID: 0, Members: ids, Snapshot: snapshot,
 		Controller: anu.DefaultControllerConfig(), RoundInterval: 20 * time.Millisecond,
-		Journal: &holdJournal{Journal: j}, Logf: t.Logf,
+		MigrateTimeout: 100 * time.Millisecond,
+		Journal:        &holdJournal{Journal: j}, Logf: t.Logf,
 	}, cn.Endpoint(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Stop()
 	waitFor(t, 10*time.Second, "self-election", func() bool { return rt.Delegate() == 0 })
-	if _, err := rt.Migrate(placement.StrategyChordBounded); err != nil {
+	if err := rt.Migrate(placement.StrategyChordBounded); err != nil {
 		t.Fatal(err)
 	}
-	mrec, ok := j.LastMigration()
-	if !ok {
-		t.Fatal("no migration record journaled")
+	waitFor(t, 10*time.Second, "the window to close", func() bool {
+		return settledOn([]*Runtime{rt}, placement.StrategyChordBounded)
+	})
+	rt.Stop()
+	if s := j.Stats(); s.AppendsSkipped != 0 {
+		t.Fatalf("journal skipped %d appends", s.AppendsSkipped)
 	}
-	if mr, err := migrate.Decode(mrec.Map); err != nil || mr.Phase != migrate.Committed {
-		t.Fatalf("journaled migration record (%+v, %v), want Committed", mr, err)
-	}
-	prec, ok := j.LastPlacement()
-	if !ok {
-		t.Fatal("no placement record journaled")
-	}
-	if tag, _ := placement.Tag(prec.Map); tag != placement.StrategyChordBounded {
-		t.Fatalf("journaled placement tag %q, want %q", tag, placement.StrategyChordBounded)
-	}
+	wantJournalTail(t, 0, j, placement.StrategyChordBounded)
 }
 
 // TestMigrateValidation covers Migrate's refusals: unknown target,
-// no-op target, follower callers, and double starts.
+// no-op target, follower callers, a target already pending, and an
+// open window.
 func TestMigrateValidation(t *testing.T) {
 	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
@@ -323,19 +327,11 @@ func TestMigrateValidation(t *testing.T) {
 	speeds := map[delegate.NodeID]float64{0: 1, 1: 3, 2: 5}
 	rts := make([]*Runtime, 0, len(ids))
 	for _, id := range ids {
-		var tr Transport = cn.Endpoint(id)
-		if id != 0 {
-			// Followers accept proposals but their acks vanish, so a
-			// started migration stays in flight for the double-start case.
-			tr = filterTransport{Transport: tr, drop: func(m delegate.Message) bool {
-				return m.Kind == MsgMigrateAck
-			}}
-		}
 		rt, err := Start(Config{
 			ID: id, Members: ids, Snapshot: snapshot,
 			Controller: anu.DefaultControllerConfig(), RoundInterval: 25 * time.Millisecond,
 			MigrateTimeout: 10 * time.Second, Observe: closedLoopObserve(speeds),
-		}, tr)
+		}, cn.Endpoint(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,28 +346,32 @@ func TestMigrateValidation(t *testing.T) {
 	if del.ID() != 0 {
 		t.Fatalf("delegate %d, want 0", del.ID())
 	}
-	if _, err := rts[1].Migrate(placement.StrategyChordBounded); err == nil {
+	if err := rts[1].Migrate(placement.StrategyChordBounded); err == nil {
 		t.Error("follower accepted Migrate")
 	}
-	if _, err := del.Migrate("no-such-strategy"); err == nil {
+	if err := del.Migrate("no-such-strategy"); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	if _, err := del.Migrate(placement.StrategyANU); err == nil {
+	if err := del.Migrate(placement.StrategyANU); err == nil {
 		t.Error("migration to the current strategy accepted")
 	}
-	if _, err := del.Migrate(placement.StrategyChordBounded); err != nil {
+	if err := del.Migrate(placement.StrategyChordBounded); err != nil {
 		t.Fatalf("valid migration refused: %v", err)
 	}
-	if _, err := del.Migrate(placement.StrategyChord); err == nil {
-		t.Error("second migration accepted while one is in flight")
+	if err := del.Migrate(placement.StrategyChord); err == nil && del.Strategy() == placement.StrategyANU {
+		t.Error("second migration accepted while one is pending")
+	}
+	waitFor(t, 10*time.Second, "the window to open", func() bool { return del.Stats().Window.IsOpen() })
+	if err := del.Migrate(placement.StrategyChord); err == nil {
+		t.Error("second migration accepted while the window is open")
 	}
 }
 
 // TestMigrateHappyPath is the three-node live cutover: ANU to the
 // bounded-load chord ring under continuous lookups. Every node must
 // flip atomically to the target, no lookup may ever fail, tuning must
-// continue on the new strategy, and every journal must end with the
-// Committed record and a target-tagged placement.
+// continue on the new strategy, and every journal must end with a plain
+// target map.
 func TestMigrateHappyPath(t *testing.T) {
 	cn, err := NewMemNetwork(ChaosConfig{Seed: 7, MaxDelay: 2 * time.Millisecond}, 0)
 	if err != nil {
@@ -393,7 +393,7 @@ func TestMigrateHappyPath(t *testing.T) {
 			ID: id, Members: ids, Snapshot: snapshot,
 			Controller: anu.DefaultControllerConfig(), RoundInterval: 40 * time.Millisecond,
 			HeartbeatInterval: 8 * time.Millisecond, FailAfter: 400 * time.Millisecond,
-			WatchdogRounds: 10, MigrateTimeout: 8 * time.Second, MigrateRetry: 80 * time.Millisecond,
+			WatchdogRounds: 10, MigrateTimeout: 400 * time.Millisecond,
 			Observe: closedLoopObserve(speeds), Journal: j, Logf: t.Logf,
 		}, cn.Endpoint(id))
 		if err != nil {
@@ -414,20 +414,12 @@ func TestMigrateHappyPath(t *testing.T) {
 	hammer := startLookupHammer(rts, len(ids), placement.StrategyANU, placement.StrategyChordBounded)
 
 	del := waitDelegate(t, rts)
-	if _, err := del.Migrate(placement.StrategyChordBounded); err != nil {
+	if err := del.Migrate(placement.StrategyChordBounded); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 15*time.Second, "cluster-wide cutover", func() bool {
 		hammer.check(t)
-		for _, rt := range rts {
-			if rt.Strategy() != placement.StrategyChordBounded {
-				return false
-			}
-			if phase, _ := rt.MigrationPhase(); phase != migrate.Idle {
-				return false
-			}
-		}
-		return true
+		return settledOn(rts, placement.StrategyChordBounded)
 	})
 	// Tuning continues on the new strategy: rounds keep installing maps.
 	tunesAtFlip := del.Stats().Tunes
@@ -438,33 +430,9 @@ func TestMigrateHappyPath(t *testing.T) {
 	if n := hammer.close(t); n == 0 {
 		t.Fatal("lookup hammer never ran")
 	}
-
 	for i, rt := range rts {
-		s := rt.Stats()
-		if s.MigrationsCommitted < 1 {
-			t.Errorf("node %d: no committed migration in stats: %s", i, s)
-		}
-		mrec, ok := journals[i].LastMigration()
-		if !ok {
-			t.Errorf("node %d: no journaled migration record", i)
-			continue
-		}
-		if mr, err := migrate.Decode(mrec.Map); err != nil || mr.Phase != migrate.Committed {
-			t.Errorf("node %d: journaled migration (%+v, %v), want Committed", i, mr, err)
-		}
-		prec, ok := journals[i].LastPlacement()
-		if !ok {
-			t.Errorf("node %d: no journaled placement", i)
-			continue
-		}
-		if tag, _ := placement.Tag(prec.Map); tag != placement.StrategyChordBounded {
-			t.Errorf("node %d: journaled placement tag %q", i, tag)
-		}
-	}
-	// The leader observed the epoch fence: the commit bumped the
-	// install epoch past the pre-migration one.
-	if s := del.Stats(); s.MigrationsStarted != 1 {
-		t.Errorf("leader started %d migrations, want 1", s.MigrationsStarted)
+		rt.Stop()
+		wantJournalTail(t, i, journals[i], placement.StrategyChordBounded)
 	}
 }
 
@@ -473,8 +441,8 @@ func TestMigrateHappyPath(t *testing.T) {
 // the live cluster from ANU to weighted rendezvous hashing, and the
 // weights must arrive everywhere through the bytes alone — the
 // followers are configured WITHOUT weights, so everything they serve
-// and journal was learned from the leader's warm snapshot. A follower
-// restart from its journal must come back weighted too.
+// and journal was learned from the leader's maps. A follower restart
+// from its journal must come back weighted too.
 func TestMigrateWeightsSurviveCutover(t *testing.T) {
 	cn, err := NewMemNetwork(ChaosConfig{Seed: 11, MaxDelay: 2 * time.Millisecond}, 0)
 	if err != nil {
@@ -499,7 +467,7 @@ func TestMigrateWeightsSurviveCutover(t *testing.T) {
 			ID: ids[i], Members: ids, Snapshot: snapshot,
 			Controller: anu.DefaultControllerConfig(), RoundInterval: 40 * time.Millisecond,
 			HeartbeatInterval: 8 * time.Millisecond, FailAfter: 400 * time.Millisecond,
-			WatchdogRounds: 10, MigrateTimeout: 8 * time.Second, MigrateRetry: 80 * time.Millisecond,
+			WatchdogRounds: 10, MigrateTimeout: 400 * time.Millisecond,
 			Observe: closedLoopObserve(speeds), Journal: journals[i], Logf: t.Logf,
 		}
 		if i == 0 {
@@ -531,20 +499,12 @@ func TestMigrateWeightsSurviveCutover(t *testing.T) {
 	if del.ID() != 0 {
 		t.Fatalf("delegate %d, want 0 (the weighted config)", del.ID())
 	}
-	if _, err := del.Migrate(placement.StrategyRendezvous); err != nil {
+	if err := del.Migrate(placement.StrategyRendezvous); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 15*time.Second, "cluster-wide weighted cutover", func() bool {
 		hammer.check(t)
-		for _, rt := range rts {
-			if rt.Strategy() != placement.StrategyRendezvous {
-				return false
-			}
-			if phase, _ := rt.MigrationPhase(); phase != migrate.Idle {
-				return false
-			}
-		}
-		return true
+		return settledOn(rts, placement.StrategyRendezvous)
 	})
 	// Keep serving across a couple of post-cutover tuning rounds: the
 	// weighted strategy must survive feedback, not just the install.
@@ -579,7 +539,7 @@ func TestMigrateWeightsSurviveCutover(t *testing.T) {
 		if tag, _ := placement.Tag(prec.Map); tag != placement.StrategyRendezvous {
 			t.Fatalf("node %d: journaled placement tag %q", i, tag)
 		}
-		dec, err := placement.Decode(prec.Map, placement.Options{})
+		dec, _, err := placement.DecodeAfter(prec.Map, placement.Options{}, nil)
 		if err != nil {
 			t.Fatalf("node %d: journaled placement undecodable: %v", i, err)
 		}
@@ -604,11 +564,11 @@ func TestMigrateWeightsSurviveCutover(t *testing.T) {
 	})
 }
 
-// TestMigrateAbortOnTimeout: the leader's proposals go unacknowledged
-// (the followers' acks are dropped), so the Proposed phase times out
-// and rolls back — the leader stays on the old strategy, broadcasts
-// the abort, and the followers close out too.
-func TestMigrateAbortOnTimeout(t *testing.T) {
+// TestMigrateContinuesAcrossReelection: the delegate dies inside the
+// window. The successor holds the window in its installed map, so it
+// continues it — same opening round — and closes it on schedule; the
+// survivors end on the target.
+func TestMigrateContinuesAcrossReelection(t *testing.T) {
 	cn, err := NewMemNetwork(ChaosConfig{}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -618,88 +578,13 @@ func TestMigrateAbortOnTimeout(t *testing.T) {
 	speeds := map[delegate.NodeID]float64{0: 1, 1: 3, 2: 5}
 	rts := make([]*Runtime, 0, len(ids))
 	for _, id := range ids {
-		var tr Transport = cn.Endpoint(id)
-		if id != 0 {
-			tr = filterTransport{Transport: tr, drop: func(m delegate.Message) bool {
-				return m.Kind == MsgMigrateAck
-			}}
-		}
-		rt, err := Start(Config{
-			ID: id, Members: ids, Snapshot: snapshot,
-			Controller: anu.DefaultControllerConfig(), RoundInterval: 40 * time.Millisecond,
-			HeartbeatInterval: 8 * time.Millisecond, FailAfter: 400 * time.Millisecond,
-			WatchdogRounds: 10, MigrateTimeout: 300 * time.Millisecond,
-			Observe: closedLoopObserve(speeds), Logf: t.Logf,
-		}, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rts = append(rts, rt)
-	}
-	defer func() {
-		for _, rt := range rts {
-			rt.Stop()
-		}
-	}()
-	del := waitDelegate(t, rts)
-	hammer := startLookupHammer(rts, len(ids), placement.StrategyANU, placement.StrategyChordBounded)
-	if _, err := del.Migrate(placement.StrategyChordBounded); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "timeout rollback", func() bool {
-		hammer.check(t)
-		if s := del.Stats(); s.MigrationsAborted != 1 {
-			return false
-		}
-		for _, rt := range rts {
-			if phase, _ := rt.MigrationPhase(); phase != migrate.Idle {
-				return false
-			}
-		}
-		return true
-	})
-	hammer.close(t)
-	for i, rt := range rts {
-		if got := rt.Strategy(); got != placement.StrategyANU {
-			t.Errorf("node %d: strategy %q after rollback, want %q", i, got, placement.StrategyANU)
-		}
-	}
-	// The cluster still tunes after the rollback.
-	tunes := del.Stats().Tunes
-	waitFor(t, 10*time.Second, "post-rollback tuning", func() bool {
-		return del.Stats().Tunes >= tunes+2
-	})
-}
-
-// TestMigrateAbortOnReelection: the leader dies mid-migration. The
-// followers observe the re-election away from the proposer and roll
-// back on their own — no phase is allowed to outlive its leader.
-func TestMigrateAbortOnReelection(t *testing.T) {
-	cn, err := NewMemNetwork(ChaosConfig{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cn.Close()
-	ids, snapshot := bootstrap(t, 3)
-	speeds := map[delegate.NodeID]float64{0: 1, 1: 3, 2: 5}
-	rts := make([]*Runtime, 0, len(ids))
-	for _, id := range ids {
-		var tr Transport = cn.Endpoint(id)
-		if id == 0 {
-			// The leader's warm snapshots vanish: the migration cannot
-			// advance past Proposed on the followers, pinning the state
-			// we want the crash to interrupt.
-			tr = filterTransport{Transport: tr, drop: func(m delegate.Message) bool {
-				return m.Kind == MsgMigrateWarm
-			}}
-		}
 		rt, err := Start(Config{
 			ID: id, Members: ids, Snapshot: snapshot,
 			Controller: anu.DefaultControllerConfig(), RoundInterval: 40 * time.Millisecond,
 			HeartbeatInterval: 8 * time.Millisecond, FailAfter: 150 * time.Millisecond,
-			WatchdogRounds: 10, MigrateTimeout: 10 * time.Second,
+			WatchdogRounds: 10, MigrateTimeout: 4 * time.Second,
 			Observe: closedLoopObserve(speeds), Logf: t.Logf,
-		}, tr)
+		}, cn.Endpoint(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -714,74 +599,67 @@ func TestMigrateAbortOnReelection(t *testing.T) {
 	if del.ID() != 0 {
 		t.Fatalf("delegate %d, want 0", del.ID())
 	}
-	if _, err := del.Migrate(placement.StrategyChordBounded); err != nil {
+	if err := del.Migrate(placement.StrategyChordBounded); err != nil {
 		t.Fatal(err)
 	}
-	// Let the proposal reach the followers, then kill the leader.
-	waitFor(t, 10*time.Second, "followers tracking the proposal", func() bool {
+	// Let the window map reach the followers, then kill the delegate.
+	waitFor(t, 10*time.Second, "followers inside the window", func() bool {
 		for _, rt := range rts[1:] {
-			if phase, _ := rt.MigrationPhase(); phase == migrate.Idle {
+			if !rt.Stats().Window.IsOpen() {
 				return false
 			}
 		}
 		return true
 	})
+	w := rts[1].Stats().Window
 	followers := rts[1:]
 	hammer := startLookupHammer(followers, len(ids), placement.StrategyANU, placement.StrategyChordBounded)
 	del.Stop()
-	waitFor(t, 15*time.Second, "follower rollback on re-election", func() bool {
+	waitFor(t, 15*time.Second, "re-election and tuning", func() bool {
 		hammer.check(t)
-		for _, rt := range followers {
-			s := rt.Stats()
-			if s.MigrationsAborted < 1 || s.MigrationPhase != "idle" {
-				return false
-			}
-		}
-		return true
-	})
-	hammer.close(t)
-	for i, rt := range followers {
-		if got := rt.Strategy(); got != placement.StrategyANU {
-			t.Errorf("follower %d: strategy %q after rollback, want %q", i+1, got, placement.StrategyANU)
-		}
-	}
-	// The survivors re-elected and keep making progress on the old
-	// strategy.
-	waitFor(t, 15*time.Second, "post-crash re-election and tuning", func() bool {
 		return followers[0].Delegate() == 1 && followers[0].Stats().Tunes >= 1
 	})
+	if got := followers[0].Stats().Window; got != w {
+		t.Fatalf("successor's map holds window %+v, want the predecessor's %+v", got, w)
+	}
+	waitFor(t, 15*time.Second, "the successor closes the window", func() bool {
+		hammer.check(t)
+		return settledOn(followers, placement.StrategyChordBounded)
+	})
+	hammer.close(t)
+	if r := followers[0].MapRound(); r < w.Opened+100 {
+		t.Errorf("window from round %d closed by round %d, before its 100 rounds", w.Opened, r)
+	}
 }
 
-// TestMigrateJournalResume covers the crash-recovery decision table
-// directly, by handing Start hand-built journals:
-//
-//   - a DualTag tail (behind enough placement churn to force
-//     compaction) resumes the phase with the journaled warm snapshot
-//     and, with no leader left, rolls back at the deadline;
-//   - a Committed tail whose placement carries the target boots the
-//     target strategy even though cfg.Strategy names the source;
-//   - a Committed tail whose placement append was lost opens a
-//     catch-up window and likewise settles by deadline rollback.
+// TestMigrateJournalResume hands Start hand-built journals of a node
+// configured for "anu": the newest record boots, whatever its strategy.
+// A window tail boots the target inside its window, and the lone node,
+// elected delegate, continues and closes that window from its
+// installed map; a plain target tail boots the target.
 func TestMigrateJournalResume(t *testing.T) {
 	ids, anuSnap := bootstrap(t, 1)
 	_, chordSnap := bootstrapStrategy(t, 1, placement.StrategyChordBounded)
+	window := placement.EncodeWindow(placement.Window{From: placement.StrategyANU, Opened: 6}, chordSnap)
 
-	openWAL := func(t *testing.T, compactThreshold int) (*journal.Journal, string) {
-		path := filepath.Join(t.TempDir(), "node.wal")
-		j, err := journal.Open(path, journal.Options{CompactThreshold: int64(compactThreshold)})
+	start := func(t *testing.T, records ...journal.Record) (*Runtime, *journal.Journal) {
+		j, err := journal.Open(filepath.Join(t.TempDir(), "node.wal"), journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return j, path
-	}
-	start := func(t *testing.T, j *journal.Journal, strategy string, snapshot []byte) *Runtime {
+		t.Cleanup(func() { j.Close() })
+		for _, rec := range records {
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
 		cn, err := NewMemNetwork(ChaosConfig{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(cn.Close)
 		rt, err := Start(Config{
-			ID: 0, Members: ids, Snapshot: snapshot, Strategy: strategy,
+			ID: 0, Members: ids, Snapshot: anuSnap, Strategy: placement.StrategyANU,
 			Controller: anu.DefaultControllerConfig(), RoundInterval: 20 * time.Millisecond,
 			MigrateTimeout: 250 * time.Millisecond, Journal: j, Logf: t.Logf,
 		}, cn.Endpoint(0))
@@ -789,149 +667,116 @@ func TestMigrateJournalResume(t *testing.T) {
 			t.Fatalf("start: %v", err)
 		}
 		t.Cleanup(rt.Stop)
-		return rt
+		return rt, j
 	}
 
-	t.Run("dual-tag tail resumes and rolls back", func(t *testing.T) {
-		// Low threshold so the placement churn after the migration record
-		// forces compaction: the in-flight DualTag record (with its warm
-		// snapshot) must survive it and still drive recovery.
-		j, _ := openWAL(t, 256)
-		if err := j.Append(journal.Record{Epoch: 1, Round: 4, Map: anuSnap}); err != nil {
-			t.Fatal(err)
+	t.Run("window tail boots the target inside its window", func(t *testing.T) {
+		rt, j := start(t,
+			journal.Record{Epoch: 1, Round: 4, Map: anuSnap},
+			journal.Record{Epoch: 1, Round: 6, Map: window})
+		s := rt.Stats()
+		if s.Strategy != placement.StrategyChordBounded || !s.Recovered || s.RecoveredEpoch != 1 || s.RecoveredRound != 6 {
+			t.Fatalf("booted %q recovered=(%v, %d, %d), want %q at (1, 6)",
+				s.Strategy, s.Recovered, s.RecoveredEpoch, s.RecoveredRound, placement.StrategyChordBounded)
 		}
-		mig := migrate.Record{
-			Phase: migrate.DualTag, ID: 77,
-			From: placement.StrategyANU, To: placement.StrategyChordBounded,
-			Snapshot: chordSnap,
-		}
-		if err := j.Append(journal.Record{Epoch: 1, Round: 6, Map: mig.Encode()}); err != nil {
-			t.Fatal(err)
-		}
-		for round := uint64(7); round <= 30; round++ {
-			if err := j.Append(journal.Record{Epoch: 1, Round: round, Map: anuSnap}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if j.Stats().Compactions == 0 {
-			t.Fatal("compaction never ran; raise the churn or lower the threshold")
-		}
-		rt := start(t, j, placement.StrategyANU, anuSnap)
-		if s := rt.Stats(); s.RecoveredMigration != "dual-tag" {
-			t.Fatalf("RecoveredMigration = %q, want dual-tag (stats %s)", s.RecoveredMigration, s)
-		}
-		if phase, id := rt.MigrationPhase(); phase == migrate.DualTag && id != 77 {
-			t.Fatalf("resumed phase carries id %d, want 77", id)
-		}
-		// No leader exists to commit or abort — and this lone node elects
-		// itself delegate, so the no-live-proposer watchdog rolls back
-		// (possibly before we even observe the resumed phase), windows
-		// close, and the rollback is journaled.
-		waitFor(t, 10*time.Second, "deadline rollback", func() bool {
-			phase, _ := rt.MigrationPhase()
-			return phase == migrate.Idle
+		waitFor(t, 10*time.Second, "the window to close", func() bool {
+			return settledOn([]*Runtime{rt}, placement.StrategyChordBounded)
 		})
-		if got := rt.Strategy(); got != placement.StrategyANU {
-			t.Fatalf("strategy %q after rollback, want anu", got)
+		if r := rt.MapRound(); r < 6+13 {
+			t.Errorf("window from round 6 closed by round %d, before its 13 rounds", r)
 		}
-		if s := rt.Stats(); s.MigrationsAborted != 1 {
-			t.Fatalf("MigrationsAborted = %d, want 1", s.MigrationsAborted)
-		}
-		waitFor(t, 5*time.Second, "journaled rollback", func() bool {
-			rec, ok := j.LastMigration()
-			if !ok {
-				return false
-			}
-			mr, err := migrate.Decode(rec.Map)
-			return err == nil && mr.Phase == migrate.Aborted && mr.ID == 77
-		})
+		rt.Stop()
+		wantJournalTail(t, 0, j, placement.StrategyChordBounded)
 	})
 
 	t.Run("committed tail boots the target strategy", func(t *testing.T) {
-		j, _ := openWAL(t, 0)
-		if err := j.Append(journal.Record{Epoch: 2, Round: 9, Map: chordSnap}); err != nil {
-			t.Fatal(err)
-		}
-		mig := migrate.Record{
-			Phase: migrate.Committed, ID: 78,
-			From: placement.StrategyANU, To: placement.StrategyChordBounded,
-		}
-		if err := j.Append(journal.Record{Epoch: 2, Round: 9, Map: mig.Encode()}); err != nil {
-			t.Fatal(err)
-		}
-		// cfg.Strategy still says "anu" — the journal proves the cutover.
-		rt := start(t, j, placement.StrategyANU, anuSnap)
-		if got := rt.Strategy(); got != placement.StrategyChordBounded {
-			t.Fatalf("booted strategy %q, want %q", got, placement.StrategyChordBounded)
-		}
+		rt, _ := start(t,
+			journal.Record{Epoch: 2, Round: 6, Map: window},
+			journal.Record{Epoch: 2, Round: 9, Map: chordSnap})
 		s := rt.Stats()
-		if s.RecoveredMigration != "committed" {
-			t.Errorf("RecoveredMigration = %q, want committed", s.RecoveredMigration)
+		if s.Strategy != placement.StrategyChordBounded || s.Window.IsOpen() {
+			t.Fatalf("booted %q with window %+v, want plain %q", s.Strategy, s.Window, placement.StrategyChordBounded)
 		}
 		if !s.Recovered || s.RecoveredEpoch != 2 || s.RecoveredRound != 9 {
 			t.Errorf("recovered fence (%v, %d, %d), want (true, 2, 9)", s.Recovered, s.RecoveredEpoch, s.RecoveredRound)
 		}
-		if phase, _ := rt.MigrationPhase(); phase != migrate.Idle {
-			t.Errorf("phase %s after committed recovery, want idle", phase)
-		}
-	})
-
-	t.Run("committed tail without placement opens catch-up", func(t *testing.T) {
-		j, _ := openWAL(t, 0)
-		if err := j.Append(journal.Record{Epoch: 3, Round: 4, Map: anuSnap}); err != nil {
-			t.Fatal(err)
-		}
-		mig := migrate.Record{
-			Phase: migrate.Committed, ID: 79,
-			From: placement.StrategyANU, To: placement.StrategyChordBounded,
-		}
-		if err := j.Append(journal.Record{Epoch: 4, Round: 5, Map: mig.Encode()}); err != nil {
-			t.Fatal(err)
-		}
-		rt := start(t, j, placement.StrategyANU, anuSnap)
-		// The commit was decided but the new placement never persisted:
-		// the node serves the old strategy through a catch-up window and,
-		// alone, settles by rollback at the deadline.
-		if got := rt.Strategy(); got != placement.StrategyANU {
-			t.Fatalf("booted strategy %q, want anu", got)
-		}
-		if phase, id := rt.MigrationPhase(); phase == migrate.DualTag && id != 79 {
-			t.Fatalf("resumed phase carries id %d, want 79", id)
-		}
-		waitFor(t, 10*time.Second, "catch-up rollback", func() bool {
-			phase, _ := rt.MigrationPhase()
-			return phase == migrate.Idle
-		})
-		if got := rt.Strategy(); got != placement.StrategyANU {
-			t.Fatalf("strategy %q after catch-up rollback, want anu", got)
-		}
 	})
 }
 
+// TestCompactedMigrationJournalBootsTarget is the regression test for
+// compaction across a migration: a journal holding a window record and
+// then 21 plain chord-bounded maps at a 256-byte compaction threshold
+// is compacted, and a node still configured for "anu" that reopens it
+// must boot chord-bounded at the newest fence. Compaction used to drop
+// the record that explained the strategy change, and Start then
+// refused the reopened journal.
+func TestCompactedMigrationJournalBootsTarget(t *testing.T) {
+	ids, anuSnap := bootstrap(t, 1)
+	_, chordSnap := bootstrapStrategy(t, 1, placement.StrategyChordBounded)
+	path := filepath.Join(t.TempDir(), "node.wal")
+	j, err := journal.Open(path, journal.Options{CompactThreshold: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := []journal.Record{
+		{Epoch: 1, Round: 4, Map: anuSnap},
+		{Epoch: 1, Round: 6, Map: placement.EncodeWindow(placement.Window{From: placement.StrategyANU, Opened: 6}, chordSnap)},
+	}
+	for round := uint64(7); round <= 27; round++ {
+		records = append(records, journal.Record{Epoch: 1, Round: round, Map: chordSnap})
+	}
+	for _, rec := range records {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j.Stats().Compactions == 0 {
+		t.Fatal("compaction never ran; raise the churn or lower the threshold")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j, err = journal.Open(path, journal.Options{CompactThreshold: 256}); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	cn, err := NewMemNetwork(ChaosConfig{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	rt, err := Start(Config{
+		ID: 0, Members: ids, Snapshot: anuSnap, Strategy: placement.StrategyANU,
+		RoundInterval: time.Hour, Journal: j, Logf: t.Logf,
+	}, cn.Endpoint(0))
+	if err != nil {
+		t.Fatalf("start over the compacted migration journal: %v", err)
+	}
+	defer rt.Stop()
+	if s := rt.Stats(); s.Strategy != placement.StrategyChordBounded || s.Window.IsOpen() ||
+		s.RecoveredEpoch != 1 || s.RecoveredRound != 27 {
+		t.Fatalf("booted %q window %+v at (%d, %d), want plain %q at (1, 27)",
+			s.Strategy, s.Window, s.RecoveredEpoch, s.RecoveredRound, placement.StrategyChordBounded)
+	}
+}
+
 // TestStartResumeRule pins the (epoch, round) a journaled node resumes
-// at: the placement's, advanced to a newer migration record only when
-// Start resumes that record's phase or boots its cutover.
+// at: the newest record's, whether it is plain or carries a window, and
+// whatever its strategy.
 func TestStartResumeRule(t *testing.T) {
 	ids, anuSnap := bootstrap(t, 2)
 	_, chordSnap := bootstrapStrategy(t, 2, placement.StrategyChordBounded)
-	mig := func(phase migrate.Phase) []byte {
-		rec := migrate.Record{Phase: phase, ID: 5, From: placement.StrategyANU, To: placement.StrategyChordBounded}
-		if phase == migrate.DualTag {
-			rec.Snapshot = chordSnap
-		}
-		return rec.Encode()
-	}
+	window := placement.EncodeWindow(placement.Window{From: placement.StrategyANU, Opened: 4}, chordSnap)
 	for _, tc := range []struct {
 		name    string
 		records []journal.Record
 		want    [2]uint64
 	}{
 		{"placement only", []journal.Record{{Epoch: 1, Round: 4, Map: anuSnap}}, [2]uint64{1, 4}},
-		{"resumed phase advances", []journal.Record{{Epoch: 1, Round: 4, Map: anuSnap}, {Epoch: 1, Round: 6, Map: mig(migrate.DualTag)}}, [2]uint64{1, 6}},
-		{"booted cutover advances", []journal.Record{{Epoch: 1, Round: 4, Map: chordSnap}, {Epoch: 2, Round: 1, Map: mig(migrate.Committed)}}, [2]uint64{2, 1}},
-		{"newer abort does not advance", []journal.Record{{Epoch: 1, Round: 4, Map: anuSnap}, {Epoch: 1, Round: 6, Map: mig(migrate.Aborted)}}, [2]uint64{1, 4}},
-		{"older phase does not move back", []journal.Record{{Epoch: 1, Round: 4, Map: mig(migrate.DualTag)}, {Epoch: 1, Round: 6, Map: anuSnap}}, [2]uint64{1, 6}},
-		{"phase without placement", []journal.Record{{Epoch: 2, Round: 3, Map: mig(migrate.Proposed)}}, [2]uint64{2, 3}},
+		{"resumed phase advances", []journal.Record{{Epoch: 1, Round: 4, Map: anuSnap}, {Epoch: 1, Round: 6, Map: window}}, [2]uint64{1, 6}},
+		{"booted cutover advances", []journal.Record{{Epoch: 1, Round: 4, Map: anuSnap}, {Epoch: 2, Round: 1, Map: chordSnap}}, [2]uint64{2, 1}},
+		{"older phase does not move back", []journal.Record{{Epoch: 1, Round: 4, Map: window}, {Epoch: 1, Round: 6, Map: anuSnap}}, [2]uint64{1, 6}},
+		{"phase without placement", []journal.Record{{Epoch: 2, Round: 3, Map: window}}, [2]uint64{2, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			j, err := journal.Open(filepath.Join(t.TempDir(), "node.wal"), journal.Options{})
@@ -967,18 +812,111 @@ func TestStartResumeRule(t *testing.T) {
 	}
 }
 
+// recordJournal is a Journal that keeps every Append in memory, for
+// tests that replay a node's journal prefix by prefix.
+type recordJournal struct{ recs []journal.Record }
+
+func (j *recordJournal) LastPlacement() (journal.Record, bool) {
+	if len(j.recs) == 0 {
+		return journal.Record{}, false
+	}
+	return j.recs[len(j.recs)-1], true
+}
+
+func (j *recordJournal) Append(rec journal.Record) error {
+	j.recs = append(j.recs, journal.Record{Epoch: rec.Epoch, Round: rec.Round, Map: append([]byte(nil), rec.Map...)})
+	return nil
+}
+
+// TestMigrationJournalCrashPoints records every Append of follower 3
+// through a 5-node anu → chord-bounded migration on the virtual clock,
+// then restarts a node configured for "anu" from every prefix of that
+// journal, and from every prefix followed by a record torn half-way. A
+// crash at any record boundary must recover: anu before the first
+// window record, chord-bounded from it on, at the prefix's newest fence.
+func TestMigrationJournalCrashPoints(t *testing.T) {
+	cfg := virtualConfig(t, placement.StrategyANU, 5)
+	vn := newVirtualNet(t, cfg, ChaosConfig{MaxDelay: 5 * time.Millisecond, Seed: 1})
+	const follower = 3
+	rec := &recordJournal{}
+	vn.rts[follower].cfg.Journal = rec
+	vn.runUntil(10 * virtualRound)
+	if err := vn.rts[0].migrate(placement.StrategyChordBounded); err != nil {
+		t.Fatal(err)
+	}
+	vn.runUntil(40 * virtualRound)
+	if !settledOn(vn.rts, placement.StrategyChordBounded) {
+		t.Fatal("the migration did not settle within 30 rounds")
+	}
+
+	// Write the journal once, noting the file size after each record.
+	path := filepath.Join(t.TempDir(), "follower.wal")
+	j, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []int64{j.Stats().SizeBytes}
+	firstWindow := -1
+	for i, r := range rec.recs {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		bounds = append(bounds, j.Stats().SizeBytes)
+		if _, w := mapWindow(t, r.Map); w.IsOpen() && firstWindow < 0 {
+			firstWindow = i
+		}
+	}
+	j.Close()
+	if firstWindow < 1 {
+		t.Fatalf("first window record at %d of %d records, want one after an anu record", firstWindow, len(rec.recs))
+	}
+	t.Logf("%d records, the first window map at record %d", len(rec.recs), firstWindow)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restart := func(k int, data []byte) {
+		t.Helper()
+		p := filepath.Join(t.TempDir(), "crash.wal")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := journal.Open(p, journal.Options{})
+		if err != nil {
+			t.Fatalf("prefix %d: open: %v", k, err)
+		}
+		defer j.Close()
+		c := cfg
+		c.ID, c.Journal = follower, j
+		rt, err := newRuntime(c, virtualEndpoint{vn}, vn.time())
+		if err != nil {
+			t.Fatalf("prefix %d: newRuntime: %v", k, err)
+		}
+		want, epoch, round := placement.StrategyANU, uint64(0), uint64(0)
+		if k > 0 {
+			epoch, round = rec.recs[k-1].Epoch, rec.recs[k-1].Round
+			if k > firstWindow {
+				want = placement.StrategyChordBounded
+			}
+		}
+		if got := rt.Strategy(); got != want || rt.MapEpoch() != epoch || rt.MapRound() != round {
+			t.Fatalf("prefix %d: serves %q at (%d, %d), want %q at (%d, %d)",
+				k, got, rt.MapEpoch(), rt.MapRound(), want, epoch, round)
+		}
+	}
+	for k := range rec.recs {
+		restart(k, full[:bounds[k]])
+		restart(k, full[:(bounds[k]+bounds[k+1])/2]) // record k torn half-way
+	}
+	restart(len(rec.recs), full)
+}
+
 // TestMigrateDualTagResumeCompletes: a follower crashes inside the
-// dual-tag window and restarts from its journal while the rest of the
-// cluster commits. The resumed window plus the leader's post-commit
-// catch-up must flip the restarted node to the target — no stranded
-// old-strategy node, no torn state.
-//
-// To hold the victim inside the window long enough to crash it there
-// deterministically, the leader's Commit messages and placement maps
-// to the victim are gated off: the rest of the cluster cuts over
-// while the victim is still dual-tagged. The gate opens after the
-// restart, and the leader's post-commit retry (or the next broadcast
-// map through the resumed window) must finish the job.
+// window, and the rest of the cluster closes the window while it is
+// down. It restarts from its journal, whose newest record is the window
+// map, so it boots the target inside the window and installs the plain
+// target map that closed it — no stranded old-strategy node, no torn
+// state.
 func TestMigrateDualTagResumeCompletes(t *testing.T) {
 	cn, err := NewMemNetwork(ChaosConfig{Seed: 13}, 0)
 	if err != nil {
@@ -987,7 +925,6 @@ func TestMigrateDualTagResumeCompletes(t *testing.T) {
 	defer cn.Close()
 	ids, snapshot := bootstrap(t, 3)
 	const victim = 2
-	var gate atomic.Bool // while set, the leader cannot reach the victim with commits or maps
 	speeds := map[delegate.NodeID]float64{0: 1, 1: 3, 2: 5}
 	dir := t.TempDir()
 	journals := make([]*journal.Journal, len(ids))
@@ -1000,22 +937,13 @@ func TestMigrateDualTagResumeCompletes(t *testing.T) {
 	}
 	rts := make([]*Runtime, len(ids))
 	startNode := func(i int) {
-		var tr Transport = cn.Endpoint(ids[i])
-		if i == 0 {
-			tr = filterTransport{Transport: tr, drop: func(m delegate.Message) bool {
-				return gate.Load() && m.To == ids[victim] &&
-					(m.Kind == MsgMigrateCommit || m.Kind == delegate.MsgMap)
-			}}
-		}
 		rt, err := Start(Config{
 			ID: ids[i], Members: ids, Snapshot: snapshot,
 			Controller: anu.DefaultControllerConfig(), RoundInterval: 40 * time.Millisecond,
 			HeartbeatInterval: 8 * time.Millisecond, FailAfter: 300 * time.Millisecond,
-			// The gate starves the victim of maps on purpose; a small
-			// watchdog would re-elect on it and nack the held window.
-			WatchdogRounds: 250, MigrateTimeout: 8 * time.Second, MigrateRetry: 80 * time.Millisecond,
+			WatchdogRounds: 250, MigrateTimeout: 400 * time.Millisecond,
 			Observe: closedLoopObserve(speeds), Journal: journals[i], Logf: t.Logf,
-		}, tr)
+		}, cn.Endpoint(ids[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1038,60 +966,36 @@ func TestMigrateDualTagResumeCompletes(t *testing.T) {
 	if del.ID() != 0 {
 		t.Fatalf("delegate %d, want 0", del.ID())
 	}
-	gate.Store(true)
-	if _, err := del.Migrate(placement.StrategyChordBounded); err != nil {
+	if err := del.Migrate(placement.StrategyChordBounded); err != nil {
 		t.Fatal(err)
 	}
-	// The gated victim enters the dual-tag window (Warm still flows)
-	// and stays there while the others commit.
-	waitFor(t, 10*time.Second, "victim in dual-tag", func() bool {
-		phase, _ := rts[victim].MigrationPhase()
-		return phase == migrate.DualTag
+	waitFor(t, 10*time.Second, "victim inside the window", func() bool {
+		return rts[victim].Stats().Window.IsOpen()
 	})
 	rts[victim].Stop()
 	if err := journals[victim].Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 15*time.Second, "rest of the cluster committed", func() bool {
-		for i, rt := range rts {
-			if i == victim {
-				continue
-			}
-			if rt.Strategy() != placement.StrategyChordBounded {
-				return false
-			}
-		}
-		return true
+	waitFor(t, 15*time.Second, "rest of the cluster closed the window", func() bool {
+		return settledOn([]*Runtime{rts[0], rts[1]}, placement.StrategyChordBounded)
 	})
 	openJournal(victim)
 	startNode(victim)
-	waitFor(t, 10*time.Second, "victim resumed its dual-tag window", func() bool {
-		phase, _ := rts[victim].MigrationPhase()
-		return phase == migrate.DualTag
-	})
-	gate.Store(false)
-	// The restart resumed the window from the journaled DualTag record,
-	// and the leader's commit retry (or the next broadcast map) flips
-	// the victim — every node ends on the target, migration closed.
+	if s := rts[victim].Stats(); s.Strategy != placement.StrategyChordBounded || !s.Window.IsOpen() {
+		t.Fatalf("victim restarted on %q with window %+v, want %q inside the window",
+			s.Strategy, s.Window, placement.StrategyChordBounded)
+	}
 	waitFor(t, 20*time.Second, "cluster-wide cutover incl. restarted victim", func() bool {
-		for _, rt := range rts {
-			if rt.Strategy() != placement.StrategyChordBounded {
-				return false
-			}
-			if phase, _ := rt.MigrationPhase(); phase != migrate.Idle {
-				return false
-			}
-		}
-		return true
+		return settledOn(rts, placement.StrategyChordBounded)
 	})
 	waitFor(t, 15*time.Second, "post-migration reconvergence", func() bool {
 		return converged(rts)
 	})
 }
 
-// TestMigrateCommitsPastMalformedReport: a leader holding a malformed
-// report when it commits still commits. Its warm install is one
-// message of its own, not a drain of whatever else arrived.
+// TestMigrateCommitsPastMalformedReport: a delegate holding a malformed
+// report still opens the window at its next tune. The report is refused
+// on arrival and never reaches the round.
 func TestMigrateCommitsPastMalformedReport(t *testing.T) {
 	ids, snapshot := bootstrap(t, 3)
 	mn, err := NewMemNetwork(ChaosConfig{Seed: 6}, 0)
@@ -1099,8 +1003,7 @@ func TestMigrateCommitsPastMalformedReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mn.Close()
-	// A one-member quorum runs the whole migration inside Migrate's body;
-	// the runtime is unstarted, so no tick, and with it no tune, runs.
+	// The runtime is unstarted, so only the steps below run.
 	now := time.Now()
 	rt, err := newRuntime(Config{
 		ID: 0, Members: ids, Snapshot: snapshot, Quorum: 1,
@@ -1113,35 +1016,33 @@ func TestMigrateCommitsPastMalformedReport(t *testing.T) {
 	rt.curDelegate = 0
 	rt.handle(delegate.Message{Kind: MsgHeartbeat, From: 1, To: 0, Round: 3}, now)
 	rt.handle(delegate.Message{Kind: delegate.MsgReport, From: 1, To: 0, Round: 3, Payload: []byte{1, 2, 3}}, now)
-	if _, err := rt.migrate(placement.StrategyChordBounded, now); err != nil {
+	if err := rt.migrate(placement.StrategyChordBounded); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.Strategy(); got != placement.StrategyChordBounded {
-		t.Fatalf("strategy %q after Migrate, want %q", got, placement.StrategyChordBounded)
-	}
-	if s := rt.Stats(); s.MigrationsCommitted != 1 || s.MigrationsAborted != 0 {
-		t.Fatalf("committed=%d aborted=%d, want 1/0", s.MigrationsCommitted, s.MigrationsAborted)
+	rt.tuneAt = now
+	rt.tuneIfDue(now)
+	if s := rt.Stats(); s.Strategy != placement.StrategyChordBounded || s.Window != (placement.Window{From: placement.StrategyANU, Opened: 3}) || s.Tunes != 1 {
+		t.Fatalf("after the tune: %q window %+v tunes %d, want %q inside a window from anu opened at 3 after 1 tune",
+			s.Strategy, s.Window, s.Tunes, placement.StrategyChordBounded)
 	}
 }
 
 // TestDelegateMigratingHoldsAcrossInstalls: FlagMigrating rides every
-// frame a migrating node sends, maps and reports included. A follower
-// mirrors the bit from any message of its delegate, so while the
-// delegate's migration is in flight the follower's DelegateMigrating
-// must read true after every delivery, across the map installs of the
-// window. On the virtual clock, acknowledgements are lost, so the
-// migration stays Proposed while the delegate keeps tuning.
+// frame a node sends while its installed map holds a window, maps and
+// reports included. A follower mirrors the bit from any message of its
+// delegate, so while the delegate's window is open the follower's
+// DelegateMigrating must read true after every delivery, across the map
+// installs of the window.
 func TestDelegateMigratingHoldsAcrossInstalls(t *testing.T) {
 	cfg := virtualConfig(t, placement.StrategyANU, 3)
 	cfg.MigrateTimeout = time.Hour
 	vn := newVirtualNet(t, cfg, ChaosConfig{MaxDelay: 5 * time.Millisecond, Seed: 1})
-	vn.drop = func(msg delegate.Message, _ time.Duration) bool { return msg.Kind == MsgMigrateAck }
 	vn.runUntil(10 * virtualRound)
 	del := vn.rts[0]
-	if _, err := del.migrate(placement.StrategyChordBounded, vn.time()); err != nil {
+	if err := del.migrate(placement.StrategyChordBounded); err != nil {
 		t.Fatal(err)
 	}
-	vn.runUntil(vn.now + virtualRound) // the proposal reaches every follower
+	vn.runUntil(vn.now + virtualRound) // the window map reaches every follower
 	followers := vn.rts[1:]
 	installs := make([]uint64, len(followers))
 	for i, rt := range followers {
@@ -1151,12 +1052,12 @@ func TestDelegateMigratingHoldsAcrossInstalls(t *testing.T) {
 		vn.runUntil(vn.now + time.Millisecond)
 		for _, rt := range followers {
 			if s := rt.Stats(); !s.DelegateMigrating {
-				t.Fatalf("at %v: node %d reads DelegateMigrating false with the delegate's migration in flight (%d maps installed)", vn.now, s.ID, s.MapsInstalled)
+				t.Fatalf("at %v: node %d reads DelegateMigrating false with the delegate's window open (%d maps installed)", vn.now, s.ID, s.MapsInstalled)
 			}
 		}
 	}
-	if phase, _ := del.MigrationPhase(); phase != migrate.Proposed {
-		t.Fatalf("delegate phase %v, want Proposed", phase)
+	if !del.Stats().Window.IsOpen() {
+		t.Fatal("delegate's window closed within an hour-long MigrateTimeout")
 	}
 	for i, rt := range followers {
 		if got := rt.Stats().MapsInstalled - installs[i]; got < 10 {

@@ -12,7 +12,6 @@ import (
 	"anurand/internal/delegate"
 	"anurand/internal/hashx"
 	"anurand/internal/journal"
-	"anurand/internal/migrate"
 	"anurand/internal/placement"
 )
 
@@ -42,9 +41,8 @@ type Runtime struct {
 	tr   Transport
 	stop chan struct{}
 	wg   sync.WaitGroup
-	// calls carries work other goroutines hand to the loop (Migrate),
-	// run with the loop's clock reading.
-	calls chan func(now time.Time)
+	// calls carries work other goroutines hand to the loop (Migrate).
+	calls chan func()
 
 	// sendDrops counts messages the async fan-out path dropped
 	// (per-peer queue full or transport closed). Atomic: drops are
@@ -88,9 +86,9 @@ type Runtime struct {
 	// tick are due. Only the loop reads or writes them (see fire), so
 	// they need no lock.
 	hbAt, roundAt time.Time
-	// journalStage holds records (placements and migration phases, in
-	// order) staged for the journal under mu and appended (fsynced)
-	// outside it, on the loop, so they reach the journal in stage order.
+	// journalStage holds placement records staged for the journal under
+	// mu and appended (fsynced) outside it, on the loop, so they reach
+	// the journal in stage order.
 	journalStage []journal.Record
 	recovered    *journal.Record // the record Start resumed from, if any
 	lastMapTime  time.Time
@@ -105,15 +103,9 @@ type Runtime struct {
 	hbLineOnly bool
 	hbAllSince time.Time
 
-	// mig is the live strategy migration in flight on this node, nil
-	// when idle; migLinger is the leader's post-commit catch-up window.
-	// See migrate.go for the state machine.
-	mig       *migration
-	migLinger *migrationLinger
-	migSeq    uint64
-	// recoveredMig names the migration phase Start resumed (or
-	// recognised as committed) from the journal, "" when none.
-	recoveredMig string
+	// migrateTo is the strategy Migrate asked this delegate to move to,
+	// taken by its next tune; "" when none is pending. See migrate.go.
+	migrateTo string
 	// delegateMigrating mirrors the FlagMigrating bit last gossiped by
 	// the current delegate — informational only.
 	delegateMigrating bool
@@ -123,22 +115,17 @@ type Runtime struct {
 // heartbeating and round-driving immediately.
 //
 // With a configured Journal, Start recovers the journal's newest
-// placement record and resumes from it: the persisted map replaces
-// cfg.Snapshot as the bootstrap placement, and the node's install
-// fence and the runtime's epoch and round resume at the persisted
-// (epoch, round) — the restart rejoins where it crashed instead of
-// replaying the seed placement. A journaled map that no longer decodes
-// is an error, never a silent fallback: the journal's CRC framing
-// already rejected disk damage, so an undecodable record means the
-// operator pointed the node at the wrong file.
-//
-// The journal's newest migration record refines that picture (the
-// exact phase a crash interrupted — see migrate.go for the recovery
-// table): an in-flight Proposed or DualTag phase resumes so the
-// cluster's leader retry or the rollback watchdog settles it, a
-// journaled cutover to a new strategy boots the new strategy even
-// though cfg.Strategy still names the old one, and a terminal record
-// behind the placement is history.
+// record and resumes from it: the persisted map replaces cfg.Snapshot
+// as the bootstrap placement, and the node's install fence and the
+// runtime's epoch and round resume at the persisted (epoch, round) —
+// the restart rejoins where it crashed instead of replaying the seed
+// placement. The newest record boots whatever its strategy: a migrated
+// node serves the strategy its journal holds, inside the window if the
+// map carries one, even though cfg.Strategy, which checks cfg.Snapshot
+// only, names another. A journaled map that no longer decodes is an
+// error, never a silent fallback: the journal's CRC framing already
+// rejected disk damage, so an undecodable record means the operator
+// pointed the node at the wrong file.
 func Start(cfg Config, tr Transport) (*Runtime, error) {
 	r, err := newRuntime(cfg, tr, time.Now())
 	if err != nil {
@@ -172,7 +159,7 @@ func newRuntime(cfg Config, tr Transport, now time.Time) (*Runtime, error) {
 		cfg:          cfg,
 		tr:           tr,
 		stop:         make(chan struct{}),
-		calls:        make(chan func(time.Time)),
+		calls:        make(chan func()),
 		peers:        peers,
 		slots:        slots,
 		lastSeen:     lastSeen,
@@ -182,92 +169,17 @@ func newRuntime(cfg Config, tr Transport, now time.Time) (*Runtime, error) {
 	}
 	r.counters.InstallLatencyHist = latencyHistogram()
 	r.counters.SampleLatencyHist = latencyHistogram()
-	r.counters.MigratePhaseLatencyHist = latencyHistogram()
-	r.counters.MigrateLatencyHist = latencyHistogram()
-	snapshot := cfg.Snapshot
-	if tag, terr := placement.Tag(snapshot); terr != nil {
+	if tag, terr := placement.Tag(cfg.Snapshot); terr != nil {
 		return nil, fmt.Errorf("cluster: node %d: bootstrap snapshot: %w", cfg.ID, terr)
 	} else if tag != cfg.Strategy {
 		return nil, fmt.Errorf("cluster: node %d: bootstrap snapshot carries strategy %q, configured %q", cfg.ID, tag, cfg.Strategy)
 	}
-	var resumeMig *migrate.Record
+	snapshot := cfg.Snapshot
 	if cfg.Journal != nil {
-		plcRec, havePlc := cfg.Journal.LastPlacement()
-		migRaw, haveMig := cfg.Journal.LastMigration()
-		var migRec migrate.Record
-		if haveMig {
-			// The CRC framing already accepted these bytes, so a decode
-			// failure means a software mismatch, not disk damage: loud
-			// error, never a guessed phase.
-			mr, merr := migrate.Decode(migRaw.Map)
-			if merr != nil {
-				return nil, fmt.Errorf("cluster: node %d: journaled migration record unusable: %w", cfg.ID, merr)
-			}
-			migRec = mr
-		}
-		// cutover is set when the journal's tail is a migration this node
-		// durably cut over to before crashing.
-		cutover := false
-		if havePlc {
-			tag, terr := placement.Tag(plcRec.Map)
-			if terr != nil {
-				return nil, fmt.Errorf("cluster: node %d: journaled placement unusable: %w", cfg.ID, terr)
-			}
-			switch {
-			case tag == cfg.Strategy:
-				if haveMig && migRec.From == cfg.Strategy && migRec.Phase != migrate.Aborted {
-					// The crash interrupted a migration after its last
-					// durable phase record: resume that phase (a journaled
-					// Committed whose placement append was lost resumes as
-					// a dual-tag catch-up window — see resumeMigration).
-					// The placement tail is usually NEWER than the phase
-					// record — the old strategy keeps tuning and journaling
-					// installs throughout the dual-tag window — so the fence
-					// comparison says nothing about liveness; what proves
-					// the migration is still open is that the newest
-					// migration record is non-terminal (commit and rollback
-					// both journal a terminal record).
-					resumeMig = &migRec
-				}
-			case haveMig && migRec.To == tag && (migRec.Phase == migrate.DualTag || migRec.Phase == migrate.Committed):
-				// The placement carries the target strategy, so boot it —
-				// cfg.Strategy still names the old one and that is
-				// expected, not an operator mistake.
-				cutover = true
-				r.recoveredMig = migrate.Committed.String()
-				cfg.logf("node %d: journal records a committed migration %s -> %s; booting %q", cfg.ID, migRec.From, migRec.To, tag)
-			case haveMig && migRec.From == tag && migRec.Phase.InFlight():
-				// The placement tag names the SOURCE of an open migration:
-				// an earlier cutover left cfg.Strategy stale (the journal,
-				// not the config, tracks strategy across restarts) and the
-				// crash landed mid-way through the next migration. Boot
-				// what the journal serves and resume the phase.
-				resumeMig = &migRec
-				cfg.logf("node %d: journal serves %q with an open migration %s -> %s; resuming", cfg.ID, tag, migRec.From, migRec.To)
-			default:
-				// A journaled placement from a different strategy with no
-				// migration explaining it is rejected, not adopted: the
-				// operator either pointed the node at the wrong journal or
-				// changed Config.Strategy without wiping durable state.
-				return nil, fmt.Errorf("cluster: node %d: journaled placement carries strategy %q, configured %q", cfg.ID, tag, cfg.Strategy)
-			}
-			cfg.Strategy, r.cfg.Strategy = tag, tag
-			snapshot = plcRec.Map
-			r.recovered = &plcRec
-			r.epoch, r.round = plcRec.Epoch, plcRec.Round
-		} else if haveMig && migRec.Phase.InFlight() && migRec.From == cfg.Strategy {
-			// Migration records but no placement yet (the journal was
-			// compacted down to an in-flight migration, or the node
-			// crashed before its first install): bootstrap from
-			// cfg.Snapshot and resume the phase.
-			resumeMig = &migRec
-		}
-		// The one resume rule: a migration record moves (epoch, round)
-		// past the placement only when its phase is resumed or its
-		// cutover booted. A newer record that does neither, such as an
-		// Aborted rollback, is history.
-		if (resumeMig != nil || cutover) && (r.recovered == nil || migRaw.Supersedes(plcRec)) {
-			r.epoch, r.round = migRaw.Epoch, migRaw.Round
+		if rec, ok := cfg.Journal.LastPlacement(); ok {
+			snapshot = rec.Map
+			r.recovered = &rec
+			r.epoch, r.round = rec.Epoch, rec.Round
 		}
 	}
 	node, err := delegate.NewNode(cfg.ID, snapshot, cfg.placementOptions())
@@ -280,11 +192,11 @@ func newRuntime(cfg Config, tr Transport, now time.Time) (*Runtime, error) {
 	if r.recovered != nil {
 		node.Resume(r.recovered.Epoch, r.recovered.Round)
 		cfg.logf("node %d: resumed from journal at epoch %d round %d", cfg.ID, r.recovered.Epoch, r.recovered.Round)
+		if node.Strategy() != cfg.Strategy {
+			cfg.logf("node %d: journal serves strategy %q, configured %q: booting the journal's", cfg.ID, node.Strategy(), cfg.Strategy)
+		}
 	}
 	r.node = node
-	if resumeMig != nil {
-		r.resumeMigration(*resumeMig, now)
-	}
 	s := node.Placement()
 	r.placement.Store(&s)
 	r.roundStart, r.lastMapTime = now, now
@@ -329,7 +241,7 @@ func (r *Runtime) run() {
 		case <-timer.C:
 			r.fire(time.Now())
 		case call := <-r.calls:
-			call(time.Now())
+			call()
 		}
 		timer.Reset(time.Until(r.next()))
 	}
@@ -386,7 +298,7 @@ func (r *Runtime) handle(msg delegate.Message, now time.Time) {
 		r.tuneAt = time.Time{}
 	}
 	// Migration gossip: mirror the delegate's FlagMigrating bit so
-	// operators can watch a cutover propagate through Stats.
+	// operators can watch a window propagate through Stats.
 	if msg.From == r.curDelegate {
 		r.delegateMigrating = msg.Flags&FlagMigrating != 0
 	}
@@ -396,10 +308,10 @@ func (r *Runtime) handle(msg delegate.Message, now time.Time) {
 		r.counters.HeartbeatsReceived++
 	case delegate.MsgReport:
 		r.counters.ReportsReceived++
-		r.receiveLocked(msg, now)
+		r.receiveLocked(msg)
 		tune = msg.Round == r.round
 	case delegate.MsgMap:
-		if r.receiveLocked(msg, now) {
+		if r.receiveLocked(msg) {
 			r.counters.MapsInstalled++
 			r.lastMapTime = now
 			// A map that is the first news of its round has no round start
@@ -412,8 +324,6 @@ func (r *Runtime) handle(msg delegate.Message, now time.Time) {
 			}
 			r.publishPlacementLocked()
 		}
-	case MsgMigratePropose, MsgMigrateWarm, MsgMigrateCommit, MsgMigrateAbort, MsgMigrateAck:
-		r.handleMigrateLocked(msg, now)
 	default:
 		// Unknown kinds are dropped at the runtime boundary; the
 		// protocol node only ever sees MsgReport and MsgMap.
@@ -439,6 +349,17 @@ func (r *Runtime) handle(msg delegate.Message, now time.Time) {
 	if reportTo >= 0 {
 		r.observeAndReport(reportTo)
 	}
+}
+
+// receiveLocked hands one protocol message to the node at the current
+// round and reports whether a map installed. A rejected message is
+// logged and affects nothing else.
+func (r *Runtime) receiveLocked(msg delegate.Message) bool {
+	installed, err := r.node.Receive(msg, r.round)
+	if err != nil {
+		r.cfg.logf("node %d: %v", r.cfg.ID, err)
+	}
+	return installed
 }
 
 // observeAndReport samples local performance and sends the report for
@@ -571,7 +492,10 @@ func (r *Runtime) tick(now time.Time) {
 	}
 	isDelegate := del == r.cfg.ID
 	r.tuneAt = time.Time{} // a round not tuned by the next tick is dropped
-	r.migrateTickLocked(now)
+	if !isDelegate && r.migrateTo != "" {
+		r.cfg.logf("node %d: no longer the delegate; dropping the migration to %q", r.cfg.ID, r.migrateTo)
+		r.migrateTo = ""
+	}
 	if isDelegate {
 		// This node paces the cluster: open the round, announce it to
 		// peers, and tune after the grace window. The self-sample runs
@@ -598,7 +522,8 @@ func (r *Runtime) tick(now time.Time) {
 // for its reports is over (see tuneDueLocked), and sends the new map to
 // every other member: a live peer whose report missed the window was
 // tuned as idle, and it must still install the round it is serving
-// under.
+// under. A pending migration target is taken here, so its map is this
+// round's one map.
 func (r *Runtime) tuneIfDue(now time.Time) {
 	r.mu.Lock()
 	if !r.tuneDueLocked(now) {
@@ -607,7 +532,8 @@ func (r *Runtime) tuneIfDue(now time.Time) {
 	}
 	r.tuneAt = time.Time{}
 	r.counters.ReportsPerTune.Add(float64(r.node.PendingReports() + 1))
-	snapshot, err := r.node.Rescale(r.epoch, r.round, r.tuneMembersLocked(now))
+	snapshot, err := r.node.Rescale(r.epoch, r.round, r.tuneMembersLocked(now), r.migrateTo, r.windowRounds())
+	r.migrateTo = ""
 	if err != nil {
 		r.cfg.logf("node %d: tune round %d: %v", r.cfg.ID, r.round, err)
 	} else {
@@ -730,8 +656,8 @@ func (r *Runtime) stageToPeersLocked(msg delegate.Message, skip func(delegate.No
 
 // sendOne enqueues one message on the transport. A drop is counted,
 // never fatal: a queue-full drop is healed by the protocol's own
-// cadence (re-announced rounds, re-broadcast maps, migration retries)
-// exactly like wire loss.
+// cadence (re-announced rounds, re-broadcast maps) exactly like wire
+// loss.
 func (r *Runtime) sendOne(msg delegate.Message) {
 	if !r.tr.SendAsync(msg) {
 		r.sendDrops.Add(1)

@@ -7,7 +7,7 @@ import (
 	"anurand/internal/delegate"
 	"anurand/internal/journal"
 	"anurand/internal/metrics"
-	"anurand/internal/migrate"
+	"anurand/internal/placement"
 )
 
 // latencyHistogram builds the runtime's standard latency histogram:
@@ -41,15 +41,6 @@ type Counters struct {
 	// serving from memory and retries on the next install.
 	JournalAppendErrors uint64
 
-	// MigrationsStarted counts migrations this node led;
-	// MigrationsCommitted/Aborted count local cutovers and rollbacks;
-	// MigrationMsgsRejected counts undecodable or tag-mismatched
-	// migration payloads.
-	MigrationsStarted     uint64
-	MigrationsCommitted   uint64
-	MigrationsAborted     uint64
-	MigrationMsgsRejected uint64
-
 	// ReportsPerTune summarizes how many reports (including the
 	// delegate's own sample) each tune acted on.
 	ReportsPerTune metrics.Summary
@@ -65,11 +56,6 @@ type Counters struct {
 	// SampleLatencyHist is the distribution of latencies this node's
 	// observer reported into the protocol (seconds, observer-defined).
 	SampleLatencyHist *metrics.Histogram
-	// MigratePhaseLatencyHist is the per-phase migration latency
-	// distribution (seconds per phase edge, including rollbacks);
-	// MigrateLatencyHist is whole-migration propose-to-flip latency.
-	MigratePhaseLatencyHist *metrics.Histogram
-	MigrateLatencyHist      *metrics.Histogram
 }
 
 // Stats is an operator snapshot of one runtime: where the node thinks
@@ -90,10 +76,13 @@ type Stats struct {
 	// Strategy is the registered tag of the placement strategy this node
 	// runs ("anu", "chord-bounded", ...).
 	Strategy string
+	// Window is the live migration window the installed map holds:
+	// open while the map also names the strategy being migrated from.
+	Window placement.Window
 
 	Counters
 	// InstallStats is the node's count of refused map messages, by
-	// cause, and of installs that cut over through a dual-tag window.
+	// cause.
 	delegate.InstallStats
 
 	// SendDrops counts outbound messages the transport's async fan-out
@@ -103,15 +92,6 @@ type Stats struct {
 	// that state was lost.
 	SendDrops uint64
 
-	// MigrationPhase is the in-flight live migration's phase ("idle"
-	// when none), with its id and endpoints.
-	MigrationPhase string
-	MigrationID    uint64
-	MigrationFrom  string
-	MigrationTo    string
-	// RecoveredMigration names the migration phase Start resumed (or
-	// recognised as committed) from the journal, "" when none.
-	RecoveredMigration string
 	// DelegateMigrating mirrors the FlagMigrating gossip bit last seen
 	// from the current delegate — informational only.
 	DelegateMigrating bool
@@ -133,31 +113,22 @@ func (r *Runtime) Stats() Stats {
 	now := time.Now()
 	r.mu.Lock()
 	s := Stats{
-		ID:                 r.cfg.ID,
-		Epoch:              r.epoch,
-		Round:              r.round,
-		Delegate:           r.curDelegate,
-		Live:               r.viewLocked(now),
-		MapEpoch:           r.node.MapEpoch(),
-		MapRound:           r.node.MapRound(),
-		Strategy:           r.node.Strategy(),
-		Counters:           r.counters,
-		InstallStats:       r.node.InstallStats(),
-		SendDrops:          r.sendDrops.Load(),
-		MigrationPhase:     migrate.Idle.String(),
-		RecoveredMigration: r.recoveredMig,
-		DelegateMigrating:  r.delegateMigrating,
+		ID:                r.cfg.ID,
+		Epoch:             r.epoch,
+		Round:             r.round,
+		Delegate:          r.curDelegate,
+		Live:              r.viewLocked(now),
+		MapEpoch:          r.node.MapEpoch(),
+		MapRound:          r.node.MapRound(),
+		Strategy:          r.node.Strategy(),
+		Window:            r.node.Window(),
+		Counters:          r.counters,
+		InstallStats:      r.node.InstallStats(),
+		SendDrops:         r.sendDrops.Load(),
+		DelegateMigrating: r.delegateMigrating,
 	}
 	s.InstallLatencyHist = s.InstallLatencyHist.Clone()
 	s.SampleLatencyHist = s.SampleLatencyHist.Clone()
-	s.MigratePhaseLatencyHist = s.MigratePhaseLatencyHist.Clone()
-	s.MigrateLatencyHist = s.MigrateLatencyHist.Clone()
-	if r.mig != nil {
-		s.MigrationPhase = r.mig.phase.String()
-		s.MigrationID = r.mig.rec.ID
-		s.MigrationFrom = r.mig.rec.From
-		s.MigrationTo = r.mig.rec.To
-	}
 	if r.recovered != nil {
 		s.Recovered = true
 		s.RecoveredEpoch = r.recovered.Epoch
@@ -179,14 +150,11 @@ func (s Stats) String() string {
 		s.StaleMapsRejected, s.StaleEpochsRejected, s.TagMismatchesRejected, s.Reelections, s.WatchdogTrips,
 		s.ReportsSent, s.ReportsReceived, s.ReportsPerTune.String(), s.InstallLatency.String(),
 	)
-	if s.MigrationPhase != "" && s.MigrationPhase != "idle" {
-		out += fmt.Sprintf(" migration(%s id=%d %s->%s)", s.MigrationPhase, s.MigrationID, s.MigrationFrom, s.MigrationTo)
+	if s.Window.IsOpen() {
+		out += fmt.Sprintf(" window(from=%s opened=%d)", s.Window.From, s.Window.Opened)
 	}
-	if s.MigrationsStarted+s.MigrationsCommitted+s.MigrationsAborted+s.DualTagInstalls+
-		s.CrossTagInstallsRejected+s.UndecodableMapsRejected+s.MigrationMsgsRejected > 0 {
-		out += fmt.Sprintf(" migrations(started=%d committed=%d aborted=%d dual-installs=%d cross-tag=%d undecodable=%d bad-msgs=%d)",
-			s.MigrationsStarted, s.MigrationsCommitted, s.MigrationsAborted, s.DualTagInstalls,
-			s.CrossTagInstallsRejected, s.UndecodableMapsRejected, s.MigrationMsgsRejected)
+	if s.UndecodableMapsRejected > 0 {
+		out += fmt.Sprintf(" undecodable=%d", s.UndecodableMapsRejected)
 	}
 	if s.DelegateMigrating {
 		out += " delegate-migrating"
@@ -200,14 +168,8 @@ func (s Stats) String() string {
 	if s.SampleLatencyHist != nil && s.SampleLatencyHist.Total() > 0 {
 		out += fmt.Sprintf(" sample-hist(%s)", s.SampleLatencyHist)
 	}
-	if s.MigratePhaseLatencyHist != nil && s.MigratePhaseLatencyHist.Total() > 0 {
-		out += fmt.Sprintf(" migrate-phase-hist(%s)", s.MigratePhaseLatencyHist)
-	}
 	if s.Recovered {
 		out += fmt.Sprintf(" recovered=(%d,%d)", s.RecoveredEpoch, s.RecoveredRound)
-	}
-	if s.RecoveredMigration != "" {
-		out += fmt.Sprintf(" recovered-migration=%s", s.RecoveredMigration)
 	}
 	if s.Journal != (journal.Stats{}) || s.JournalAppendErrors > 0 {
 		out += fmt.Sprintf(" journal(recovered=%d torn=%d appends=%d skipped=%d compactions=%d fsync-errs=%d append-errs=%d)",

@@ -19,8 +19,7 @@ const MsgHeartbeat delegate.MsgKind = 0x10
 
 // Transport moves protocol messages between runtimes over a lossy
 // network. The protocol never needs a delivery verdict — reports and
-// maps are re-sent every round, migration messages retry on a timer —
-// so there is one send path. SendAsync may be called from multiple
+// maps are re-sent every round — so there is one send path. SendAsync may be called from multiple
 // goroutines and never blocks: it returns true when the transport
 // accepted the message (delivery remains best-effort) and false when
 // the message was dropped on the floor, because the peer's queue is
@@ -70,10 +69,11 @@ func (b *AddressBook) Get(id delegate.NodeID) (string, bool) {
 	return addr, ok
 }
 
-// Wire framing shared by every stream transport (version 3 — version 2
-// had no flags byte, version 1 neither ver nor epoch; both are rejected
-// by version check, so a mixed-version cluster fails loudly at the
-// first frame instead of corrupting state):
+// Wire framing shared by every stream transport (version 4 — version 3
+// carried the live-migration message kinds 0x20–0x24 and no window
+// maps, version 2 had no flags byte, version 1 neither ver nor epoch;
+// all are rejected by version check, so a mixed-version cluster fails
+// loudly at the first frame instead of corrupting state):
 //
 //	ver u8 | kind u8 | flags u8 | from i32 | to i32 | epoch u64 | round u64 | len u32 | payload
 //
@@ -81,21 +81,19 @@ func (b *AddressBook) Get(id delegate.NodeID) (string, bool) {
 // The flags byte gossips out-of-band sender state on every message;
 // today its only bit is FlagMigrating.
 const (
-	frameVersion   = 3
+	frameVersion   = 4
 	frameHeaderLen = 1 + 1 + 1 + 4 + 4 + 8 + 8 + 4
 )
 
-// FlagMigrating is set on every frame a node sends while a live
-// strategy migration is in flight on it (Proposed or DualTag). It is
-// informational gossip — surfaced in Stats so operators can see a
-// cutover propagate — never a correctness input: reordered frames make
-// flag edges unreliable, so rollback decisions ride the explicit
-// migration messages and timeouts instead.
+// FlagMigrating is set on every frame a node sends while its installed
+// map holds a live migration window. It is informational gossip —
+// surfaced in Stats so operators can see a window propagate — never a
+// correctness input: the window itself rides the map, under the fence.
 const FlagMigrating uint8 = 1 << 0
 
 // errFrameVersion marks a frame whose version byte is not ours — the
 // peer speaks an older (or newer) protocol build. Stream transports
-// count these separately from transport errors: a v2 peer dialing a v3
+// count these separately from transport errors: a v3 peer dialing a v4
 // cluster is an operator mistake worth its own counter.
 var errFrameVersion = fmt.Errorf("cluster: unsupported frame version")
 

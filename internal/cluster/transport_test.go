@@ -36,7 +36,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejectsWrongVersion(t *testing.T) {
-	for _, ver := range []byte{1, 2, 4, 0xff} {
+	for _, ver := range []byte{1, 2, 3, 5, 0xff} {
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, delegate.Message{Kind: delegate.MsgReport, Payload: []byte("x")}); err != nil {
 			t.Fatal(err)

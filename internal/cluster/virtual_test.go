@@ -251,13 +251,20 @@ func virtualConfig(t testing.TB, strategy string, n int) Config {
 // runVirtual runs 200 rounds of a chaotic cluster on the virtual clock:
 // 2% loss, 2% duplication, up to 5 ms of delay. The delegate (node 0) is
 // silenced for rounds 60–65 and heard again after, and the last 30
-// rounds are calm (delay only).
-func runVirtual(t testing.TB, strategy string, n int, seed uint64) *virtualNet {
+// rounds are calm (delay only). A non-empty migrateTo is migrated to
+// from node 0 at round 80.
+func runVirtual(t testing.TB, strategy string, n int, seed uint64, migrateTo string) *virtualNet {
 	t.Helper()
 	chaos := ChaosConfig{Drop: 0.02, Duplicate: 0.02, MaxDelay: 5 * time.Millisecond, Seed: seed}
 	vn := newVirtualNet(t, virtualConfig(t, strategy, n), chaos)
 	vn.drop = func(msg delegate.Message, now time.Duration) bool {
 		return msg.From == 0 && now >= 60*virtualRound && now < 66*virtualRound
+	}
+	if migrateTo != "" {
+		vn.runUntil(80 * virtualRound)
+		if err := vn.rts[0].migrate(migrateTo); err != nil {
+			t.Fatal(err)
+		}
 	}
 	vn.runUntil(170 * virtualRound)
 	vn.chaos.Drop, vn.chaos.Duplicate = 0, 0
@@ -267,10 +274,12 @@ func runVirtual(t testing.TB, strategy string, n int, seed uint64) *virtualNet {
 
 // TestVirtualReplay runs every registered strategy at 5 nodes, and
 // chord-bounded at 50, for 200 rounds on the virtual clock over seeds
-// 1–3, each seed twice. The same seed must replay the same digest of
-// every delivered message and every install, different seeds must
-// differ, and after the calm tail every node must hold one map. The
-// virtual clock starts no goroutine.
+// 1–3, each seed twice; one more cell migrates 5 anu nodes to
+// chord-bounded at round 80. The same seed must replay the same digest
+// of every delivered message and every install, different seeds must
+// differ, and after the calm tail every node must hold one map, with
+// no migration window, of the strategy the run ends on. The virtual
+// clock starts no goroutine.
 func TestVirtualReplay(t *testing.T) {
 	// virtualNet is one goroutine, so the race detector has nothing to
 	// find in it; under -race the 50-node cell replays one seed, which
@@ -282,14 +291,16 @@ func TestVirtualReplay(t *testing.T) {
 		return 3
 	}
 	type cell struct {
-		strategy string
-		n        int
+		name, strategy, migrateTo string
+		n                         int
 	}
 	var cells []cell
 	for _, name := range placement.Names() {
-		cells = append(cells, cell{name, 5})
+		cells = append(cells, cell{name, name, "", 5})
 	}
-	cells = append(cells, cell{placement.StrategyChordBounded, 50})
+	cells = append(cells,
+		cell{placement.StrategyChordBounded, placement.StrategyChordBounded, "", 50},
+		cell{"anu-migrate", placement.StrategyANU, placement.StrategyChordBounded, 5})
 	// Wait out goroutines that earlier tests left exiting.
 	base := runtime.NumGoroutine()
 	for still := 0; still < 5; still++ {
@@ -299,15 +310,19 @@ func TestVirtualReplay(t *testing.T) {
 		}
 	}
 	for _, c := range cells {
-		t.Run(fmt.Sprintf("%s/n=%d", c.strategy, c.n), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/n=%d", c.name, c.n), func(t *testing.T) {
+			final := c.strategy
+			if c.migrateTo != "" {
+				final = c.migrateTo
+			}
 			base := base + 1 // the subtest's own goroutine
 			seen := make(map[uint64]uint64)
 			for seed := uint64(1); seed <= seeds(c.n); seed++ {
-				first := runVirtual(t, c.strategy, c.n, seed)
+				first := runVirtual(t, c.strategy, c.n, seed, c.migrateTo)
 				if got := runtime.NumGoroutine(); got > base {
 					t.Fatalf("seed %d: %d goroutines after a virtual run, %d before", seed, got, base)
 				}
-				again := runVirtual(t, c.strategy, c.n, seed)
+				again := runVirtual(t, c.strategy, c.n, seed, c.migrateTo)
 				digest := first.digest.Sum64()
 				if again.digest.Sum64() != digest || again.delivered != first.delivered {
 					t.Fatalf("seed %d replayed digest %#x over %d messages, first run %#x over %d",
@@ -322,6 +337,9 @@ func TestVirtualReplay(t *testing.T) {
 						t.Fatalf("seed %d: node %d holds map (%d, %d, %#x), node 0 (%d, %d, %#x): no single map after the calm tail",
 							seed, id, ms.epoch, ms.round, ms.fp, first.maps[0].epoch, first.maps[0].round, first.maps[0].fp)
 					}
+				}
+				if !settledOn(first.rts, final) {
+					t.Fatalf("seed %d: the cluster does not end on plain %q", seed, final)
 				}
 				t.Logf("seed %d: digest %#x, %d messages, final map round %d, %d split installs",
 					seed, digest, first.delivered, first.maps[0].round, first.splits)

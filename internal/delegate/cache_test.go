@@ -12,6 +12,9 @@ import (
 func checkCache(t *testing.T, step string, n *Node) {
 	t.Helper()
 	enc := n.Placement().Encode()
+	if w := n.Window(); w.IsOpen() {
+		enc = placement.EncodeWindow(w, enc)
+	}
 	if !bytes.Equal(n.Encoded(), enc) {
 		t.Fatalf("%s: node %d cached bytes differ from Encode()", step, n.ID())
 	}
@@ -32,9 +35,9 @@ func sameBacking(a, b []byte) bool {
 }
 
 // TestInstalledBytesCache walks a node through every way its placement
-// changes — construction, install, rescale, restart from a snapshot,
-// dual-tag cutover — and checks the cached bytes and fingerprint after
-// each against a fresh encoding.
+// changes — construction, install, rescale, restart from a snapshot, a
+// migration window's cutover and close — and checks the cached bytes
+// and fingerprint after each against a fresh encoding.
 func TestInstalledBytesCache(t *testing.T) {
 	nodes := testNodes(t, 4)
 	speeds := map[NodeID]float64{0: 1, 1: 2, 2: 4, 3: 8}
@@ -50,7 +53,7 @@ func TestInstalledBytesCache(t *testing.T) {
 		t.Fatal("follower re-encoded the installed payload instead of keeping it")
 	}
 
-	snap, err := nodes[0].Rescale(1, 4, allUp(nodes))
+	snap, err := nodes[0].Rescale(1, 4, allUp(nodes), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestInstalledBytesCache(t *testing.T) {
 	// A round that fails leaves the cache describing the placement: ANU
 	// refuses to commission the up member -1.
 	bad := append(allUp(nodes), placement.Member{ID: -1, Up: true})
-	if _, err := nodes[0].Rescale(1, 4, bad); err == nil {
+	if _, err := nodes[0].Rescale(1, 4, bad, "", 0); err == nil {
 		t.Fatal("Rescale commissioning member -1 succeeded")
 	}
 	checkCache(t, "failed rescale", nodes[0])
@@ -88,16 +91,19 @@ func TestInstalledBytesCache(t *testing.T) {
 	}
 
 	n := nodes[1]
-	n.OpenDualTag(placement.StrategyChordBounded)
-	if applied, err := receiveMap(n, 2, 6, targetSnapshot(t, nodes)); err != nil || !applied {
+	if applied, err := receiveMap(n, 2, 6, windowSnapshot(t, nodes, 6)); err != nil || !applied {
 		t.Fatalf("cutover: applied=%v err=%v", applied, err)
 	}
 	if n.Strategy() != placement.StrategyChordBounded {
 		t.Fatalf("cutover left strategy %s", n.Strategy())
 	}
-	checkCache(t, "dual-tag cutover", n)
-	if _, err := n.Rescale(2, 7, allUp(nodes)); err != nil {
+	checkCache(t, "window cutover", n)
+	if _, err := n.Rescale(2, 7, allUp(nodes), "", 20); err != nil {
 		t.Fatal(err)
 	}
-	checkCache(t, "rescale after cutover", n)
+	checkCache(t, "rescale inside the window", n)
+	if _, err := n.Rescale(2, 26, allUp(nodes), "", 20); err != nil {
+		t.Fatal(err)
+	}
+	checkCache(t, "rescale closing the window", n)
 }

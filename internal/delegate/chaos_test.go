@@ -103,7 +103,7 @@ func (n *lossyNet) step(t testing.TB) NodeID {
 			}
 		}
 	}
-	snapshot, err := delNode.Rescale(n.epoch, n.round, n.members())
+	snapshot, err := delNode.Rescale(n.epoch, n.round, n.members(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

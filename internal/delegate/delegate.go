@@ -27,10 +27,16 @@
 // ANU map specifically. ANU remains the default and its wire bytes are
 // unchanged; a node refuses to install a snapshot whose strategy tag
 // differs from its own, so mixed-strategy broadcasts can never corrupt
-// a cluster. The one sanctioned exception is a live migration's
-// dual-tag window (OpenDualTag): while it is open the node will also
-// accept a superseding snapshot carrying exactly the named target
-// strategy — that install IS the cutover, and it closes the window.
+// a cluster. A live migration is an ordinary map too: the delegate
+// sends the target strategy's placement inside a migration window
+// (placement.Window) that also names the strategy it replaces. A node
+// admits its strategy's tag, plus the window's while it holds one, and
+// a map installs only if its tags meet the node's. So a node on the old
+// strategy installs the window map and starts serving the target, and
+// a node holding the window then installs the plain target map that
+// closes it. Rescale opens the window, keeps it for a fixed number of
+// rounds and closes it, from the installed map alone, so a re-elected
+// delegate continues a migration where its predecessor left it.
 package delegate
 
 import (
@@ -71,9 +77,10 @@ type Message struct {
 	Kind MsgKind
 	From NodeID
 	To   NodeID
-	// Flags carries out-of-band sender state (v3 wire frames). The
-	// delegate protocol itself ignores it; the cluster runtime uses it
-	// to gossip "a migration is in flight" on ordinary traffic.
+	// Flags carries out-of-band sender state (v3 and later wire frames).
+	// The delegate protocol itself ignores it; the cluster runtime uses
+	// it to gossip "the installed map holds a migration window" on
+	// ordinary traffic.
 	Flags   uint8
 	Epoch   uint64
 	Round   uint64
@@ -122,13 +129,16 @@ type Node struct {
 	// configuration when installs decode fresh snapshots.
 	s    placement.Strategy
 	opts placement.Options
-	// enc is s's canonical encoding and fp its SnapshotFingerprint. Both
-	// are set wherever s changes (construction, install, rescale), so
-	// reading the installed map's bytes or fingerprint never re-encodes.
+	// win is the installed map's migration window, enc the map's
+	// canonical encoding (s's, inside win when it is open) and fp its
+	// SnapshotFingerprint. All are set wherever s changes (construction,
+	// install, rescale), so reading the installed map's bytes or
+	// fingerprint never re-encodes.
 	// enc is shared read-only: it may also be a delivered payload, a
 	// broadcast's payload, or a journal record's source.
 	enc  []byte
 	fp   uint64
+	win  placement.Window
 	last Report // most recent local measurement
 	// pending holds the latest report of each member of s, for the
 	// delegate's next Rescale. Reports from non-members are dropped, so
@@ -145,12 +155,8 @@ type Node struct {
 	// from rolling the cluster back when it reconnects.
 	mapEpoch uint64
 	mapRound uint64
-	// installs counts the outcomes of map messages: rejections by
-	// cause, and cutovers through a dual-tag window.
+	// installs counts the map messages the node refused, by cause.
 	installs InstallStats
-	// dualTagTarget, when non-empty, names the one foreign strategy tag
-	// the node will accept an install of — the live-migration window.
-	dualTagTarget string
 }
 
 // supersedes reports whether fence (e, r) is at least fence (oe, or):
@@ -174,30 +180,25 @@ type InstallStats struct {
 	// refused by the fence — each one is a partitioned or deposed
 	// delegate that failed to roll the placement back.
 	StaleEpochsRejected uint64
-	// TagMismatchesRejected counts placements refused because their
-	// strategy tag differed from the node's, outside any dual-tag
-	// window — a misconfigured peer, not a protocol race.
+	// TagMismatchesRejected counts placements refused because none of
+	// their strategy tags (the strategy, and the window's) was one the
+	// node admits — a misconfigured peer, or a node that missed a whole
+	// migration window.
 	TagMismatchesRejected uint64
-	// CrossTagInstallsRejected counts placements refused during a
-	// dual-tag window because they carried neither the node's current
-	// strategy nor the migration target.
-	CrossTagInstallsRejected uint64
 	// UndecodableMapsRejected counts payloads that failed to decode at
 	// all (truncated or corrupt snapshots).
 	UndecodableMapsRejected uint64
-	// DualTagInstalls counts cutovers: installs that switched the node's
-	// strategy through an open dual-tag window.
-	DualTagInstalls uint64
 }
 
 // NewNode creates an agent with its own copy of the initial placement,
-// decoded from its tagged snapshot (a raw ANU map or a tagged container
-// — see package placement) with opts, which also decode every later
-// install. All nodes must be constructed from byte-identical snapshots;
-// a restarting node is constructed from its journaled snapshot and then
-// Resumed. NewNode copies the snapshot, so the caller may reuse it.
+// decoded from its tagged snapshot (a raw ANU map or a tagged container,
+// possibly inside a migration window — see package placement) with
+// opts, which also decode every later install. All nodes must be
+// constructed from byte-identical snapshots; a restarting node is
+// constructed from its journaled snapshot and then Resumed. NewNode
+// copies the snapshot, so the caller may reuse it.
 func NewNode(id NodeID, snapshot []byte, opts placement.Options) (*Node, error) {
-	s, err := placement.Decode(snapshot, opts)
+	s, win, err := placement.DecodeAfter(snapshot, opts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("delegate: node %d: %w", id, err)
 	}
@@ -209,16 +210,17 @@ func NewNode(id NodeID, snapshot []byte, opts placement.Options) (*Node, error) 
 		opts:    opts,
 		pending: make(map[NodeID]Report),
 	}
-	n.setPlacement(s, bytes.Clone(snapshot))
+	n.setPlacement(s, win, bytes.Clone(snapshot))
 	return n, nil
 }
 
-// setPlacement installs s with enc as its canonical encoding. Accepted
-// snapshots re-encode byte-identically (the placement conformance suite
-// and the decoder fuzzers assert it), so a decoded snapshot is its own
-// encoding.
-func (n *Node) setPlacement(s placement.Strategy, enc []byte) {
+// setPlacement installs s, holding window win, with enc as the map's
+// canonical encoding. Accepted maps re-encode byte-identically (the
+// placement conformance suite and the decoder fuzzers assert it), so a
+// decoded map is its own encoding.
+func (n *Node) setPlacement(s placement.Strategy, win placement.Window, enc []byte) {
 	n.s = s
+	n.win = win
 	n.enc = enc
 	n.fp = SnapshotFingerprint(enc)
 }
@@ -247,6 +249,10 @@ func (n *Node) Placement() placement.Strategy { return n.s }
 
 // Strategy returns the registered tag of the node's placement strategy.
 func (n *Node) Strategy() string { return n.s.Name() }
+
+// Window returns the migration window the installed map holds, closed
+// when it holds none.
+func (n *Node) Window() placement.Window { return n.win }
 
 // Map returns the node's current ANU placement map (read-only use), or
 // nil when the node runs a non-ANU strategy.
@@ -315,9 +321,9 @@ func (n *Node) Report(to NodeID, epoch, round uint64) Message {
 // round. A report is kept for the next Rescale if it is for round, round
 // is not one the node already rescaled, and its sender is a member of
 // the node's placement; otherwise it is dropped. A map installs if its
-// (epoch, round) fence supersedes the installed one, it decodes, and it
-// carries the node's strategy tag (or, through an open dual-tag window,
-// the target tag); otherwise it is counted in InstallStats and dropped.
+// (epoch, round) fence supersedes the installed one, it decodes, and
+// its tags meet the node's (see admits); otherwise it is counted in
+// InstallStats and dropped.
 // Receive reports whether a map installed. An error rejects a malformed message (a report payload of
 // the wrong size, or an unknown kind) and nothing else.
 //
@@ -359,29 +365,17 @@ func (n *Node) install(msg Message) bool {
 	}
 	// Decoding after the installed placement lets a strategy reuse what
 	// the map leaves unchanged (chord's ring, while the members stay).
-	s, err := placement.DecodeAfter(msg.Payload, n.opts, n.s)
+	s, win, err := placement.DecodeAfter(msg.Payload, n.opts, n.s)
 	if err != nil {
 		// A corrupt map must never be installed.
 		n.installs.UndecodableMapsRejected++
 		return false
 	}
-	if s.Name() != n.s.Name() {
-		if n.dualTagTarget == "" {
-			// A placement from a different strategy must never be
-			// installed, whatever its fence says.
-			n.installs.TagMismatchesRejected++
-			return false
-		}
-		if s.Name() != n.dualTagTarget {
-			// Even mid-migration only the one named target tag is
-			// admissible; anything else is still poison.
-			n.installs.CrossTagInstallsRejected++
-			return false
-		}
-		// The cutover: a superseding map carrying the migration target
-		// installs, switches the node's strategy, and closes the window.
-		n.installs.DualTagInstalls++
-		n.dualTagTarget = ""
+	if !n.admits(s.Name(), win) {
+		// A placement from a different strategy must never be
+		// installed, whatever its fence says.
+		n.installs.TagMismatchesRejected++
+		return false
 	}
 	if ad, ok := s.(placement.StateAdopter); ok {
 		// Keep soft state (latency smoothing) warm across installs, as
@@ -394,10 +388,21 @@ func (n *Node) install(msg Message) bool {
 			delete(n.pending, id) // keep pending within the membership
 		}
 	}
-	n.setPlacement(s, msg.Payload)
+	n.setPlacement(s, win, msg.Payload)
 	n.mapEpoch = msg.Epoch
 	n.mapRound = msg.Round
 	return true
+}
+
+// admits reports whether a map serving strategy tag with window win may
+// replace the installed one: whether the map's tags (tag, and the
+// window's while open) meet the node's (its strategy's, and its
+// window's while open). So a node on A installs a map serving B inside
+// a window from A, a node holding that window installs the plain B map
+// that closes it, and a node on plain A refuses a plain B map.
+func (n *Node) admits(tag string, win placement.Window) bool {
+	return tag == n.s.Name() || tag == n.win.From ||
+		win.IsOpen() && (win.From == n.s.Name() || win.From == n.win.From)
 }
 
 // PendingReports returns how many distinct members' reports the node
@@ -418,61 +423,60 @@ func (n *Node) MapEpoch() uint64 { return n.mapEpoch }
 // InstallStats returns the node's map-message counters.
 func (n *Node) InstallStats() InstallStats { return n.installs }
 
-// OpenDualTag opens the live-migration window: until the window closes
-// the node will additionally accept a superseding map install carrying
-// exactly the target strategy tag, and that install switches the
-// node's strategy. Opening a window with a different target replaces
-// the previous one (a new migration supersedes an abandoned one).
-// Opening with the node's own strategy is a no-op close: there is
-// nothing to migrate to.
-func (n *Node) OpenDualTag(target string) {
-	if target == n.s.Name() {
-		target = ""
-	}
-	n.dualTagTarget = target
-}
-
-// CloseDualTag closes the window without installing anything — the
-// rollback path. The node's serving placement was never touched.
-func (n *Node) CloseDualTag() { n.dualTagTarget = "" }
-
-// DualTagTarget returns the open window's target strategy tag, or ""
-// when no window is open.
-func (n *Node) DualTagTarget() string { return n.dualTagTarget }
-
 // Rescale executes the delegate role for one round: placement.TuneRound
 // over members, with the pending reports of up members and the node's
 // own latest measurement as the reports. An up member that did not
 // report is tuned as idle; a down member is failed, so its region goes
 // to the survivors (the paper's failure handling); an up member the
 // placement holds at zero share is re-admitted with an equal share.
-// The round tunes a clone of the placement and installs it only on
-// success: a failed round returns the error and leaves Placement(),
-// Encoded() and Fingerprint() as they were. A node thus never mutates a
-// placement it has set, so a caller may publish Placement() to readers
-// without copying it. On success the fence is stamped and the pending
-// reports are cleared; a report for round that arrives afterwards is
-// dropped as late. It returns the encoded map for the caller to
-// distribute to every member. The returned bytes are the node's own
-// Encoded() slice: send them, never modify them.
-func (n *Node) Rescale(epoch, round uint64, members []placement.Member) ([]byte, error) {
-	reports := make([]placement.Report, 0, len(members))
-	for _, m := range members {
-		rep, ok := n.pending[m.ID]
-		if m.ID == n.id {
-			rep, ok = n.last, true // the delegate reports to itself directly
+//
+// to, when it names a strategy other than the node's, migrates: the
+// round's map is instead a fresh placement of to over members, each
+// down member failed, inside a window from the node's strategy opened
+// at round. Otherwise a window the installed map holds stays open for
+// rounds below its opening round plus window, and the first map at or
+// past that is plain, which closes it. So the round's map follows from
+// the installed map, the reports and to alone.
+//
+// The round builds a new placement and installs it only on success: a
+// failed round returns the error and leaves Placement(), Encoded() and
+// Fingerprint() as they were. A node thus never mutates a placement it
+// has set, so a caller may publish Placement() to readers without
+// copying it. On success the fence is stamped and the pending reports
+// are cleared; a report for round that arrives afterwards is dropped as
+// late. It returns the encoded map for the caller to distribute to
+// every member. The returned bytes are the node's own Encoded() slice:
+// send them, never modify them.
+func (n *Node) Rescale(epoch, round uint64, members []placement.Member, to string, window uint64) ([]byte, error) {
+	s, win := n.s, n.win
+	if to != "" && to != s.Name() {
+		fresh, err := n.fresh(to, members)
+		if err != nil {
+			return nil, err
 		}
-		if m.Up && ok {
-			reports = append(reports, placement.Report{
-				Server:   m.ID,
-				Requests: rep.Requests,
-				Latency:  float64(rep.LatencyMicros) / 1e6,
-			})
+		s, win = fresh, placement.Window{From: s.Name(), Opened: round}
+	} else {
+		reports := make([]placement.Report, 0, len(members))
+		for _, m := range members {
+			rep, ok := n.pending[m.ID]
+			if m.ID == n.id {
+				rep, ok = n.last, true // the delegate reports to itself directly
+			}
+			if m.Up && ok {
+				reports = append(reports, placement.Report{
+					Server:   m.ID,
+					Requests: rep.Requests,
+					Latency:  float64(rep.LatencyMicros) / 1e6,
+				})
+			}
 		}
-	}
-	s := n.s.Clone()
-	if err := placement.TuneRound(s, members, reports); err != nil {
-		return nil, err
+		s = s.Clone()
+		if err := placement.TuneRound(s, members, reports); err != nil {
+			return nil, err
+		}
+		if win.IsOpen() && round >= win.Opened+window {
+			win = placement.Window{}
+		}
 	}
 	n.pending = make(map[NodeID]Report)
 	n.tuned = round
@@ -483,6 +487,31 @@ func (n *Node) Rescale(epoch, round uint64, members []placement.Member) ([]byte,
 		n.mapEpoch = epoch
 		n.mapRound = round
 	}
-	n.setPlacement(s, s.Encode())
+	enc := s.Encode()
+	if win.IsOpen() {
+		enc = placement.EncodeWindow(win, enc)
+	}
+	n.setPlacement(s, win, enc)
 	return n.enc, nil
+}
+
+// fresh builds a cold placement of strategy tag over members, with each
+// down member failed, as a migration's first map.
+func (n *Node) fresh(tag string, members []placement.Member) (placement.Strategy, error) {
+	ids := make([]placement.ServerID, len(members))
+	for i, m := range members {
+		ids[i] = m.ID
+	}
+	s, err := placement.New(tag, ids, n.opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range members {
+		if !m.Up {
+			if err := s.Fail(m.ID); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return s, nil
 }

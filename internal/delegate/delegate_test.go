@@ -57,7 +57,7 @@ func step(t testing.TB, nodes []*Node, round uint64) {
 			t.Fatal(err)
 		}
 	}
-	snapshot, err := del.Rescale(1, round, allUp(nodes))
+	snapshot, err := del.Rescale(1, round, allUp(nodes), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestLostReportDoesNotKillServerPermanently(t *testing.T) {
 	// Everything is lost for round 2: the delegate hears neither node 1
 	// nor node 2, and its map reaches neither.
 	observeHeterogeneous(nodes, speeds)
-	if _, err := nodes[0].Rescale(1, 2, allUp(nodes)); err != nil {
+	if _, err := nodes[0].Rescale(1, 2, allUp(nodes), "", 0); err != nil {
 		t.Fatal(err)
 	}
 	// They were tuned as idle, not failed. What must hold: the cluster
@@ -153,7 +153,7 @@ func TestRescaleLeavesDistributionToCaller(t *testing.T) {
 	nodes := testNodes(t, 3)
 	observeHeterogeneous(nodes, paperSpeeds())
 	del := nodes[0]
-	snapshot, err := del.Rescale(1, 1, allUp(nodes))
+	snapshot, err := del.Rescale(1, 1, allUp(nodes), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestReportsBoundedByMembership(t *testing.T) {
 func TestLateReportDropped(t *testing.T) {
 	nodes := testNodes(t, 3)
 	n := nodes[0]
-	if _, err := n.Rescale(1, 1, allUp(nodes)); err != nil {
+	if _, err := n.Rescale(1, 1, allUp(nodes), "", 0); err != nil {
 		t.Fatal(err)
 	}
 	late := Message{Kind: MsgReport, From: 1, To: 0, Round: 1, Payload: encodeReport(Report{Requests: 1})}

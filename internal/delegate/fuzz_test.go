@@ -10,14 +10,14 @@ import (
 // FuzzNodeReceive feeds arbitrary messages to a node's handler: each
 // input is received from eight consecutive sender ids, as a peer
 // spraying reports under many names would send it, by a node whose
-// fence is (1, 5) and whose dual-tag window toward chord-bounded is
-// open when window is set. Invariants on every call: Receive never
+// fence is (1, 5) and who, when window is set, first installed a
+// chord-bounded map inside a migration window from anu at that fence. Invariants on every call: Receive never
 // panics, the installed (epoch, round) never decreases, a message that
 // installs nothing leaves Encoded() and Fingerprint() unchanged, an
 // install's Encoded() is the payload, and PendingReports() never
 // exceeds the member count. After the eight messages the node rescales
 // over members 0–2, member i up when bit i of up is set: Rescale never
-// panics, an error leaves Encoded() describing the placement, and
+// panics, an error leaves Encoded() describing the installed map, and
 // otherwise a member holds a nonzero share exactly when it is up.
 func FuzzNodeReceive(f *testing.F) {
 	nodes := testNodes(f, 3)
@@ -29,6 +29,7 @@ func FuzzNodeReceive(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	window := placement.EncodeWindow(placement.Window{From: placement.StrategyANU, Opened: 5}, target.Encode())
 	report := encodeReport(Report{Requests: 10, LatencyMicros: 2000})
 	f.Add(uint8(MsgReport), int32(0), uint64(1), uint64(5), report, false, uint8(0b111))
 	f.Add(uint8(MsgReport), int32(2), uint64(1), uint64(5), []byte{1, 2, 3}, false, uint8(0b011))
@@ -38,16 +39,20 @@ func FuzzNodeReceive(f *testing.F) {
 	f.Add(uint8(MsgMap), int32(0), uint64(0), uint64(99), tuned, false, uint8(0b111))
 	f.Add(uint8(MsgMap), int32(0), uint64(3), uint64(1), target.Encode(), true, uint8(0b111))
 	f.Add(uint8(MsgMap), int32(0), uint64(3), uint64(1), target.Encode(), false, uint8(0b010))
+	f.Add(uint8(MsgMap), int32(0), uint64(1), uint64(6), window, false, uint8(0b111))
+	f.Add(uint8(MsgMap), int32(0), uint64(2), uint64(1), tuned, true, uint8(0b011))
 	f.Add(uint8(MsgMap), int32(0), uint64(1), uint64(6), []byte("not a snapshot"), false, uint8(0b111))
 	f.Add(uint8(0x20), int32(0), uint64(1), uint64(5), report, false, uint8(0b000))
-	f.Fuzz(func(t *testing.T, kind uint8, from int32, epoch, round uint64, payload []byte, window bool, up uint8) {
+	f.Fuzz(func(t *testing.T, kind uint8, from int32, epoch, round uint64, payload []byte, inWindow bool, up uint8) {
 		n, err := NewNode(1, boot, nodeOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n.Resume(1, 5)
-		if window {
-			n.OpenDualTag(placement.StrategyChordBounded)
+		if inWindow {
+			if installed, err := n.Receive(Message{Kind: MsgMap, From: 0, To: 1, Epoch: 1, Round: 5, Payload: window}, 5); err != nil || !installed {
+				t.Fatalf("window map: installed=%v err=%v", installed, err)
+			}
 		}
 		for i := int32(0); i < 8; i++ {
 			msg := Message{Kind: MsgKind(kind), From: NodeID(from + i), To: 1, Epoch: epoch, Round: round, Payload: payload}
@@ -75,8 +80,12 @@ func FuzzNodeReceive(f *testing.F) {
 		for id := NodeID(0); id < 3; id++ {
 			members = append(members, placement.Member{ID: id, Up: up&(1<<id) != 0})
 		}
-		if _, err := n.Rescale(n.MapEpoch(), 6, members); err != nil {
-			if !bytes.Equal(n.Encoded(), n.Placement().Encode()) {
+		if _, err := n.Rescale(n.MapEpoch(), 6, members, "", 2); err != nil {
+			enc := n.Placement().Encode()
+			if w := n.Window(); w.IsOpen() {
+				enc = placement.EncodeWindow(w, enc)
+			}
+			if !bytes.Equal(n.Encoded(), enc) {
 				t.Fatalf("failed Rescale (%v) left Encoded() stale", err)
 			}
 			return

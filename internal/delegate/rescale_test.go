@@ -40,7 +40,7 @@ func TestRescaleLeavesPreviousPlacement(t *testing.T) {
 			enc := bytes.Clone(before.Encode())
 			// Member 2 is down, so the round fails it: the map must change.
 			members := []placement.Member{{ID: 0, Up: true}, {ID: 1, Up: true}, {ID: 2}, {ID: 3, Up: true}}
-			if _, err := n.Rescale(1, 1, members); err != nil {
+			if _, err := n.Rescale(1, 1, members, "", 0); err != nil {
 				t.Fatal(err)
 			}
 			if bytes.Equal(n.Encoded(), enc) {
@@ -64,7 +64,7 @@ func TestFailedRescaleLeavesPlacement(t *testing.T) {
 	// Member 2 is failed in the map and up in the view, so the round
 	// recovers it before ANU refuses to commission the up member -1.
 	members := []placement.Member{{ID: 0, Up: true}, {ID: 1, Up: true}, {ID: 2, Up: true}, {ID: 3, Up: true}, {ID: -1, Up: true}}
-	if _, err := n.Rescale(1, 1, members); err == nil {
+	if _, err := n.Rescale(1, 1, members, "", 0); err == nil {
 		t.Fatal("Rescale commissioning member -1 succeeded")
 	}
 	if n.Placement() != p {

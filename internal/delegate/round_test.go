@@ -61,7 +61,7 @@ func TestRescaleMatchesSimulatorRetune(t *testing.T) {
 					env.Reports = append(env.Reports, placement.Report{Server: id, Requests: rep.Requests, Latency: float64(rep.LatencyMicros) / 1e6})
 				}
 				simErr := sim.Retune(env)
-				_, delErr := del.Rescale(1, uint64(round), members)
+				_, delErr := del.Rescale(1, uint64(round), members, "", 0)
 				if (simErr == nil) != (delErr == nil) {
 					t.Fatalf("round %d: simulator error %v, delegate error %v", round, simErr, delErr)
 				}

@@ -69,14 +69,8 @@ func NewChaos(j *Journal, seed uint64) *ChaosJournal {
 // Append implements the runtime's journal interface.
 func (c *ChaosJournal) Append(rec Record) error { return c.j.Append(rec) }
 
-// Last implements the runtime's journal interface.
-func (c *ChaosJournal) Last() (Record, bool) { return c.j.Last() }
-
 // LastPlacement implements the runtime's journal interface.
 func (c *ChaosJournal) LastPlacement() (Record, bool) { return c.j.LastPlacement() }
-
-// LastMigration implements the runtime's journal interface.
-func (c *ChaosJournal) LastMigration() (Record, bool) { return c.j.LastMigration() }
 
 // Stats forwards the underlying journal's counters.
 func (c *ChaosJournal) Stats() Stats { return c.j.Stats() }

@@ -51,13 +51,13 @@ func FuzzJournalRecover(f *testing.F) {
 		}
 		// An equal (epoch, round) always supersedes, so appending at the
 		// recovered fence works even if fuzzed records sit at MaxUint64.
-		prior, _ := j.Last()
+		prior, _ := j.LastPlacement()
 		next := Record{Epoch: prior.Epoch, Round: prior.Round, Map: []byte("appended-after-fuzz")}
 		if err := j.Append(next); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
-		if got, ok := j.Last(); !ok || got.Epoch != next.Epoch || got.Round != next.Round || !bytes.Equal(got.Map, next.Map) {
-			t.Fatalf("Last after append = %+v (ok=%v), want %+v", got, ok, next)
+		if got, ok := j.LastPlacement(); !ok || got.Epoch != next.Epoch || got.Round != next.Round || !bytes.Equal(got.Map, next.Map) {
+			t.Fatalf("LastPlacement after append = %+v (ok=%v), want %+v", got, ok, next)
 		}
 		if err := j.Close(); err != nil {
 			t.Fatalf("close: %v", err)
@@ -67,7 +67,7 @@ func FuzzJournalRecover(f *testing.F) {
 			t.Fatalf("reopen after repair+append: %v", err)
 		}
 		defer j2.Close()
-		got, ok := j2.Last()
+		got, ok := j2.LastPlacement()
 		if !ok || got.Epoch != next.Epoch || got.Round != next.Round || !bytes.Equal(got.Map, next.Map) {
 			t.Fatalf("appended record did not round-trip: %+v (ok=%v)", got, ok)
 		}

@@ -19,19 +19,14 @@
 //	payload           epoch u64 | round u64 | map bytes
 //
 // The CRC is CRC-32C (Castagnoli) over the length field and the
-// payload, so a bit flip in either is detected. The map bytes carry
-// one of two record classes, distinguished by their leading magic:
-// tagged placement snapshots (the common case) and live-migration
-// phase records ("MIG1", internal/migrate) journaled while a strategy
-// cutover is in flight. A placement record fully supersedes all
-// earlier placement records (a placement map is the system's entire
-// replicated state), and likewise for migration records, which keeps
-// compaction near-trivial: once the live tail exceeds
-// CompactThreshold, the newest placement record — plus the newest
-// migration record when it is still live (in flight, or a terminal
-// record at or past the placement's fence, which restart recovery
-// still consults) — is rewritten into a temp file that atomically
-// renames over the journal.
+// payload, so a bit flip in either is detected. The map bytes are the
+// installed map exactly as the node received or built it: a tagged
+// placement snapshot, possibly inside a live migration's window (see
+// package placement). A record fully supersedes every earlier one (a
+// placement map is the system's entire replicated state, a migration
+// window included), which keeps compaction trivial: once the live tail
+// exceeds CompactThreshold, the newest record is rewritten into a temp
+// file that atomically renames over the journal.
 //
 // Recovery tolerates exactly the damage a crash can cause. A final
 // record that is short (torn write) or CRC-corrupt (bit rot on the
@@ -50,8 +45,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"anurand/internal/migrate"
 )
 
 // Record is one durable placement install: the encoded map plus the
@@ -91,7 +84,7 @@ func (o Options) withDefaults() Options {
 // durability work of the append path.
 type Stats struct {
 	// RecordsRecovered is how many intact records the opening scan
-	// found (the last of which is what Last returns).
+	// found (the last of which is what LastPlacement returns).
 	RecordsRecovered uint64
 	// TornTailsTruncated counts recoveries that had to drop a partial
 	// or CRC-failing final record.
@@ -133,13 +126,6 @@ type Journal struct {
 	size int64
 	last Record
 	have bool
-	// The newest record of each class, tracked separately so restart
-	// recovery can answer both "what placement do I serve" and "what
-	// migration phase was I in" after any crash.
-	lastPlacement Record
-	havePlacement bool
-	lastMigration Record
-	haveMigration bool
 	// lastFrameLen is the on-disk size of the final frame — where the
 	// chaos injector aims its tail faults.
 	lastFrameLen int64
@@ -218,7 +204,7 @@ func (j *Journal) recover() error {
 			}
 			return j.truncateTo(headerLen+off, false)
 		}
-		j.noteRecordLocked(rec)
+		j.last, j.have = rec, true
 		j.lastFrameLen = n
 		j.stats.RecordsRecovered++
 		off += n
@@ -299,21 +285,6 @@ func (j *Journal) truncateTo(off int64, rewriteHeader bool) error {
 	return nil
 }
 
-// noteRecordLocked folds one intact record into the newest-record
-// tracking: the overall newest (Last) plus the per-class newest
-// (LastPlacement / LastMigration).
-func (j *Journal) noteRecordLocked(rec Record) {
-	j.last = rec
-	j.have = true
-	if migrate.IsRecord(rec.Map) {
-		j.lastMigration = rec
-		j.haveMigration = true
-	} else {
-		j.lastPlacement = rec
-		j.havePlacement = true
-	}
-}
-
 // encodeFrame builds one on-disk frame for a record.
 func encodeFrame(rec Record) []byte {
 	n := recordMinLen + len(rec.Map)
@@ -351,7 +322,7 @@ func (j *Journal) Append(rec Record) error {
 	}
 	j.size += int64(len(frame))
 	j.lastFrameLen = int64(len(frame))
-	j.noteRecordLocked(Record{Epoch: rec.Epoch, Round: rec.Round, Map: append([]byte(nil), rec.Map...)})
+	j.last, j.have = copyRecord(rec), true
 	j.stats.Appends++
 	if j.opts.CompactThreshold > 0 && j.size > j.opts.CompactThreshold {
 		if err := j.compactLocked(); err != nil {
@@ -361,38 +332,9 @@ func (j *Journal) Append(rec Record) error {
 	return nil
 }
 
-// compactKeepLocked picks which records survive compaction, in file
-// order (older fence first, so a reopened journal's newest record is
-// the final frame). The newest placement record always survives. The
-// newest migration record survives when it still matters to restart
-// recovery: an in-flight phase (Proposed/DualTag) must be resumed no
-// matter how many placement tunes were journaled after it, and a
-// terminal record at or past the placement's fence is what lets a
-// restart recognise a committed cutover whose config still names the
-// old strategy.
-func (j *Journal) compactKeepLocked() []Record {
-	migLive := j.haveMigration
-	if migLive && j.havePlacement && !j.lastMigration.Supersedes(j.lastPlacement) {
-		if mr, err := migrate.Decode(j.lastMigration.Map); err != nil || !mr.Phase.InFlight() {
-			migLive = false // terminal history behind the placement: drop
-		}
-	}
-	switch {
-	case !migLive:
-		return []Record{j.lastPlacement}
-	case !j.havePlacement:
-		return []Record{j.lastMigration}
-	case j.lastMigration.Supersedes(j.lastPlacement):
-		return []Record{j.lastPlacement, j.lastMigration}
-	default:
-		return []Record{j.lastMigration, j.lastPlacement}
-	}
-}
-
-// compactLocked rewrites the journal as header + the newest live
-// records (see compactKeepLocked), via temp file and atomic rename, so
-// a crash at any instant leaves either the old journal or the new one
-// — never a mix.
+// compactLocked rewrites the journal as header + the newest record, via
+// temp file and atomic rename, so a crash at any instant leaves either
+// the old journal or the new one — never a mix.
 func (j *Journal) compactLocked() error {
 	tmpPath := j.path + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -400,11 +342,7 @@ func (j *Journal) compactLocked() error {
 		j.stats.SyncErrors++
 		return fmt.Errorf("journal: compact: %w", err)
 	}
-	keep := j.compactKeepLocked()
-	buf := append([]byte(nil), fileMagic[:]...)
-	for _, rec := range keep {
-		buf = append(buf, encodeFrame(rec)...)
-	}
+	buf := append(append([]byte(nil), fileMagic[:]...), encodeFrame(j.last)...)
 	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		os.Remove(tmpPath)
@@ -441,44 +379,20 @@ func (j *Journal) compactLocked() error {
 	j.f.Close()
 	j.f = f
 	j.size = int64(len(buf))
-	tail := keep[len(keep)-1]
-	j.last = tail
-	j.lastFrameLen = int64(frameHeadLen + recordMinLen + len(tail.Map))
+	j.lastFrameLen = int64(len(buf) - headerLen)
 	j.stats.Compactions++
 	return nil
 }
 
-// Last returns a copy of the newest record — what a restarting node
-// recovers — and whether one exists.
-func (j *Journal) Last() (Record, bool) {
+// LastPlacement returns a copy of the newest record — the map a
+// restarting node serves from — and whether one exists.
+func (j *Journal) LastPlacement() (Record, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.have {
 		return Record{}, false
 	}
 	return copyRecord(j.last), true
-}
-
-// LastPlacement returns a copy of the newest placement record — the
-// map a restarting node serves from — and whether one exists.
-func (j *Journal) LastPlacement() (Record, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.havePlacement {
-		return Record{}, false
-	}
-	return copyRecord(j.lastPlacement), true
-}
-
-// LastMigration returns a copy of the newest migration record — the
-// phase a restarting node was in — and whether one exists.
-func (j *Journal) LastMigration() (Record, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.haveMigration {
-		return Record{}, false
-	}
-	return copyRecord(j.lastMigration), true
 }
 
 func copyRecord(r Record) Record {

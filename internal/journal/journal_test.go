@@ -22,12 +22,12 @@ func rec(epoch, round uint64, payload string) Record {
 
 func wantLast(t *testing.T, j *Journal, want Record) {
 	t.Helper()
-	got, ok := j.Last()
+	got, ok := j.LastPlacement()
 	if !ok {
-		t.Fatalf("Last() empty, want (%d, %d)", want.Epoch, want.Round)
+		t.Fatalf("LastPlacement() empty, want (%d, %d)", want.Epoch, want.Round)
 	}
 	if got.Epoch != want.Epoch || got.Round != want.Round || !bytes.Equal(got.Map, want.Map) {
-		t.Fatalf("Last() = (%d, %d, %q), want (%d, %d, %q)",
+		t.Fatalf("LastPlacement() = (%d, %d, %q), want (%d, %d, %q)",
 			got.Epoch, got.Round, got.Map, want.Epoch, want.Round, want.Map)
 	}
 }
@@ -35,7 +35,7 @@ func wantLast(t *testing.T, j *Journal, want Record) {
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "placement.wal")
 	j := openT(t, path, Options{})
-	if _, ok := j.Last(); ok {
+	if _, ok := j.LastPlacement(); ok {
 		t.Fatal("fresh journal has a record")
 	}
 	recs := []Record{
@@ -221,7 +221,7 @@ func TestRecoverTornHeader(t *testing.T) {
 	}
 	j := openT(t, path, Options{})
 	defer j.Close()
-	if _, ok := j.Last(); ok {
+	if _, ok := j.LastPlacement(); ok {
 		t.Fatal("torn-header journal produced a record")
 	}
 	if err := j.Append(rec(1, 1, "fresh-start")); err != nil {

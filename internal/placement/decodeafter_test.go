@@ -94,7 +94,7 @@ func TestChordDecodeAfterMatchesCold(t *testing.T) {
 					if prev != nil {
 						before = prev.Encode()
 					}
-					warm, err := DecodeAfter(data, Options{}, prev)
+					warm, _, err := DecodeAfter(data, Options{}, prev)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -114,7 +114,7 @@ func TestChordDecodeAfterMatchesCold(t *testing.T) {
 			}
 			// Rejections do not depend on prev.
 			for _, bad := range [][]byte{data[:len(data)-1], append(bytes.Clone(data), 0)} {
-				if _, err := DecodeAfter(bad, Options{}, cold); err == nil {
+				if _, _, err := DecodeAfter(bad, Options{}, cold); err == nil {
 					t.Error("warm decode accepted a malformed snapshot")
 				}
 			}
@@ -139,7 +139,7 @@ func TestChordDecodeAfterAllocatesLess(t *testing.T) {
 			}
 		})
 		warm := testing.AllocsPerRun(20, func() {
-			if _, err := DecodeAfter(data, Options{}, prev); err != nil {
+			if _, _, err := DecodeAfter(data, Options{}, prev); err != nil {
 				t.Fatal(err)
 			}
 		})

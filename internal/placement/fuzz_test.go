@@ -92,7 +92,10 @@ func FuzzChordSnapshot(f *testing.F) {
 	var prev Strategy // the placement decoded from the previous input
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(data, Options{})
-		after, afterErr := DecodeAfter(data, Options{}, prev)
+		after, w, afterErr := DecodeAfter(data, Options{}, prev)
+		if afterErr == nil && w.IsOpen() {
+			return // a map with a window: FuzzWindowDecode covers it
+		}
 		if (err == nil) != (afterErr == nil) {
 			t.Fatalf("cold decode error %v, decode after the previous input %v", err, afterErr)
 		}
@@ -103,7 +106,7 @@ func FuzzChordSnapshot(f *testing.F) {
 		if _, ok := dec.(*Chord); !ok {
 			return
 		}
-		again, err := DecodeAfter(data, Options{}, dec)
+		again, _, err := DecodeAfter(data, Options{}, dec)
 		if err != nil {
 			t.Fatalf("decode after its own cold decode: %v", err)
 		}
@@ -131,6 +134,50 @@ func FuzzChordSnapshot(f *testing.F) {
 			if id, ok := Lookup(dec, key); ok && shares[id] == 0 {
 				t.Fatalf("lookup of %q placed on share-less server %d", key, id)
 			}
+		}
+	})
+}
+
+// FuzzWindowDecode hammers the migration-window container: DecodeAfter
+// must never panic, a map it accepts must re-encode byte-identically
+// (EncodeWindow around the inner strategy's Encode when the window is
+// open) and its inner strategy must satisfy the invariants, and Decode
+// must refuse exactly the accepted maps that carry an open window.
+func FuzzWindowDecode(f *testing.F) {
+	for _, name := range []string{StrategyANU, StrategyChordBounded, StrategyRendezvous} {
+		s, err := New(name, []ServerID{0, 1, 2, 3}, Options{HashSeed: 5})
+		if err != nil {
+			f.Fatal(err)
+		}
+		from := StrategyChord
+		if name == StrategyChord {
+			from = StrategyANU
+		}
+		f.Add(EncodeWindow(Window{From: from, Opened: 17}, s.Encode()))
+		f.Add(s.Encode())
+	}
+	f.Add(EncodeWindow(Window{From: StrategyANU, Opened: 1}, nil))
+	f.Add([]byte("1NIW"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, w, err := DecodeAfter(data, Options{}, nil)
+		if err != nil {
+			return
+		}
+		want := s.Encode()
+		if w.IsOpen() {
+			want = EncodeWindow(w, want)
+		}
+		if !bytes.Equal(want, data) {
+			t.Fatal("accepted map does not re-encode canonically")
+		}
+		if inv, ok := s.(Invariants); ok {
+			if err := inv.CheckInvariants(); err != nil {
+				t.Fatalf("accepted map's strategy violates invariants: %v", err)
+			}
+		}
+		if _, err := Decode(data, Options{}); (err == nil) == w.IsOpen() {
+			t.Fatalf("Decode error %v for a map with window %+v", err, w)
 		}
 	})
 }

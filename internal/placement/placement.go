@@ -348,8 +348,18 @@ func DecodeTagged(data []byte) (name string, payload []byte, err error) {
 }
 
 // Tag returns the strategy tag of an encoded snapshot without decoding
-// it: "anu" for a raw ANU map, the container tag otherwise.
+// it: "anu" for a raw ANU map, the container tag otherwise. A map that
+// carries a migration window reports the tag of the strategy it serves.
 func Tag(data []byte) (string, error) {
+	_, inner, err := splitWindow(data)
+	if err != nil {
+		return "", err
+	}
+	return plainTag(inner)
+}
+
+// plainTag is Tag for a snapshot without a window.
+func plainTag(data []byte) (string, error) {
 	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == anuMagic {
 		return StrategyANU, nil
 	}
@@ -363,29 +373,42 @@ func Tag(data []byte) (string, error) {
 // Decode reconstructs a strategy from an encoded snapshot, dispatching
 // on its tag. The opts configure whatever the decoded strategy needs at
 // runtime (e.g. the ANU controller); state that must match the encoder
-// (seeds, membership, bounds) always comes from the bytes.
+// (seeds, membership, bounds) always comes from the bytes. A map that
+// carries a migration window is refused: DecodeAfter returns both.
 func Decode(data []byte, opts Options) (Strategy, error) {
-	return DecodeAfter(data, opts, nil)
+	s, w, err := DecodeAfter(data, opts, nil)
+	if err == nil && w.IsOpen() {
+		return nil, fmt.Errorf("placement: snapshot carries a migration window from %q", w.From)
+	}
+	return s, err
 }
 
-// DecodeAfter is Decode for a snapshot that supersedes prev, the
-// placement its caller has installed (nil decodes cold). The result is
-// what Decode returns; a strategy whose snapshot repeats prev's
+// DecodeAfter decodes a map that supersedes prev, the placement its
+// caller has installed (nil decodes cold): the strategy it serves and
+// its migration window, closed for a plain snapshot. The strategy is
+// what a cold decode returns; a strategy whose snapshot repeats prev's
 // immutable parts reuses them instead of rebuilding them (chord keeps
 // prev's ring while the seed and members are unchanged). prev is only
 // read.
-func DecodeAfter(data []byte, opts Options, prev Strategy) (Strategy, error) {
-	tag, err := Tag(data)
+func DecodeAfter(data []byte, opts Options, prev Strategy) (Strategy, Window, error) {
+	w, inner, err := splitWindow(data)
 	if err != nil {
-		return nil, err
+		return nil, Window{}, err
+	}
+	tag, err := plainTag(inner)
+	if err != nil {
+		return nil, Window{}, err
+	}
+	if w.From == tag {
+		return nil, Window{}, fmt.Errorf("placement: %q map carries a window from itself", tag)
 	}
 	f, err := lookup(tag)
 	if err != nil {
-		return nil, err
+		return nil, Window{}, err
 	}
-	s, err := f.Decode(data, opts, prev)
+	s, err := f.Decode(inner, opts, prev)
 	if err != nil {
-		return nil, fmt.Errorf("placement: decode %q snapshot: %w", tag, err)
+		return nil, Window{}, fmt.Errorf("placement: decode %q snapshot: %w", tag, err)
 	}
-	return s, nil
+	return s, w, nil
 }
