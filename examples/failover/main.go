@@ -103,7 +103,7 @@ func main() {
 
 	fmt.Printf("5 nodes tuning %q over a lossy network, journaling every installed map\n\n", placement.StrategyANU)
 	waitUntil("initial convergence", 20*time.Second, func() bool {
-		return convergedAll(rts) && rts[2].MapRound() >= 4
+		return convergedAll(rts) && rts[2].Stats().MapRound >= 4
 	})
 	s := rts[0].Stats()
 	fmt.Printf("converged on %s at fence (epoch %d, round %d)\n", s.Strategy, s.MapEpoch, s.MapRound)
@@ -167,18 +167,16 @@ func main() {
 		return true
 	})
 	fmt.Printf("\nevery node now serves %q; the plain map closed the window at round %d\n",
-		placement.StrategyChordBounded, rts[0].MapRound())
+		placement.StrategyChordBounded, rts[0].Stats().MapRound)
 
 	waitUntil("reconvergence on the new strategy", 20*time.Second, func() bool {
 		if !convergedAll(rts) {
 			return false
 		}
 		// Let the gossip settle so the per-node stats below show the
-		// cluster at rest: everyone behind delegate 0 with the migrating
-		// bit cleared.
+		// cluster at rest: everyone behind delegate 0.
 		for _, rt := range rts {
-			s := rt.Stats()
-			if s.Delegate != 0 || s.DelegateMigrating {
+			if rt.Stats().Delegate != 0 {
 				return false
 			}
 		}
@@ -198,12 +196,12 @@ func main() {
 }
 
 func convergedAll(rts []*cluster.Runtime) bool {
-	fp, mr := rts[0].Fingerprint(), rts[0].MapRound()
+	_, mr, fp := rts[0].MapState()
 	if mr == 0 {
 		return false
 	}
 	for _, rt := range rts[1:] {
-		if rt.Fingerprint() != fp || rt.MapRound() != mr {
+		if _, r, f := rt.MapState(); f != fp || r != mr {
 			return false
 		}
 	}

@@ -105,10 +105,7 @@ func main() {
 
 	fmt.Println("\nsurvivors after delegate failover:")
 	for _, rt := range rts[1:] {
-		s := rt.Stats()
-		fmt.Printf("  node %d: delegate=%d round=%d map=%012x share=%5.1f%%  %s\n",
-			s.ID, s.Delegate, s.MapRound, rt.Fingerprint()&0xffffffffffff,
-			100*float64(rt.Map().Length(s.ID))/float64(anu.Half), s.String())
+		printNode(rt)
 	}
 
 	// Restart the killed node from its journal: a real restart reopens
@@ -127,10 +124,7 @@ func main() {
 
 	fmt.Println("\nafter journal-recovery restart of node 0:")
 	for _, rt := range rts {
-		s := rt.Stats()
-		fmt.Printf("  node %d: delegate=%d round=%d map=%012x share=%5.1f%%  %s\n",
-			s.ID, s.Delegate, s.MapRound, rt.Fingerprint()&0xffffffffffff,
-			100*float64(rt.Map().Length(s.ID))/float64(anu.Half), s.String())
+		printNode(rt)
 		rt.Stop()
 	}
 	s0 := rts[0].Stats()
@@ -139,4 +133,12 @@ func main() {
 	}
 	fmt.Printf("\nnode 0 recovered from journal at (epoch %d, round %d): %d record(s) replayed, %d torn tail(s) truncated\n",
 		s0.RecoveredEpoch, s0.RecoveredRound, s0.Journal.RecordsRecovered, s0.Journal.TornTailsTruncated)
+}
+
+// printNode prints one node's delegate, installed map and share.
+func printNode(rt *cluster.Runtime) {
+	s := rt.Stats()
+	_, _, fp := rt.MapState()
+	fmt.Printf("  node %d: delegate=%d round=%d map=%012x share=%5.1f%%  %s\n",
+		s.ID, s.Delegate, s.MapRound, fp&0xffffffffffff, 100*rt.Placement().Shares()[s.ID], s.String())
 }

@@ -83,7 +83,7 @@ func TestLivenessBySlot(t *testing.T) {
 		return rt.Stats().Tunes >= 1
 	})
 	beat()
-	if view := rt.View(); !slices.Equal(view, []delegate.NodeID{0, 2}) {
+	if view := rt.Stats().Live; !slices.Equal(view, []delegate.NodeID{0, 2}) {
 		t.Fatalf("view %v, want [0 2]: a non-member's traffic counted for a member", view)
 	}
 	shares := rt.Placement().Shares()

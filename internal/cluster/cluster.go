@@ -69,10 +69,12 @@
 // Start runs them on one goroutine, ended by Stop, that waits on one
 // timer and reads the wall clock once per event; the tests also step
 // unstarted runtimes on a virtual clock, where a seed replays exactly.
-// So protocol state has one writer and the journal sees records in the
-// order they were staged. The mutex only lets other goroutines read
-// that state through the accessors (Stats, MapState, View, ...); the
-// lookup path reads an RCU snapshot and takes no lock at all.
+// So protocol state has one writer and the journal sees every install,
+// in install order. The mutex only lets other goroutines read the
+// per-message state (Stats, Epoch, Delegate); the installed map is one
+// immutable delegate.Installed published through an atomic pointer, so
+// the lookup path and MapState, Snapshot and Placement take no lock at
+// all.
 package cluster
 
 import (
@@ -146,13 +148,6 @@ type Config struct {
 	// time, marked failed so its region goes to the survivors.
 	// Default: 4×HeartbeatInterval + RoundInterval.
 	FailAfter time.Duration
-	// Quorum is the report count (including the delegate's own sample)
-	// that starts the straggler cutoff: when the Quorum-th report is in
-	// at elapsed time t_q after the round opened, the delegate waits for
-	// the rest until 2·t_q, or half a RoundInterval if that comes first,
-	// then tunes. Late peers are tuned as idle and still receive the map.
-	// Default: majority of Members.
-	Quorum int
 	// WatchdogRounds re-elects when no map has been installed for this
 	// many round intervals: the current delegate is suspected for
 	// FailAfter so election moves to the next id. Default: 3.
@@ -209,12 +204,6 @@ func (cfg Config) withDefaults() (Config, error) {
 			return cfg, fmt.Errorf("cluster: %s must not be negative, got %v", knob.name, knob.val)
 		}
 	}
-	if cfg.Quorum < 0 {
-		return cfg, fmt.Errorf("cluster: Quorum must not be negative, got %d", cfg.Quorum)
-	}
-	if cfg.Quorum > len(cfg.Members) {
-		return cfg, fmt.Errorf("cluster: Quorum %d exceeds the %d configured members", cfg.Quorum, len(cfg.Members))
-	}
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = cfg.RoundInterval / 8
 		if cfg.HeartbeatInterval < time.Millisecond {
@@ -223,9 +212,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.FailAfter == 0 {
 		cfg.FailAfter = 4*cfg.HeartbeatInterval + cfg.RoundInterval
-	}
-	if cfg.Quorum == 0 {
-		cfg.Quorum = len(cfg.Members)/2 + 1
 	}
 	if cfg.MigrateTimeout == 0 {
 		cfg.MigrateTimeout = 20 * cfg.RoundInterval

@@ -69,7 +69,7 @@ func (fm *fenceMonitor) check() {
 	fm.mu.Lock()
 	defer fm.mu.Unlock()
 	for id, rt := range fm.rts {
-		e, r := rt.MapEpoch(), rt.MapRound()
+		e, r, _ := rt.MapState()
 		b := fm.base[id]
 		if pairLess(e, r, b[0], b[1]) {
 			fm.t.Errorf("node %d installed fence regressed (%d,%d) -> (%d,%d)", id, b[0], b[1], e, r)
@@ -260,9 +260,9 @@ func runCrashRestartSoak(t *testing.T, strategy string) {
 		if !converged(rts) {
 			return false
 		}
-		e := rts[0].MapEpoch()
+		e := rts[0].Stats().MapEpoch
 		for _, rt := range rts[1:] {
-			if rt.MapEpoch() != e {
+			if rt.Stats().MapEpoch != e {
 				return false
 			}
 		}
@@ -366,9 +366,10 @@ func TestJournalRestartResumesFromRecoveredPlacement(t *testing.T) {
 		}
 	}()
 	waitFor(t, 15*time.Second, "initial convergence", func() bool {
-		return converged(rts) && rts[2].MapRound() >= 3
+		return converged(rts) && rts[2].Stats().MapRound >= 3
 	})
-	preFence := [2]uint64{rts[2].MapEpoch(), rts[2].MapRound()}
+	var preFence [2]uint64
+	preFence[0], preFence[1], _ = rts[2].MapState()
 	preMap := rts[2].Snapshot()
 	rts[2].Stop()
 	rts[2] = nil
@@ -544,7 +545,7 @@ func TestObserverMayCallRuntime(t *testing.T) {
 		return reentries.Load() >= 4 &&
 			rts[0].Stats().Tunes >= 2 &&
 			rts[1].Stats().ReportsSent >= 2 &&
-			rts[1].MapRound() > 0
+			rts[1].Stats().MapRound > 0
 	})
 }
 

@@ -85,7 +85,7 @@ func TestHeartbeatTargets(t *testing.T) {
 			got = nil
 			mu.Unlock()
 
-			rt.sendHeartbeats(now)
+			rt.sendHeartbeats(rt.heartbeatTargets(now))
 			mu.Lock()
 			defer mu.Unlock()
 			slices.Sort(got)
@@ -96,8 +96,8 @@ func TestHeartbeatTargets(t *testing.T) {
 				t.Fatalf("HeartbeatsSent rose by %d for %d heartbeats", sent, len(tc.want))
 			}
 			for _, id := range tc.suspect {
-				if slices.Contains(rt.View(), id) {
-					t.Fatalf("suspected %d in the view %v", id, rt.View())
+				if slices.Contains(rt.Stats().Live, id) {
+					t.Fatalf("suspected %d in the view %v", id, rt.Stats().Live)
 				}
 			}
 		})
@@ -142,6 +142,61 @@ func heardRuntime(tb testing.TB, n int, self delegate.NodeID) *Runtime {
 		rt.lastSeen[i] = 0
 	}
 	return rt
+}
+
+// TestLineOnlyDelegateAnnouncesToEveryone fires member 7 of 10 as the
+// delegate, with every id below it heard but suspected, so its beats go
+// only to the line. A round it opens in the same instant as a beat must
+// still be announced to every member, and the announcement must be the
+// instant's only heartbeat.
+func TestLineOnlyDelegateAnnouncesToEveryone(t *testing.T) {
+	const n, self = 10, 7
+	ids, snapshot := bootstrap(t, n)
+	mn, err := NewMemNetwork(ChaosConfig{Seed: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mn.Close()
+	var got []delegate.Message // only this goroutine sends
+	tr := filterTransport{Transport: mn.Endpoint(self), drop: func(m delegate.Message) bool {
+		if m.Kind == MsgHeartbeat {
+			got = append(got, m)
+		}
+		return true
+	}}
+	t0 := time.Now()
+	rt, err := newRuntime(Config{ID: self, Members: ids, Snapshot: snapshot, RoundInterval: time.Hour}, tr, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	rt.mu.Lock()
+	for i, id := range rt.peers {
+		rt.lastSeen[i] = 0 // heard at t0
+		if id < self {
+			rt.suspectUntil[i] = int64(2 * time.Hour)
+		}
+	}
+	rt.curDelegate = self
+	rt.mu.Unlock()
+	rt.hbAt = t0.Add(time.Hour) // due with the first round
+	rt.fire(rt.hbAt)
+	if !rt.hbLineOnly {
+		t.Fatal("the beat did not go to the line")
+	}
+	to := make(map[delegate.NodeID]bool)
+	for _, m := range got {
+		if m.Round != 1 || to[m.To] {
+			t.Fatalf("heartbeats %+v: want one announcement of round 1 per peer", got)
+		}
+		to[m.To] = true
+	}
+	if len(to) != n-1 {
+		t.Fatalf("round 1 announced to %d peers, want %d", len(to), n-1)
+	}
+	if sent := rt.Stats().HeartbeatsSent; sent != n-1 {
+		t.Fatalf("HeartbeatsSent %d, want %d", sent, n-1)
+	}
 }
 
 // TestTakeoverGuard drives tick by hand on member 7 of 10: a node that
@@ -190,7 +245,7 @@ func TestTakeoverGuard(t *testing.T) {
 	rt := start(7)
 	hear(rt, true)
 	rt.tick(t0)
-	rt.sendHeartbeats(t0)
+	rt.sendHeartbeats(rt.heartbeatTargets(t0))
 	if d := rt.Delegate(); d != 0 || !rt.hbLineOnly {
 		t.Fatalf("delegate %d, line only %v: want delegate 0 heard over the line", d, rt.hbLineOnly)
 	}
@@ -204,7 +259,7 @@ func TestTakeoverGuard(t *testing.T) {
 	}
 	hear(rt, false)
 	hold("line silent, heartbeats still to the line", t0)
-	rt.sendHeartbeats(t0)
+	rt.sendHeartbeats(rt.heartbeatTargets(t0))
 	if rt.hbLineOnly || rt.hbAllSince.IsZero() {
 		t.Fatal("heartbeats did not switch to everyone")
 	}
@@ -276,7 +331,7 @@ func TestLineTakeoverGuard(t *testing.T) {
 			rts, _ := startLineCluster(t, mn, n, 100*time.Millisecond, rand.New(rand.NewPCG(seed, 0)))
 			waitFor(t, 20*time.Second, "every node on delegate 0 with two installs", func() bool {
 				for _, rt := range rts {
-					if rt.Delegate() != 0 || rt.MapRound() < 2 {
+					if rt.Delegate() != 0 || rt.Stats().MapRound < 2 {
 						return false
 					}
 				}
@@ -286,7 +341,7 @@ func TestLineTakeoverGuard(t *testing.T) {
 			// other nodes outside it.
 			waitFor(t, 5*time.Second, "views narrowed to the line", func() bool {
 				for _, rt := range rts[lineSize+1:] {
-					if slices.Contains(rt.View(), rt.ID()-1) {
+					if slices.Contains(rt.Stats().Live, rt.ID()-1) {
 						return false
 					}
 				}
@@ -316,10 +371,10 @@ func TestLineTakeoverGuard(t *testing.T) {
 				}
 				return converged(survivors)
 			})
-			settled := rts[lineSize].MapRound()
+			settled := rts[lineSize].Stats().MapRound
 			waitFor(t, 20*time.Second, "three more rounds under the successor", func() bool {
 				for _, rt := range survivors {
-					if rt.MapRound() < settled+3 {
+					if rt.Stats().MapRound < settled+3 {
 						return false
 					}
 				}
@@ -360,7 +415,7 @@ func TestDelegateFailsSilentFollower(t *testing.T) {
 	del := rts[0]
 	waitFor(t, 20*time.Second, "two installs everywhere", func() bool {
 		for _, rt := range rts {
-			if rt.Delegate() != 0 || rt.MapRound() < 2 {
+			if rt.Delegate() != 0 || rt.Stats().MapRound < 2 {
 				return false
 			}
 		}
@@ -369,7 +424,7 @@ func TestDelegateFailsSilentFollower(t *testing.T) {
 	const quiet = n - 2
 	victim := rts[quiet]
 	waitFor(t, 5*time.Second, fmt.Sprintf("node %d hearing only the line", quiet), func() bool {
-		return slices.Equal(victim.View(), []delegate.NodeID{0, 1, 2, quiet})
+		return slices.Equal(victim.Stats().Live, []delegate.NodeID{0, 1, 2, quiet})
 	})
 	if del.Placement().Shares()[quiet] == 0 {
 		t.Fatalf("node %d holds no share before it stops", quiet)
@@ -396,10 +451,10 @@ func TestDelegateFailsSilentFollower(t *testing.T) {
 	waitFor(t, 10*time.Second, "the restarted node's first report", func() bool {
 		return back.Stats().ReportsSent > 0
 	})
-	next := del.MapRound() + 1
-	waitFor(t, 10*time.Second, "the next map", func() bool { return del.MapRound() >= next })
+	next := del.Stats().MapRound + 1
+	waitFor(t, 10*time.Second, "the next map", func() bool { return del.Stats().MapRound >= next })
 	if share := del.Placement().Shares()[quiet]; share < 1/(2.0*n) {
-		t.Errorf("map round %d gives restarted node %d share %g, want at least 1/(2n) = %g", del.MapRound(), quiet, share, 1/(2.0*n))
+		t.Errorf("map round %d gives restarted node %d share %g, want at least 1/(2n) = %g", del.Stats().MapRound, quiet, share, 1/(2.0*n))
 	}
 }
 

@@ -28,9 +28,16 @@ import (
 // placement strategy to the named target. It must be called on the
 // current delegate, and it refuses while the installed map holds a
 // window or an earlier target waits for its round. It runs on the
-// runtime's goroutine, like every other protocol step. The delegate's
-// next tune sends the target's first map; the data plane keeps serving
-// lock-free lookups throughout.
+// runtime's goroutine, like every other protocol step. The data plane
+// keeps serving lock-free lookups throughout.
+//
+// A nil return means the target is pending at this delegate: its next
+// tune sends the target's first map. If the delegate crashes or is
+// deposed before that tune, the target is dropped: a deposed delegate
+// logs the drop, and a crashed one loses the target with its memory.
+// A caller learns the outcome from Stats: Window opens on each node as
+// the window map installs, and Strategy names the target once the node
+// serves it.
 func (r *Runtime) Migrate(to string) error {
 	if !slices.Contains(placement.Names(), to) {
 		return fmt.Errorf("cluster: node %d: unknown strategy %q", r.cfg.ID, to)
@@ -68,13 +75,4 @@ func (r *Runtime) migrate(to string) error {
 // MigrateTimeout in whole rounds, rounded up.
 func (r *Runtime) windowRounds() uint64 {
 	return uint64((r.cfg.MigrateTimeout + r.cfg.RoundInterval - 1) / r.cfg.RoundInterval)
-}
-
-// migFlagsLocked is the flags byte stamped on outbound frames:
-// FlagMigrating while the installed map holds a window.
-func (r *Runtime) migFlagsLocked() uint8 {
-	if r.node.Window().IsOpen() {
-		return FlagMigrating
-	}
-	return 0
 }

@@ -221,7 +221,7 @@ func TestMigrationChaosSoak(t *testing.T) {
 		witness = (witness + 1) % n
 	}
 	crashRestart(witness, false)
-	if got := rts[witness].Strategy(); got != placement.StrategyChordBounded {
+	if got := rts[witness].Stats().Strategy; got != placement.StrategyChordBounded {
 		t.Fatalf("restarted node %d booted %q; its journal records the %q cutover",
 			witness, got, placement.StrategyChordBounded)
 	}

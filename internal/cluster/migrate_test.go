@@ -64,7 +64,7 @@ func startLookupHammer(rts []*Runtime, members int, allowed ...string) *lookupHa
 					h.errs <- fmt.Errorf("node %d: batch resolved %d/%d", i, got, len(keys))
 					return
 				}
-				if tag := rt.Strategy(); !ok[tag] {
+				if tag := rt.Stats().Strategy; !ok[tag] {
 					h.errs <- fmt.Errorf("node %d: serving strategy %q, allowed %v", i, tag, allowed)
 					return
 				}
@@ -136,8 +136,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative HeartbeatInterval", func(c *Config) { c.HeartbeatInterval = -time.Millisecond }},
 		{"negative FailAfter", func(c *Config) { c.FailAfter = -time.Second }},
 		{"negative MigrateTimeout", func(c *Config) { c.MigrateTimeout = -time.Second }},
-		{"negative Quorum", func(c *Config) { c.Quorum = -1 }},
-		{"quorum beyond members", func(c *Config) { c.Quorum = len(ids) + 1 }},
 	}
 	for i, tc := range bad {
 		cfg := base()
@@ -221,7 +219,7 @@ func TestMigrateSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "the window map", func() bool {
-		return rt.Strategy() == placement.StrategyChordBounded
+		return rt.Stats().Strategy == placement.StrategyChordBounded
 	})
 	if w := rt.Stats().Window; w.From != placement.StrategyANU {
 		t.Fatalf("first target map holds window %+v, want one from %q", w, placement.StrategyANU)
@@ -358,7 +356,7 @@ func TestMigrateValidation(t *testing.T) {
 	if err := del.Migrate(placement.StrategyChordBounded); err != nil {
 		t.Fatalf("valid migration refused: %v", err)
 	}
-	if err := del.Migrate(placement.StrategyChord); err == nil && del.Strategy() == placement.StrategyANU {
+	if err := del.Migrate(placement.StrategyChord); err == nil && del.Stats().Strategy == placement.StrategyANU {
 		t.Error("second migration accepted while one is pending")
 	}
 	waitFor(t, 10*time.Second, "the window to open", func() bool { return del.Stats().Window.IsOpen() })
@@ -555,7 +553,7 @@ func TestMigrateWeightsSurviveCutover(t *testing.T) {
 	}
 	openJournal(victim)
 	startNode(victim)
-	if got := rts[victim].Strategy(); got != placement.StrategyRendezvous {
+	if got := rts[victim].Stats().Strategy; got != placement.StrategyRendezvous {
 		t.Fatalf("restarted node boots strategy %q, want %q", got, placement.StrategyRendezvous)
 	}
 	wantWeights("restarted node", rts[victim].Placement())
@@ -627,7 +625,7 @@ func TestMigrateContinuesAcrossReelection(t *testing.T) {
 		return settledOn(followers, placement.StrategyChordBounded)
 	})
 	hammer.close(t)
-	if r := followers[0].MapRound(); r < w.Opened+100 {
+	if r := followers[0].Stats().MapRound; r < w.Opened+100 {
 		t.Errorf("window from round %d closed by round %d, before its 100 rounds", w.Opened, r)
 	}
 }
@@ -682,7 +680,7 @@ func TestMigrateJournalResume(t *testing.T) {
 		waitFor(t, 10*time.Second, "the window to close", func() bool {
 			return settledOn([]*Runtime{rt}, placement.StrategyChordBounded)
 		})
-		if r := rt.MapRound(); r < 6+13 {
+		if r := rt.Stats().MapRound; r < 6+13 {
 			t.Errorf("window from round 6 closed by round %d, before its 13 rounds", r)
 		}
 		rt.Stop()
@@ -805,7 +803,7 @@ func TestStartResumeRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rt.Stop()
-			if got := [2]uint64{rt.Epoch(), rt.Round()}; got != tc.want {
+			if got := [2]uint64{rt.Epoch(), rt.Stats().Round}; got != tc.want {
 				t.Errorf("resumed at (epoch, round) %v, want %v", got, tc.want)
 			}
 		})
@@ -899,9 +897,9 @@ func TestMigrationJournalCrashPoints(t *testing.T) {
 				want = placement.StrategyChordBounded
 			}
 		}
-		if got := rt.Strategy(); got != want || rt.MapEpoch() != epoch || rt.MapRound() != round {
+		if s := rt.Stats(); s.Strategy != want || s.MapEpoch != epoch || s.MapRound != round {
 			t.Fatalf("prefix %d: serves %q at (%d, %d), want %q at (%d, %d)",
-				k, got, rt.MapEpoch(), rt.MapRound(), want, epoch, round)
+				k, s.Strategy, s.MapEpoch, s.MapRound, want, epoch, round)
 		}
 	}
 	for k := range rec.recs {
@@ -995,7 +993,9 @@ func TestMigrateDualTagResumeCompletes(t *testing.T) {
 
 // TestMigrateCommitsPastMalformedReport: a delegate holding a malformed
 // report still opens the window at its next tune. The report is refused
-// on arrival and never reaches the round.
+// on arrival and never reaches the round: with only its own sample in,
+// short of the 2-of-3 majority, the delegate waits for the half-round
+// cutoff and tunes there.
 func TestMigrateCommitsPastMalformedReport(t *testing.T) {
 	ids, snapshot := bootstrap(t, 3)
 	mn, err := NewMemNetwork(ChaosConfig{Seed: 6}, 0)
@@ -1006,7 +1006,7 @@ func TestMigrateCommitsPastMalformedReport(t *testing.T) {
 	// The runtime is unstarted, so only the steps below run.
 	now := time.Now()
 	rt, err := newRuntime(Config{
-		ID: 0, Members: ids, Snapshot: snapshot, Quorum: 1,
+		ID: 0, Members: ids, Snapshot: snapshot,
 		RoundInterval: time.Hour, Logf: t.Logf,
 	}, mn.Endpoint(0), now)
 	if err != nil {
@@ -1019,21 +1019,23 @@ func TestMigrateCommitsPastMalformedReport(t *testing.T) {
 	if err := rt.migrate(placement.StrategyChordBounded); err != nil {
 		t.Fatal(err)
 	}
-	rt.tuneAt = now
-	rt.tuneIfDue(now)
+	rt.roundStart, rt.tuneAt = now, now.Add(time.Hour/2)
+	rt.tuneIfDue(now.Add(time.Minute))
+	if tunes := rt.Stats().Tunes; tunes != 0 {
+		t.Fatalf("%d tunes before the cutoff with one report of three in", tunes)
+	}
+	rt.tuneIfDue(rt.tuneAt)
 	if s := rt.Stats(); s.Strategy != placement.StrategyChordBounded || s.Window != (placement.Window{From: placement.StrategyANU, Opened: 3}) || s.Tunes != 1 {
 		t.Fatalf("after the tune: %q window %+v tunes %d, want %q inside a window from anu opened at 3 after 1 tune",
 			s.Strategy, s.Window, s.Tunes, placement.StrategyChordBounded)
 	}
 }
 
-// TestDelegateMigratingHoldsAcrossInstalls: FlagMigrating rides every
-// frame a node sends while its installed map holds a window, maps and
-// reports included. A follower mirrors the bit from any message of its
-// delegate, so while the delegate's window is open the follower's
-// DelegateMigrating must read true after every delivery, across the map
-// installs of the window.
-func TestDelegateMigratingHoldsAcrossInstalls(t *testing.T) {
+// TestWindowHoldsAcrossInstalls: every map the delegate sends while its
+// window is open carries the window, so once a follower installed the
+// first window map its Stats().Window must read open after every
+// delivery, across the map installs of the window.
+func TestWindowHoldsAcrossInstalls(t *testing.T) {
 	cfg := virtualConfig(t, placement.StrategyANU, 3)
 	cfg.MigrateTimeout = time.Hour
 	vn := newVirtualNet(t, cfg, ChaosConfig{MaxDelay: 5 * time.Millisecond, Seed: 1})
@@ -1051,8 +1053,8 @@ func TestDelegateMigratingHoldsAcrossInstalls(t *testing.T) {
 	for end := vn.now + 20*virtualRound; vn.now < end; {
 		vn.runUntil(vn.now + time.Millisecond)
 		for _, rt := range followers {
-			if s := rt.Stats(); !s.DelegateMigrating {
-				t.Fatalf("at %v: node %d reads DelegateMigrating false with the delegate's window open (%d maps installed)", vn.now, s.ID, s.MapsInstalled)
+			if s := rt.Stats(); !s.Window.IsOpen() {
+				t.Fatalf("at %v: node %d reads its window closed with the delegate's window open (%d maps installed)", vn.now, s.ID, s.MapsInstalled)
 			}
 		}
 	}

@@ -41,7 +41,7 @@ func benchTCPPair(tb testing.TB) (*TCPTransport, *TCPTransport) {
 // a reused per-connection buffer. Gated at 0 allocs/op.
 func BenchmarkFrameEncode(b *testing.B) {
 	msg := delegate.Message{
-		Kind: delegate.MsgReport, Flags: FlagMigrating,
+		Kind: delegate.MsgReport,
 		From: 3, To: 7, Epoch: 2, Round: 9,
 		Payload: bytes.Repeat([]byte{0xAB}, 256),
 	}
@@ -167,8 +167,8 @@ func BenchmarkBroadcastDelayed(b *testing.B) {
 
 // BenchmarkMapState is the coherence monitors' poll of a node's
 // installed (epoch, round, fingerprint) on a 100-node ANU map. The
-// fingerprint is cached per install, so the read is a lock and three
-// loads. Gated at 0 allocs/op.
+// fingerprint is cached per install, so the read is one atomic load and
+// three field loads, with no lock. Gated at 0 allocs/op.
 func BenchmarkMapState(b *testing.B) {
 	ids, snapshot := bootstrap(b, 100)
 	mn, err := NewMemNetwork(ChaosConfig{Seed: 5}, 0)

@@ -29,13 +29,13 @@ func TestVirtualRestartRejoins(t *testing.T) {
 		t.Fatalf("silent node 3 keeps share %g", share)
 	}
 	vn.restart(3, 0)
-	if vn.rts[3].Fingerprint() != del.Fingerprint() {
+	if fingerprint(vn.rts[3]) != fingerprint(del) {
 		t.Fatal("restarted node does not hold its donor's map")
 	}
 	for round := 9; round <= 11; round++ {
 		vn.runUntil(time.Duration(round) * virtualRound)
 		for _, rt := range vn.rts {
-			if rt.Fingerprint() != del.Fingerprint() {
+			if fingerprint(rt) != fingerprint(del) {
 				t.Fatalf("round %d: node %d diverged after the rejoin", round, rt.ID())
 			}
 		}
@@ -116,8 +116,8 @@ func TestProtocolChaosProperty(t *testing.T) {
 		for _, id := range up {
 			rt := vn.rts[id]
 			var errs []string
-			if rt.Fingerprint() != del.Fingerprint() {
-				errs = append(errs, fmt.Sprintf("holds %#x, node %d %#x", rt.Fingerprint(), up[0], del.Fingerprint()))
+			if fingerprint(rt) != fingerprint(del) {
+				errs = append(errs, fmt.Sprintf("holds %#x, node %d %#x", fingerprint(rt), up[0], fingerprint(del)))
 			}
 			if got := rt.Delegate(); got != up[0] {
 				errs = append(errs, fmt.Sprintf("elects %d, want the lowest up id %d", got, up[0]))
@@ -128,7 +128,7 @@ func TestProtocolChaosProperty(t *testing.T) {
 					errs = append(errs, fmt.Sprintf("member %d (down %v) holds share %g", m, down, shares[delegate.NodeID(m)]))
 				}
 			}
-			if err := rt.Map().CheckInvariants(); err != nil {
+			if err := rt.Placement().(*placement.ANU).Map().CheckInvariants(); err != nil {
 				errs = append(errs, fmt.Sprintf("invariants: %v", err))
 			}
 			if len(errs) > 0 {

@@ -18,7 +18,7 @@ import (
 // lineSize is k, the length of the delegate line: the k lowest members
 // a node has heard within FailAfter. A node that has heard k members
 // below its own id heartbeats only those k; every other node, the
-// delegate included, heartbeats every member. See sendHeartbeats.
+// delegate included, heartbeats every member. See heartbeatTargets.
 const lineSize = 3
 
 // Runtime runs one node of the delegate protocol. Its protocol steps
@@ -49,13 +49,18 @@ type Runtime struct {
 	// noted on the send path, outside mu.
 	sendDrops atomic.Uint64
 
-	// placement is the node's data plane: an immutable snapshot of the
-	// installed placement strategy, republished whenever the protocol
-	// installs or produces a new placement. Request routing (Lookup,
-	// LookupBatch) reads it without touching mu, so the protocol's lock
-	// never stalls the serving path.
-	placement atomic.Pointer[placement.Strategy]
+	// installed is the node's installed map (the node's Installed),
+	// republished whenever the protocol installs or produces a new map.
+	// Request routing, the observer and the map accessors (MapState,
+	// Snapshot, Placement) read it without touching mu, so the
+	// protocol's lock never stalls them. journaled is the one the journal
+	// last took; only the loop reads or writes it.
+	installed atomic.Pointer[delegate.Installed]
+	journaled *delegate.Installed
 
+	// mu guards what changes per message: the node (its pending reports
+	// and install counters), liveness, the counters, epoch, round and
+	// delegate.
 	mu     sync.Mutex
 	node   *delegate.Node
 	outbox []delegate.Message // staged under mu, sent outside it
@@ -79,22 +84,18 @@ type Runtime struct {
 	roundStart time.Time
 	// tuneAt is the cutoff of the round this node opened as delegate and
 	// has not tuned yet, zero when no tune is pending. tick sets it half
-	// a round after the round opened; the Quorum-th report pulls it in
+	// a round after the round opened; a majority of reports pulls it in
 	// (see tuneDueLocked); a newer round or epoch clears it.
 	tuneAt time.Time
 	// hbAt and roundAt are when the next heartbeat and the next round
 	// tick are due. Only the loop reads or writes them (see fire), so
 	// they need no lock.
 	hbAt, roundAt time.Time
-	// journalStage holds placement records staged for the journal under
-	// mu and appended (fsynced) outside it, on the loop, so they reach
-	// the journal in stage order.
-	journalStage []journal.Record
-	recovered    *journal.Record // the record Start resumed from, if any
-	lastMapTime  time.Time
-	curDelegate  delegate.NodeID
-	stopped      bool
-	counters     Counters
+	recovered     *journal.Record // the record Start resumed from, if any
+	lastMapTime   time.Time
+	curDelegate   delegate.NodeID
+	stopped       bool
+	counters      Counters
 
 	// hbLineOnly is whether the last heartbeat went only to the delegate
 	// line. hbAllSince is when heartbeats last switched from the line
@@ -106,9 +107,6 @@ type Runtime struct {
 	// migrateTo is the strategy Migrate asked this delegate to move to,
 	// taken by its next tune; "" when none is pending. See migrate.go.
 	migrateTo string
-	// delegateMigrating mirrors the FlagMigrating bit last gossiped by
-	// the current delegate — informational only.
-	delegateMigrating bool
 }
 
 // Start brings up a runtime on the given transport and begins
@@ -197,8 +195,8 @@ func newRuntime(cfg Config, tr Transport, now time.Time) (*Runtime, error) {
 		}
 	}
 	r.node = node
-	s := node.Placement()
-	r.placement.Store(&s)
+	r.journaled = node.Installed()
+	r.installed.Store(r.journaled)
 	r.roundStart, r.lastMapTime = now, now
 	r.hbAt, r.roundAt = now, now.Add(cfg.RoundInterval)
 	return r, nil
@@ -261,17 +259,27 @@ func (r *Runtime) next() time.Time {
 }
 
 // fire runs every step due at now: the heartbeat, then the round tick,
-// then the pending tune. A deadline that passed moves to the first
-// interval boundary after now, so a late wake-up runs each step once
-// and skips the beats it missed, as time.Ticker drops ticks.
+// then the pending tune. A round this node opens is announced to every
+// member, so it is this instant's heartbeat: the heartbeat due with it
+// picks its targets, as every beat does, but is not sent. A deadline
+// that passed moves to the first interval boundary after now, so a late
+// wake-up runs each step once and skips the beats it missed, as
+// time.Ticker drops ticks.
 func (r *Runtime) fire(now time.Time) {
-	if !now.Before(r.hbAt) {
+	beat := !now.Before(r.hbAt)
+	var hb heartbeat
+	if beat {
 		r.hbAt = nextBoundary(r.hbAt, r.cfg.HeartbeatInterval, now)
-		r.sendHeartbeats(now)
+		hb = r.heartbeatTargets(now)
 	}
 	if !now.Before(r.roundAt) {
 		r.roundAt = nextBoundary(r.roundAt, r.cfg.RoundInterval, now)
-		r.tick(now)
+		if r.tick(now) {
+			beat = false
+		}
+	}
+	if beat {
+		r.sendHeartbeats(hb)
 	}
 	r.tuneIfDue(now)
 }
@@ -297,11 +305,6 @@ func (r *Runtime) handle(msg delegate.Message, now time.Time) {
 		r.epoch = msg.Epoch
 		r.tuneAt = time.Time{}
 	}
-	// Migration gossip: mirror the delegate's FlagMigrating bit so
-	// operators can watch a window propagate through Stats.
-	if msg.From == r.curDelegate {
-		r.delegateMigrating = msg.Flags&FlagMigrating != 0
-	}
 	tune := false
 	switch msg.Kind {
 	case MsgHeartbeat:
@@ -322,7 +325,7 @@ func (r *Runtime) handle(msg delegate.Message, now time.Time) {
 				r.counters.InstallLatency.Add(install)
 				r.counters.InstallLatencyHist.Add(install)
 			}
-			r.publishPlacementLocked()
+			r.installed.Store(r.node.Installed())
 		}
 	default:
 		// Unknown kinds are dropped at the runtime boundary; the
@@ -372,50 +375,64 @@ func (r *Runtime) observeAndReport(to delegate.NodeID) {
 	r.node.Observe(requests, latency)
 	r.counters.SampleLatencyHist.Add(latency)
 	msg := r.node.Report(to, r.epoch, r.round)
-	msg.Flags = r.migFlagsLocked()
 	r.counters.ReportsSent++
 	r.mu.Unlock()
 	r.sendOne(msg)
 }
 
 // sample invokes the configured observer against the published
-// placement snapshot, outside the runtime lock.
+// placement, outside the runtime lock.
 func (r *Runtime) sample() (requests uint64, meanLatencySeconds float64) {
 	if r.cfg.Observe == nil {
 		return 0, 0
 	}
-	return r.cfg.Observe(*r.placement.Load(), r.cfg.ID)
+	return r.cfg.Observe(r.installed.Load().Strategy, r.cfg.ID)
 }
 
-// sendHeartbeats beacons one heartbeat toward the delegate line. Only
-// the delegate consumes follower liveness (it fails silent members at
-// tune), and a follower only needs the liveness of the ids elected
-// before it. So a node that has heard lineSize members below its own id
-// heartbeats just those, and every other node heartbeats everyone. The
-// lowest live id has nobody live below it, so it always heartbeats
-// everyone and every node sees it; it sits in every node's line, so it
-// hears every follower. Traffic per interval falls from n(n-1) to about
-// 2·lineSize·n.
-func (r *Runtime) sendHeartbeats(now time.Time) {
-	var line [lineSize]int
+// heartbeat is one beat's targets: the liveness slots of the delegate
+// line when lineOnly, else every other member.
+type heartbeat struct {
+	lineOnly bool
+	line     [lineSize]int
+}
+
+// heartbeatTargets aims the heartbeat due at now toward the delegate
+// line. Only the delegate consumes follower liveness (it fails silent
+// members at tune), and a follower only needs the liveness of the ids
+// elected before it. So a node that has heard lineSize members below
+// its own id heartbeats just those, and every other node heartbeats
+// everyone. The lowest live id has nobody live below it, so it always
+// heartbeats everyone and every node sees it; it sits in every node's
+// line, so it hears every follower. Traffic per interval falls from
+// n(n-1) to about 2·lineSize·n. The choice gates a takeover, so it is
+// recorded whether or not the beat is sent (see takeoverHeldLocked).
+func (r *Runtime) heartbeatTargets(now time.Time) (hb heartbeat) {
 	r.mu.Lock()
-	lineOnly := r.heartbeatLineLocked(now, &line)
-	if r.hbLineOnly && !lineOnly {
+	defer r.mu.Unlock()
+	hb.lineOnly = r.heartbeatLineLocked(now, &hb.line)
+	if r.hbLineOnly && !hb.lineOnly {
 		r.hbAllSince = now
 	}
-	r.hbLineOnly = lineOnly
-	msg := delegate.Message{Kind: MsgHeartbeat, Flags: r.migFlagsLocked(), From: r.cfg.ID, Epoch: r.epoch, Round: r.round}
-	if lineOnly {
+	r.hbLineOnly = hb.lineOnly
+	return hb
+}
+
+// sendHeartbeats sends one heartbeat, carrying the node's epoch and
+// round, to hb's targets.
+func (r *Runtime) sendHeartbeats(hb heartbeat) {
+	r.mu.Lock()
+	msg := delegate.Message{Kind: MsgHeartbeat, From: r.cfg.ID, Epoch: r.epoch, Round: r.round}
+	if hb.lineOnly {
 		r.counters.HeartbeatsSent += lineSize
 	} else {
 		r.counters.HeartbeatsSent += uint64(len(r.cfg.Members) - 1)
 	}
 	r.mu.Unlock()
-	if !lineOnly {
+	if !hb.lineOnly {
 		r.broadcast(msg)
 		return
 	}
-	for _, i := range line {
+	for _, i := range hb.line {
 		msg.To = r.peers[i]
 		r.sendOne(msg)
 	}
@@ -455,8 +472,9 @@ func (r *Runtime) takeoverHeldLocked(now time.Time) bool {
 
 // tick runs one timer beat: election over the observed view, the
 // round watchdog, and — when this node is the delegate — starting a
-// new round.
-func (r *Runtime) tick(now time.Time) {
+// new round. It reports whether it opened a round, whose announcement
+// went to every other member.
+func (r *Runtime) tick(now time.Time) bool {
 	r.mu.Lock()
 	del := r.lowestLiveLocked(now)
 	// Watchdog: heartbeats without placement maps are not progress.
@@ -502,12 +520,12 @@ func (r *Runtime) tick(now time.Time) {
 		// after the lock is released (the observer may call back in).
 		r.round++
 		r.roundStart = now
-		r.stageToPeersLocked(delegate.Message{Kind: MsgHeartbeat, Flags: r.migFlagsLocked(), From: r.cfg.ID, Epoch: r.epoch, Round: r.round}, nil)
+		r.stageToPeersLocked(delegate.Message{Kind: MsgHeartbeat, From: r.cfg.ID, Epoch: r.epoch, Round: r.round}, nil)
 		r.counters.HeartbeatsSent += uint64(len(r.cfg.Members) - 1)
 	}
 	r.unlockAndFlush()
 	if !isDelegate {
-		return
+		return false
 	}
 	requests, latency := r.sample()
 	r.mu.Lock()
@@ -516,6 +534,7 @@ func (r *Runtime) tick(now time.Time) {
 	r.tuneAt = now.Add(r.cfg.RoundInterval / 2)
 	r.mu.Unlock()
 	r.tuneIfDue(now)
+	return true
 }
 
 // tuneIfDue tunes the round this node opened as delegate once the wait
@@ -539,8 +558,8 @@ func (r *Runtime) tuneIfDue(now time.Time) {
 	} else {
 		r.counters.Tunes++
 		r.lastMapTime = now
-		r.publishPlacementLocked()
-		r.stageToPeersLocked(delegate.Message{Kind: delegate.MsgMap, Flags: r.migFlagsLocked(), From: r.cfg.ID, Epoch: r.epoch, Round: r.round, Payload: snapshot}, nil)
+		r.installed.Store(r.node.Installed())
+		r.stageToPeersLocked(delegate.Message{Kind: delegate.MsgMap, From: r.cfg.ID, Epoch: r.epoch, Round: r.round, Payload: snapshot}, nil)
 	}
 	r.unlockAndFlush()
 }
@@ -548,8 +567,9 @@ func (r *Runtime) tuneIfDue(now time.Time) {
 // tuneDueLocked reports whether a tune is pending and its wait is over.
 // The wait ends at the first of:
 //   - every peer in the live view has reported;
-//   - the straggler cutoff: once Quorum reports are in at elapsed time
-//     t_q after the round opened, the rest get as long again, 2·t_q;
+//   - the straggler cutoff: once a majority of the configured members'
+//     reports (the delegate's own sample included) are in at elapsed
+//     time t_q after the round opened, the rest get as long again, 2·t_q;
 //   - half a RoundInterval after the round opened.
 //
 // The straggler cutoff is folded into tuneAt, which only moves earlier.
@@ -558,7 +578,7 @@ func (r *Runtime) tuneDueLocked(now time.Time) bool {
 		return false
 	}
 	got := r.node.PendingReports() + 1 // + the delegate's own sample
-	if at := now.Add(now.Sub(r.roundStart)); got >= r.cfg.Quorum && at.Before(r.tuneAt) {
+	if at := now.Add(now.Sub(r.roundStart)); got >= len(r.cfg.Members)/2+1 && at.Before(r.tuneAt) {
 		r.tuneAt = at
 	}
 	return !now.Before(r.tuneAt) || got >= r.viewSizeLocked(now)
@@ -667,25 +687,11 @@ func (r *Runtime) sendOne(msg delegate.Message) {
 // ID returns the node's identity.
 func (r *Runtime) ID() delegate.NodeID { return r.cfg.ID }
 
-// Round returns the node's current round.
-func (r *Runtime) Round() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.round
-}
-
 // Epoch returns the node's current view epoch.
 func (r *Runtime) Epoch() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.epoch
-}
-
-// MapEpoch returns the view epoch of the installed map (monotonic).
-func (r *Runtime) MapEpoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.node.MapEpoch()
 }
 
 // Delegate returns the node's current view of the delegate (-1 before
@@ -696,81 +702,47 @@ func (r *Runtime) Delegate() delegate.NodeID {
 	return r.curDelegate
 }
 
-// Fingerprint digests the node's replicated state for convergence
-// checks: delegate.SnapshotFingerprint of Snapshot(), cached per
-// install.
-func (r *Runtime) Fingerprint() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.node.Fingerprint()
-}
-
-// MapRound returns the round of the installed map (monotonic).
-func (r *Runtime) MapRound() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.node.MapRound()
-}
-
 // MapState returns the installed map's identity — view epoch, round,
-// and fingerprint — as one atomic observation. Coherence monitors need
-// the triple under a single lock acquisition: reading the three
-// accessors separately can straddle an install and pair one map's
-// round with its successor's fingerprint. The fingerprint is cached per
-// install, so MapState neither encodes nor allocates and is cheap enough
-// to poll on every node.
+// and fingerprint — as one observation: all three come from one
+// immutable installed map, so they can never pair one map's round with
+// its successor's fingerprint. It takes no lock, neither encodes nor
+// allocates, and is cheap enough to poll on every node.
 func (r *Runtime) MapState() (epoch, round, fingerprint uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.node.MapEpoch(), r.node.MapRound(), r.node.Fingerprint()
+	m := r.installed.Load()
+	return m.Epoch, m.Round, m.Fingerprint
 }
 
-// publishPlacementLocked snapshots the node's current map into the
-// lock-free data plane and, with a journal configured, stages the
-// placement for a durable append. Must be called with r.mu held, after
-// any protocol step that installed or produced a new placement. The
-// node's placement is stored as it is, without a copy: the node never
-// mutates a placement once set (Rescale tunes a clone, installs replace
-// it), so readers share it safely.
-func (r *Runtime) publishPlacementLocked() {
-	s := r.node.Placement()
-	r.placement.Store(&s)
-	if r.cfg.Journal != nil {
-		r.journalStage = append(r.journalStage, journal.Record{
-			Epoch: r.node.MapEpoch(),
-			Round: r.node.MapRound(),
-			Map:   r.node.Encoded(), // Append copies; the stage only reads it
-		})
-	}
-}
-
-// unlockAndFlush ends a protocol step: it takes the staged messages and
-// journal records, releases mu, then sends the messages and appends the
-// records, so socket and disk latency never stall the accessors.
+// unlockAndFlush ends a protocol step: it takes the staged messages,
+// releases mu, then sends them and journals the step's install, so
+// socket and disk latency never stall the accessors.
 func (r *Runtime) unlockAndFlush() {
-	out, recs := r.outbox, r.journalStage
-	r.outbox, r.journalStage = nil, nil
+	out := r.outbox
+	r.outbox = nil
 	r.mu.Unlock()
 	for _, msg := range out {
 		r.sendOne(msg)
 	}
-	r.flushJournal(recs)
+	r.flushJournal()
 }
 
-// flushJournal appends staged records in order, fsyncing, outside the
-// runtime lock so disk latency never stalls the accessors. Flushes run
-// on the loop, one after another, so records reach the journal in the
-// order they were staged; a failure is counted and logged — the
-// in-memory placement is already live, so the node keeps serving and
-// retries durability on the next install.
-func (r *Runtime) flushJournal(recs []journal.Record) {
-	for _, rec := range recs {
-		if err := r.cfg.Journal.Append(rec); err != nil {
-			r.cfg.logf("node %d: journal append (epoch %d round %d): %v", r.cfg.ID, rec.Epoch, rec.Round, err)
-			r.mu.Lock()
-			r.counters.JournalAppendErrors++
-			r.mu.Unlock()
-		}
+// flushJournal appends the installed map, fsyncing, when it is not the
+// one the journal last took. A step installs at most one map and every
+// step flushes on the loop, so every install reaches the journal, in
+// install order. A failure is counted and logged — the in-memory
+// placement is already live, so the node keeps serving and retries
+// durability on the next install.
+func (r *Runtime) flushJournal() {
+	m := r.installed.Load()
+	if r.cfg.Journal == nil || m == r.journaled {
+		return
+	}
+	r.journaled = m
+	// Append copies the map; the record only reads it.
+	if err := r.cfg.Journal.Append(journal.Record{Epoch: m.Epoch, Round: m.Round, Map: m.Encoded}); err != nil {
+		r.cfg.logf("node %d: journal append (epoch %d round %d): %v", r.cfg.ID, m.Epoch, m.Round, err)
+		r.mu.Lock()
+		r.counters.JournalAppendErrors++
+		r.mu.Unlock()
 	}
 }
 
@@ -779,14 +751,14 @@ func (r *Runtime) flushJournal(recs []journal.Record) {
 // heartbeats, report collection, or tuning. The boolean is false only
 // when every server in the placement has failed.
 func (r *Runtime) Lookup(key string) (anu.ServerID, bool) {
-	return placement.Lookup(*r.placement.Load(), key)
+	return placement.Lookup(r.installed.Load().Strategy, key)
 }
 
 // LookupDigest is Lookup for a key pre-hashed with hashx.Prehash, on
 // any strategy. The boolean is false only when every server in the
 // placement has failed.
 func (r *Runtime) LookupDigest(d hashx.Digest) (anu.ServerID, bool) {
-	id, _ := (*r.placement.Load()).LookupDigest(d)
+	id, _ := r.installed.Load().Strategy.LookupDigest(d)
 	return id, id != anu.NoServer
 }
 
@@ -798,51 +770,20 @@ func (r *Runtime) LookupBatch(keys []string, owners []anu.ServerID) int {
 	if len(owners) < len(keys) {
 		panic(fmt.Sprintf("cluster: LookupBatch: %d owners for %d keys", len(owners), len(keys)))
 	}
-	return (*r.placement.Load()).LookupBatch(keys, owners)
+	return r.installed.Load().Strategy.LookupBatch(keys, owners)
 }
 
-// Placement returns a copy of the node's placement strategy.
+// Placement returns a copy of the node's placement strategy. It takes
+// no lock.
 func (r *Runtime) Placement() placement.Strategy {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.node.Placement().Clone()
-}
-
-// Strategy returns the registered tag of the node's placement strategy.
-func (r *Runtime) Strategy() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.node.Strategy()
-}
-
-// Map returns a copy of the node's ANU placement map, or nil when the
-// node runs a non-ANU strategy.
-func (r *Runtime) Map() *anu.Map {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.node.Map(); m != nil {
-		return m.Clone()
-	}
-	return nil
+	return r.installed.Load().Strategy.Clone()
 }
 
 // Snapshot returns a fresh copy of the encoded placement — what a
 // restarting peer bootstraps from. The bytes carry the strategy tag; the
-// caller owns them.
+// caller owns them. It takes no lock.
 func (r *Runtime) Snapshot() []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return bytes.Clone(r.node.Encoded())
-}
-
-// View returns the node's observed live membership: self and every
-// member heard within FailAfter and not suspected by the watchdog. On
-// the delegate and the rest of the line that is every live member; on
-// any other node it is the line, itself and the peers it heard recently.
-func (r *Runtime) View() []delegate.NodeID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.viewLocked(time.Now())
+	return bytes.Clone(r.installed.Load().Encoded)
 }
 
 // String identifies the runtime in logs.

@@ -59,16 +59,22 @@ func converged(rts []*Runtime) bool {
 	if len(rts) == 0 {
 		return true
 	}
-	fp, mr := rts[0].Fingerprint(), rts[0].MapRound()
+	_, mr, fp := rts[0].MapState()
 	if mr == 0 {
 		return false
 	}
 	for _, rt := range rts[1:] {
-		if rt.Fingerprint() != fp || rt.MapRound() != mr {
+		if _, r, f := rt.MapState(); f != fp || r != mr {
 			return false
 		}
 	}
 	return true
+}
+
+// fingerprint is the fingerprint of rt's installed map.
+func fingerprint(rt *Runtime) uint64 {
+	_, _, fp := rt.MapState()
+	return fp
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -265,7 +271,7 @@ func TestChaosSoakConvergence(t *testing.T) {
 			case <-time.After(5 * time.Millisecond):
 			}
 			for i, rt := range rts {
-				if mr := rt.MapRound(); mr < last[i] {
+				if mr := rt.Stats().MapRound; mr < last[i] {
 					t.Errorf("node %d installed map round regressed %d -> %d", i, last[i], mr)
 				} else {
 					last[i] = mr
@@ -299,7 +305,7 @@ func TestChaosSoakConvergence(t *testing.T) {
 	})
 
 	// The crashed node's region was released to the survivors.
-	m := live[0].Map()
+	m := live[0].Placement().(*placement.ANU).Map()
 	if l := m.Length(0); l != 0 {
 		t.Errorf("crashed node still owns %d ticks", l)
 	}
@@ -316,7 +322,7 @@ func TestChaosSoakConvergence(t *testing.T) {
 	// Inject a stale-round map: it must be counted and rejected.
 	target := live[2]
 	beforeStale := target.Stats().StaleMapsRejected
-	beforeRound := target.MapRound()
+	beforeRound := target.Stats().MapRound
 	if beforeRound <= 1 {
 		t.Fatalf("soak ended at map round %d; cannot form a stale round", beforeRound)
 	}
@@ -325,7 +331,7 @@ func TestChaosSoakConvergence(t *testing.T) {
 		Kind:    delegate.MsgMap,
 		From:    4,
 		To:      target.ID(),
-		Epoch:   target.MapEpoch(), // same epoch: exercises the round guard
+		Epoch:   target.Stats().MapEpoch, // same epoch: exercises the round guard
 		Round:   1,
 		Payload: snapshot,
 	}) {
@@ -334,14 +340,14 @@ func TestChaosSoakConvergence(t *testing.T) {
 	waitFor(t, 5*time.Second, "stale map rejection", func() bool {
 		return target.Stats().StaleMapsRejected > beforeStale
 	})
-	if mr := target.MapRound(); mr < beforeRound {
+	if mr := target.Stats().MapRound; mr < beforeRound {
 		t.Errorf("stale injection moved map round %d -> %d", beforeRound, mr)
 	}
 
 	// And a stale-epoch map with a racing round number: the epoch fence
 	// must reject it even though its round is far ahead.
 	beforeEpochStale := target.Stats().StaleEpochsRejected
-	fenceEpoch, fenceRound := target.MapEpoch(), target.MapRound()
+	fenceEpoch, fenceRound, _ := target.MapState()
 	if fenceEpoch == 0 {
 		t.Fatalf("soak ended at map epoch 0; cannot form a stale epoch")
 	}
@@ -358,7 +364,7 @@ func TestChaosSoakConvergence(t *testing.T) {
 	waitFor(t, 5*time.Second, "stale epoch rejection", func() bool {
 		return target.Stats().StaleEpochsRejected > beforeEpochStale
 	})
-	if me, mr := target.MapEpoch(), target.MapRound(); me < fenceEpoch || (me == fenceEpoch && mr < fenceRound) {
+	if me, mr, _ := target.MapState(); me < fenceEpoch || (me == fenceEpoch && mr < fenceRound) {
 		t.Errorf("stale-epoch injection moved fence (%d,%d) -> (%d,%d)", fenceEpoch, fenceRound, me, mr)
 	}
 
@@ -463,7 +469,10 @@ func TestRuntimeLookupBatchZeroAllocs(t *testing.T) {
 // placement without a copy, which is safe only because the node never
 // mutates a placement once set: under -race a round that tuned the
 // published instance in place is a data race, and each reader also
-// checks that the first instance it took still encodes as it did.
+// checks that the first instance it took still encodes as it did. The
+// readers also call the lock-free map accessors against the installs:
+// MapState's fence never moves backwards, and Placement and Snapshot
+// copy whole maps of the strategy.
 func TestRuntimeLookupDataPlane(t *testing.T) {
 	for _, strategy := range []string{placement.StrategyANU, placement.StrategyChordBounded} {
 		t.Run(strategy, func(t *testing.T) {
@@ -508,6 +517,7 @@ func TestRuntimeLookupDataPlane(t *testing.T) {
 					owners := make([]anu.ServerID, len(keys))
 					var held placement.Strategy // the first published instance seen
 					var heldEnc []byte
+					var fence [2]uint64 // the newest MapState fence seen
 					for n := 0; ; n++ {
 						select {
 						case <-stop:
@@ -517,7 +527,7 @@ func TestRuntimeLookupDataPlane(t *testing.T) {
 							return
 						default:
 						}
-						s := *rt.placement.Load()
+						s := rt.installed.Load().Strategy
 						if held == nil {
 							held, heldEnc = s, s.Encode()
 						}
@@ -527,6 +537,16 @@ func TestRuntimeLookupDataPlane(t *testing.T) {
 						}
 						if math.Abs(total-1) > 1e-9 {
 							errs <- fmt.Errorf("node %d: published shares sum to %g", i, total)
+							return
+						}
+						e, r, _ := rt.MapState()
+						if pairLess(e, r, fence[0], fence[1]) {
+							errs <- fmt.Errorf("node %d: MapState fence (%d, %d) after (%d, %d)", i, e, r, fence[0], fence[1])
+							return
+						}
+						fence = [2]uint64{e, r}
+						if tag, err := placement.Tag(rt.Snapshot()); err != nil || tag != strategy || rt.Placement().Name() != strategy {
+							errs <- fmt.Errorf("node %d: Snapshot tag %q (%v), Placement %q, want %q", i, tag, err, rt.Placement().Name(), strategy)
 							return
 						}
 						key := keys[n%len(keys)]
@@ -620,7 +640,7 @@ func TestMalformedReportCostsNoMap(t *testing.T) {
 	if got := rt.Stats().MapsInstalled - before; got != 1 {
 		t.Fatalf("%d maps installed behind a malformed report, want 1", got)
 	}
-	if fp := rt.Fingerprint(); fp != delegate.SnapshotFingerprint(next) {
+	if fp := fingerprint(rt); fp != delegate.SnapshotFingerprint(next) {
 		t.Fatalf("fingerprint %#x, want the map's %#x", fp, delegate.SnapshotFingerprint(next))
 	}
 }

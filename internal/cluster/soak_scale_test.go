@@ -236,11 +236,11 @@ func runScaleSoak(t *testing.T, tag string, n int) {
 	if testing.Short() {
 		bake = 3 * time.Second
 	}
-	hbBefore, roundBefore, sentBefore := heartbeatsSent(rts), rts[0].Round(), mn.Stats().Sent
+	hbBefore, roundBefore, sentBefore := heartbeatsSent(rts), rts[0].Stats().Round, mn.Stats().Sent
 	bakeStart := time.Now()
 	time.Sleep(bake)
 	baked := time.Since(bakeStart)
-	hbBaked, roundsBaked, sentBaked := heartbeatsSent(rts)-hbBefore, rts[0].Round()-roundBefore, mn.Stats().Sent-sentBefore
+	hbBaked, roundsBaked, sentBaked := heartbeatsSent(rts)-hbBefore, rts[0].Stats().Round-roundBefore, mn.Stats().Sent-sentBefore
 	// Only the delegate line heartbeats everyone; every other node
 	// heartbeats the line. Per node and interval that averages about
 	// 2·lineSize whatever n is, where all-to-all would send n-1.

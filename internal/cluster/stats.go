@@ -69,8 +69,9 @@ type Stats struct {
 	// within FailAfter and not suspected by the watchdog. On the
 	// delegate and the rest of the line that is the whole live
 	// membership; on any other node it is the line, itself and the peers
-	// it heard recently (see Runtime.View).
-	Live     []delegate.NodeID
+	// it heard recently.
+	Live []delegate.NodeID
+	// (MapEpoch, MapRound) is the installed map's fence.
 	MapEpoch uint64
 	MapRound uint64
 	// Strategy is the registered tag of the placement strategy this node
@@ -78,6 +79,8 @@ type Stats struct {
 	Strategy string
 	// Window is the live migration window the installed map holds:
 	// open while the map also names the strategy being migrated from.
+	// A node reads it from its own map, so a window reaches Stats as
+	// fast as the maps that carry it.
 	Window placement.Window
 
 	Counters
@@ -91,10 +94,6 @@ type Stats struct {
 	// re-sends, so a nonzero value means a peer lane saturated, not
 	// that state was lost.
 	SendDrops uint64
-
-	// DelegateMigrating mirrors the FlagMigrating gossip bit last seen
-	// from the current delegate — informational only.
-	DelegateMigrating bool
 
 	// Recovered reports whether Start resumed from a journal record
 	// rather than the bootstrap snapshot; RecoveredEpoch/RecoveredRound
@@ -112,20 +111,20 @@ type Stats struct {
 func (r *Runtime) Stats() Stats {
 	now := time.Now()
 	r.mu.Lock()
+	m := r.installed.Load() // under mu, so it pairs with the counters
 	s := Stats{
-		ID:                r.cfg.ID,
-		Epoch:             r.epoch,
-		Round:             r.round,
-		Delegate:          r.curDelegate,
-		Live:              r.viewLocked(now),
-		MapEpoch:          r.node.MapEpoch(),
-		MapRound:          r.node.MapRound(),
-		Strategy:          r.node.Strategy(),
-		Window:            r.node.Window(),
-		Counters:          r.counters,
-		InstallStats:      r.node.InstallStats(),
-		SendDrops:         r.sendDrops.Load(),
-		DelegateMigrating: r.delegateMigrating,
+		ID:           r.cfg.ID,
+		Epoch:        r.epoch,
+		Round:        r.round,
+		Delegate:     r.curDelegate,
+		Live:         r.viewLocked(now),
+		MapEpoch:     m.Epoch,
+		MapRound:     m.Round,
+		Strategy:     m.Strategy.Name(),
+		Window:       m.Window,
+		Counters:     r.counters,
+		InstallStats: r.node.InstallStats(),
+		SendDrops:    r.sendDrops.Load(),
 	}
 	s.InstallLatencyHist = s.InstallLatencyHist.Clone()
 	s.SampleLatencyHist = s.SampleLatencyHist.Clone()
@@ -155,9 +154,6 @@ func (s Stats) String() string {
 	}
 	if s.UndecodableMapsRejected > 0 {
 		out += fmt.Sprintf(" undecodable=%d", s.UndecodableMapsRejected)
-	}
-	if s.DelegateMigrating {
-		out += " delegate-migrating"
 	}
 	if s.SendDrops > 0 {
 		out += fmt.Sprintf(" send-drops=%d", s.SendDrops)

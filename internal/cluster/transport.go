@@ -69,31 +69,24 @@ func (b *AddressBook) Get(id delegate.NodeID) (string, bool) {
 	return addr, ok
 }
 
-// Wire framing shared by every stream transport (version 4 — version 3
-// carried the live-migration message kinds 0x20–0x24 and no window
-// maps, version 2 had no flags byte, version 1 neither ver nor epoch;
-// all are rejected by version check, so a mixed-version cluster fails
-// loudly at the first frame instead of corrupting state):
+// Wire framing shared by every stream transport (version 5 — version 4
+// carried a flags byte after the kind, version 3 also the live-migration
+// message kinds 0x20–0x24, version 2 had the v5 layout, version 1 had
+// neither ver nor epoch; all are rejected by version check, so a
+// mixed-version cluster fails loudly at the first frame instead of
+// corrupting state):
 //
-//	ver u8 | kind u8 | flags u8 | from i32 | to i32 | epoch u64 | round u64 | len u32 | payload
+//	ver u8 | kind u8 | from i32 | to i32 | epoch u64 | round u64 | len u32 | payload
 //
 // little-endian, matching the integer-only encodings of package anu.
-// The flags byte gossips out-of-band sender state on every message;
-// today its only bit is FlagMigrating.
 const (
-	frameVersion   = 4
-	frameHeaderLen = 1 + 1 + 1 + 4 + 4 + 8 + 8 + 4
+	frameVersion   = 5
+	frameHeaderLen = 1 + 1 + 4 + 4 + 8 + 8 + 4
 )
-
-// FlagMigrating is set on every frame a node sends while its installed
-// map holds a live migration window. It is informational gossip —
-// surfaced in Stats so operators can see a window propagate — never a
-// correctness input: the window itself rides the map, under the fence.
-const FlagMigrating uint8 = 1 << 0
 
 // errFrameVersion marks a frame whose version byte is not ours — the
 // peer speaks an older (or newer) protocol build. Stream transports
-// count these separately from transport errors: a v3 peer dialing a v4
+// count these separately from transport errors: a v4 peer dialing a v5
 // cluster is an operator mistake worth its own counter.
 var errFrameVersion = fmt.Errorf("cluster: unsupported frame version")
 
@@ -104,12 +97,11 @@ func putFrameHeader(dst []byte, msg delegate.Message) {
 	_ = dst[frameHeaderLen-1]
 	dst[0] = frameVersion
 	dst[1] = byte(msg.Kind)
-	dst[2] = msg.Flags
-	binary.LittleEndian.PutUint32(dst[3:7], uint32(msg.From))
-	binary.LittleEndian.PutUint32(dst[7:11], uint32(msg.To))
-	binary.LittleEndian.PutUint64(dst[11:19], msg.Epoch)
-	binary.LittleEndian.PutUint64(dst[19:27], msg.Round)
-	binary.LittleEndian.PutUint32(dst[27:31], uint32(len(msg.Payload)))
+	binary.LittleEndian.PutUint32(dst[2:6], uint32(msg.From))
+	binary.LittleEndian.PutUint32(dst[6:10], uint32(msg.To))
+	binary.LittleEndian.PutUint64(dst[10:18], msg.Epoch)
+	binary.LittleEndian.PutUint64(dst[18:26], msg.Round)
+	binary.LittleEndian.PutUint32(dst[26:30], uint32(len(msg.Payload)))
 }
 
 // appendFrame appends the complete wire frame for msg to dst and
@@ -152,7 +144,7 @@ func readFrameBuf(r io.Reader, head []byte, maxPayload int) (delegate.Message, e
 	if head[0] != frameVersion {
 		return delegate.Message{}, fmt.Errorf("%w: got %d, want %d", errFrameVersion, head[0], frameVersion)
 	}
-	n := binary.LittleEndian.Uint32(head[27:31])
+	n := binary.LittleEndian.Uint32(head[26:30])
 	if int(n) > maxPayload {
 		return delegate.Message{}, fmt.Errorf("cluster: frame payload %d exceeds limit %d", n, maxPayload)
 	}
@@ -165,11 +157,10 @@ func readFrameBuf(r io.Reader, head []byte, maxPayload int) (delegate.Message, e
 	}
 	return delegate.Message{
 		Kind:    delegate.MsgKind(head[1]),
-		Flags:   head[2],
-		From:    delegate.NodeID(binary.LittleEndian.Uint32(head[3:7])),
-		To:      delegate.NodeID(binary.LittleEndian.Uint32(head[7:11])),
-		Epoch:   binary.LittleEndian.Uint64(head[11:19]),
-		Round:   binary.LittleEndian.Uint64(head[19:27]),
+		From:    delegate.NodeID(binary.LittleEndian.Uint32(head[2:6])),
+		To:      delegate.NodeID(binary.LittleEndian.Uint32(head[6:10])),
+		Epoch:   binary.LittleEndian.Uint64(head[10:18]),
+		Round:   binary.LittleEndian.Uint64(head[18:26]),
 		Payload: payload,
 	}, nil
 }

@@ -14,7 +14,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		Kind:    delegate.MsgMap,
 		From:    3,
 		To:      1,
-		Flags:   FlagMigrating | 0x80,
 		Epoch:   0xfedcba9876543210,
 		Round:   math64(),
 		Payload: []byte("payload bytes"),
@@ -27,7 +26,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Kind != in.Kind || out.From != in.From || out.To != in.To || out.Epoch != in.Epoch || out.Round != in.Round || out.Flags != in.Flags {
+	if out.Kind != in.Kind || out.From != in.From || out.To != in.To || out.Epoch != in.Epoch || out.Round != in.Round {
 		t.Fatalf("header round trip %+v -> %+v", in, out)
 	}
 	if !bytes.Equal(out.Payload, in.Payload) {
@@ -36,7 +35,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejectsWrongVersion(t *testing.T) {
-	for _, ver := range []byte{1, 2, 3, 5, 0xff} {
+	for _, ver := range []byte{1, 2, 3, 4, 6, 0xff} {
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, delegate.Message{Kind: delegate.MsgReport, Payload: []byte("x")}); err != nil {
 			t.Fatal(err)
@@ -53,23 +52,30 @@ func TestFrameRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-// TestFrameRejectsV2Layout feeds readFrame a frame built with the old
-// v2 layout (no flags byte) — the interop case the version byte exists
-// for. The frame must be rejected as a version error, never
+// v4Frame builds a frame in the v4 layout: the v5 header with a flags
+// byte after the kind.
+func v4Frame(kind delegate.MsgKind, flags uint8, from, to delegate.NodeID, epoch, round uint64, payload []byte) []byte {
+	v4 := make([]byte, 31+len(payload))
+	v4[0] = 4
+	v4[1] = byte(kind)
+	v4[2] = flags
+	binary.LittleEndian.PutUint32(v4[3:7], uint32(from))
+	binary.LittleEndian.PutUint32(v4[7:11], uint32(to))
+	binary.LittleEndian.PutUint64(v4[11:19], epoch)
+	binary.LittleEndian.PutUint64(v4[19:27], round)
+	binary.LittleEndian.PutUint32(v4[27:31], uint32(len(payload)))
+	copy(v4[31:], payload)
+	return v4
+}
+
+// TestFrameRejectsV4Layout feeds readFrame a frame built with the v4
+// layout (a flags byte after the kind) — the interop case the version
+// byte exists for. The frame must be rejected as a version error, never
 // misinterpreted.
-func TestFrameRejectsV2Layout(t *testing.T) {
-	payload := []byte("v2 payload")
-	v2 := make([]byte, 30+len(payload))
-	v2[0] = 2
-	v2[1] = byte(delegate.MsgMap)
-	binary.LittleEndian.PutUint32(v2[2:6], 3)
-	binary.LittleEndian.PutUint32(v2[6:10], 1)
-	binary.LittleEndian.PutUint64(v2[10:18], 7)
-	binary.LittleEndian.PutUint64(v2[18:26], 9)
-	binary.LittleEndian.PutUint32(v2[26:30], uint32(len(payload)))
-	copy(v2[30:], payload)
-	if _, err := readFrame(bytes.NewReader(v2), 1<<10); !errors.Is(err, errFrameVersion) {
-		t.Fatalf("v2 frame: err = %v, want errFrameVersion", err)
+func TestFrameRejectsV4Layout(t *testing.T) {
+	v4 := v4Frame(delegate.MsgMap, 1, 3, 1, 7, 9, []byte("v4 payload"))
+	if _, err := readFrame(bytes.NewReader(v4), 1<<10); !errors.Is(err, errFrameVersion) {
+		t.Fatalf("v4 frame: err = %v, want errFrameVersion", err)
 	}
 }
 

@@ -191,7 +191,7 @@ func (vn *virtualNet) hashMessage(msg delegate.Message) {
 	b = binary.LittleEndian.AppendUint64(b, uint64(vn.now))
 	b = binary.LittleEndian.AppendUint32(b, uint32(msg.From))
 	b = binary.LittleEndian.AppendUint32(b, uint32(msg.To))
-	b = append(b, byte(msg.Kind), msg.Flags)
+	b = append(b, byte(msg.Kind))
 	b = binary.LittleEndian.AppendUint64(b, msg.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, msg.Round)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(msg.Payload)))
@@ -372,10 +372,11 @@ func TestNextIsEarliestDeadline(t *testing.T) {
 }
 
 // TestLateFireSkipsMissedBeats fires a runtime three and a half rounds
-// late. It must beat and tick once each, with no catch-up burst, and
-// move both deadlines to the first interval boundary after the late
-// time, as time.Ticker drops the ticks it missed. A fire exactly at a
-// deadline moves it one interval on.
+// late. It must beat and tick once each, with no catch-up burst (the
+// round's announcement is the beat), and move both deadlines to the
+// first interval boundary after the late time, as time.Ticker drops the
+// ticks it missed. A fire exactly at a deadline moves it one interval
+// on.
 func TestLateFireSkipsMissedBeats(t *testing.T) {
 	const n = 3
 	rt := newVirtualNet(t, virtualConfig(t, placement.StrategyANU, n), ChaosConfig{}).rts[0]
@@ -384,8 +385,8 @@ func TestLateFireSkipsMissedBeats(t *testing.T) {
 	if want := virtualOrigin.Add(hb); !rt.hbAt.Equal(want) {
 		t.Fatalf("after the start-up heartbeat the next is due at %v, want %v", rt.hbAt.Sub(virtualOrigin), hb)
 	}
-	if want := virtualOrigin.Add(virtualRound); !rt.roundAt.Equal(want) || rt.Round() != 0 {
-		t.Fatalf("round %d, next due at %v: want round 0 and the first tick at %v", rt.Round(), rt.roundAt.Sub(virtualOrigin), virtualRound)
+	if want := virtualOrigin.Add(virtualRound); !rt.roundAt.Equal(want) || rt.Stats().Round != 0 {
+		t.Fatalf("round %d, next due at %v: want round 0 and the first tick at %v", rt.Stats().Round, rt.roundAt.Sub(virtualOrigin), virtualRound)
 	}
 	sent := rt.Stats().HeartbeatsSent
 	late := virtualOrigin.Add(3*virtualRound + virtualRound/2) // 28 heartbeat intervals
@@ -396,17 +397,69 @@ func TestLateFireSkipsMissedBeats(t *testing.T) {
 	if want := virtualOrigin.Add(4 * virtualRound); !rt.roundAt.Equal(want) {
 		t.Errorf("late fire: next round at %v, want %v", rt.roundAt.Sub(virtualOrigin), want.Sub(virtualOrigin))
 	}
-	if r := rt.Round(); r != 1 {
+	if r := rt.Stats().Round; r != 1 {
 		t.Errorf("late fire opened %d rounds, want 1", r)
 	}
-	// One heartbeat to every peer, and one round announcement.
-	if got := rt.Stats().HeartbeatsSent - sent; got != 2*(n-1) {
-		t.Errorf("late fire sent %d heartbeats, want %d", got, 2*(n-1))
+	// One round announcement to every peer, which is also the heartbeat.
+	if got := rt.Stats().HeartbeatsSent - sent; got != n-1 {
+		t.Errorf("late fire sent %d heartbeats, want %d", got, n-1)
 	}
 	due := rt.hbAt
 	rt.fire(due)
 	if want := due.Add(hb); !rt.hbAt.Equal(want) {
 		t.Errorf("fire at the deadline: next heartbeat at %v, want %v", rt.hbAt.Sub(virtualOrigin), want.Sub(virtualOrigin))
+	}
+}
+
+// TestRoundAnnouncementIsTheBeat runs 5 anu nodes for 30 rounds on the
+// virtual clock under the replay chaos, seed 1: once with the default
+// heartbeat interval, which divides the round, and once with 30 ms
+// against 100 ms. No node may send a peer two heartbeats in one
+// instant, and each round the delegate opens must be announced, in its
+// opening instant, to every other member.
+func TestRoundAnnouncementIsTheBeat(t *testing.T) {
+	for _, hb := range []time.Duration{0, 30 * time.Millisecond} {
+		t.Run(fmt.Sprintf("heartbeat=%v", hb), func(t *testing.T) {
+			cfg := virtualConfig(t, placement.StrategyANU, 5)
+			cfg.HeartbeatInterval = hb
+			vn := newVirtualNet(t, cfg, ChaosConfig{Drop: 0.02, Duplicate: 0.02, MaxDelay: 5 * time.Millisecond, Seed: 1})
+			type beat struct {
+				at       time.Duration
+				from, to delegate.NodeID
+			}
+			type opening struct {
+				at    time.Duration
+				peers map[delegate.NodeID]bool
+			}
+			beats := make(map[beat]int)
+			opened := make(map[uint64]*opening) // the delegate's rounds, by number
+			vn.drop = func(msg delegate.Message, now time.Duration) bool {
+				if msg.Kind != MsgHeartbeat {
+					return false
+				}
+				if beats[beat{now, msg.From, msg.To}]++; beats[beat{now, msg.From, msg.To}] > 1 {
+					t.Fatalf("at %v node %d sent node %d a second heartbeat", now, msg.From, msg.To)
+				}
+				if msg.From == 0 {
+					o := opened[msg.Round]
+					if o == nil {
+						o = &opening{at: now, peers: make(map[delegate.NodeID]bool)}
+						opened[msg.Round] = o
+					}
+					if o.at == now {
+						o.peers[msg.To] = true
+					}
+				}
+				return false
+			}
+			vn.runUntil(30*virtualRound + virtualRound/2)
+			for round := uint64(1); round <= 30; round++ {
+				o := opened[round]
+				if o == nil || len(o.peers) != 4 {
+					t.Fatalf("round %d announced to %v in its opening instant, want all 4 peers", round, o)
+				}
+			}
+		})
 	}
 }
 
@@ -423,9 +476,9 @@ func TestQuorumPullsTuneDeadline(t *testing.T) {
 	del := vn.rts[0]
 	open := virtualOrigin.Add(virtualRound)
 	vn.runUntil(virtualRound + time.Millisecond)
-	if del.Round() != 1 || !del.tuneAt.Equal(open.Add(virtualRound/2)) {
+	if del.Stats().Round != 1 || !del.tuneAt.Equal(open.Add(virtualRound/2)) {
 		t.Fatalf("round %d with its tune due at %v, want round 1 due at %v",
-			del.Round(), del.tuneAt.Sub(open), virtualRound/2)
+			del.Stats().Round, del.tuneAt.Sub(open), virtualRound/2)
 	}
 	if !del.next().Equal(del.hbAt) {
 		t.Fatalf("next %v after the round opened, want the heartbeat at %v", del.next().Sub(open), del.hbAt.Sub(open))

@@ -74,14 +74,9 @@ const (
 // within an epoch; a re-election starts a higher epoch and thereby
 // fences out everything the previous delegate may still have in flight.
 type Message struct {
-	Kind MsgKind
-	From NodeID
-	To   NodeID
-	// Flags carries out-of-band sender state (v3 and later wire frames).
-	// The delegate protocol itself ignores it; the cluster runtime uses
-	// it to gossip "the installed map holds a migration window" on
-	// ordinary traffic.
-	Flags   uint8
+	Kind    MsgKind
+	From    NodeID
+	To      NodeID
 	Epoch   uint64
 	Round   uint64
 	Payload []byte
@@ -120,41 +115,64 @@ func decodeReport(b []byte) (Report, error) {
 	}, nil
 }
 
-// Node is one server's management agent. It holds the node's copy of
-// the placement strategy and, when elected, the delegate logic.
+// Installed is one map a node holds: the placement strategy, the
+// migration window its bytes carry, their canonical encoding and
+// fingerprint, and the (epoch, round) fence it was installed at. A node
+// never changes an Installed once built: construction, install, Rescale
+// and Resume each build a new one, so a reader holding one sees a single
+// coherent map however far the node has moved on. Every field is
+// read-only.
+type Installed struct {
+	// Strategy is the placement. The node never mutates it (soft state
+	// such as ANU's controller aside): Rescale tunes a clone, and
+	// installs decode a fresh one.
+	Strategy placement.Strategy
+	// Window is the migration window the map holds, closed when it holds
+	// none.
+	Window placement.Window
+	// Encoded is the map's canonical encoding (Strategy's, inside Window
+	// when it is open). It may also be a delivered payload, a broadcast's
+	// payload, or a journal record's source.
+	Encoded []byte
+	// Fingerprint is SnapshotFingerprint(Encoded).
+	Fingerprint uint64
+	// (Epoch, Round) is the install fence: a MsgMap with a
+	// lexicographically lower pair is stale and must never overwrite a
+	// newer placement — not even one with a higher round, if it comes
+	// from a superseded epoch. This is what stops a formerly partitioned
+	// delegate, whose round counter may have raced ahead, from rolling
+	// the cluster back when it reconnects. Both are 0 until the first
+	// install or Resume.
+	Epoch, Round uint64
+}
+
+// newInstalled builds the Installed for s holding win, encoded as enc,
+// at fence (epoch, round). Accepted maps re-encode byte-identically (the
+// placement conformance suite and the decoder fuzzers assert it), so a
+// decoded map's payload is its encoding.
+func newInstalled(s placement.Strategy, win placement.Window, enc []byte, epoch, round uint64) *Installed {
+	return &Installed{Strategy: s, Window: win, Encoded: enc, Fingerprint: SnapshotFingerprint(enc), Epoch: epoch, Round: round}
+}
+
+// Node is one server's management agent. It holds the node's installed
+// map and, when elected, the delegate logic.
 type Node struct {
 	id NodeID
-	// s is the node's placement strategy — the replicated state plus the
-	// tuning rule that rescales it. opts reproduces the construction
-	// configuration when installs decode fresh snapshots.
-	s    placement.Strategy
+	// opts reproduces the construction configuration when installs
+	// decode fresh snapshots.
 	opts placement.Options
-	// win is the installed map's migration window, enc the map's
-	// canonical encoding (s's, inside win when it is open) and fp its
-	// SnapshotFingerprint. All are set wherever s changes (construction,
-	// install, rescale), so reading the installed map's bytes or
-	// fingerprint never re-encodes.
-	// enc is shared read-only: it may also be a delivered payload, a
-	// broadcast's payload, or a journal record's source.
-	enc  []byte
-	fp   uint64
-	win  placement.Window
+	// m is the installed map, replaced whole wherever it changes, so
+	// reading its bytes or fingerprint never re-encodes.
+	m    *Installed
 	last Report // most recent local measurement
-	// pending holds the latest report of each member of s, for the
-	// delegate's next Rescale. Reports from non-members are dropped, so
-	// its size is bounded by the membership. tuned is the round of the
-	// last successful Rescale: a report for it arrives after its tune,
-	// and is dropped rather than counted toward the next round.
+	// pending holds the latest report of each member of the installed
+	// placement, for the delegate's next Rescale. Reports from
+	// non-members are dropped, so its size is bounded by the membership.
+	// tuned is the round of the last successful Rescale: a report for it
+	// arrives after its tune, and is dropped rather than counted toward
+	// the next round.
 	pending map[NodeID]Report
 	tuned   uint64
-	// (mapEpoch, mapRound) is the fence of the last installed map: a
-	// MsgMap with a lexicographically lower pair is stale and must never
-	// overwrite a newer placement — not even one with a higher round, if
-	// it comes from a superseded epoch. This is what stops a formerly
-	// partitioned delegate, whose round counter may have raced ahead,
-	// from rolling the cluster back when it reconnects.
-	mapEpoch uint64
-	mapRound uint64
 	// installs counts the map messages the node refused, by cause.
 	installs InstallStats
 }
@@ -205,24 +223,12 @@ func NewNode(id NodeID, snapshot []byte, opts placement.Options) (*Node, error) 
 	if !s.Has(id) {
 		return nil, fmt.Errorf("delegate: node %d not a member of the placement", id)
 	}
-	n := &Node{
+	return &Node{
 		id:      id,
 		opts:    opts,
+		m:       newInstalled(s, win, bytes.Clone(snapshot), 0, 0),
 		pending: make(map[NodeID]Report),
-	}
-	n.setPlacement(s, win, bytes.Clone(snapshot))
-	return n, nil
-}
-
-// setPlacement installs s, holding window win, with enc as the map's
-// canonical encoding. Accepted maps re-encode byte-identically (the
-// placement conformance suite and the decoder fuzzers assert it), so a
-// decoded map is its own encoding.
-func (n *Node) setPlacement(s placement.Strategy, win placement.Window, enc []byte) {
-	n.s = s
-	n.win = win
-	n.enc = enc
-	n.fp = SnapshotFingerprint(enc)
+	}, nil
 }
 
 // SnapshotFingerprint is the 64-bit FNV-1a-style digest (FNV prime,
@@ -240,46 +246,48 @@ func SnapshotFingerprint(enc []byte) uint64 {
 // ID returns the node's identity.
 func (n *Node) ID() NodeID { return n.id }
 
+// Installed returns the node's installed map. The value never changes;
+// the node replaces it whole on every install, Rescale and Resume.
+func (n *Node) Installed() *Installed { return n.m }
+
 // Placement returns the node's current placement strategy (read-only
-// use). The node never mutates a placement's state once set (soft
-// state such as ANU's controller aside): Rescale tunes a clone, and
-// installs replace it, so the value stays valid for concurrent readers
-// after the node moves on.
-func (n *Node) Placement() placement.Strategy { return n.s }
+// use); see Installed.Strategy.
+func (n *Node) Placement() placement.Strategy { return n.m.Strategy }
 
 // Strategy returns the registered tag of the node's placement strategy.
-func (n *Node) Strategy() string { return n.s.Name() }
+func (n *Node) Strategy() string { return n.m.Strategy.Name() }
 
 // Window returns the migration window the installed map holds, closed
 // when it holds none.
-func (n *Node) Window() placement.Window { return n.win }
+func (n *Node) Window() placement.Window { return n.m.Window }
 
 // Map returns the node's current ANU placement map (read-only use), or
 // nil when the node runs a non-ANU strategy.
 func (n *Node) Map() *anu.Map {
-	if a, ok := n.s.(*placement.ANU); ok {
+	if a, ok := n.m.Strategy.(*placement.ANU); ok {
 		return a.Map()
 	}
 	return nil
 }
 
 // Fingerprint returns the SnapshotFingerprint of the node's encoded
-// placement, used to assert cluster-wide convergence. It is computed once per
-// placement change, so reading it costs nothing.
-func (n *Node) Fingerprint() uint64 { return n.fp }
+// placement, used to assert cluster-wide convergence. It is computed once
+// per placement change, so reading it costs nothing.
+func (n *Node) Fingerprint() uint64 { return n.m.Fingerprint }
 
 // Encoded returns the canonical encoding of the node's placement, equal
 // to Placement().Encode() but without re-encoding. The slice is shared:
 // callers must not modify it, and copy it if they hand it out.
-func (n *Node) Encoded() []byte { return n.enc }
+func (n *Node) Encoded() []byte { return n.m.Encoded }
 
 // Resume restores the node's install fence after a durable restart: the
 // caller recovered (epoch, round) — and the matching map snapshot the
 // node was constructed from — from a journal, so the node must reject
 // any install older than what it already persisted.
 func (n *Node) Resume(epoch, round uint64) {
-	n.mapEpoch = epoch
-	n.mapRound = round
+	m := *n.m
+	m.Epoch, m.Round = epoch, round
+	n.m = &m
 }
 
 // Observe records the node's local measurement for the elapsed interval.
@@ -333,7 +341,7 @@ func (n *Node) Report(to NodeID, epoch, round uint64) Message {
 func (n *Node) Receive(msg Message, round uint64) (installed bool, err error) {
 	switch msg.Kind {
 	case MsgReport:
-		if msg.Round != round || round == n.tuned || !n.s.Has(msg.From) {
+		if msg.Round != round || round == n.tuned || !n.m.Strategy.Has(msg.From) {
 			return false, nil // a stale or already-tuned round, or a non-member
 		}
 		rep, derr := decodeReport(msg.Payload)
@@ -352,11 +360,11 @@ func (n *Node) Receive(msg Message, round uint64) (installed bool, err error) {
 // install applies one map message under the fence and tag rules of
 // Receive, reporting whether it installed.
 func (n *Node) install(msg Message) bool {
-	if !supersedes(msg.Epoch, msg.Round, n.mapEpoch, n.mapRound) {
+	if !supersedes(msg.Epoch, msg.Round, n.m.Epoch, n.m.Round) {
 		// A reordered, duplicated or partition-replayed map carrying an
 		// older (epoch, round) must never overwrite a newer placement:
 		// installed fences are monotonic.
-		if msg.Epoch < n.mapEpoch {
+		if msg.Epoch < n.m.Epoch {
 			n.installs.StaleEpochsRejected++
 		} else {
 			n.installs.StaleMapsRejected++
@@ -365,7 +373,7 @@ func (n *Node) install(msg Message) bool {
 	}
 	// Decoding after the installed placement lets a strategy reuse what
 	// the map leaves unchanged (chord's ring, while the members stay).
-	s, win, err := placement.DecodeAfter(msg.Payload, n.opts, n.s)
+	s, win, err := placement.DecodeAfter(msg.Payload, n.opts, n.m.Strategy)
 	if err != nil {
 		// A corrupt map must never be installed.
 		n.installs.UndecodableMapsRejected++
@@ -381,16 +389,14 @@ func (n *Node) install(msg Message) bool {
 		// Keep soft state (latency smoothing) warm across installs, as
 		// the pre-placement node did by holding one controller for the
 		// life of the process.
-		ad.AdoptState(n.s)
+		ad.AdoptState(n.m.Strategy)
 	}
 	for id := range n.pending {
 		if !s.Has(id) {
 			delete(n.pending, id) // keep pending within the membership
 		}
 	}
-	n.setPlacement(s, win, msg.Payload)
-	n.mapEpoch = msg.Epoch
-	n.mapRound = msg.Round
+	n.m = newInstalled(s, win, msg.Payload, msg.Epoch, msg.Round)
 	return true
 }
 
@@ -401,8 +407,9 @@ func (n *Node) install(msg Message) bool {
 // a window from A, a node holding that window installs the plain B map
 // that closes it, and a node on plain A refuses a plain B map.
 func (n *Node) admits(tag string, win placement.Window) bool {
-	return tag == n.s.Name() || tag == n.win.From ||
-		win.IsOpen() && (win.From == n.s.Name() || win.From == n.win.From)
+	name, from := n.m.Strategy.Name(), n.m.Window.From
+	return tag == name || tag == from ||
+		win.IsOpen() && (win.From == name || win.From == from)
 }
 
 // PendingReports returns how many distinct members' reports the node
@@ -413,12 +420,12 @@ func (n *Node) PendingReports() int { return len(n.pending) }
 // MapRound returns the round of the node's installed map: 0 until the
 // first install or Resume, then monotonically non-decreasing within an
 // epoch for the life of the process.
-func (n *Node) MapRound() uint64 { return n.mapRound }
+func (n *Node) MapRound() uint64 { return n.m.Round }
 
 // MapEpoch returns the view epoch of the node's installed map: 0 until
 // the first install or Resume, then monotonically non-decreasing for
 // the life of the process.
-func (n *Node) MapEpoch() uint64 { return n.mapEpoch }
+func (n *Node) MapEpoch() uint64 { return n.m.Epoch }
 
 // InstallStats returns the node's map-message counters.
 func (n *Node) InstallStats() InstallStats { return n.installs }
@@ -448,7 +455,7 @@ func (n *Node) InstallStats() InstallStats { return n.installs }
 // every member. The returned bytes are the node's own Encoded() slice:
 // send them, never modify them.
 func (n *Node) Rescale(epoch, round uint64, members []placement.Member, to string, window uint64) ([]byte, error) {
-	s, win := n.s, n.win
+	s, win := n.m.Strategy, n.m.Window
 	if to != "" && to != s.Name() {
 		fresh, err := n.fresh(to, members)
 		if err != nil {
@@ -483,16 +490,16 @@ func (n *Node) Rescale(epoch, round uint64, members []placement.Member, to strin
 	// The delegate's own map is now the round's authoritative placement;
 	// stamping the fence keeps the guard effective if this node later
 	// receives a late broadcast from a previous delegate.
-	if supersedes(epoch, round, n.mapEpoch, n.mapRound) {
-		n.mapEpoch = epoch
-		n.mapRound = round
+	fe, fr := n.m.Epoch, n.m.Round
+	if supersedes(epoch, round, fe, fr) {
+		fe, fr = epoch, round
 	}
 	enc := s.Encode()
 	if win.IsOpen() {
 		enc = placement.EncodeWindow(win, enc)
 	}
-	n.setPlacement(s, win, enc)
-	return n.enc, nil
+	n.m = newInstalled(s, win, enc, fe, fr)
+	return enc, nil
 }
 
 // fresh builds a cold placement of strategy tag over members, with each

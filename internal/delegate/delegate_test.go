@@ -392,6 +392,35 @@ func TestResumeRestoresFence(t *testing.T) {
 	}
 }
 
+// TestInstalledIsReplacedWhole: a Rescale, an install and a Resume each
+// give the node a new Installed, coherent in itself, and leave the one
+// a reader took before exactly as it was.
+func TestInstalledIsReplacedWhole(t *testing.T) {
+	nodes := testNodes(t, 3)
+	held := []*Installed{nodes[0].Installed(), nodes[1].Installed()}
+	copies := []Installed{*held[0], *held[1]}
+	observeHeterogeneous(nodes, paperSpeeds())
+	step(t, nodes, 1)
+	nodes[1].Resume(5, 9)
+	for i, n := range nodes[:2] {
+		if got := *held[i]; got.Epoch != copies[i].Epoch || got.Round != copies[i].Round ||
+			got.Fingerprint != copies[i].Fingerprint || !bytes.Equal(got.Encoded, copies[i].Encoded) ||
+			got.Strategy != copies[i].Strategy || got.Window != copies[i].Window {
+			t.Fatalf("node %d: the Installed held before the round changed", i)
+		}
+		m := n.Installed()
+		if m == held[i] || m.Fingerprint != SnapshotFingerprint(m.Encoded) || !bytes.Equal(m.Strategy.Encode(), m.Encoded) {
+			t.Fatalf("node %d: after the round the Installed is the held one or incoherent", i)
+		}
+	}
+	if m := nodes[0].Installed(); m.Epoch != 1 || m.Round != 1 {
+		t.Fatalf("delegate fence (%d, %d) after Rescale, want (1, 1)", m.Epoch, m.Round)
+	}
+	if m := nodes[1].Installed(); m.Epoch != 5 || m.Round != 9 || m.Fingerprint != nodes[0].Fingerprint() {
+		t.Fatalf("resumed follower holds (%d, %d, %#x), want (5, 9, %#x)", m.Epoch, m.Round, m.Fingerprint, nodes[0].Fingerprint())
+	}
+}
+
 // TestObserveClampsExtremeLatency is the regression test for the
 // overflow clamp: +Inf and astronomically large latencies must
 // saturate at MaxLatencyMicros instead of hitting the

@@ -408,9 +408,6 @@ func (j *Journal) Stats() Stats {
 	return s
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close closes the underlying file. The journal must not be used after.
 func (j *Journal) Close() error {
 	j.mu.Lock()

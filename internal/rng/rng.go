@@ -107,11 +107,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.boundedUint64(uint64(n)))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // boundedUint64 returns a uniform value in [0, n) using Lemire's
 // multiply-shift rejection method, which avoids modulo bias.
 func (r *Source) boundedUint64(n uint64) uint64 {
