@@ -1031,11 +1031,11 @@ func TestMigrateCommitsPastMalformedReport(t *testing.T) {
 	}
 }
 
-// TestWindowHoldsAcrossInstalls: every map the delegate sends while its
-// window is open carries the window, so once a follower installed the
+// TestDelegateMigratingHoldsAcrossInstalls: every map the delegate sends
+// while its migration window is open carries the window, so once a follower installed the
 // first window map its Stats().Window must read open after every
 // delivery, across the map installs of the window.
-func TestWindowHoldsAcrossInstalls(t *testing.T) {
+func TestDelegateMigratingHoldsAcrossInstalls(t *testing.T) {
 	cfg := virtualConfig(t, placement.StrategyANU, 3)
 	cfg.MigrateTimeout = time.Hour
 	vn := newVirtualNet(t, cfg, ChaosConfig{MaxDelay: 5 * time.Millisecond, Seed: 1})

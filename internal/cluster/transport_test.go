@@ -79,6 +79,25 @@ func TestFrameRejectsV4Layout(t *testing.T) {
 	}
 }
 
+// TestFrameRejectsV2Layout feeds readFrame a frame built by a v2 peer.
+// The v2 layout is v5's, so only the version byte tells them apart: the
+// frame must be rejected as a version error, never misinterpreted.
+func TestFrameRejectsV2Layout(t *testing.T) {
+	payload := []byte("v2 payload")
+	v2 := make([]byte, 30+len(payload))
+	v2[0] = 2
+	v2[1] = byte(delegate.MsgMap)
+	binary.LittleEndian.PutUint32(v2[2:6], 3)
+	binary.LittleEndian.PutUint32(v2[6:10], 1)
+	binary.LittleEndian.PutUint64(v2[10:18], 7)
+	binary.LittleEndian.PutUint64(v2[18:26], 9)
+	binary.LittleEndian.PutUint32(v2[26:30], uint32(len(payload)))
+	copy(v2[30:], payload)
+	if _, err := readFrame(bytes.NewReader(v2), 1<<10); !errors.Is(err, errFrameVersion) {
+		t.Fatalf("v2 frame: err = %v, want errFrameVersion", err)
+	}
+}
+
 // math64 returns a round value exercising all eight bytes.
 func math64() uint64 { return 0x0123456789abcdef }
 
