@@ -53,7 +53,14 @@ const overloadPenalty = 1e9
 // Overloaded bins incur a large linear penalty instead of infinity so
 // the search surface stays ordered.
 func MeanLatency(items []Item, bins []Bin, a Assignment) float64 {
-	loads := binLoads(items, bins, a)
+	return meanLatency(items, bins, a, make([]float64, len(bins)))
+}
+
+// meanLatency is MeanLatency summing into the caller's loads buffer
+// (len(bins) long), so a search can evaluate every candidate without
+// allocating.
+func meanLatency(items []Item, bins []Bin, a Assignment, loads []float64) float64 {
+	sumLoads(items, a, loads)
 	var num, den float64
 	for b, load := range loads {
 		if load == 0 {
@@ -76,12 +83,19 @@ func MeanLatency(items []Item, bins []Bin, a Assignment) float64 {
 // binLoads sums assigned load per bin.
 func binLoads(items []Item, bins []Bin, a Assignment) []float64 {
 	loads := make([]float64, len(bins))
+	sumLoads(items, a, loads)
+	return loads
+}
+
+// sumLoads overwrites loads with the assigned load per bin, summing in
+// item order so every caller gets the same float bits.
+func sumLoads(items []Item, a Assignment, loads []float64) {
+	clear(loads)
 	for i, b := range a {
 		if b >= 0 {
 			loads[b] += items[i].Load
 		}
 	}
-	return loads
 }
 
 // Greedy produces the LPT seed: items in descending load order, each
@@ -135,13 +149,18 @@ func Greedy(items []Item, bins []Bin) Assignment {
 // neighbourhoods — moving one item to another bin and swapping the bins
 // of two items — until no improving step exists or maxRounds passes
 // complete. It returns the improved assignment (the input is modified in
-// place) and the number of improving steps taken.
+// place) and the number of improving steps taken. It is a pure function
+// of its arguments: a call that takes no step returns its seed
+// unchanged, so the same items, bins and seed always give that seed
+// back. Every candidate is evaluated into one loads buffer, with the
+// same float bits MeanLatency gives.
 func LocalSearch(items []Item, bins []Bin, a Assignment, maxRounds int) (Assignment, int) {
 	if len(items) == 0 || len(bins) == 0 {
 		return a, 0
 	}
+	loads := make([]float64, len(bins))
 	steps := 0
-	cur := MeanLatency(items, bins, a)
+	cur := meanLatency(items, bins, a, loads)
 	for round := 0; round < maxRounds; round++ {
 		improved := false
 		// Single-item moves.
@@ -155,7 +174,7 @@ func LocalSearch(items []Item, bins []Bin, a Assignment, maxRounds int) (Assignm
 					continue
 				}
 				a[i] = b
-				if v := MeanLatency(items, bins, a); v < cur-1e-15 {
+				if v := meanLatency(items, bins, a, loads); v < cur-1e-15 {
 					cur = v
 					home = b
 					improved = true
@@ -172,7 +191,7 @@ func LocalSearch(items []Item, bins []Bin, a Assignment, maxRounds int) (Assignm
 					continue
 				}
 				a[i], a[j] = a[j], a[i]
-				if v := MeanLatency(items, bins, a); v < cur-1e-15 {
+				if v := meanLatency(items, bins, a, loads); v < cur-1e-15 {
 					cur = v
 					improved = true
 					steps++

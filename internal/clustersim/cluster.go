@@ -9,6 +9,7 @@ import (
 	"anurand/internal/metrics"
 	"anurand/internal/policy"
 	"anurand/internal/sim"
+	"anurand/internal/workload"
 )
 
 // Run simulates the configured cluster over the whole trace and returns
@@ -71,9 +72,12 @@ type runner struct {
 	assignment []ServerID // file set -> placed server
 	cold       []int      // remaining cold-penalty requests per file set
 
-	fsWork    []float64 // total demand per file set (move accounting)
-	totalWork float64
-	fsLoads   []float64 // whole-trace offered load per file set (prescient env)
+	// work is the trace's demand per file set (move accounting) and
+	// whole-trace offered load per file set: the "perfect knowledge of
+	// workload properties" prescient-class policies are entitled to
+	// (the workload's stationary rates, not the realized per-interval
+	// noise). It is computed once per trace and shared read-only.
+	work *workload.Work
 
 	nextArrival int // cursor into Trace.Requests for the chained arrivals
 
@@ -141,7 +145,7 @@ func newRunner(cfg *Config) *runner {
 	if cfg.SAN.Enabled {
 		r.san = newSAN(&r.eng, cfg.SAN)
 	}
-	r.precomputeLoads()
+	r.work = cfg.Trace.Work()
 	return r
 }
 
@@ -192,22 +196,6 @@ func (r *runner) addServer(id ServerID, speed float64) {
 	copy(r.order[at+1:], r.order[at:])
 	r.order[at] = id
 	r.result.Servers[id] = s.stats
-}
-
-// precomputeLoads builds the ground-truth per-file-set offered loads —
-// the "perfect knowledge of workload properties" the prescient-class
-// policies are entitled to (the workload's stationary rates, not the
-// realized per-interval noise).
-func (r *runner) precomputeLoads() {
-	r.fsWork = make([]float64, len(r.cfg.Trace.FileSets))
-	for _, req := range r.cfg.Trace.Requests {
-		r.fsWork[req.FileSet] += req.Demand
-		r.totalWork += req.Demand
-	}
-	r.fsLoads = make([]float64, len(r.fsWork))
-	for i, w := range r.fsWork {
-		r.fsLoads[i] = w / r.trace.duration
-	}
 }
 
 func (r *runner) run() (*Result, error) {
@@ -404,7 +392,7 @@ func (r *runner) retunePolicy() error {
 	}
 	r.envServers, r.envReports = servers, reports
 	env.Servers, env.Reports = servers, reports
-	env.FileSetLoads = r.fsLoads
+	env.FileSetLoads = r.work.Loads
 	if err := r.policy.Retune(&env); err != nil {
 		return fmt.Errorf("clustersim: retune at t=%.0f: %w", r.eng.Now(), err)
 	}
@@ -427,7 +415,7 @@ func (r *runner) applyPlacement(record bool) {
 			continue // initial placement, not a move
 		}
 		moved++
-		movedWork += r.fsWork[fs]
+		movedWork += r.work.PerFileSet[fs]
 		// The shedding server flushes its cache for the departing file
 		// set; the acquiring server starts cold.
 		if old := r.state(prev); old != nil && old.up {
@@ -450,8 +438,8 @@ func (r *runner) applyPlacement(record bool) {
 		return
 	}
 	frac := 0.0
-	if r.totalWork > 0 {
-		frac = movedWork / r.totalWork
+	if r.work.Total > 0 {
+		frac = movedWork / r.work.Total
 	}
 	r.result.Moves = append(r.result.Moves, MoveRecord{
 		Round:         r.round,

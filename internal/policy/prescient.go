@@ -1,8 +1,10 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"anurand/internal/assign"
 	"anurand/internal/workload"
@@ -14,8 +16,8 @@ import (
 // represents the best any load manager could do and is what ANU is
 // measured against.
 type Prescient struct {
-	numFileSets int
-	table       []ServerID
+	table  []ServerID
+	search warmSearch
 }
 
 // NewPrescient builds the policy; the placement table is empty until the
@@ -29,7 +31,7 @@ func NewPrescient(fileSets []workload.FileSet) (*Prescient, error) {
 	for i := range table {
 		table[i] = NoServer
 	}
-	return &Prescient{numFileSets: len(fileSets), table: table}, nil
+	return &Prescient{table: table}, nil
 }
 
 // Name implements Placer.
@@ -48,68 +50,127 @@ func (p *Prescient) Place(fs int) ServerID {
 // still locally optimal stays put — the optimal permutation should not
 // churn when nothing changed.
 func (p *Prescient) Retune(env *Env) error {
-	if err := validateEnv(env, p.numFileSets, true); err != nil {
+	if err := validateEnv(env, len(p.table), true); err != nil {
 		return err
 	}
-	items := make([]assign.Item, p.numFileSets)
-	for i := range items {
-		items[i] = assign.Item{ID: i, Load: env.FileSetLoads[i]}
-	}
-	bins, ids := upBins(env)
-	if len(bins) == 0 {
-		for i := range p.table {
-			p.table[i] = NoServer
-		}
-		return nil
-	}
-	a := warmStart(p.table, items, bins, ids)
-	for i, b := range a {
-		if b < 0 {
-			p.table[i] = NoServer
-		} else {
-			p.table[i] = ids[b]
-		}
-	}
+	p.search.retune(p.table, env.FileSetLoads, env.Servers)
 	return nil
-}
-
-// warmStart seeds the optimizer with a previous server table when every
-// referenced server is still a usable bin, falling back to a fresh
-// greedy seed otherwise (first round, failures, topology changes).
-func warmStart(table []ServerID, items []assign.Item, bins []assign.Bin, ids []ServerID) assign.Assignment {
-	binOf := make(map[ServerID]int, len(ids))
-	for b, id := range ids {
-		binOf[id] = b
-	}
-	seed := make(assign.Assignment, len(table))
-	for i, id := range table {
-		b, ok := binOf[id]
-		if !ok {
-			return assign.Optimize(items, bins)
-		}
-		seed[i] = b
-	}
-	seed, _ = assign.LocalSearch(items, bins, seed, 20)
-	return seed
 }
 
 // SharedStateSize implements Placer: a replicated table mapping every
 // file set to a server (4-byte fileset index + 4-byte server id each) —
 // the O(m) state the paper contrasts with ANU's O(k).
-func (p *Prescient) SharedStateSize() int { return 8 * p.numFileSets }
+func (p *Prescient) SharedStateSize() int { return 8 * len(p.table) }
 
-// upBins converts the snapshot's live servers to optimizer bins in
-// deterministic id order, returning the parallel id list.
-func upBins(env *Env) ([]assign.Bin, []ServerID) {
-	servers := append([]ServerInfo(nil), env.Servers...)
-	sort.Slice(servers, func(i, j int) bool { return servers[i].ID < servers[j].ID })
-	var bins []assign.Bin
-	var ids []ServerID
-	for _, s := range servers {
-		if s.Up && s.Speed > 0 {
-			bins = append(bins, assign.Bin{ID: int(s.ID), Capacity: s.Speed})
-			ids = append(ids, s.ID)
+// warmSearch is the re-optimization prescient and vp share: it maps
+// items with known loads onto the up servers, warm-started from the
+// placer's table. assign.LocalSearch is a pure function, so once a warm
+// search has taken no step, the same loads, bins and table give the
+// same table back; warmSearch remembers those inputs and skips the
+// search while they hold. A fail, recover, speed or load change is a
+// miss and searches again. Its buffers are reused across rounds, so a
+// settled round allocates nothing.
+type warmSearch struct {
+	items   []assign.Item // per-item loads of the last round
+	servers []ServerInfo  // scratch: up servers sorted by id
+	bins    []assign.Bin  // up servers of the last round, by id
+	ids     []ServerID    // parallel to bins
+	seed    assign.Assignment
+	// settled reports that the last round's warm search took no step:
+	// its items, bins and the table it left are a fixed point.
+	settled bool
+}
+
+// retune re-maps table (item -> server) for the given per-item loads
+// over env's up servers, leaving it untouched when the inputs equal
+// those of the last settled search.
+func (w *warmSearch) retune(table []ServerID, loads []float64, servers []ServerInfo) {
+	same := w.setItems(loads)
+	same = w.setBins(servers) && same
+	if same && w.settled {
+		return
+	}
+	w.settled = false
+	if len(w.bins) == 0 {
+		for i := range table {
+			table[i] = NoServer
+		}
+		return
+	}
+	a, warm := w.seedFrom(table)
+	steps := 0
+	if warm {
+		a, steps = assign.LocalSearch(w.items, w.bins, a, 20)
+	} else {
+		a = assign.Optimize(w.items, w.bins)
+	}
+	for i, b := range a {
+		if b < 0 {
+			table[i] = NoServer
+		} else {
+			table[i] = w.ids[b]
 		}
 	}
-	return bins, ids
+	w.settled = warm && steps == 0
+}
+
+// setItems stores loads as the search's items and reports whether they
+// are bit-identical to the last round's.
+func (w *warmSearch) setItems(loads []float64) bool {
+	same := len(w.items) == len(loads)
+	if !same {
+		w.items = make([]assign.Item, len(loads))
+		for i := range w.items {
+			w.items[i].ID = i
+		}
+	}
+	for i, l := range loads {
+		if math.Float64bits(w.items[i].Load) != math.Float64bits(l) {
+			w.items[i].Load = l
+			same = false
+		}
+	}
+	return same
+}
+
+// setBins stores the up servers with positive speed as optimizer bins
+// in ascending id order, with the parallel id list, and reports whether
+// ids and capacities are bit-identical to the last round's.
+func (w *warmSearch) setBins(servers []ServerInfo) bool {
+	up := w.servers[:0]
+	for _, s := range servers {
+		if s.Up && s.Speed > 0 {
+			up = append(up, s)
+		}
+	}
+	slices.SortFunc(up, func(a, b ServerInfo) int { return cmp.Compare(a.ID, b.ID) })
+	w.servers = up
+	same := len(w.bins) == len(up)
+	if !same {
+		w.bins = slices.Grow(w.bins[:0], len(up))[:len(up)]
+		w.ids = slices.Grow(w.ids[:0], len(up))[:len(up)]
+	}
+	for k, s := range up {
+		if w.ids[k] != s.ID || math.Float64bits(w.bins[k].Capacity) != math.Float64bits(s.Speed) {
+			w.bins[k], w.ids[k] = assign.Bin{ID: int(s.ID), Capacity: s.Speed}, s.ID
+			same = false
+		}
+	}
+	return same
+}
+
+// seedFrom converts table to bin indices for a warm start. It reports
+// false when some entry is not a usable bin (first round, failures,
+// topology changes), and the search then starts from a fresh greedy
+// seed instead.
+func (w *warmSearch) seedFrom(table []ServerID) (assign.Assignment, bool) {
+	w.seed = slices.Grow(w.seed[:0], len(table))[:len(table)]
+	for i, id := range table {
+		b, ok := slices.BinarySearch(w.ids, id)
+		if !ok {
+			return nil, false
+		}
+		w.seed[i] = b
+	}
+	return w.seed, true
 }

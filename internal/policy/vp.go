@@ -3,7 +3,6 @@ package policy
 import (
 	"fmt"
 
-	"anurand/internal/assign"
 	"anurand/internal/hashx"
 	"anurand/internal/workload"
 )
@@ -19,6 +18,7 @@ type VirtualProcessor struct {
 	fsToVP  []int32    // static: file set -> virtual processor
 	vpOwner []ServerID // tuned: virtual processor -> server
 	loads   []float64  // scratch: per-VP aggregated load
+	search  warmSearch
 }
 
 // NewVirtualProcessor distributes the file sets over numVP virtual
@@ -77,25 +77,7 @@ func (v *VirtualProcessor) Retune(env *Env) error {
 	for fs, vp := range v.fsToVP {
 		v.loads[vp] += env.FileSetLoads[fs]
 	}
-	items := make([]assign.Item, len(v.loads))
-	for i, l := range v.loads {
-		items[i] = assign.Item{ID: i, Load: l}
-	}
-	bins, ids := upBins(env)
-	if len(bins) == 0 {
-		for i := range v.vpOwner {
-			v.vpOwner[i] = NoServer
-		}
-		return nil
-	}
-	a := warmStart(v.vpOwner, items, bins, ids)
-	for i, b := range a {
-		if b < 0 {
-			v.vpOwner[i] = NoServer
-		} else {
-			v.vpOwner[i] = ids[b]
-		}
-	}
+	v.search.retune(v.vpOwner, v.loads, env.Servers)
 	return nil
 }
 

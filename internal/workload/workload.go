@@ -12,6 +12,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -53,6 +54,9 @@ type Trace struct {
 	// keys memoizes the per-file-set placement digests (see Keys).
 	keysOnce sync.Once
 	keys     *KeySet
+	// work memoizes the per-file-set demand sums (see Work).
+	workOnce sync.Once
+	work     *Work
 }
 
 // Validate checks structural sanity: positive duration, non-empty file
@@ -140,23 +144,50 @@ func (t *Trace) Stats() Stats {
 	return s
 }
 
+// Work is a trace's demand summed per file set, in request order. It is
+// shared by every run over the trace: callers must treat it as
+// read-only.
+type Work struct {
+	// PerFileSet is the total demand of each file set in unit-speed
+	// seconds.
+	PerFileSet []float64
+	// Total is the demand of the whole trace.
+	Total float64
+	// Loads is PerFileSet divided by the trace's duration: each file
+	// set's offered load in unit-speed seconds of work per second.
+	Loads []float64
+}
+
+// Work returns the trace's memoized demand sums, computing them on first
+// use. The trace must be valid (see Validate) and, like Keys, must not
+// change afterwards. Concurrent first calls are safe.
+func (t *Trace) Work() *Work {
+	t.workOnce.Do(func() {
+		w := &Work{PerFileSet: make([]float64, len(t.FileSets))}
+		for _, r := range t.Requests {
+			w.PerFileSet[r.FileSet] += r.Demand
+			w.Total += r.Demand
+		}
+		w.Loads = make([]float64, len(w.PerFileSet))
+		for i, d := range w.PerFileSet {
+			w.Loads[i] = d / t.Duration
+		}
+		t.work = w
+	})
+	return t.work
+}
+
 // OfferedLoads returns each file set's offered load in unit-speed
 // seconds of work per second — the ground truth the dynamic-prescient
 // policy is entitled to (it has "perfect knowledge of server
-// capabilities and workload properties").
+// capabilities and workload properties"). The slice is the caller's.
 func (t *Trace) OfferedLoads() []float64 {
-	loads := make([]float64, len(t.FileSets))
-	for _, r := range t.Requests {
-		loads[r.FileSet] += r.Demand
-	}
-	for i := range loads {
-		loads[i] /= t.Duration
-	}
-	return loads
+	return slices.Clone(t.Work().Loads)
 }
 
 // ScaleDemand multiplies every request demand by c, the paper's scaling
-// factor "tuned to avoid overload of the whole system".
+// factor "tuned to avoid overload of the whole system". It must run
+// before the first call to Work, which memoizes the demands.
 func (t *Trace) ScaleDemand(c float64) {
 	for i := range t.Requests {
 		t.Requests[i].Demand *= c

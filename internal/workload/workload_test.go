@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -78,6 +79,42 @@ func TestOfferedLoads(t *testing.T) {
 	}
 	if math.Abs(loads[1]-1.75/100) > 1e-12 {
 		t.Errorf("loads[1] = %g, want 0.0175", loads[1])
+	}
+}
+
+func TestWorkIsMemoizedAndMatchesStats(t *testing.T) {
+	tr := validTrace()
+	// Concurrent first calls (parallel experiment cells share a trace)
+	// must all get the one memoized value.
+	got := make([]*Work, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = tr.Work()
+		}()
+	}
+	wg.Wait()
+	w := tr.Work()
+	for _, g := range got {
+		if g != w {
+			t.Fatal("Work not memoized")
+		}
+	}
+	s := tr.Stats()
+	if w.Total != s.TotalDemand {
+		t.Errorf("Total = %g, Stats.TotalDemand = %g", w.Total, s.TotalDemand)
+	}
+	for i, d := range s.FileSetWork {
+		if w.PerFileSet[i] != d || w.Loads[i] != d/tr.Duration {
+			t.Errorf("file set %d: work %g load %g, Stats %g", i, w.PerFileSet[i], w.Loads[i], d)
+		}
+	}
+	loads := tr.OfferedLoads()
+	loads[0] = -1
+	if w.Loads[0] == -1 {
+		t.Fatal("OfferedLoads shares the memoized slice")
 	}
 }
 
